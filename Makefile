@@ -5,22 +5,19 @@
 
 GO ?= go
 
-.PHONY: check vet build lint test race bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check lane-parity serve-demo smoke loadtest-demo clean
+.PHONY: check vet build lint test race bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
 
 check: vet build lint race
 
 vet:
 	$(GO) vet ./...
 
-# pvclint enforces the invariants in DESIGN.md (§8 and §13): no wall
+# pvclint enforces the invariants in DESIGN.md (§8): no wall
 # clock in simulation packages, no map-order output, no global
 # math/rand, no exact float equality in model code, nil-guarded
-# obs.Recorder calls, plus the laneguard suite — lane-pinned state
-# written only from its own lane, host-side-only LaneSet mutation,
-# closed bound-tag taxonomy, units.Seconds across call boundaries.
-# Packages are parsed concurrently and type-checked in dependency
-# waves; analyzers share one module-wide call-graph index. Exits
-# nonzero on any finding.
+# obs.Recorder calls, a closed bound-tag taxonomy, units.Seconds
+# across call boundaries. Packages are parsed concurrently and
+# type-checked in dependency waves. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/pvclint
 
@@ -67,7 +64,7 @@ sweep-demo: build
 		&& echo "sweep-demo: fabric.remote-node residency present" \
 		|| { echo "sweep-demo: fabric.remote-node missing from profile report"; exit 1; }
 
-# Wall-clock self-profiling demo (DESIGN.md §14): run the CloverLeaf
+# Wall-clock self-profiling demo (DESIGN.md §13): run the CloverLeaf
 # weak-scaling cell with both timelines on — the simulated-time trace
 # and the wall-time engine timeline — then render the wall report and
 # prove the purity claim: the simulated metrics export is byte-identical
@@ -85,27 +82,19 @@ wallprof-demo: build
 
 # Append today's bench record (the six Table V/VI FOM workloads) to
 # BENCH_<date>.json — the simulator's own performance trajectory.
-# -lane-jobs 0 lets each node simulation use the event-lane pool on top
-# of the cross-cell jobs; the record stores the resolved worker count.
 bench-record: build
-	$(GO) run ./cmd/pvcprof bench -jobs 0 -lane-jobs 0
+	$(GO) run ./cmd/pvcprof bench -jobs 0
 
 # Regression gate: run the bench set now and diff it against the
 # committed baseline. Simulated FOM drift hard-fails (exact tolerance);
-# wall-clock drift only warns — lane workers may only move wall time.
+# wall-clock drift only warns — -jobs workers may only move wall time.
 # The zero-alloc test pins the disabled wall-probe path first: every
 # simulation pays the nil-probe hook sites, so they must stay a single
-# pointer compare — no allocations (DESIGN.md §14).
+# pointer compare — no allocations (DESIGN.md §13).
 bench-check: build
 	$(GO) test -run TestWallprobeNilPathZeroAlloc ./internal/sim/
-	$(GO) run ./cmd/pvcprof bench -jobs 0 -lane-jobs 0 -out bench-current.json
+	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json
-
-# Lane-kernel correctness sweep under the race detector: sampled sweep
-# cells must export byte-identical metrics/trace/profile for every lane
-# partition × worker count, with identical deadlock diagnostics.
-lane-parity: build
-	$(GO) test -race -run 'TestLaneParity' ./internal/sweep/
 
 # Boot the pvcd simulation service in the foreground (Ctrl-C drains and
 # exits). Drive it with curl: POST /v1/runs, stream /v1/runs/{id}/events

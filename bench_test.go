@@ -24,7 +24,6 @@ import (
 	"pvcsim/internal/paper"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/runner"
-	"pvcsim/internal/sim"
 	"pvcsim/internal/sweep"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
@@ -142,39 +141,18 @@ func BenchmarkTableVI_RIMP2(b *testing.B)      { benchTableVI(b, "minigamess") }
 func BenchmarkTableVI_OpenMC(b *testing.B)     { benchTableVI(b, "openmc") }
 func BenchmarkTableVI_HACC(b *testing.B)       { benchTableVI(b, "hacc") }
 
-// --- Event lanes: the same full-node mini-app cells under a serial
-// lane pool vs 4 lane workers. The laneparity sweep proves the exports
-// are byte-identical either way; these benches measure the wall-time
-// side — the only thing lane workers are allowed to change. On a
-// multi-core host the Workers4 variants are the speedup claim; on one
-// core they bound the worker-pool overhead instead. ---
-
-func benchLaneWorkers(b *testing.B, workers int, names ...string) {
-	b.Helper()
-	sim.SetDefaultWorkers(workers)
-	defer sim.SetDefaultWorkers(1)
-	benchCells(b, 1, registryCells(b, pvcPair, names...))
-}
-
-func BenchmarkLane_CloverLeafSerial(b *testing.B)   { benchLaneWorkers(b, 1, "cloverleaf") }
-func BenchmarkLane_CloverLeafWorkers4(b *testing.B) { benchLaneWorkers(b, 4, "cloverleaf") }
-func BenchmarkLane_OpenMCSerial(b *testing.B)       { benchLaneWorkers(b, 1, "openmc") }
-func BenchmarkLane_OpenMCWorkers4(b *testing.B)     { benchLaneWorkers(b, 4, "openmc") }
-
-// --- Wall-clock self-profiling overhead (DESIGN.md §14): the same
+// --- Wall-clock self-profiling overhead (DESIGN.md §13): the same
 // engine-driving cells with the probe hooks left nil vs a live wallprof
 // collector. The Nil variant is the cost every simulation now pays for
 // the instrumentation points (one pointer compare per hook site — the
 // zero-alloc claim is pinned by TestWallprobeNilPathZeroAlloc, which
 // `make bench-check` runs); the delta to Enabled is the price of
 // actually profiling. clover-scaling is the subject because it genuinely
-// drives the event-lane engine — the Table VI FOM workloads are analytic
-// and would never reach a burst hook. ---
+// drives the event engine — the Table VI FOM workloads are analytic and
+// would never reach a burst hook. ---
 
 func benchWallprofOverhead(b *testing.B, enabled bool) {
 	b.Helper()
-	sim.SetDefaultWorkers(2)
-	defer sim.SetDefaultWorkers(1)
 	cells := registryCells(b, pvcPair, "clover-scaling")
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -36,13 +36,11 @@ func main() {
 	list := flag.Bool("list", false, "enumerate the registered workloads and exit")
 	workloadName := flag.String("workload", "", "run one registered workload by name and exit")
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(flag.CommandLine)
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
 	var logf telemetry.LogFlags
 	logf.Register(flag.CommandLine)
 	flag.Parse()
-	runner.ApplyLaneJobs(*laneJobs, *jobs)
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		log.Fatal(err)
 	}

@@ -37,13 +37,11 @@ func main() {
 	hi := flag.String("hi", "8 GB", "sweep end footprint")
 	simulate := flag.String("simulate", "", "cross-check one footprint with the execution-driven cache simulator")
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(flag.CommandLine)
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
 	var logf telemetry.LogFlags
 	logf.Register(flag.CommandLine)
 	flag.Parse()
-	runner.ApplyLaneJobs(*laneJobs, *jobs)
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		log.Fatal(err)
 	}

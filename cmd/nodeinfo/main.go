@@ -34,13 +34,11 @@ func main() {
 	bindings := flag.Bool("bindings", false, "print the full rank-to-core binding table")
 	config := flag.String("config", "", "describe a custom node from a JSON config file instead")
 	jobs := flag.Int("jobs", 1, "parallel probe workers when observability output is requested; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(flag.CommandLine)
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
 	var logf telemetry.LogFlags
 	logf.Register(flag.CommandLine)
 	flag.Parse()
-	runner.ApplyLaneJobs(*laneJobs, *jobs)
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		log.Fatal(err)
 	}

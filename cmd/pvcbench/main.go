@@ -67,13 +67,11 @@ func main() {
 	sweepName := flag.String("sweep", "", "expand one scenario `family` (see internal/sweep) and run every cell; combine with -where")
 	whereClause := flag.String("where", "", "restrict -sweep to axis values, e.g. \"system=aurora,nodes=4\"")
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(flag.CommandLine)
 	var obsf runner.ObsFlags
 	obsf.Register(flag.CommandLine)
 	var logf telemetry.LogFlags
 	logf.Register(flag.CommandLine)
 	flag.Parse()
-	runner.ApplyLaneJobs(*laneJobs, *jobs)
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		log.Fatal(err)
 	}

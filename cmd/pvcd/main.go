@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"pvcsim/internal/history"
-	"pvcsim/internal/runner"
 	"pvcsim/internal/telemetry"
 )
 
@@ -75,7 +74,6 @@ func run(args []string) int {
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8321", "listen address")
 	jobs := fs.Int("jobs", 0, "default per-run simulation workers; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(fs)
 	drain := fs.Duration("drain-timeout", 5*time.Second, "how long to wait for in-flight runs on shutdown")
 	validate := fs.String("validate-metrics", "", "parse a saved /metrics page strictly, check the run counters, and exit")
 	historyPath := fs.String("history", "", "append-only JSONL run-history journal; empty disables history")
@@ -116,7 +114,6 @@ func run(args []string) int {
 	if *jobs <= 0 {
 		*jobs = 0 // runner.New treats 0 as NumCPU; keep daemon default dynamic
 	}
-	runner.ApplyLaneJobs(*laneJobs, *jobs)
 	s := newServer(logger, *jobs)
 	if *sseKeepalive > 0 {
 		s.sseKeepalive = *sseKeepalive

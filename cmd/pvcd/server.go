@@ -585,7 +585,6 @@ func (s *server) jobsFor(spec runSpec) int {
 // run's terminal state.
 func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	defer s.wg.Done()
-	defer s.tele.RunsInflight.Dec()
 	start := time.Now()
 
 	// Artifacts runs execute through a core.Study so the artifact
@@ -635,12 +634,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	refineTraceSpans(rn.trace, wallRep)
 	wt := wallRep.Totals()
 	s.tele.ObserveEngine(telemetry.EngineRunStats{
-		Rounds:           wt.Rounds,
-		Barriers:         wt.Barriers,
-		MailboxMsgs:      wt.MailboxMsgs,
 		BusySeconds:      wt.BusySeconds,
-		StallSeconds:     wt.StallSeconds,
-		BarrierSeconds:   wt.BarrierSeconds,
 		LaneUtilization:  wt.LaneUtilization,
 		BuildSeconds:     wt.BuildSeconds,
 		SimulateSeconds:  wt.SimulateSeconds,
@@ -699,6 +693,9 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 		}
 	}
 
+	// Settle the gauge before announcing completion, so a client woken
+	// by the run's end never scrapes it still in flight.
+	s.tele.RunsInflight.Dec()
 	rn.bcast.publish(event{Phase: "run-done", Status: status})
 	rn.bcast.close()
 	close(rn.done)
@@ -992,7 +989,7 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 
 // handleReqtrace serves the retained request/run traces as Chrome
 // trace-event JSON — the third Perfetto track next to the simulated
-// (obs) and wall-lane (wallprof) exports.
+// (obs) and wall-time (wallprof) exports.
 func (s *server) handleReqtrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.tracer.WriteChromeTrace(w); err != nil {

@@ -271,21 +271,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := fams.Value("pvcd_http_requests_total", map[string]string{"route": "runs_submit"}); !ok || v != 1 {
 		t.Errorf("http_requests_total{runs_submit} = %v (present=%v), want 1", v, ok)
 	}
-	// Engine health: every run self-profiles, so the engine counters
-	// must be present (values are wall-clock and run-dependent) and the
-	// phase histogram must have one build and one simulate sample for
-	// the single computed cell.
-	for _, name := range []string{
-		"pvcsim_engine_rounds_total",
-		"pvcsim_engine_barriers_total",
-		"pvcsim_engine_mailbox_messages_total",
-		"pvcsim_engine_lane_busy_seconds_total",
-		"pvcsim_engine_lane_stall_seconds_total",
-		"pvcsim_engine_barrier_seconds_total",
-	} {
-		if v, ok := fams.Value(name, nil); !ok || v < 0 {
-			t.Errorf("%s = %v (present=%v), want present and >= 0", name, v, ok)
-		}
+	// Engine health: every run self-profiles, so the engine busy-time
+	// counter must be present (its value is wall-clock and
+	// run-dependent) and the phase histogram must have one build and one
+	// simulate sample for the single computed cell.
+	if v, ok := fams.Value("pvcsim_engine_lane_busy_seconds_total", nil); !ok || v < 0 {
+		t.Errorf("pvcsim_engine_lane_busy_seconds_total = %v (present=%v), want present and >= 0", v, ok)
 	}
 	for _, phase := range []string{"build", "simulate"} {
 		if v, ok := fams.Value("pvcsim_runner_phase_seconds_count", map[string]string{"phase": phase}); !ok || v != 1 {

@@ -2,15 +2,13 @@
 // simulated-time invariants (see DESIGN.md, "Enforced invariants"). It
 // type-checks every package in the module with the standard library's
 // go/parser + go/types — no external analysis framework — and runs the
-// purpose-built analyzers from internal/analysis:
+// seven purpose-built analyzers from internal/analysis:
 //
 //	walltime      no time.Now/Since/Sleep in simulation packages
 //	maprange      no map iteration order reaching slices or output unsorted
 //	seededrand    no global math/rand draws; inject a seeded *rand.Rand
 //	floateq       no exact ==/!= on floats in model code
 //	recorderguard every obs/prof Recorder call dominated by a nil check
-//	laneaffinity  lane-pinned state (//laneguard:pinned) written only from its lane
-//	singlewriter  obs.LaneSet mutated host-side only; no captured-slice/map writes from lanes
 //	boundtag      constant bound tags drawn from the closed prof taxonomy
 //	timeunit      no raw float64 seconds crossing call boundaries in model code
 //

@@ -9,7 +9,7 @@
 //	pvcprof flame profile.json             folded stacks (flamegraph.pl input)
 //	pvcprof diff [flags] old.json new.json compare two exports
 //	pvcprof bench [flags]                  run the bench set, append a record
-//	pvcprof wall report wall.json          per-lane utilization / stall tables
+//	pvcprof wall report wall.json          engine and runner-phase tables
 //	pvcprof wall flame wall.json           wall-time folded stacks
 //	pvcprof wall diff [flags] a.json b.json compare two wall self-profiles
 //	pvcprof history [flags] history.jsonl  pvcd run-history trends + regression flags
@@ -23,8 +23,8 @@
 // is noted, never treated as zero.
 //
 // wall inspects the simulator's wall-clock self-profile (a -wallprof
-// export): where host time went — per-lane busy/stall/idle, barrier
-// serialization, mailbox latency, and runner phases.
+// export): where host time went — engine run time, event-struct churn,
+// and runner phases.
 //
 //	pvcprof diff -rel-tol 0.01 -metric-tol 'wall.run_ms=0.5' old.json new.json
 //
@@ -308,7 +308,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pvcprof bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jobs := fs.Int("jobs", 1, "parallel simulation workers; 0 = all CPUs")
-	laneJobs := runner.LaneJobsFlag(fs)
 	label := fs.String("label", "", "free-form label stored in the record (e.g. a commit hash)")
 	date := fs.String("date", "", "record date as YYYY-MM-DD (default: today)")
 	out := fs.String("out", "", "bench file to append to (default: BENCH_<date>.json)")
@@ -325,7 +324,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pvcprof bench: takes no positional arguments")
 		return 2
 	}
-	laneWorkers := runner.ApplyLaneJobs(*laneJobs, *jobs)
 	if *date == "" {
 		*date = time.Now().Format("2006-01-02")
 	}
@@ -336,8 +334,8 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	reg := sweep.DefaultRegistry()
 	r := runner.New(*jobs)
 	// Bench runs always self-profile: the engine totals land in the
-	// record's wall side so the trajectory tracks lane utilization and
-	// barrier cost alongside raw run time.
+	// record's wall side so the trajectory tracks engine busy time
+	// alongside raw run time.
 	wc := wallprof.New()
 	r.ProfileWall(wc)
 	var cells []runner.Cell
@@ -380,15 +378,10 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		Wall: prof.WallStats{
 			RunMS:        float64(wall) / float64(time.Millisecond),
 			Jobs:         *jobs,
-			LaneJobs:     laneWorkers,
 			Cells:        len(cells),
 			BuildMS:      buildMS,
 			SimulateMS:   simMS,
 			LaneBusyMS:   tot.BusySeconds * 1e3,
-			LaneStallMS:  tot.StallSeconds * 1e3,
-			BarrierMS:    tot.BarrierSeconds * 1e3,
-			EngineRounds: tot.Rounds,
-			MailboxMsgs:  tot.MailboxMsgs,
 			MeanLaneUtil: meanUtil,
 		},
 	}
@@ -415,7 +408,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(stdout, "recorded %d simulated FOM(s) over %d cell(s) in %s (jobs=%d, lane-jobs=%d) -> %s\n",
-		len(names), len(cells), wall.Round(time.Millisecond), *jobs, laneWorkers, *out)
+	fmt.Fprintf(stdout, "recorded %d simulated FOM(s) over %d cell(s) in %s (jobs=%d) -> %s\n",
+		len(names), len(cells), wall.Round(time.Millisecond), *jobs, *out)
 	return 0
 }

@@ -201,8 +201,8 @@ func TestReportAndFlameFromProbe(t *testing.T) {
 // does it.
 func writeWallProfile(t *testing.T, path string) {
 	t.Helper()
-	// clover-scaling genuinely drives the cell's event-lane engine (the
-	// FOM workloads are analytic), so the export carries lane stats.
+	// clover-scaling genuinely drives the cell's event engine (the FOM
+	// workloads are analytic), so the export carries engine stats.
 	w, ok := sweep.DefaultRegistry().Get("clover-scaling")
 	if !ok {
 		t.Fatal("clover-scaling not registered")
@@ -237,7 +237,7 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 	if code := run([]string{"wall", "report", a}, &out, &errb); code != 0 {
 		t.Fatalf("wall report: exit %d, stderr:\n%s", code, errb.String())
 	}
-	for _, want := range []string{"Wall-clock self-profile", "LANE", "UTIL", "STALL", "barriers"} {
+	for _, want := range []string{"Wall-clock self-profile", "engine: 1 run(s)", "LANE", "BUSY_MS", "UTIL"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("wall report missing %q:\n%s", want, out.String())
 		}

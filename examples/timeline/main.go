@@ -49,7 +49,7 @@ func main() {
 			// Ring halo exchange.
 			right := (r.Rank() + 1) % r.Size()
 			left := (r.Rank() - 1 + r.Size()) % r.Size()
-			sreq, err := r.Isend(p, right, step, 64*units.MB)
+			sreq, err := r.Isend(right, step, 64*units.MB)
 			if err != nil {
 				panic(err)
 			}

@@ -61,17 +61,13 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Pass hands an analyzer one type-checked package plus the shared
-// effect index (callgraph.go) covering every package of the run, so
-// cross-package facts — scheduled literals, lane residency, pinned
-// types — are visible while reporting stays per-package.
+// Pass hands an analyzer one type-checked package.
 type Pass struct {
 	Fset  *token.FileSet
 	Path  string // import path ("pvcsim/internal/mem", or the path a testdata fixture was loaded as)
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	Index *Index
 
 	analyzer string
 	sink     *[]Diagnostic
@@ -177,19 +173,13 @@ func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
 // RunPackage runs the given analyzers over one loaded package and
 // returns the surviving diagnostics (ignore directives already applied,
 // malformed directives reported). The result is sorted by position so
-// output order never depends on analyzer or map order. The effect index
-// is built over the single package; module runs use runLoaded, which
-// shares one cross-package index.
+// output order never depends on analyzer or map order.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return runPackageWith(pkg, analyzers, NewIndex([]*Package{pkg}))
-}
-
-func runPackageWith(pkg *Package, analyzers []*Analyzer, ix *Index) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Fset: pkg.Fset, Path: pkg.Path, Files: pkg.Files,
-			Types: pkg.Types, Info: pkg.Info, Index: ix,
+			Types: pkg.Types, Info: pkg.Info,
 			analyzer: a.Name, sink: &raw,
 		}
 		a.Run(pass)
@@ -227,10 +217,6 @@ func runLoaded(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One effect index spans the whole module so call edges and lane
-	// residency cross package boundaries; it is read-only once built,
-	// so the per-package analyzer passes can share it in parallel.
-	ix := NewIndex(pkgs)
 	perPkg := make([][]Diagnostic, len(pkgs))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(pkgs) {
@@ -243,7 +229,7 @@ func runLoaded(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				perPkg[i] = runPackageWith(pkgs[i], analyzers, ix)
+				perPkg[i] = RunPackage(pkgs[i], analyzers)
 			}
 		}()
 	}

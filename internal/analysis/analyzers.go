@@ -3,8 +3,8 @@ package analysis
 // All returns every pvclint analyzer in stable (alphabetical) order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BoundTag, FloatEq, LaneAffinity, MapRange, RecorderGuard,
-		SeededRand, SingleWriter, TimeUnit, Walltime,
+		BoundTag, FloatEq, MapRange, RecorderGuard,
+		SeededRand, TimeUnit, Walltime,
 	}
 }
 

@@ -68,3 +68,61 @@ func goodSliceRange(xs []string, w io.Writer) {
 		fmt.Fprintln(w, x)
 	}
 }
+
+// Schedule-sensitive sites: the event heap breaks equal-time ties by
+// admission sequence, so an Engine.Schedule / Signal.Fire / Go issued
+// from a map-range body bakes iteration order into the simulated
+// schedule itself. engine stands in for sim.Engine; the analyzer keys
+// on method names, not receiver types, because the sites it guards span
+// sim, fabric and gpusim wrappers.
+type engine struct{}
+
+func (engine) Schedule(after float64, fn func()) {}
+func (engine) Go(name string, body func())       {}
+func (engine) Fire()                             {}
+
+type flow struct {
+	seq  int
+	done engine
+}
+
+func badScheduleFromMap(e engine, delays map[string]float64) {
+	for _, d := range delays {
+		e.Schedule(d, func() {}) // want `Schedule inside a range over a map admits simulation events`
+	}
+}
+
+func badFireFromMap(flows map[*flow]bool) {
+	for f := range flows {
+		f.done.Fire() // want `Fire inside a range over a map admits simulation events`
+	}
+}
+
+func badSpawnFromMap(e engine, bodies map[string]func()) {
+	for name, body := range bodies {
+		e.Go(name, body) // want `Go inside a range over a map admits simulation events`
+	}
+}
+
+// The repair idiom: collect into a slice, order by admission sequence,
+// then fire from the sorted slice — exactly how the fabric network
+// finishes simultaneously-drained flows.
+func goodSortedFire(flows map[*flow]bool) {
+	var drained []*flow
+	for f := range flows {
+		if f.seq >= 0 {
+			drained = append(drained, f)
+		}
+	}
+	sort.Slice(drained, func(i, j int) bool { return drained[i].seq < drained[j].seq })
+	for _, f := range drained {
+		f.done.Fire()
+	}
+}
+
+// Scheduling from a slice range is ordered; nothing to report.
+func goodSliceSchedule(e engine, delays []float64) {
+	for _, d := range delays {
+		e.Schedule(d, func() {})
+	}
+}

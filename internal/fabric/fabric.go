@@ -22,9 +22,6 @@ import (
 )
 
 // Constraint is one bandwidth capacity shared by the flows crossing it.
-// Flow accounting mutates it, always on the network's lane:
-//
-//laneguard:pinned lane0
 type Constraint struct {
 	Name     string
 	capacity float64 // bytes per second
@@ -38,10 +35,7 @@ func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacit
 // constraint.
 func (c *Constraint) ActiveFlows() int { return len(c.flows) }
 
-// Flow is one in-flight transfer. Its progress state belongs to the
-// network's coordination lane:
-//
-//laneguard:pinned lane0
+// Flow is one in-flight transfer.
 type Flow struct {
 	name      string
 	bound     string // binding-resource tag carried onto the recorded span
@@ -50,7 +44,6 @@ type Flow struct {
 	cs        []*Constraint
 	done      *sim.Signal
 	finished  bool
-	owner     sim.LaneID    // the network's lane; Wait migrates there first
 	seq       uint64        // admission order, breaks finish-order ties
 	size      float64       // total bytes, for the recorded span
 	start     units.Seconds // when the flow entered the network
@@ -69,17 +62,9 @@ func (f *Flow) Remaining() units.Bytes { return units.Bytes(f.remaining) }
 // Rate returns the flow's current share in bytes/s.
 func (f *Flow) Rate() units.ByteRate { return units.ByteRate(f.rate) }
 
-// Network manages flows over a set of constraints on one engine. The
-// network's state — constraints, flow set, rates — lives on the engine's
-// coordination lane (lane 0): every blocking entry point migrates the
-// calling process there, and the non-blocking Start variants must already
-// be called from lane-0 context (mpirt and the gpusim memcpy paths
-// migrate before routing into them).
-//
-//laneguard:pinned lane0
+// Network manages flows over a set of constraints on one engine.
 type Network struct {
 	eng     *sim.Engine
-	lane    sim.LaneID
 	flows   map[*Flow]struct{}
 	lastT   units.Seconds
 	gen     uint64 // invalidates stale completion events
@@ -87,18 +72,6 @@ type Network struct {
 	epsilon float64
 	obs     obs.Recorder
 }
-
-// now is the network's clock: its own lane's time, never another lane's
-// (which may be further ahead mid-round).
-func (n *Network) now() units.Seconds { return n.eng.LaneNow(n.lane) }
-
-// Lane returns the lane the network's state lives on.
-func (n *Network) Lane() sim.LaneID { return n.lane }
-
-// Enter migrates the process to the network's lane; model code must call
-// it (directly or via a blocking transfer) before touching network or
-// other lane-0 state.
-func (n *Network) Enter(p *sim.Proc) { p.MoveTo(n.lane) }
 
 // Observe attaches a recorder; every completed flow is emitted as a
 // span and admitted flows are counted (fabric.flows, fabric.bytes).
@@ -109,7 +82,7 @@ func (n *Network) Observe(r obs.Recorder) { n.obs = r }
 func (n *Network) admit(f *Flow) {
 	n.seq++
 	f.seq = n.seq
-	f.start = n.now()
+	f.start = n.eng.Now()
 	for _, c := range f.cs {
 		c.flows[f] = struct{}{}
 	}
@@ -147,12 +120,11 @@ func (n *Network) MustConstraint(name string, cap units.ByteRate) *Constraint {
 // and software setup time), matching how a single message experiences it.
 func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
 	if latency > 0 {
-		p.Hold(latency) // wire latency burns on the caller's own lane
+		p.Hold(latency)
 	}
 	if size <= 0 {
 		return
 	}
-	n.Enter(p)
 	f := n.start(name, "", size, cs)
 	if f.finished {
 		return
@@ -173,11 +145,11 @@ func (n *Network) Start(name string, size units.Bytes, latency units.Seconds, cs
 // the only record of the transfer).
 func (n *Network) StartBound(name, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
 	if size <= 0 && latency <= 0 {
-		f := &Flow{name: name, bound: bound, owner: n.lane, done: n.doneSignal(name), finished: true}
+		f := &Flow{name: name, bound: bound, done: n.doneSignal(name), finished: true}
 		return f
 	}
 	if latency > 0 {
-		f := &Flow{name: name, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+		f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
 		n.eng.Schedule(latency, func() {
 			if f.remaining <= 0 {
 				n.completePending(f)
@@ -198,10 +170,8 @@ func (n *Network) completePending(f *Flow) {
 	f.done.Fire()
 }
 
-// Wait blocks the process until the flow completes, migrating it to the
-// network's lane first (the finished bit is lane-0 state).
+// Wait blocks the process until the flow completes.
 func (f *Flow) Wait(p *sim.Proc) {
-	p.MoveTo(f.owner)
 	if f.finished {
 		return
 	}
@@ -217,7 +187,7 @@ func (n *Network) doneSignal(name string) *sim.Signal {
 // start registers a flow and returns it; flows with no constraints
 // complete instantly.
 func (n *Network) start(name, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{name: name, bound: bound, owner: n.lane, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+	f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
 	if len(cs) == 0 {
 		f.finished = true
 		return f
@@ -231,7 +201,7 @@ func (n *Network) start(name, bound string, size units.Bytes, cs []*Constraint) 
 // advance progresses all active flows to the current time at their
 // previously computed rates.
 func (n *Network) advance() {
-	now := n.now()
+	now := n.eng.Now()
 	//pvclint:ignore timeunit the fluid integrator multiplies seconds by bytes/second; the product leaves the time domain
 	dt := float64(now - n.lastT)
 	n.lastT = now
@@ -295,7 +265,7 @@ func (n *Network) reschedule() {
 			return
 		}
 		//pvclint:ignore timeunit math.Nextafter probes the raw float grid of the clock; units.Seconds has no epsilon
-		now := float64(n.now())
+		now := float64(n.eng.Now())
 		resolution := math.Nextafter(now, math.Inf(1)) - now
 		if soonest >= resolution {
 			n.gen++
@@ -327,7 +297,7 @@ func (n *Network) finish(f *Flow) {
 	delete(n.flows, f)
 	obs.Emit(n.obs, obs.Span{
 		Name: f.name, Cat: "flow", GPU: -1, Stack: -1,
-		Start: f.start, End: n.now(), Bytes: units.Bytes(f.size),
+		Start: f.start, End: n.eng.Now(), Bytes: units.Bytes(f.size),
 		Bound: f.bound,
 	})
 	f.done.Fire()

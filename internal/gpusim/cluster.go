@@ -22,22 +22,14 @@ type Cluster struct {
 	Net  *fabric.Network
 	Spec *topology.ClusterSpec
 
-	nodes   []*Machine
-	nics    []*fabric.Link
-	global  *fabric.Constraint
-	sink    obs.Recorder
-	laneSet *obs.LaneSet // coordination-lane buffer (NIC hops, fabric flows)
+	nodes  []*Machine
+	nics   []*fabric.Link
+	global *fabric.Constraint
+	sink   obs.Recorder
 }
 
-// NewCluster builds a cluster for the spec with the process-wide lane
-// partition applied per node.
+// NewCluster builds a cluster for the spec.
 func NewCluster(spec *topology.ClusterSpec) (*Cluster, error) {
-	return NewClusterWithLanes(spec, LaneSharding())
-}
-
-// NewClusterWithLanes is NewCluster with an explicit per-node lane
-// partition (see NewWithLanes for the encoding).
-func NewClusterWithLanes(spec *topology.ClusterSpec, shards int) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,7 +38,7 @@ func NewClusterWithLanes(spec *topology.ClusterSpec, shards int) (*Cluster, erro
 	c := &Cluster{Eng: eng, Net: net, Spec: spec}
 	gpusPerNode := spec.Node.GPUCount
 	for i := 0; i < spec.NodeCount; i++ {
-		m, err := newOn(eng, net, spec.Node, fmt.Sprintf("node%d/", i), i*gpusPerNode, shards)
+		m, err := newOn(eng, net, spec.Node, fmt.Sprintf("node%d/", i), i*gpusPerNode)
 		if err != nil {
 			return nil, err
 		}
@@ -65,39 +57,14 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 func (c *Cluster) Node(i int) *Machine { return c.nodes[i] }
 
 // Observe attaches a recorder to the cluster and every node machine.
-// The shared network records through the cluster's coordination-lane
-// buffer (node machines skip their own network wiring when cluster
-// owned); Run merges all buffers. Pass nil to detach.
+// The shared network records into it directly (node machines skip their
+// own network wiring when cluster owned). Pass nil to detach.
 func (c *Cluster) Observe(r obs.Recorder) {
 	c.sink = r
-	c.laneSet = nil
-	if r != nil {
-		c.laneSet = obs.NewLaneSet(r)
-		// Create the coordination-lane buffer up front, on the host:
-		// netBuf runs on the network's lane (StartRemote is reached from
-		// rank processes), where growing the LaneSet table would be a
-		// cross-lane write.
-		lane := c.Net.Lane()
-		c.laneSet.Lane(0, func() units.Seconds { return c.Eng.LaneNow(lane) })
-	}
-	c.Net.Observe(c.netBuf())
+	c.Net.Observe(r)
 	for _, m := range c.nodes {
 		m.Observe(r)
 	}
-}
-
-// netBuf is the cluster's coordination-lane buffer (nil when not
-// observed): the shared fabric network and the remote-transfer hop
-// counters record into it, always from the network's own lane. The
-// buffer exists from Observe time, so this is a pure read of the table.
-func (c *Cluster) netBuf() obs.Recorder {
-	if c.laneSet == nil {
-		return nil
-	}
-	if b := c.laneSet.Buffer(0); b != nil {
-		return b
-	}
-	return nil
 }
 
 // remotePath composes the inter-node route between two nodes: source
@@ -121,27 +88,14 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 	if src == dst {
 		return nil, fmt.Errorf("gpusim: nodes %d and %d are the same; use StartD2D", src, dst)
 	}
-	if b := c.netBuf(); b != nil {
-		// NIC-to-NIC hops: every switch traversal plus the two ends.
-		b.Add("fabric.hops", float64(c.Spec.Network.Hops+2))
-	}
+	// NIC-to-NIC hops: every switch traversal plus the two ends.
+	obs.Count(c.sink, "fabric.hops", float64(c.Spec.Network.Hops+2))
 	name := fmt.Sprintf("n2n:n%d/%v->n%d/%v", src, from, dst, to)
 	return c.Net.StartPath(name, prof.BoundFabricNode, size, c.remotePath(src, dst)), nil
 }
 
-// Run drives the simulation to completion, then merges every node's and
-// the cluster's own per-lane buffers into the attached recorder (even on
-// error, so partial runs keep their observations).
-func (c *Cluster) Run() error {
-	err := c.Eng.Run()
-	for _, m := range c.nodes {
-		m.flushObs()
-	}
-	if c.laneSet != nil {
-		c.laneSet.Flush()
-	}
-	return err
-}
+// Run drives the simulation to completion.
+func (c *Cluster) Run() error { return c.Eng.Run() }
 
 // Go starts a process on the cluster's engine.
 func (c *Cluster) Go(name string, body func(*sim.Proc)) *sim.Proc {

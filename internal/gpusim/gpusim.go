@@ -8,7 +8,6 @@ package gpusim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pvcsim/internal/fabric"
 	"pvcsim/internal/obs"
@@ -19,26 +18,7 @@ import (
 	"pvcsim/internal/units"
 )
 
-// defaultLaneShards is the process-wide lane-partition default consulted
-// by New/NewCluster: 0 means one event lane per stack (full sharding),
-// 1 means everything on the engine's coordination lane (the serial
-// reference the parity tests compare against), k means k lanes per node
-// with stacks assigned round-robin.
-var defaultLaneShards atomic.Int64
-
-// SetLaneSharding sets the process-wide lane-partition default; see
-// defaultLaneShards for the encoding. It exists for parity tests and
-// experiments — production builds keep the full per-stack sharding.
-func SetLaneSharding(n int) { defaultLaneShards.Store(int64(n)) }
-
-// LaneSharding returns the current lane-partition default.
-func LaneSharding() int { return int(defaultLaneShards.Load()) }
-
-// Machine is one simulated node. Its state — queues, per-stack
-// buffers, peer links — is partitioned across event lanes at build
-// time, so lane code may only touch it through its own lane's slots:
-//
-//laneguard:pinned sharded
+// Machine is one simulated node.
 type Machine struct {
 	Eng   *sim.Engine
 	Net   *fabric.Network
@@ -51,14 +31,8 @@ type Machine struct {
 	poolBidir *fabric.Constraint
 	peerLinks map[stackPair]*fabric.Link
 	queues    map[topology.StackID]*sim.Resource
-	lanes     map[topology.StackID]sim.LaneID
-	laneIdx   map[sim.LaneID]int // machine-local lane ordinal (0 = coordination lane)
-	bufLane   []sim.LaneID       // buffer index -> owning lane (stacks first, then lanes)
-	nStacks   int
 	rec       *Recorder
-	recBufs   [][]TraceEvent // per-source legacy-recorder buffers
-	sink      obs.Recorder   // the recorder handed to Observe
-	laneSet   *obs.LaneSet   // per-source buffers feeding sink; nil when detached
+	sink      obs.Recorder // the recorder handed to Observe
 
 	// prefix namespaces constraint/queue names and gpuBase offsets the
 	// recorded GPU index when the machine is one node of a cluster;
@@ -71,98 +45,23 @@ type Machine struct {
 	shared  bool
 }
 
-// Observe attaches an observability recorder to the machine. Model
-// emissions from simulation processes land in per-lane buffers (one per
-// event lane) that Run merges into r in deterministic lane order; the
-// performance model additionally keeps a direct reference for analytic
-// host-side callers, and the fabric network records through the
-// coordination lane's buffer. Pass nil to detach.
+// Observe attaches an observability recorder to the machine: model
+// emissions from simulation processes record straight into it, the
+// performance model keeps a reference for analytic host-side callers,
+// and the fabric network records its flows into it (unless the machine
+// is a cluster node, whose network the cluster wires). Pass nil to
+// detach.
 func (m *Machine) Observe(r obs.Recorder) {
 	m.sink = r
 	m.Model.Observe(r)
-	m.laneSet = nil
-	if r != nil {
-		m.laneSet = obs.NewLaneSet(r)
-		// Create every buffer up front, on the host: bufFor runs on
-		// stack lanes, and growing the LaneSet table there would be a
-		// cross-lane write (the singlewriter analyzer flags it). Lanes
-		// only ever read their slot via LaneSet.Buffer.
-		for idx, lane := range m.bufLane {
-			m.laneSet.Lane(idx, func() units.Seconds { return m.Eng.LaneNow(lane) })
-		}
-	}
 	if !m.shared {
-		m.Net.Observe(m.laneBuf(m.Net.Lane()))
+		m.Net.Observe(r)
 	}
 }
 
 // Observer returns the attached recorder (nil when disabled), so
 // machine-building helpers can inherit it.
 func (m *Machine) Observer() obs.Recorder { return m.sink }
-
-// Buffer layout: indices 0..nStacks-1 are per-stack buffers (written
-// only by the stack's own lane, under its in-order queue), and
-// nStacks+i is the misc buffer of the machine's i-th lane (memcpy
-// spans, hop counters, fabric emissions — whatever the lane records
-// outside a kernel launch). Keying the order-sensitive float counters
-// (model.flops, power.throttled_s) by *stack* rather than lane makes
-// the merged accumulation order a property of the workload, not of the
-// lane partition, which is what keeps metrics byte-identical across
-// lane counts.
-
-// srcOf maps a stack to its buffer index.
-func (m *Machine) srcOf(st topology.StackID) int {
-	return st.GPU*m.Node.GPU.SubCount + st.Stack
-}
-
-// laneBufIdx maps a lane to its misc-buffer index. Lanes not owned by
-// this machine (a cluster peer's) fall back to the coordination lane's
-// buffer; machine operations never run on foreign lanes.
-func (m *Machine) laneBufIdx(lane sim.LaneID) int {
-	li, ok := m.laneIdx[lane]
-	if !ok {
-		li = 0
-	}
-	return m.nStacks + li
-}
-
-// bufFor returns the buffered recorder at a buffer index (nil when the
-// machine is not observed). Each buffer is written by exactly one lane,
-// so concurrent lanes never contend; Run flushes the merge. All
-// buffers exist from Observe time, so this is a pure read of the table.
-func (m *Machine) bufFor(idx int) obs.Recorder {
-	if m.laneSet == nil {
-		return nil
-	}
-	if b := m.laneSet.Buffer(idx); b != nil {
-		return b
-	}
-	return nil
-}
-
-// stackBuf is the buffer a stack's kernel launches record into.
-func (m *Machine) stackBuf(st topology.StackID) obs.Recorder { return m.bufFor(m.srcOf(st)) }
-
-// laneBuf is the misc buffer of the given lane.
-func (m *Machine) laneBuf(lane sim.LaneID) obs.Recorder { return m.bufFor(m.laneBufIdx(lane)) }
-
-// flushObs merges the per-lane observability and legacy-recorder
-// buffers into their sinks. Run calls it on every exit path, including
-// errors, so partial runs keep their observations; it is idempotent
-// between runs.
-func (m *Machine) flushObs() {
-	if m.laneSet != nil {
-		m.laneSet.Flush()
-	}
-	if m.rec != nil {
-		for lane := range m.recBufs {
-			for _, e := range m.recBufs[lane] {
-				m.rec.add(e)
-			}
-			m.recBufs[lane] = nil
-		}
-	}
-}
 
 // stackPair is an unordered pair of subdevices keyed canonically.
 type stackPair struct {
@@ -181,24 +80,15 @@ type card struct {
 	internal *fabric.Link // stack-to-stack, nil when SubCount == 1
 }
 
-// New builds a machine for the node on its own engine and network, with
-// the process-wide lane partition (one event lane per stack by default).
+// New builds a machine for the node on its own engine and network.
 func New(node *topology.NodeSpec) (*Machine, error) {
-	return NewWithLanes(node, LaneSharding())
-}
-
-// NewWithLanes is New with an explicit lane partition: 1 runs every
-// stack on the engine's coordination lane (the serial reference the
-// parity tests compare against), 0 gives each stack its own event lane,
-// and k in between shards stacks round-robin over k lanes.
-func NewWithLanes(node *topology.NodeSpec, shards int) (*Machine, error) {
 	eng := sim.NewEngine()
-	return newOn(eng, fabric.NewNetwork(eng), node, "", 0, shards)
+	return newOn(eng, fabric.NewNetwork(eng), node, "", 0)
 }
 
 // newOn builds a machine on a caller-supplied engine and network — the
 // shared-clock path a Cluster uses to co-simulate several nodes.
-func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix string, gpuBase int, shards int) (*Machine, error) {
+func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix string, gpuBase int) (*Machine, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
@@ -209,43 +99,14 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 		Model:     perfmodel.New(node),
 		peerLinks: map[stackPair]*fabric.Link{},
 		queues:    map[topology.StackID]*sim.Resource{},
-		lanes:     map[topology.StackID]sim.LaneID{},
-		laneIdx:   map[sim.LaneID]int{},
 		prefix:    prefix,
 		gpuBase:   gpuBase,
 		shared:    prefix != "",
 	}
-	// Lane partition: each stack's compute queue — and every process
-	// pinned behind it — lives on one event lane, assigned round-robin
-	// over the shard count. Shard count 1 keeps the coordination lane
-	// only; the machine then behaves exactly like the pre-lane serial
-	// engine.
 	subs := node.Subdevices()
-	k := shards
-	if k <= 0 || k > len(subs) {
-		k = len(subs)
+	for _, st := range subs {
+		m.queues[st] = sim.NewResource(eng, prefix+"queue:"+st.String(), 1)
 	}
-	group := make([]sim.LaneID, k)
-	laneIDs := []sim.LaneID{0}
-	for i := range group {
-		if k == 1 {
-			group[i] = 0
-		} else {
-			group[i] = eng.NewLane()
-			laneIDs = append(laneIDs, group[i])
-		}
-	}
-	for i, id := range laneIDs {
-		m.laneIdx[id] = i
-	}
-	m.nStacks = len(subs)
-	for i, st := range subs {
-		lane := group[i%k]
-		m.lanes[st] = lane
-		m.queues[st] = sim.NewResourceOn(eng, lane, prefix+"queue:"+st.String(), 1)
-		m.bufLane = append(m.bufLane, lane)
-	}
-	m.bufLane = append(m.bufLane, laneIDs...)
 	m.poolH2D = net.MustConstraint(prefix+"host/h2d-pool", node.HostH2DPool)
 	m.poolD2H = net.MustConstraint(prefix+"host/d2h-pool", node.HostD2HPool)
 	m.poolBidir = net.MustConstraint(prefix+"host/bidir-pool", node.HostBidirPool)
@@ -261,13 +122,9 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 		}
 		m.cards = append(m.cards, c)
 	}
-	// Pre-size the legacy-recorder buffers and pre-create every
-	// cross-card peer link: record() and the D2D routes run on stack
-	// lanes, where growing a shared slice or filling a shared map would
-	// be a cross-lane write (laneaffinity flags it). Constraints are
-	// passive until a flow uses them, so eager link creation changes no
+	// Create every cross-card peer link up front. Constraints are
+	// passive until a flow uses them, so eager creation changes no
 	// simulated output.
-	m.recBufs = make([][]TraceEvent, m.nStacks+len(laneIDs))
 	spec := gpu.PeerLink
 	for i, a := range subs {
 		for _, b := range subs[i+1:] {
@@ -292,8 +149,7 @@ func MustNew(node *topology.NodeSpec) *Machine {
 }
 
 // peerLink returns the inter-card path between two subdevices, created
-// at build time (newOn pre-creates every cross-card pair so lane code
-// never mutates the map). Xe-Link (and its NVLink/IF counterparts)
+// at build time. Xe-Link (and its NVLink/IF counterparts)
 // provides a distinct port per stack pair: six disjoint remote stack
 // pairs on Aurora each sustain the full per-pair bandwidth (Table III:
 // 95 ≈ 6 × 15 GB/s).
@@ -301,10 +157,7 @@ func (m *Machine) peerLink(a, b topology.StackID) *fabric.Link {
 	return m.peerLinks[pairKey(a, b)]
 }
 
-// Stack is a handle to one subdevice; it shares the machine's
-// lane-partitioned state.
-//
-//laneguard:pinned sharded
+// Stack is a handle to one subdevice of a machine.
 type Stack struct {
 	m  *Machine
 	ID topology.StackID
@@ -328,43 +181,36 @@ func (m *Machine) Stacks() []*Stack {
 }
 
 // queue returns the stack's in-order compute queue (created at build
-// time on the stack's event lane).
+// time).
 func (s *Stack) queue() *sim.Resource { return s.m.queues[s.ID] }
-
-// Lane returns the event lane the stack's compute queue lives on.
-func (s *Stack) Lane() sim.LaneID { return s.m.lanes[s.ID] }
-
-// LaneFor returns the event lane a stack is assigned to.
-func (m *Machine) LaneFor(id topology.StackID) sim.LaneID { return m.lanes[id] }
 
 // LaunchKernel blocks the process for the modeled execution time of the
 // profile on this stack. Kernels on the same stack serialize through its
 // in-order compute queue, as on real hardware: two processes launching on
-// one stack take the sum of their kernel times, not the max. Acquiring
-// the queue migrates the process to the stack's event lane.
+// one stack take the sum of their kernel times, not the max.
 func (s *Stack) LaunchKernel(p *sim.Proc, kp perfmodel.Profile) {
 	q := s.queue()
 	q.Acquire(p)
 	start := p.Now()
 	pk := s.m.Model.Price(kp)
 	bound := ""
-	if lb := s.m.stackBuf(s.ID); lb != nil {
+	if r := s.m.sink; r != nil {
 		bound = pk.Bound
-		// The serial model emitted these counters inline while timing
-		// and attributing the launch; the lane path prices quietly and
-		// reproduces the identical sequence in the stack's own buffer.
+		// Price records nothing; emit the counter sequence the model's
+		// recording path produces when it times, then attributes, a
+		// launch.
 		if pk.Throttled {
-			lb.Add("power.throttle_events", 1)
+			r.Add("power.throttle_events", 1)
 		}
-		lb.Add("model.flops", kp.Flops)
-		lb.Add("model.mem_bytes", float64(kp.MemBytes))
+		r.Add("model.flops", kp.Flops)
+		r.Add("model.mem_bytes", float64(kp.MemBytes))
 		if pk.Throttled {
-			lb.Add("power.throttled_s", float64(pk.Time))
-			lb.Add("power.throttle_events", 1) // the attribution pass re-reads the governed clock
+			r.Add("power.throttled_s", float64(pk.Time))
+			r.Add("power.throttle_events", 1) // the attribution pass re-reads the governed clock
 		}
 	}
 	p.Hold(pk.Time)
-	s.m.record(s.m.srcOf(s.ID), kp.Name, "kernel", s.ID, start, p.Now(), kp.MemBytes, kp.Flops, bound)
+	s.m.record(kp.Name, "kernel", s.ID, start, p.Now(), kp.MemBytes, kp.Flops, bound)
 	q.Release()
 }
 
@@ -380,7 +226,7 @@ func (s *Stack) MemcpyH2D(p *sim.Proc, size units.Bytes) {
 	cs := append(c.pcie.Dir(false), s.m.poolH2D, s.m.poolBidir)
 	start := p.Now()
 	s.m.Net.Transfer(p, fmt.Sprintf("h2d:%v", s.ID), size, c.pcie.Latency, cs...)
-	s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "h2d", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
+	s.m.record("memcpy", "h2d", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
 // MemcpyD2H transfers size bytes from the stack to pinned host memory.
@@ -389,7 +235,7 @@ func (s *Stack) MemcpyD2H(p *sim.Proc, size units.Bytes) {
 	cs := append(c.pcie.Dir(true), s.m.poolD2H, s.m.poolBidir)
 	start := p.Now()
 	s.m.Net.Transfer(p, fmt.Sprintf("d2h:%v", s.ID), size, c.pcie.Latency, cs...)
-	s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2h", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
+	s.m.record("memcpy", "d2h", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
 // MemcpyD2D transfers size bytes from this stack to dst, routed per the
@@ -405,7 +251,7 @@ func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) e
 		// Local copy at memory bandwidth: two passes (read + write).
 		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
 		p.Hold(t)
-		s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
+		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
 		return nil
 	case topology.LocalStack:
 		c := s.m.cards[s.ID.GPU]
@@ -413,9 +259,9 @@ func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) e
 			return fmt.Errorf("gpusim: %s has no internal link", s.m.Node.Name)
 		}
 		rev := s.ID.Stack > dst.Stack
-		s.m.countHops(p.Lane(), kind)
+		s.m.countHops(kind)
 		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, c.internal.Latency, c.internal.Dir(rev)...)
-		s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
+		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
 		return nil
 	case topology.RemoteDirect, topology.RemoteExtraHop:
 		link := s.m.peerLink(s.ID, dst)
@@ -431,9 +277,9 @@ func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) e
 				latency += c.internal.Latency
 			}
 		}
-		s.m.countHops(p.Lane(), kind)
+		s.m.countHops(kind)
 		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, latency, cs...)
-		s.m.record(s.m.laneBufIdx(p.Lane()), "memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
+		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
 		return nil
 	default:
 		return fmt.Errorf("gpusim: unroutable path %v -> %v", s.ID, dst)
@@ -457,20 +303,15 @@ func routeBound(kind topology.PathKind) string {
 	}
 }
 
-// countHops accumulates the fabric.hops counter for a routed transfer
-// into the calling lane's buffer: one hop for the in-card MDFI path or a
-// direct peer link, two when the driver adds the internal detour for
-// cross-plane pairs.
-func (m *Machine) countHops(lane sim.LaneID, kind topology.PathKind) {
-	lb := m.laneBuf(lane)
-	if lb == nil {
-		return
-	}
+// countHops accumulates the fabric.hops counter for a routed transfer:
+// one hop for the in-card MDFI path or a direct peer link, two when the
+// driver adds the internal detour for cross-plane pairs.
+func (m *Machine) countHops(kind topology.PathKind) {
 	hops := 1.0
 	if kind == topology.RemoteExtraHop {
 		hops = 2
 	}
-	lb.Add("fabric.hops", hops)
+	obs.Count(m.sink, "fabric.hops", hops)
 }
 
 // StartD2D begins a non-blocking device-to-device transfer and returns its
@@ -488,7 +329,7 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 			return nil, fmt.Errorf("gpusim: %s has no internal link", s.m.Node.Name)
 		}
 		rev := s.ID.Stack > dst.Stack
-		s.m.countHops(s.m.Net.Lane(), kind)
+		s.m.countHops(kind)
 		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, c.internal.Latency, c.internal.Dir(rev)...), nil
 	case topology.RemoteDirect, topology.RemoteExtraHop:
 		link := s.m.peerLink(s.ID, dst)
@@ -502,21 +343,15 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 				latency += c.internal.Latency
 			}
 		}
-		s.m.countHops(s.m.Net.Lane(), kind)
+		s.m.countHops(kind)
 		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, latency, cs...), nil
 	default:
 		return nil, fmt.Errorf("gpusim: unroutable path %v -> %v", s.ID, dst)
 	}
 }
 
-// Run drives the simulation to completion, then merges the per-lane
-// observability buffers into the attached recorders (even on error, so
-// partial runs keep their observations).
-func (m *Machine) Run() error {
-	err := m.Eng.Run()
-	m.flushObs()
-	return err
-}
+// Run drives the simulation to completion.
+func (m *Machine) Run() error { return m.Eng.Run() }
 
 // Go starts a process on the machine's engine.
 func (m *Machine) Go(name string, body func(*sim.Proc)) *sim.Proc {

@@ -104,21 +104,11 @@ func (m *Machine) Recorder() *Recorder { return m.rec }
 // record is the internal hook used by the stack operations. It feeds
 // both the legacy per-machine Recorder (examples/timeline) and, when
 // attached, the obs layer's per-cell trace; bound is the operation's
-// binding-resource tag (prof taxonomy), stamped onto the obs span. The
-// buffer index names a per-source buffer owned by the calling lane (see
-// the layout note in gpusim.go); Run merges buffers in index order, and
-// the downstream sort on event start times makes the merged timeline
-// independent of the lane partition.
-func (m *Machine) record(idx int, name, kind string, st topology.StackID, start, end units.Seconds, bytes units.Bytes, flops float64, bound string) {
-	if m.rec != nil {
-		// recBufs is pre-sized at build time: record runs on stack
-		// lanes, and growing the shared slice here would be a cross-lane
-		// header write. The element append touches only this lane's own
-		// indexed slot.
-		m.recBufs[idx] = append(m.recBufs[idx], TraceEvent{Name: name, Kind: kind, Stack: st, Start: start, End: end, Bytes: bytes})
-	}
-	if lb := m.bufFor(idx); lb != nil {
-		lb.Span(obs.Span{
+// binding-resource tag (prof taxonomy), stamped onto the obs span.
+func (m *Machine) record(name, kind string, st topology.StackID, start, end units.Seconds, bytes units.Bytes, flops float64, bound string) {
+	m.rec.add(TraceEvent{Name: name, Kind: kind, Stack: st, Start: start, End: end, Bytes: bytes})
+	if m.sink != nil {
+		m.sink.Span(obs.Span{
 			Name: name, Cat: kind, GPU: m.gpuBase + st.GPU, Stack: st.Stack,
 			Start: start, End: end, Bytes: bytes, Flops: flops,
 			Bound: bound,

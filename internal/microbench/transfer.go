@@ -31,8 +31,7 @@ func (s *Suite) Triad(n int) (float64, error) {
 	}
 	stacks := m.Stacks()[:n]
 	totalBytes := units.Bytes(0)
-	// Per-proc finish slots: the kernels run on independent event lanes,
-	// so a shared running max would race.
+	// Per-proc finish slots; the makespan is their max.
 	finishes := make([]units.Seconds, len(stacks))
 	prof := perfmodel.Profile{
 		Name:     "triad",

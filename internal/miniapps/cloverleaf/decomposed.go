@@ -207,8 +207,7 @@ func WeakScalingBreakdownOn(m *gpusim.Machine, n, edge, steps int) (total, comm 
 		Precision: 0,
 	}
 	var commTime units.Seconds
-	// Per-rank finish times: ranks run on independent event lanes, so a
-	// shared max would race; each rank writes only its own slot.
+	// Per-rank finish times; the makespan is their max.
 	finishes := make([]units.Seconds, c.Size())
 	runErr := c.Spawn(func(p *sim.Proc, r *mpirt.Rank) {
 		for step := 0; step < steps; step++ {

@@ -122,7 +122,7 @@ func (r *Rank) Allgather(p *sim.Proc, tag int, size units.Bytes) error {
 	right := (r.rank + 1) % n
 	left := (r.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
-		sreq, err := r.Isend(p, right, tag+step, size)
+		sreq, err := r.Isend(right, tag+step, size)
 		if err != nil {
 			return err
 		}
@@ -146,7 +146,7 @@ func (r *Rank) ReduceScatter(p *sim.Proc, tag int, blockSize units.Bytes) error 
 	for step := 1; step < n; step++ {
 		dst := (r.rank + step) % n
 		src := (r.rank - step + n) % n
-		sreq, err := r.Isend(p, dst, tag+step, blockSize)
+		sreq, err := r.Isend(dst, tag+step, blockSize)
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func (r *Rank) AllreduceRing(p *sim.Proc, tag int, size units.Bytes) error {
 	for phase := 0; phase < 2; phase++ { // reduce-scatter, then allgather
 		for step := 0; step < n-1; step++ {
 			t := tag + phase*(n+1) + step
-			sreq, err := r.Isend(p, right, t, block)
+			sreq, err := r.Isend(right, t, block)
 			if err != nil {
 				return err
 			}
@@ -202,7 +202,7 @@ func (r *Rank) Alltoall(p *sim.Proc, tag int, size units.Bytes) error {
 	for step := 1; step < n; step++ {
 		dst := (r.rank + step) % n
 		src := (r.rank - step + n) % n
-		sreq, err := r.Isend(p, dst, tag, size)
+		sreq, err := r.Isend(dst, tag, size)
 		if err != nil {
 			return err
 		}

@@ -20,22 +20,16 @@ import (
 // communicator spans either one machine (NewComm) or a whole cluster
 // (NewClusterComm); in the latter case inter-node sends are routed over
 // the cluster network instead of the node-local fabric.
-//
-//laneguard:pinned lane0
 type Comm struct {
 	m       *gpusim.Machine // nil for cluster communicators
 	cl      *gpusim.Cluster // nil for single-node communicators
 	eng     *sim.Engine
-	lane    sim.LaneID // the fabric's lane; matcher state lives there
 	run     func() error
 	ranks   []*Rank
 	barrier *sim.Barrier
 }
 
-// message is an in-flight eager-protocol message, owned by the
-// communicator's lane like the inboxes that hold it:
-//
-//laneguard:pinned lane0
+// message is an in-flight eager-protocol message.
 type message struct {
 	src, dst int
 	tag      int
@@ -44,11 +38,7 @@ type message struct {
 	claimed  bool
 }
 
-// Rank is one MPI process. Its matching state (inbox, signals) lives
-// on the communicator's lane; rank methods migrate there before
-// touching it:
-//
-//laneguard:pinned lane0
+// Rank is one MPI process.
 type Rank struct {
 	comm    *Comm
 	rank    int
@@ -65,7 +55,7 @@ func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Comm{m: m, eng: m.Eng, lane: m.Net.Lane(), run: m.Run, barrier: sim.NewBarrier(m.Eng, nranks)}
+	c := &Comm{m: m, eng: m.Eng, run: m.Run, barrier: sim.NewBarrier(m.Eng, nranks)}
 	for r := 0; r < nranks; r++ {
 		st, err := m.Stack(bindings[r].Stack)
 		if err != nil {
@@ -91,7 +81,7 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 	if err != nil {
 		return nil, err
 	}
-	c := &Comm{cl: cl, eng: cl.Eng, lane: cl.Net.Lane(), run: cl.Run, barrier: sim.NewBarrier(cl.Eng, nranks)}
+	c := &Comm{cl: cl, eng: cl.Eng, run: cl.Run, barrier: sim.NewBarrier(cl.Eng, nranks)}
 	for r := 0; r < nranks; r++ {
 		st, err := cl.Node(bindings[r].Node).Stack(bindings[r].Local.Stack)
 		if err != nil {
@@ -130,13 +120,12 @@ func (c *Comm) Machine() *gpusim.Machine { return c.m }
 // communicators).
 func (c *Comm) Cluster() *gpusim.Cluster { return c.cl }
 
-// Spawn starts one simulation process per rank running body — each rank
-// on its stack's event lane, so independent ranks simulate concurrently
-// — then runs the simulation to completion.
+// Spawn starts one simulation process per rank running body, then runs
+// the simulation to completion.
 func (c *Comm) Spawn(body func(p *sim.Proc, r *Rank)) error {
 	for _, r := range c.ranks {
 		rr := r
-		c.eng.GoOn(rr.Stack.Lane(), fmt.Sprintf("rank%d", rr.rank), func(p *sim.Proc) {
+		c.eng.Go(fmt.Sprintf("rank%d", rr.rank), func(p *sim.Proc) {
 			body(p, rr)
 		})
 	}
@@ -149,10 +138,7 @@ func (r *Rank) Rank() int { return r.rank }
 // Size of the communicator.
 func (r *Rank) Size() int { return len(r.comm.ranks) }
 
-// Request is a handle for a non-blocking operation; the matcher
-// mutates it on the communicator's lane:
-//
-//laneguard:pinned lane0
+// Request is a handle for a non-blocking operation.
 type Request struct {
 	kind    byte // 's' or 'r'
 	rank    *Rank
@@ -164,14 +150,11 @@ type Request struct {
 
 // Isend starts a non-blocking send of size device bytes to rank dst with
 // the given tag, modeling MPICH's eager GPU path: the wire transfer starts
-// immediately and the matching receive completes when it drains. The
-// calling process migrates to the fabric's lane first — inboxes and the
-// flow network are coordination-lane state.
-func (r *Rank) Isend(p *sim.Proc, dst, tag int, size units.Bytes) (*Request, error) {
+// immediately and the matching receive completes when it drains.
+func (r *Rank) Isend(dst, tag int, size units.Bytes) (*Request, error) {
 	if dst < 0 || dst >= len(r.comm.ranks) {
 		return nil, fmt.Errorf("mpirt: Isend to invalid rank %d", dst)
 	}
-	p.MoveTo(r.comm.lane)
 	peer := r.comm.ranks[dst]
 	flow, err := r.comm.startTransfer(r, peer, size)
 	if err != nil {
@@ -224,7 +207,6 @@ func (req *Request) Wait(p *sim.Proc) {
 		req.flow.Wait(p)
 		return
 	}
-	p.MoveTo(req.rank.comm.lane) // the inbox is coordination-lane state
 	for req.matched == nil {
 		if m := req.findMatch(); m != nil {
 			req.matched = m
@@ -244,7 +226,7 @@ func WaitAll(p *sim.Proc, reqs ...*Request) {
 
 // Send is a blocking send.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, size units.Bytes) error {
-	req, err := r.Isend(p, dst, tag, size)
+	req, err := r.Isend(dst, tag, size)
 	if err != nil {
 		return err
 	}
@@ -265,7 +247,7 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) error {
 // Sendrecv overlaps a send to dst with a receive from src, the pattern of
 // the bidirectional bandwidth microbenchmark.
 func (r *Rank) Sendrecv(p *sim.Proc, dst, src, tag int, size units.Bytes) error {
-	sreq, err := r.Isend(p, dst, tag, size)
+	sreq, err := r.Isend(dst, tag, size)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package mpirt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pvcsim/internal/gpusim"
@@ -51,7 +52,7 @@ func TestLocalPairUnidirectional(t *testing.T) {
 		start := p.Now()
 		switch r.Rank() {
 		case 0:
-			req, err := r.Isend(p, 1, 7, size)
+			req, err := r.Isend(1, 7, size)
 			if err != nil {
 				t.Error(err)
 				return
@@ -174,7 +175,7 @@ func TestSendToInvalidRank(t *testing.T) {
 		if r.Rank() != 0 {
 			return
 		}
-		if _, err := r.Isend(p, 5, 0, 100); err == nil {
+		if _, err := r.Isend(5, 0, 100); err == nil {
 			t.Error("Isend to rank 5 of 2 should fail")
 		}
 		if _, err := r.Irecv(9, 0); err == nil {
@@ -293,7 +294,7 @@ func TestCommunicationComputationOverlap(t *testing.T) {
 	err := c.Spawn(func(p *sim.Proc, r *Rank) {
 		switch r.Rank() {
 		case 0:
-			req, _ := r.Isend(p, 1, 1, size)
+			req, _ := r.Isend(1, 1, size)
 			p.Hold(0.1) // long compute during transfer
 			req.Wait(p)
 			total = p.Now()
@@ -322,5 +323,25 @@ func TestRankAccessors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnmatchedRecvDeadlockNamesInbox injects a model deadlock — rank 0
+// posts a receive no one ever sends — and checks the engine's
+// diagnostic names the rank's inbox signal with a count.
+func TestUnmatchedRecvDeadlockNamesInbox(t *testing.T) {
+	c := auroraComm(t, 2)
+	err := c.Spawn(func(p *sim.Proc, r *Rank) {
+		if r.Rank() == 0 {
+			if e := r.Recv(p, 1, 99); e != nil {
+				panic(e)
+			}
+		}
+	})
+	if err == nil {
+		t.Fatal("expected a deadlock error")
+	}
+	if want := "blocked: 1 on signal rank0 inbox"; !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock diagnostic %q does not contain %q", err, want)
 	}
 }

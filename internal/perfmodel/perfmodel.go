@@ -358,7 +358,7 @@ func (m *Model) timing(p Profile) (tComp, tMem, launch units.Seconds) {
 }
 
 // quietTiming is timing through the governor's side-effect-free peaks:
-// same numbers, no throttle-event emission, safe to call from any lane.
+// same numbers, no throttle-event emission.
 func (m *Model) quietTiming(p Profile) (tComp, tMem, launch units.Seconds) {
 	engine := p.Engine
 	if engine != hw.MatrixEngine {
@@ -420,9 +420,9 @@ type Priced struct {
 
 // Price evaluates the profile like SubdeviceTime and Attribution
 // combined, but records nothing: no counters, no throttle events, no
-// profiler samples. It is the pricing path for concurrent event lanes
-// (gpusim.LaunchKernel), which buffer the equivalent emissions per lane
-// so merged output stays byte-identical to a serial run.
+// profiler samples. It is the pricing path of gpusim.LaunchKernel,
+// which emits the equivalent counters itself once it knows the launch
+// is observed.
 func (m *Model) Price(p Profile) Priced {
 	tComp, tMem, launch := m.quietTiming(p)
 	t := tComp

@@ -118,9 +118,9 @@ func (g *Governor) SustainedPeak(class hw.EngineClass, prec hw.Precision) units.
 }
 
 // SustainedPeakQuiet is SustainedPeak without the throttle-event
-// emission — the side-effect-free path concurrent event lanes price
-// kernels through (the lane that owns the launch emits the equivalent
-// counters into its own buffer).
+// emission — the side-effect-free path gpusim.LaunchKernel prices
+// kernels through (the launch path emits the equivalent counters
+// itself).
 func (g *Governor) SustainedPeakQuiet(class hw.EngineClass, prec hw.Precision) units.Rate {
 	f, _ := g.governedClock(hw.ClassOf(class, prec))
 	return g.dev.Sub.PeakRate(class, prec, f)

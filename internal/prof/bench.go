@@ -11,34 +11,30 @@ import (
 // struct so it can never be confused with the simulated figures next to
 // it.
 type WallStats struct {
-	RunMS    float64 `json:"run_ms"`              // wall-clock duration of the bench run
-	Jobs     int     `json:"jobs"`                // runner parallelism the run used
-	LaneJobs int     `json:"lane_jobs,omitempty"` // event-lane workers per simulated node
-	Cells    int     `json:"cells"`               // cells computed
+	RunMS float64 `json:"run_ms"` // wall-clock duration of the bench run
+	Jobs  int     `json:"jobs"`   // runner parallelism the run used
+	Cells int     `json:"cells"`  // cells computed
 
 	// Self-profile totals, recorded when the bench run carried a
 	// wallprof collector. Zero-valued (and omitted from the JSON) on
 	// records written before the self-profiling layer existed — readers
 	// must treat absence as "not measured", never as zero (pvcprof diff
 	// reports the asymmetry instead of comparing). Engine fields stay
-	// zero when the bench set's workloads are analytic (no event-lane
-	// simulation); that zero is a measurement, not an absence.
+	// zero when the bench set's workloads are analytic (no event-engine
+	// simulation); that zero is a measurement, not an absence. Older
+	// records may also carry lane_jobs and the event-lane engine's
+	// stall, barrier, round and mailbox totals; they load and are
+	// ignored.
 	BuildMS      float64 `json:"build_ms,omitempty"`       // Σ machine-construction wall time
 	SimulateMS   float64 `json:"simulate_ms,omitempty"`    // Σ workload-execution wall time
-	LaneBusyMS   float64 `json:"lane_busy_ms,omitempty"`   // Σ lane burst wall time
-	LaneStallMS  float64 `json:"lane_stall_ms,omitempty"`  // Σ horizon-stall wall time
-	BarrierMS    float64 `json:"barrier_ms,omitempty"`     // Σ serialized barrier wall time
-	EngineRounds float64 `json:"engine_rounds,omitempty"`  // Σ parallel engine rounds
-	MailboxMsgs  float64 `json:"mailbox_msgs,omitempty"`   // Σ cross-lane messages
-	MeanLaneUtil float64 `json:"mean_lane_util,omitempty"` // mean per-lane busy fraction
+	LaneBusyMS   float64 `json:"lane_busy_ms,omitempty"`   // Σ engine busy wall time
+	MeanLaneUtil float64 `json:"mean_lane_util,omitempty"` // mean engine busy fraction
 }
 
 // HasSelfProfile reports whether the record carries wallprof totals
 // (records predating the self-profiling layer do not).
 func (w WallStats) HasSelfProfile() bool {
-	return w.BuildMS != 0 || w.SimulateMS != 0 ||
-		w.LaneBusyMS != 0 || w.LaneStallMS != 0 || w.BarrierMS != 0 ||
-		w.EngineRounds != 0 || w.MailboxMsgs != 0 || w.MeanLaneUtil != 0
+	return w.BuildMS != 0 || w.SimulateMS != 0 || w.LaneBusyMS != 0 || w.MeanLaneUtil != 0
 }
 
 // BenchSchemaVersion stamps records `pvcprof bench` writes. It is

@@ -129,10 +129,6 @@ func flattenBench(r Record) *Metrics {
 		m.Wall["wall.build_ms"] = r.Wall.BuildMS
 		m.Wall["wall.simulate_ms"] = r.Wall.SimulateMS
 		m.Wall["wall.lane_busy_ms"] = r.Wall.LaneBusyMS
-		m.Wall["wall.lane_stall_ms"] = r.Wall.LaneStallMS
-		m.Wall["wall.barrier_ms"] = r.Wall.BarrierMS
-		m.Wall["wall.engine_rounds"] = r.Wall.EngineRounds
-		m.Wall["wall.mailbox_msgs"] = r.Wall.MailboxMsgs
 		m.Wall["wall.mean_lane_util"] = r.Wall.MeanLaneUtil
 	}
 	return m
@@ -150,14 +146,10 @@ func flattenWall(r *wallprof.Report) *Metrics {
 		m.Wall[name+" wall.build_ms"] = c.BuildMS
 		m.Wall[name+" wall.simulate_ms"] = c.SimulateMS
 		m.Wall[name+" wall.engine_run_ms"] = c.EngineRunMS
-		m.Wall[name+" wall.barrier_ms"] = c.BarrierMS
-		m.Wall[name+" wall.rounds"] = float64(c.Rounds)
-		m.Wall[name+" wall.barriers"] = float64(c.Barriers)
 		for _, l := range c.Lanes {
 			lane := fmt.Sprintf("%s wall.lane%d.", name, l.Lane)
 			m.Wall[lane+"busy_ms"] = l.BusyMS
 			m.Wall[lane+"utilization"] = l.Utilization
-			m.Wall[lane+"stall_frac"] = l.StallFrac
 		}
 	}
 	return m

@@ -3,7 +3,7 @@
 // and records per-request wall-clock spans (queue-wait, build,
 // simulate, export, cache-lookup), rendering them as a third
 // Chrome-trace track next to the simulated-time (obs) and wall-time
-// lane (wallprof) tracks.
+// (wallprof) tracks.
 //
 // Like telemetry and wallprof, reqtrace is a strict wall-clock side
 // channel: it consumes only the runner's Hooks callbacks (identity
@@ -324,7 +324,7 @@ type chromeEvent struct {
 
 // WriteChromeTrace renders the retained traces as Chrome trace-event
 // JSON — the third track next to the simulated-time (obs) and
-// wall-time lane (wallprof) traces; load all three in one Perfetto
+// wall-time (wallprof) traces; load all three in one Perfetto
 // session. One "process" holds every request; each trace gets its own
 // "thread" carrying the whole-request span plus its recorded spans.
 // Live traces render up to the current clock reading.

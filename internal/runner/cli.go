@@ -7,13 +7,11 @@ import (
 	"io"
 	"os"
 	"path"
-	"runtime"
 	"strings"
 
 	"pvcsim/internal/obs"
 	"pvcsim/internal/prof"
 	"pvcsim/internal/report"
-	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/wallprof"
 	"pvcsim/internal/workload"
@@ -44,9 +42,9 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Profile, "profile", "",
 		"write a bound-attribution profile (per-cell residency under each resource ceiling) to `file`; inspect with pvcprof")
 	fs.StringVar(&f.Wall, "wallprof", "",
-		"write a wall-clock self-profile (per-lane utilization, barrier stalls, runner phases; host time, never simulated results) to `file`; inspect with pvcprof wall")
+		"write a wall-clock self-profile (engine busy time, runner phases; host time, never simulated results) to `file`; inspect with pvcprof wall")
 	fs.StringVar(&f.WallTrace, "wall-trace", "",
-		"write a wall-time Chrome trace-event JSON timeline (lane bursts, barriers, runner phases) to `file`")
+		"write a wall-time Chrome trace-event JSON timeline (engine runs, runner phases) to `file`")
 }
 
 // Enabled reports whether any observability output was requested.
@@ -239,31 +237,4 @@ func RunNamed(ctx context.Context, out io.Writer, r *Runner, reg *workload.Regis
 		return t.CSV(out)
 	}
 	return t.Render(out)
-}
-
-// LaneJobsFlag registers the -lane-jobs flag shared by the command-line
-// tools: how many event lanes of one simulated node may burst
-// concurrently. 0 selects the auto heuristic (host parallelism divided
-// by the cross-cell job count); 1 executes lanes serially. Call
-// ApplyLaneJobs with the parsed value after flag parsing.
-func LaneJobsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("lane-jobs", 0,
-		"concurrent event-lane workers per simulated node (wall time only, never simulated results); 0 = GOMAXPROCS divided by -jobs, 1 = serial")
-}
-
-// ApplyLaneJobs installs the process-wide lane worker default from the
-// parsed -lane-jobs and -jobs values: the explicit lane count when
-// positive, otherwise GOMAXPROCS shared across the cross-cell jobs
-// (crossJobs <= 0 meaning "all CPUs", like runner.New). It returns the
-// resolved worker count so callers can log or record it.
-func ApplyLaneJobs(laneJobs, crossJobs int) int {
-	n := laneJobs
-	if n <= 0 {
-		if crossJobs <= 0 {
-			crossJobs = runtime.NumCPU()
-		}
-		n = sim.AutoWorkers(crossJobs)
-	}
-	sim.SetDefaultWorkers(n)
-	return n
 }

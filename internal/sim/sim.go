@@ -1,29 +1,17 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // underlying pvcsim. It supplies a virtual clock, an event queue with
 // stable FIFO tie-breaking, lightweight cooperative processes implemented
-// on goroutines (only one process per lane ever runs at a time, so models
-// need no locking), condition signals, and counting resources with FIFO
-// queueing.
+// on goroutines (only one process ever runs at a time, so models need no
+// locking), condition signals, and counting resources with FIFO queueing.
 //
-// The kernel is deliberately small: bandwidth-sharing pipes, devices, and
-// interconnects are built on top of it in the fabric and gpusim packages.
-//
-// # Lanes
-//
-// An engine is partitioned into event lanes (see lanes.go). Lane 0 — the
-// coordination lane — always exists and carries everything a freshly
-// created engine schedules; additional lanes are created with NewLane and
-// are assigned one per GPU stack by gpusim. Each lane owns its own event
-// heap, virtual clock, and parked-process set, so independent lanes can
-// be advanced by concurrent workers; all cross-lane interaction happens
-// by migrating a process between lanes (Proc.MoveTo) through the
-// deterministic mailboxes described in lanes.go. Code running on a lane
-// (an event callback or a process) may only touch that lane's state:
-// Engine.Schedule and Engine.Go always target lane 0 and must therefore
-// be called from the host or from lane-0 context.
+// The kernel is deliberately small and serial: one event heap drained in
+// (time, scheduling order) by Run. Bandwidth-sharing pipes, devices, and
+// interconnects are built on top of it in the fabric and gpusim packages;
+// parallelism lives one level up, across independent cells (runner -jobs).
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,43 +19,49 @@ import (
 	"pvcsim/internal/units"
 )
 
+// maxFreeEvents bounds the event free-list so an engine that once burst
+// to millions of events does not pin them forever.
+const maxFreeEvents = 256
+
+// shrinkMinCap is the heap capacity below which shrinking is never
+// attempted; tiny heaps are not worth reallocating.
+const shrinkMinCap = 64
+
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; call NewEngine.
 type Engine struct {
-	lanes   []*lane
-	workers int
-	tracer  func(t units.Seconds, what string)
-	probe   WallProbe // wall-clock self-profiling hooks; nil = disabled
+	now     units.Seconds
+	queue   eventHeap
+	seq     uint64
+	parked  chan struct{}  // a running process hands control back here
+	live    int            // processes started and not yet finished
+	blocked map[string]int // blocker label → waiter count, for deadlock diagnostics
+
+	free      []*event // recycled event structs (allocation churn)
+	highWater int      // peak heap length, for shrink decisions
+
+	tracer func(t units.Seconds, what string)
+	probe  WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
 
-// NewEngine returns a ready-to-use simulation engine with the clock at 0
-// and a single lane (lane 0). The worker count defaults to the value set
-// with SetDefaultWorkers (1 unless a CLI raised it via -lane-jobs).
+// NewEngine returns a ready-to-use simulation engine with the clock at 0.
 func NewEngine() *Engine {
-	e := &Engine{workers: DefaultWorkers()}
-	e.addLane()
-	return e
+	return &Engine{parked: make(chan struct{}), blocked: map[string]int{}}
 }
 
-// Now returns the current virtual time: the furthest lane clock. With a
-// single lane this is exactly the classic serial clock; after a
-// multi-lane Run it is the makespan of the whole simulation.
-func (e *Engine) Now() units.Seconds {
-	now := e.lanes[0].now
-	for _, l := range e.lanes[1:] {
-		if l.now > now {
-			now = l.now
-		}
-	}
-	return now
-}
+// Now returns the current virtual time.
+func (e *Engine) Now() units.Seconds { return e.now }
 
 // SetTracer installs a callback invoked for significant kernel events
 // (process start/finish, resource waits). A nil tracer disables tracing.
-// Under a multi-lane run, events from concurrent lanes are buffered and
-// delivered in lane order at each epoch barrier, so the callback never
-// runs concurrently with itself.
 func (e *Engine) SetTracer(fn func(t units.Seconds, what string)) { e.tracer = fn }
+
+// trace emits a tracer callback at the current time.
+func (e *Engine) trace(format string, args ...any) {
+	if e.tracer != nil {
+		e.tracer(e.now, fmt.Sprintf(format, args...))
+	}
+}
 
 // event is a scheduled callback.
 type event struct {
@@ -97,124 +91,91 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// Schedule queues fn to run after delay on lane 0. A negative delay is
-// clamped to zero. Events at equal times run in scheduling order. It may
-// be called from the host or from lane-0 context (an event callback or a
-// process currently on lane 0); processes on other lanes use Proc.Hold.
+// Schedule queues fn to run after delay. A negative delay is clamped to
+// zero. Events at equal times run in scheduling order. Event structs are
+// recycled from the engine's free-list.
 func (e *Engine) Schedule(delay units.Seconds, fn func()) {
-	e.lanes[0].schedule(delay, fn)
-}
-
-// Run processes events until every lane's queue drains and no migrations
-// are in flight. It returns an error if processes remain blocked with no
-// pending event to wake them (a model deadlock), which would otherwise
-// manifest as silently missing results; the error names the signals and
-// resources holding the waiters.
-func (e *Engine) Run() error {
-	if p := e.probe; p != nil {
-		p.RunStart(len(e.lanes), e.workers)
+	if delay < 0 {
+		delay = 0
 	}
-	if len(e.lanes) == 1 {
-		e.runSerial()
+	e.seq++
+	var ev *event
+	reused := false
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		reused = true
 	} else {
-		e.runLanes(0, false)
+		ev = &event{}
 	}
 	if p := e.probe; p != nil {
-		p.RunEnd()
+		p.EventAlloc(reused)
 	}
-	return e.deadlockErr()
+	ev.t, ev.seq, ev.fn = e.now+delay, e.seq, fn
+	heap.Push(&e.queue, ev)
+	if len(e.queue) > e.highWater {
+		e.highWater = len(e.queue)
+	}
 }
 
-// runSerial is the classic single-heap event loop, taken when the engine
-// has exactly one lane — byte-for-byte the pre-lane behavior. The whole
-// drain is reported to the probe as a single lane-0 burst.
-func (e *Engine) runSerial() {
-	l := e.lanes[0]
+// pop removes the earliest event, shrinking the heap's backing array once
+// it has drained well below its high-water mark.
+func (e *Engine) pop() *event {
+	ev := heap.Pop(&e.queue).(*event)
+	if cap(e.queue) >= shrinkMinCap && len(e.queue) <= cap(e.queue)/4 {
+		shrunk := make(eventHeap, len(e.queue), cap(e.queue)/2)
+		copy(shrunk, e.queue)
+		e.queue = shrunk
+		e.highWater = len(e.queue)
+		if p := e.probe; p != nil {
+			p.HeapShrink()
+		}
+	}
+	return ev
+}
+
+// drain runs events in order while the queue is non-empty and, when
+// bounded, the next event is no later than deadline.
+func (e *Engine) drain(deadline units.Seconds, bounded bool) {
 	p := e.probe
 	if p != nil {
-		p.BurstStart(0)
+		p.RunStart()
 	}
 	n := 0
-	for l.queue.Len() > 0 {
-		ev := l.pop()
-		l.now = ev.t
+	for e.queue.Len() > 0 && (!bounded || e.queue[0].t <= deadline) {
+		ev := e.pop()
+		e.now = ev.t
 		ev.fn()
-		l.recycle(ev)
+		ev.fn = nil
+		if len(e.free) < maxFreeEvents {
+			e.free = append(e.free, ev)
+		}
 		n++
 	}
 	if p != nil {
-		p.BurstEnd(0, n)
+		p.RunEnd(n)
 	}
 }
 
-// deadlockErr builds the Run error when live processes remain: the lane
-// totals plus a sorted breakdown of which signals/resources hold waiters.
-func (e *Engine) deadlockErr() error {
-	live := 0
-	blocked := map[string]int{}
-	for _, l := range e.lanes {
-		live += l.live
-		for name, n := range l.blocked {
-			blocked[name] += n
-		}
-	}
-	if live == 0 {
-		return nil
-	}
-	msg := fmt.Sprintf("sim: deadlock at t=%v: %d process(es) blocked with empty event queue",
-		e.Now(), live)
-	if len(blocked) > 0 {
-		names := make([]string, 0, len(blocked))
-		for name := range blocked {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, name := range names {
-			parts = append(parts, fmt.Sprintf("%d on %s", blocked[name], name))
-		}
-		msg += "; blocked: " + strings.Join(parts, ", ")
-	}
-	return fmt.Errorf("%s", msg)
+// Run processes events until the queue drains. It returns an error if
+// processes remain blocked with no pending event to wake them (a model
+// deadlock), which would otherwise manifest as silently missing results;
+// the error names the signals and resources holding the waiters.
+func (e *Engine) Run() error {
+	e.drain(0, false)
+	return e.deadlockErr()
 }
 
 // RunUntil processes events with timestamps <= deadline, then stops with
-// every lane clock advanced to at least deadline (matching a serial run
-// that idles up to the deadline when the queue empties early). Remaining
-// events stay queued; Run or RunUntil may be called again. Like Run it
-// returns a deadlock error when live processes remain blocked with no
-// event anywhere to wake them.
+// the clock advanced to at least deadline (idling up to the deadline when
+// the queue empties early). Remaining events stay queued; Run or RunUntil
+// may be called again. Like Run it returns a deadlock error when live
+// processes remain blocked with no event to wake them.
 func (e *Engine) RunUntil(deadline units.Seconds) error {
-	p := e.probe
-	if p != nil {
-		p.RunStart(len(e.lanes), e.workers)
-	}
-	if len(e.lanes) == 1 {
-		l := e.lanes[0]
-		if p != nil {
-			p.BurstStart(0)
-		}
-		n := 0
-		for l.queue.Len() > 0 && l.queue[0].t <= deadline {
-			ev := l.pop()
-			l.now = ev.t
-			ev.fn()
-			l.recycle(ev)
-			n++
-		}
-		if p != nil {
-			p.BurstEnd(0, n)
-		}
-	} else {
-		e.runLanes(deadline, true)
-	}
-	if p != nil {
-		p.RunEnd()
-	}
-	for _, l := range e.lanes {
-		if l.now < deadline {
-			l.now = deadline
-		}
+	e.drain(deadline, true)
+	if e.now < deadline {
+		e.now = deadline
 	}
 	if e.Pending() > 0 {
 		return nil // future events may still wake the blocked
@@ -222,13 +183,39 @@ func (e *Engine) RunUntil(deadline units.Seconds) error {
 	return e.deadlockErr()
 }
 
-// Pending reports the number of queued events across all lanes.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, l := range e.lanes {
-		n += l.queue.Len()
+// deadlockErr builds the Run error when live processes remain: the total
+// plus a sorted breakdown of which signals/resources hold waiters.
+func (e *Engine) deadlockErr() error {
+	if e.live == 0 {
+		return nil
 	}
-	return n
+	msg := fmt.Sprintf("sim: deadlock at t=%v: %d process(es) blocked with empty event queue",
+		e.now, e.live)
+	if len(e.blocked) > 0 {
+		names := make([]string, 0, len(e.blocked))
+		for name := range e.blocked {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		parts := make([]string, 0, len(names))
+		for _, name := range names {
+			parts = append(parts, fmt.Sprintf("%d on %s", e.blocked[name], name))
+		}
+		msg += "; blocked: " + strings.Join(parts, ", ")
+	}
+	return fmt.Errorf("%s", msg)
+}
+
+// Pending reports the number of queued events.
+func (e *Engine) Pending() int { return e.queue.Len() }
+
+// block/unblock maintain the per-blocker waiter counts behind the
+// deadlock diagnostics.
+func (e *Engine) block(label string) { e.blocked[label]++ }
+func (e *Engine) unblock(label string) {
+	if e.blocked[label]--; e.blocked[label] <= 0 {
+		delete(e.blocked, label)
+	}
 }
 
 // Proc is a cooperative simulation process. Its methods may only be called
@@ -236,8 +223,6 @@ func (e *Engine) Pending() int {
 type Proc struct {
 	eng    *Engine
 	name   string
-	lane   *lane
-	moveTo LaneID // final destination while a migration is in flight
 	resume chan struct{}
 	done   chan struct{}
 }
@@ -248,60 +233,45 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current virtual time of the process's lane.
-func (p *Proc) Now() units.Seconds { return p.lane.now }
+// Now returns the current virtual time.
+func (p *Proc) Now() units.Seconds { return p.eng.now }
 
-// Lane returns the lane the process currently runs on.
-func (p *Proc) Lane() LaneID { return p.lane.id }
-
-// Go starts body as a new process on lane 0 at the current virtual time.
-// The body runs cooperatively: it executes until it blocks in Hold, Wait,
-// or Acquire, at which point control returns to the engine.
+// Go starts body as a new process at the current virtual time. The body
+// runs cooperatively: it executes until it blocks in Hold, Wait, or
+// Acquire, at which point control returns to the engine.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	return e.GoOn(0, name, body)
-}
-
-// GoOn starts body as a new process on the given lane. Starting a rank or
-// device driver directly on the lane of the stack it works is what lets
-// independent stacks burst in parallel from the first event.
-func (e *Engine) GoOn(id LaneID, name string, body func(*Proc)) *Proc {
-	l := e.lanes[id]
-	p := &Proc{eng: e, name: name, lane: l, resume: make(chan struct{}), done: make(chan struct{})}
-	l.live++
-	l.schedule(0, func() {
-		l.trace("start %s", name)
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{})}
+	e.live++
+	e.Schedule(0, func() {
+		e.trace("start %s", name)
 		go func() {
 			body(p)
-			fin := p.lane // the lane the body finished on
-			fin.live--
-			fin.trace("finish %s", name)
+			e.live--
+			e.trace("finish %s", name)
 			close(p.done)
-			fin.parked <- struct{}{}
+			e.parked <- struct{}{}
 		}()
-		<-l.parked
+		<-e.parked
 	})
 	return p
 }
 
-// yield transfers control from the process back to its lane and blocks
-// until the lane resumes this process.
+// yield transfers control from the process back to the engine and blocks
+// until the engine resumes this process.
 func (p *Proc) yield() {
-	l := p.lane // the lane may change while parked (migration)
-	l.parked <- struct{}{}
+	p.eng.parked <- struct{}{}
 	<-p.resume
 }
 
-// wake resumes p from lane context and waits for it to park again. It
-// must only be called from inside an event callback on p's lane.
-func (l *lane) wake(p *Proc) {
+// wake resumes p from an event callback and waits for it to park again.
+func (p *Proc) wake() {
 	p.resume <- struct{}{}
-	<-l.parked
+	<-p.eng.parked
 }
 
-// Hold suspends the process for d of virtual time on its current lane.
+// Hold suspends the process for d of virtual time.
 func (p *Proc) Hold(d units.Seconds) {
-	l := p.lane
-	l.schedule(d, func() { l.wake(p) })
+	p.eng.Schedule(d, p.wake)
 	p.yield()
 }
 
@@ -312,16 +282,14 @@ func (p *Proc) Done() <-chan struct{} { return p.done }
 
 // Signal is a broadcast condition: processes Wait on it, and Fire wakes
 // every current waiter at the time Fire is called. Later waiters need a
-// later Fire. Fire may be called from process bodies or event callbacks
-// on the signal's lane; Wait migrates the caller there first.
+// later Fire. Fire may be called from process bodies or event callbacks.
 type Signal struct {
 	eng     *Engine
-	lane    LaneID
 	name    string
 	waiters []*Proc
 }
 
-// NewSignal creates an unnamed signal bound to the engine's lane 0.
+// NewSignal creates an unnamed signal.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // NewNamedSignal creates a signal whose name identifies it in deadlock
@@ -336,12 +304,10 @@ func (s *Signal) blockerLabel() string {
 	return "signal " + s.name
 }
 
-// Wait blocks the calling process until the next Fire, migrating it to
-// the signal's lane first.
+// Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	p.MoveTo(s.lane)
 	s.waiters = append(s.waiters, p)
-	p.lane.block(s.blockerLabel())
+	s.eng.block(s.blockerLabel())
 	p.yield()
 }
 
@@ -350,11 +316,9 @@ func (s *Signal) Wait(p *Proc) {
 func (s *Signal) Fire() {
 	woken := s.waiters
 	s.waiters = nil
-	l := s.eng.lanes[s.lane]
 	for _, p := range woken {
-		wp := p
-		l.unblock(s.blockerLabel())
-		l.schedule(0, func() { l.wake(wp) })
+		s.eng.unblock(s.blockerLabel())
+		s.eng.Schedule(0, p.wake)
 	}
 }
 
@@ -364,52 +328,41 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 // Resource is a counting resource (capacity >= 1) with FIFO queueing:
 // Acquire blocks until a unit is free, Release frees one and wakes the
 // head of the queue. It models exclusive or limited-concurrency hardware
-// such as a PCIe controller's DMA engines. A resource lives on one lane
-// (the stack queues live on their stack's lane); Acquire migrates the
-// caller there, and Release/TryAcquire must be called from that lane.
+// such as a PCIe controller's DMA engines or a stack's in-order queue.
 type Resource struct {
 	eng   *Engine
-	lane  LaneID
 	cap   int
 	inUse int
 	queue []*Proc
 	name  string
 }
 
-// NewResource creates a resource with the given capacity (min 1) on
-// lane 0.
+// NewResource creates a resource with the given capacity (min 1).
 func NewResource(e *Engine, name string, capacity int) *Resource {
-	return NewResourceOn(e, 0, name, capacity)
-}
-
-// NewResourceOn creates a resource owned by the given lane.
-func NewResourceOn(e *Engine, id LaneID, name string, capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{eng: e, lane: id, cap: capacity, name: name}
+	return &Resource{eng: e, cap: capacity, name: name}
 }
 
 // blockerLabel names the resource in deadlock diagnostics.
 func (r *Resource) blockerLabel() string { return "resource " + r.name }
 
 // Acquire obtains one unit, blocking the process in FIFO order if none is
-// free. The caller is migrated to the resource's lane first.
+// free.
 func (r *Resource) Acquire(p *Proc) {
-	p.MoveTo(r.lane)
 	if r.inUse < r.cap {
 		r.inUse++
 		return
 	}
 	r.queue = append(r.queue, p)
-	p.lane.block(r.blockerLabel())
-	p.lane.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
+	r.eng.block(r.blockerLabel())
+	r.eng.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
 	p.yield()
 	// When woken, the unit has already been transferred to us by Release.
 }
 
-// TryAcquire obtains a unit without blocking; it reports success. It must
-// be called from the resource's lane (or from the host between runs).
+// TryAcquire obtains a unit without blocking; it reports success.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.cap {
 		r.inUse++
@@ -419,8 +372,7 @@ func (r *Resource) TryAcquire() bool {
 }
 
 // Release frees one unit. If processes are queued, ownership passes
-// directly to the queue head, preserving FIFO fairness. It must be called
-// from the resource's lane.
+// directly to the queue head, preserving FIFO fairness.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
@@ -428,9 +380,8 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		head := r.queue[0]
 		r.queue = r.queue[1:]
-		l := r.eng.lanes[r.lane]
-		l.unblock(r.blockerLabel())
-		l.schedule(0, func() { l.wake(head) })
+		r.eng.unblock(r.blockerLabel())
+		r.eng.Schedule(0, head.wake)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--
@@ -445,10 +396,8 @@ func (r *Resource) QueueLen() int { return len(r.queue) }
 // Barrier makes n processes rendezvous: each calls Arrive and blocks until
 // all n have arrived, at which point all are released at the same virtual
 // time. It is reusable across generations, matching MPI_Barrier semantics
-// in the mpirt package. The barrier lives on lane 0; Arrive migrates the
-// caller there (rendezvous is by construction a cross-lane event).
+// in the mpirt package.
 type Barrier struct {
-	eng     *Engine
 	n       int
 	arrived int
 	sig     *Signal
@@ -459,12 +408,11 @@ func NewBarrier(e *Engine, n int) *Barrier {
 	if n < 1 {
 		n = 1
 	}
-	return &Barrier{eng: e, n: n, sig: NewNamedSignal(e, "barrier")}
+	return &Barrier{n: n, sig: NewNamedSignal(e, "barrier")}
 }
 
 // Arrive blocks until all participants of the current generation arrive.
 func (b *Barrier) Arrive(p *Proc) {
-	p.MoveTo(b.sig.lane)
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"pvcsim/internal/units"
@@ -319,5 +320,95 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic: %v vs %v", a, b)
 		}
+	}
+}
+
+// The deadlock error names the blockers holding waiters, with counts,
+// sorted by blocker label.
+func TestDeadlockDiagnosticsNameBlockers(t *testing.T) {
+	e := NewEngine()
+	sig := NewNamedSignal(e, "halo-ready")
+	dma := NewResource(e, "pcie-dma", 1)
+	e.Go("holder", func(p *Proc) {
+		dma.Acquire(p)
+		sig.Wait(p) // holds the unit forever
+	})
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) { dma.Acquire(p) })
+	}
+	err := e.Run()
+	if err == nil {
+		t.Fatal("expected deadlock error")
+	}
+	want := "blocked: 3 on resource pcie-dma, 1 on signal halo-ready"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+}
+
+// The event heap sheds capacity once it drains far below its
+// high-water mark instead of pinning the peak forever.
+func TestEventHeapShrinks(t *testing.T) {
+	e := NewEngine()
+	stop := false
+	for i := 0; i < 4096; i++ {
+		e.Schedule(units.Seconds(i), func() {})
+	}
+	peak := cap(e.queue)
+	e.Schedule(5000, func() { stop = true })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !stop {
+		t.Fatal("final event did not run")
+	}
+	if cap(e.queue) >= peak/4 {
+		t.Errorf("heap capacity %d after drain, want < peak/4 (%d)", cap(e.queue), peak/4)
+	}
+}
+
+// Steady-state scheduling reuses event structs from the
+// free-list instead of allocating one per Schedule.
+func TestEventFreeListReuse(t *testing.T) {
+	e := NewEngine()
+	// Prime the free-list.
+	for i := 0; i < 64; i++ {
+		e.Schedule(0, func() {})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(0, func() {})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One closure value per iteration is expected; a fresh *event per
+	// Schedule would make this ≥ 2.
+	if allocs > 1.5 {
+		t.Errorf("%.1f allocs per schedule+run cycle, want ≤ 1 (free-list reuse)", allocs)
+	}
+}
+
+// RunUntil surfaces deadlock like Run: a blocked process with no
+// pending event anywhere is an error, while pending future events are
+// not.
+func TestRunUntilReportsDeadlock(t *testing.T) {
+	e := NewEngine()
+	sig := NewNamedSignal(e, "stuck")
+	e.Go("w", func(p *Proc) { sig.Wait(p) })
+	if err := e.RunUntil(10); err == nil {
+		t.Fatal("expected deadlock error from RunUntil")
+	}
+	e2 := NewEngine()
+	sig2 := NewSignal(e2)
+	e2.Go("w", func(p *Proc) { sig2.Wait(p) })
+	e2.Go("firer", func(p *Proc) { p.Hold(20); sig2.Fire() })
+	if err := e2.RunUntil(10); err != nil {
+		t.Fatalf("deadline before the wake-up is not a deadlock: %v", err)
+	}
+	if err := e2.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,83 +2,41 @@
 // the wall clock — the walltime analyzer bans time.* in simulation
 // packages, and for good reason: a wall-clock read that leaked into an
 // event decision would destroy determinism. But knowing where the
-// engine's *own* wall time goes (lane utilization, barrier stalls,
-// mailbox latency) is exactly what profile-guided optimization of the
-// lane kernel needs. The resolution is inversion: the engine emits
-// timing-free callbacks through the WallProbe interface, and the
-// implementation (internal/wallprof, a wall-clock-allowed package)
-// reads the clock on its own side. No time.* selector ever appears in
-// this package, and a nil probe costs one pointer compare per hook
-// site — nothing allocates and no callback fires.
+// engine's *own* wall time goes (busy time, event-struct churn, heap
+// shrinks) is exactly what profile-guided optimization of the kernel
+// needs. The resolution is inversion: the engine emits timing-free
+// callbacks through the WallProbe interface, and the implementation
+// (internal/wallprof, a wall-clock-allowed package) reads the clock on
+// its own side. No time.* selector ever appears in this package, and a
+// nil probe costs one pointer compare per hook site — nothing allocates
+// and no callback fires.
 package sim
 
 // WallProbe receives the engine's self-profiling callbacks. All values
-// are counts and lane indices; the implementation supplies its own
-// clock. Two calling contexts exist, and implementations must respect
-// the split:
-//
-//   - Host callbacks (RunStart, RunEnd, RoundStart, LaneStalled,
-//     RoundEnd, BarrierStart, BarrierEnd) run single-threaded between
-//     bursts — never concurrently with each other or with any
-//     lane-side callback.
-//   - Lane callbacks (BurstStart, BurstEnd, MsgEmitted, EventAlloc,
-//     HeapShrink) run on the worker currently bursting that lane, and
-//     concurrently with the same callbacks for *other* lanes. An
-//     implementation must keep per-lane single-writer state: writes
-//     keyed by the lane argument only, merged host-side at barriers or
-//     after the run (the obs.LaneSet ownership discipline).
-//
-// EventAlloc and HeapShrink also fire from host context while the
-// engine is not running (build-time scheduling, mailbox delivery at
-// barriers); those writes are safe for the same reason Run's are — no
-// burst is in flight.
+// are counts; the implementation supplies its own clock. Callbacks run
+// on whichever goroutine is driving the engine, one at a time.
 type WallProbe interface {
-	// RunStart begins a Run/RunUntil: the lane and worker counts are
-	// final for the run. It may be called multiple times per engine
-	// (RunUntil loops); implementations accumulate.
-	RunStart(lanes, workers int)
-	// RunEnd closes the span opened by the last RunStart.
-	RunEnd()
+	// RunStart begins a Run/RunUntil. It may be called multiple times
+	// per engine (RunUntil loops); implementations accumulate.
+	RunStart()
+	// RunEnd closes the span opened by the last RunStart; events is the
+	// number of events the run processed.
+	RunEnd(events int)
 
-	// RoundStart opens one epoch round's burst phase.
-	RoundStart()
-	// LaneStalled marks a lane that holds pending events this round but
-	// was excluded by the epoch horizon: it waits the whole burst phase.
-	LaneStalled(lane int)
-	// RoundEnd closes the burst phase; active is the number of lanes
-	// that burst this round.
-	RoundEnd(active int)
+	// EventAlloc records one event-struct acquisition: reused from the
+	// free-list or freshly allocated. It also fires while the engine is
+	// not running (build-time scheduling).
+	EventAlloc(reused bool)
 
-	// BarrierStart/BarrierEnd bracket the single-threaded delivery
-	// barrier (tracer flush + mailbox merge). Every message emitted
-	// since the previous barrier is delivered inside this span.
-	BarrierStart()
-	BarrierEnd()
-
-	// BurstStart/BurstEnd bracket one lane's event burst; events is the
-	// number of events the burst processed. The serial engine reports
-	// its whole drain as one lane-0 burst.
-	BurstStart(lane int)
-	BurstEnd(lane int, events int)
-
-	// MsgEmitted records a mailbox emission (a process migration
-	// leaving the lane). The matching drain is the next BarrierEnd.
-	MsgEmitted(lane int)
-
-	// EventAlloc records one event-struct acquisition on the lane:
-	// reused from the free-list or freshly allocated.
-	EventAlloc(lane int, reused bool)
-
-	// HeapShrink records a heap backing-array shrink on the lane.
-	HeapShrink(lane int)
+	// HeapShrink records a heap backing-array shrink.
+	HeapShrink()
 }
 
 // SetWallProbe installs the engine's wall-clock self-profiling probe
 // (nil disables, the default). The probe is a pure side channel: it
 // observes wall time and operation counts but can never influence
 // event order, so simulated results are byte-identical with any probe
-// installed or none. Install before Run; the engine never synchronizes
-// probe installation with a running burst.
+// installed or none. Install before Run.
 func (e *Engine) SetWallProbe(p WallProbe) { e.probe = p }
 
 // InstalledWallProbe returns the engine's probe (nil when disabled).

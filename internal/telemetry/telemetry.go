@@ -64,18 +64,13 @@ type Telemetry struct {
 	OrphanFinishes *Gauge
 
 	// Engine health, fed per run from the wall-clock self-profiling
-	// layer (ObserveEngine): how the event-lane engine spent host time.
-	EngineRounds    *Counter
-	EngineBarriers  *Counter
-	MailboxMessages *Counter
+	// layer (ObserveEngine): how the event engine spent host time.
 	LaneBusy        *Counter      // seconds
-	LaneStall       *Counter      // seconds
-	BarrierWall     *Counter      // seconds
-	LaneUtilization *Histogram    // one sample per lane per run
+	LaneUtilization *Histogram    // one sample per instrumented cell per run
 	PhaseWall       *HistogramVec // by phase: build | simulate | export
 }
 
-// UtilizationBuckets are the histogram bounds for per-lane busy
+// UtilizationBuckets are the histogram bounds for engine busy
 // fractions (0..1).
 var UtilizationBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}
 
@@ -120,20 +115,10 @@ func New() *Telemetry {
 			"workload panics recovered into cell errors"),
 		OrphanFinishes: reg.Gauge("pvcsim_obs_orphan_finishes",
 			"obs collector Finish calls for cells that never registered a trace (runner bookkeeping bugs)"),
-		EngineRounds: reg.Counter("pvcsim_engine_rounds_total",
-			"parallel event-engine rounds executed (epoch horizon advances)"),
-		EngineBarriers: reg.Counter("pvcsim_engine_barriers_total",
-			"deterministic epoch barriers (cross-lane mailbox merges) executed"),
-		MailboxMessages: reg.Counter("pvcsim_engine_mailbox_messages_total",
-			"cross-lane messages merged at epoch barriers"),
 		LaneBusy: reg.Counter("pvcsim_engine_lane_busy_seconds_total",
-			"wall-clock seconds event lanes spent bursting events"),
-		LaneStall: reg.Counter("pvcsim_engine_lane_stall_seconds_total",
-			"wall-clock seconds event lanes with pending events were held back by the epoch horizon"),
-		BarrierWall: reg.Counter("pvcsim_engine_barrier_seconds_total",
-			"wall-clock seconds spent in serialized epoch barriers"),
+			"wall-clock seconds the event engine spent processing events"),
 		LaneUtilization: reg.Histogram("pvcsim_engine_lane_utilization",
-			"per-lane busy fraction of engine wall time, one sample per lane per instrumented run",
+			"busy fraction of engine wall time, one sample per instrumented cell per run",
 			UtilizationBuckets),
 		PhaseWall: reg.HistogramVec("pvcsim_runner_phase_seconds",
 			"wall-clock runner phase durations, by phase (build, simulate, export, cache-wait)",
@@ -146,13 +131,8 @@ func New() *Telemetry {
 // importing wallprof (the daemon copies the values across
 // structurally). All durations are wall-clock seconds.
 type EngineRunStats struct {
-	Rounds           float64
-	Barriers         float64
-	MailboxMsgs      float64
 	BusySeconds      float64
-	StallSeconds     float64
-	BarrierSeconds   float64
-	LaneUtilization  []float64 // one sample per lane of every instrumented cell
+	LaneUtilization  []float64 // one sample per instrumented cell
 	BuildSeconds     []float64 // one sample per cell
 	SimulateSeconds  []float64
 	CacheWaitSeconds []float64 // one sample per memo-served cell
@@ -163,12 +143,7 @@ type EngineRunStats struct {
 // scrapeable engine-health metrics. Like every telemetry input it is a
 // pure wall-clock side channel.
 func (t *Telemetry) ObserveEngine(s EngineRunStats) {
-	t.EngineRounds.Add(s.Rounds)
-	t.EngineBarriers.Add(s.Barriers)
-	t.MailboxMessages.Add(s.MailboxMsgs)
 	t.LaneBusy.Add(s.BusySeconds)
-	t.LaneStall.Add(s.StallSeconds)
-	t.BarrierWall.Add(s.BarrierSeconds)
 	for _, u := range s.LaneUtilization {
 		t.LaneUtilization.Observe(u)
 	}

@@ -78,14 +78,13 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 func TestObserveEngine(t *testing.T) {
 	tele := New()
 	tele.ObserveEngine(EngineRunStats{
-		Rounds: 12, Barriers: 12, MailboxMsgs: 7,
-		BusySeconds: 0.5, StallSeconds: 0.1, BarrierSeconds: 0.05,
+		BusySeconds:     0.5,
 		LaneUtilization: []float64{0.8, 0.3},
 		BuildSeconds:    []float64{0.01},
 		SimulateSeconds: []float64{0.4},
 		ExportSeconds:   0.02,
 	})
-	tele.ObserveEngine(EngineRunStats{Rounds: 3}) // runs accumulate
+	tele.ObserveEngine(EngineRunStats{BusySeconds: 0.25}) // runs accumulate
 	var page bytes.Buffer
 	if err := tele.WritePrometheus(&page); err != nil {
 		t.Fatal(err)
@@ -95,13 +94,8 @@ func TestObserveEngine(t *testing.T) {
 		t.Fatalf("engine metrics page does not parse: %v\n%s", err, page.String())
 	}
 	for name, want := range map[string]float64{
-		"pvcsim_engine_rounds_total":             15,
-		"pvcsim_engine_barriers_total":           12,
-		"pvcsim_engine_mailbox_messages_total":   7,
-		"pvcsim_engine_lane_busy_seconds_total":  0.5,
-		"pvcsim_engine_lane_stall_seconds_total": 0.1,
-		"pvcsim_engine_barrier_seconds_total":    0.05,
-		"pvcsim_engine_lane_utilization_count":   2,
+		"pvcsim_engine_lane_busy_seconds_total": 0.75,
+		"pvcsim_engine_lane_utilization_count":  2,
 	} {
 		if got, ok := fams.Value(name, nil); !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %g", name, got, ok, want)

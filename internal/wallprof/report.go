@@ -14,89 +14,23 @@ import (
 // export.
 const WallSchemaVersion = 1
 
-// latencyBoundsNS are the mailbox enqueue→drain histogram bounds:
-// decades from 1 µs to 1 s, in nanoseconds.
-var latencyBoundsNS = []int64{
-	1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000,
-}
-
-// depthBounds are the mailbox depth-per-barrier histogram bounds.
-var depthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// Hist is a fixed-bound histogram of int64 samples.
-type Hist struct {
-	bounds []int64
-	counts []int64 // len(bounds)+1; the last bucket is overflow
-	sum    int64
-	n      int64
-	max    int64
-}
-
-func newHist(bounds []int64) Hist {
-	return Hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe adds one sample.
-func (h *Hist) Observe(v int64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// HistReport is the JSON form of a histogram: counts[i] holds samples
-// ≤ bounds[i]; the final extra count is the overflow bucket.
-type HistReport struct {
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"`
-	Count  int64   `json:"count"`
-	Sum    int64   `json:"sum"`
-	Max    int64   `json:"max"`
-}
-
-func (h *Hist) report() HistReport {
-	out := HistReport{Bounds: h.bounds, Counts: h.counts, Count: h.n, Sum: h.sum, Max: h.max}
-	if out.Counts == nil {
-		out.Counts = make([]int64, len(h.bounds)+1)
-	}
-	return out
-}
-
-// Mean returns the average sample (0 when empty).
-func (h HistReport) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// LaneReport is one lane's wall-time accounting over a cell's engine
-// run(s). Utilization and stall fractions are relative to the engine's
-// total run wall time; idle is the remainder (horizon waits with an
-// empty heap, worker-pool queueing).
+// LaneReport is the engine's wall-time accounting over a cell's engine
+// run(s). The serial engine is a single event loop, reported as lane 0
+// and busy for the whole of every run, so Utilization is 1 once it ran.
 type LaneReport struct {
 	Lane        int     `json:"lane"`
 	BusyMS      float64 `json:"busy_ms"`
-	StallMS     float64 `json:"stall_ms"`
-	IdleMS      float64 `json:"idle_ms"`
 	Utilization float64 `json:"utilization"`
-	StallFrac   float64 `json:"stall_frac"`
-	Bursts      int64   `json:"bursts"`
 	Events      int64   `json:"events"`
-	MsgsEmitted int64   `json:"msgs_emitted"`
 	AllocFresh  int64   `json:"event_alloc_fresh"`
 	AllocReused int64   `json:"event_alloc_reused"`
 	HeapShrinks int64   `json:"heap_shrinks"`
 }
 
 // CellReport is one cell's wall-clock profile: runner phases plus the
-// engine's lane accounting.
+// engine's accounting. Rounds and BarrierMS are always zero — a serial
+// engine runs no epoch rounds or delivery barriers — and stay in the
+// schema so existing wall reports and their readers keep working.
 type CellReport struct {
 	Workload string `json:"workload"`
 	System   string `json:"system"`
@@ -107,17 +41,12 @@ type CellReport struct {
 	CacheWaitMS float64 `json:"cache_wait_ms,omitempty"`
 	CacheHits   int64   `json:"cache_hits,omitempty"`
 
-	EngineRuns      int64   `json:"engine_runs"`
-	EngineRunMS     float64 `json:"engine_run_ms"`
-	Workers         int     `json:"workers"`
-	Rounds          int64   `json:"rounds"`
-	Barriers        int64   `json:"barriers"`
-	BarrierMS       float64 `json:"barrier_ms"`
-	MeanActiveLanes float64 `json:"mean_active_lanes"`
+	EngineRuns  int64   `json:"engine_runs"`
+	EngineRunMS float64 `json:"engine_run_ms"`
+	Rounds      int64   `json:"rounds"`
+	BarrierMS   float64 `json:"barrier_ms"`
 
-	Lanes          []LaneReport `json:"lanes"`
-	MailboxDepth   HistReport   `json:"mailbox_depth"`
-	MailboxLatency HistReport   `json:"mailbox_latency_ns"`
+	Lanes []LaneReport `json:"lanes"`
 }
 
 // Name renders "workload @ system [params]", matching obs.Key.
@@ -140,10 +69,8 @@ type Report struct {
 
 const msPerNS = 1e-6
 
-// Report merges every cell's buffers into the canonical report: cells
-// sorted by (workload, system, params), lanes in index order. Call it
-// after the run completes — it reads lane buffers the engine is done
-// writing.
+// Report merges every cell's profile into the canonical report, cells
+// sorted by (workload, system, params). Call it after the run completes.
 func (c *Collector) Report() *Report {
 	rep := &Report{WallSchema: WallSchemaVersion}
 	c.mu.Lock()
@@ -169,44 +96,21 @@ func (cp *CellProf) report() CellReport {
 	}
 	p := cp.probe
 	if p == nil {
-		empty := newHist(depthBounds)
-		out.MailboxDepth = empty.report()
-		emptyLat := newHist(latencyBoundsNS)
-		out.MailboxLatency = emptyLat.report()
 		return out
 	}
 	out.EngineRuns = p.runs
 	out.EngineRunMS = float64(p.runNS) * msPerNS
-	out.Workers = p.workers
-	out.Rounds = p.rounds
-	out.Barriers = p.barriers
-	out.BarrierMS = float64(p.barrierNS) * msPerNS
-	if p.rounds > 0 {
-		out.MeanActiveLanes = float64(p.activeTotal) / float64(p.rounds)
+	lr := LaneReport{
+		BusyMS:      out.EngineRunMS,
+		Events:      p.events,
+		AllocFresh:  p.allocFresh,
+		AllocReused: p.allocReused,
+		HeapShrinks: p.shrinks,
 	}
-	out.MailboxDepth = p.depth.report()
-	out.MailboxLatency = p.latency.report()
-	for i, lb := range p.lanes {
-		lr := LaneReport{
-			Lane:        i,
-			BusyMS:      float64(lb.busyNS) * msPerNS,
-			StallMS:     float64(lb.stallNS) * msPerNS,
-			Bursts:      lb.bursts,
-			Events:      lb.events,
-			MsgsEmitted: lb.msgs,
-			AllocFresh:  lb.allocFresh,
-			AllocReused: lb.allocReused,
-			HeapShrinks: lb.shrinks,
-		}
-		if idle := float64(p.runNS-lb.busyNS-lb.stallNS) * msPerNS; idle > 0 {
-			lr.IdleMS = idle
-		}
-		if p.runNS > 0 {
-			lr.Utilization = float64(lb.busyNS) / float64(p.runNS)
-			lr.StallFrac = float64(lb.stallNS) / float64(p.runNS)
-		}
-		out.Lanes = append(out.Lanes, lr)
+	if p.runs > 0 {
+		lr.Utilization = 1
 	}
+	out.Lanes = []LaneReport{lr}
 	return out
 }
 
@@ -218,7 +122,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // WriteReport writes the human tables: per cell, the phase breakdown
-// and a per-lane utilization table with stall fractions.
+// and the engine's accounting.
 func (r *Report) WriteReport(w io.Writer) error {
 	fmt.Fprintf(w, "Wall-clock self-profile: %d cell(s), export %.3g ms\n", len(r.Cells), r.ExportMS)
 	for i := range r.Cells {
@@ -233,21 +137,13 @@ func (r *Report) WriteReport(w io.Writer) error {
 			fmt.Fprintln(w, "  engine: no instrumented runs (cell served from cache?)")
 			continue
 		}
-		barrierPct := 0.0
-		if c.EngineRunMS > 0 {
-			barrierPct = c.BarrierMS / c.EngineRunMS * 100
-		}
-		fmt.Fprintf(w, "  engine: %d run(s), %.3g ms wall, workers %d, rounds %d, barriers %d (%.3g ms, %.1f%%), mean active lanes %.2f\n",
-			c.EngineRuns, c.EngineRunMS, c.Workers, c.Rounds, c.Barriers, c.BarrierMS, barrierPct, c.MeanActiveLanes)
-		fmt.Fprintf(w, "  mailbox: %d msg(s) drained, mean depth/barrier %.2f, mean latency %.3g us, max %.3g us\n",
-			c.MailboxLatency.Count, c.MailboxDepth.Mean(),
-			c.MailboxLatency.Mean()/1e3, float64(c.MailboxLatency.Max)/1e3)
+		fmt.Fprintf(w, "  engine: %d run(s), %.3g ms wall\n", c.EngineRuns, c.EngineRunMS)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  LANE\tBUSY_MS\tSTALL_MS\tIDLE_MS\tUTIL\tSTALL\tBURSTS\tEVENTS\tMSGS\tALLOC_NEW\tALLOC_REUSE\tSHRINKS")
+		fmt.Fprintln(tw, "  LANE\tBUSY_MS\tUTIL\tEVENTS\tALLOC_NEW\tALLOC_REUSE\tSHRINKS")
 		for _, l := range c.Lanes {
-			fmt.Fprintf(tw, "  %d\t%.3g\t%.3g\t%.3g\t%.1f%%\t%.1f%%\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				l.Lane, l.BusyMS, l.StallMS, l.IdleMS, l.Utilization*100, l.StallFrac*100,
-				l.Bursts, l.Events, l.MsgsEmitted, l.AllocFresh, l.AllocReused, l.HeapShrinks)
+			fmt.Fprintf(tw, "  %d\t%.3g\t%.1f%%\t%d\t%d\t%d\t%d\n",
+				l.Lane, l.BusyMS, l.Utilization*100,
+				l.Events, l.AllocFresh, l.AllocReused, l.HeapShrinks)
 		}
 		if err := tw.Flush(); err != nil {
 			return err
@@ -258,7 +154,7 @@ func (r *Report) WriteReport(w io.Writer) error {
 
 // WriteFlame writes the wall profile as folded stacks,
 //
-//	cell;phase;lane N;busy|stall <nanoseconds>
+//	cell;phase;lane 0;busy <nanoseconds>
 //
 // so the same flamegraph tooling that renders simulated bound
 // residency renders the simulator's own wall time.
@@ -277,23 +173,15 @@ func (r *Report) WriteFlame(w io.Writer) error {
 		if err := emit(name+";build", c.BuildMS); err != nil {
 			return err
 		}
-		// Inside the simulate phase, split the engine's wall time into
-		// per-lane busy/stall plus the serialized barrier work; host
-		// model code outside the engine is the remainder.
+		// Inside the simulate phase, split off the engine's busy time;
+		// host model code outside the engine is the remainder.
 		engine := 0.0
 		for _, l := range c.Lanes {
 			if err := emit(fmt.Sprintf("%s;simulate;lane %d;busy", name, l.Lane), l.BusyMS); err != nil {
 				return err
 			}
-			if err := emit(fmt.Sprintf("%s;simulate;lane %d;stall", name, l.Lane), l.StallMS); err != nil {
-				return err
-			}
-			engine += l.BusyMS + l.StallMS
+			engine += l.BusyMS
 		}
-		if err := emit(name+";simulate;barrier", c.BarrierMS); err != nil {
-			return err
-		}
-		engine += c.BarrierMS
 		if err := emit(name+";simulate;host", c.SimulateMS-engine); err != nil {
 			return err
 		}
@@ -316,13 +204,13 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the wall-time lane timelines as Chrome
-// trace-event JSON — the second track next to the simulated-time trace
-// (load both files in the same Perfetto session). One "process" per
-// cell, one "thread" per lane plus a barriers track and a runner-phase
-// track. Requires EnableTimeline; without it only the phase aggregates
-// appear. Unlike every simulated export this one is wall time and is
-// expected to differ between runs.
+// WriteChromeTrace writes the wall-time timelines as Chrome trace-event
+// JSON — the second track next to the simulated-time trace (load both
+// files in the same Perfetto session). One "process" per cell, with an
+// engine track (one span per Run/RunUntil) and a runner-phase track.
+// Requires EnableTimeline; without it only the phase aggregates appear.
+// Unlike every simulated export this one is wall time and is expected
+// to differ between runs.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	cells := c.sortedCells()
 	// Zero the timeline at the earliest recorded instant so the trace
@@ -340,12 +228,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			see(ph.start)
 		}
 		if p := cp.probe; p != nil {
-			for _, lb := range p.lanes {
-				for _, s := range lb.spans {
-					see(s.start)
-				}
-			}
-			for _, s := range p.barrierSpan {
+			for _, s := range p.spans {
 				see(s.start)
 			}
 		}
@@ -359,42 +242,28 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			Name: name, Ph: "X", TS: us(s.start), Dur: &dur, PID: pid, TID: tid, Args: args,
 		})
 	}
+	const engineTID, phaseTID = 0, 1
 	for pid, cp := range cells {
 		cp.mu.Lock()
-		laneCount := 0
-		if cp.probe != nil {
-			laneCount = len(cp.probe.lanes)
-		}
-		barrierTID, phaseTID := laneCount, laneCount+1
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": "wall: " + cp.key.String()},
-		})
-		for i := 0; i < laneCount; i++ {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: i,
-				Args: map[string]any{"name": fmt.Sprintf("lane %d", i)},
+		events = append(events,
+			chromeEvent{
+				Name: "process_name", Ph: "M", PID: pid, TID: 0,
+				Args: map[string]any{"name": "wall: " + cp.key.String()},
+			},
+			chromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: engineTID,
+				Args: map[string]any{"name": "engine"},
+			},
+			chromeEvent{
+				Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
+				Args: map[string]any{"name": "runner phases"},
 			})
-		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: barrierTID,
-			Args: map[string]any{"name": "barriers"},
-		})
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
-			Args: map[string]any{"name": "runner phases"},
-		})
 		for _, ph := range cp.phases {
 			x(ph.name, pid, phaseTID, span{start: ph.start, end: ph.end}, nil)
 		}
 		if p := cp.probe; p != nil {
-			for i, lb := range p.lanes {
-				for _, s := range lb.spans {
-					x("burst", pid, i, s, map[string]any{"events": s.events})
-				}
-			}
-			for _, s := range p.barrierSpan {
-				x("barrier", pid, barrierTID, s, nil)
+			for _, s := range p.spans {
+				x("run", pid, engineTID, s, map[string]any{"events": s.events})
 			}
 		}
 		cp.mu.Unlock()
@@ -411,13 +280,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 // layer scrapes (internal/telemetry stays import-free, so the daemon
 // copies these fields across structurally).
 type Totals struct {
-	Rounds           float64
-	Barriers         float64
-	MailboxMsgs      float64
 	BusySeconds      float64
-	StallSeconds     float64
-	BarrierSeconds   float64
-	LaneUtilization  []float64 // one sample per lane of every instrumented cell
+	LaneUtilization  []float64 // one sample per instrumented cell
 	BuildSeconds     []float64 // one sample per cell
 	SimulateSeconds  []float64
 	CacheWaitSeconds []float64 // one sample per memo-served cell
@@ -429,18 +293,13 @@ func (r *Report) Totals() Totals {
 	t := Totals{ExportSeconds: r.ExportMS / 1e3}
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		t.Rounds += float64(c.Rounds)
-		t.Barriers += float64(c.Barriers)
-		t.BarrierSeconds += c.BarrierMS / 1e3
 		t.BuildSeconds = append(t.BuildSeconds, c.BuildMS/1e3)
 		t.SimulateSeconds = append(t.SimulateSeconds, c.SimulateMS/1e3)
 		if c.CacheHits > 0 {
 			t.CacheWaitSeconds = append(t.CacheWaitSeconds, c.CacheWaitMS/1e3)
 		}
 		for _, l := range c.Lanes {
-			t.MailboxMsgs += float64(l.MsgsEmitted)
 			t.BusySeconds += l.BusyMS / 1e3
-			t.StallSeconds += l.StallMS / 1e3
 			t.LaneUtilization = append(t.LaneUtilization, l.Utilization)
 		}
 	}

@@ -10,15 +10,10 @@
 //   - The walltime analyzer bans time.* in simulation packages, so the
 //     clock lives here (an explicitly wall-clock-allowed package) and
 //     is injected: internal/sim only emits timing-free callbacks.
-//   - Lane callbacks follow the single-writer discipline from
-//     internal/obs: each lane writes only its own pre-grown buffer,
-//     and the host merges at barriers (mailbox drains) and at Report
-//     time. Buffers are grown only from host context (RunStart,
-//     build-time scheduling), never during a concurrent burst.
 //   - The whole layer is a pure side channel: it observes wall time
 //     and operation counts but never feeds anything back, so every
 //     simulated artifact is byte-identical with profiling on or off
-//     (enforced by the lane-parity sweep's wallprof variant).
+//     (enforced by the sweep package's wallprof side-channel test).
 package wallprof
 
 import (
@@ -31,7 +26,7 @@ import (
 
 // Clock returns monotonic nanoseconds since an arbitrary origin. One
 // clock is shared by everything a Collector owns, so spans from
-// different cells and lanes share a time base and compose into one
+// different cells share a time base and compose into one
 // coherent timeline.
 type Clock func() int64
 
@@ -67,10 +62,10 @@ func NewWithClock(c Clock) *Collector {
 	return &Collector{clock: c, cells: map[obs.Key]*CellProf{}}
 }
 
-// EnableTimeline buffers individual burst/barrier/phase intervals (not
+// EnableTimeline buffers individual engine-run and phase intervals (not
 // just aggregates) so the report can render a wall-time Chrome trace.
-// Costs memory proportional to rounds × lanes; leave off unless a
-// -wall-trace export was requested.
+// Costs memory proportional to the number of engine runs; leave off
+// unless a -wall-trace export was requested.
 func (c *Collector) EnableTimeline() { c.timeline = true }
 
 // Cell returns the cell's profile, creating it on first use.
@@ -163,42 +158,26 @@ func (cp *CellProf) Probe() *EngineProbe {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.probe == nil {
-		cp.probe = &EngineProbe{
-			clock: cp.clock, timeline: cp.timeline,
-			depth: newHist(depthBounds), latency: newHist(latencyBoundsNS),
-		}
+		cp.probe = &EngineProbe{clock: cp.clock, timeline: cp.timeline}
 	}
 	return cp.probe
 }
 
-// EngineProbe implements sim.WallProbe: per-lane single-writer buffers
-// written from lane context, host-only round/barrier state, and a
-// drain of pending mailbox stamps at every barrier. The sim package's
-// round structure guarantees the required happens-before edges: lane
-// callbacks for one lane never overlap each other, and host callbacks
-// never overlap any burst.
+// EngineProbe implements sim.WallProbe. The engine calls it from the
+// goroutine driving the cell's simulation, one callback at a time, so it
+// needs no locking; Report reads it after the run.
 type EngineProbe struct {
 	clock    Clock
 	timeline bool
 
-	// Host-written run/round/barrier state.
-	laneCount   int
-	workers     int
 	runs        int64
 	runT0       int64
 	runNS       int64
-	rounds      int64
-	roundT0     int64
-	activeTotal int64
-	barriers    int64
-	barrierT0   int64
-	barrierNS   int64
-	stalled     []bool // per-round stall marks, reset at RoundStart
-	depth       Hist   // mailbox depth per barrier
-	latency     Hist   // mailbox enqueue→drain latency (ns)
-	barrierSpan []span // timeline only
-
-	lanes []*laneBuf
+	events      int64
+	allocFresh  int64
+	allocReused int64
+	shrinks     int64
+	spans       []span // timeline only
 }
 
 // span is one timeline interval.
@@ -207,145 +186,31 @@ type span struct {
 	events     int
 }
 
-// laneBuf is one lane's single-writer buffer. Only the worker
-// currently bursting the lane writes it (plus the host while no burst
-// runs); the host reads it at barriers and at Report time.
-type laneBuf struct {
-	burstT0     int64
-	busyNS      int64
-	stallNS     int64
-	bursts      int64
-	events      int64
-	msgs        int64
-	allocFresh  int64
-	allocReused int64
-	shrinks     int64
-	emitTS      []int64 // pending mailbox stamps, drained at BarrierEnd
-	spans       []span  // timeline only
-}
-
-// grow ensures per-lane buffers exist for lane indices < n. Host
-// context only: RunStart (before any burst) and build-time scheduling.
-func (p *EngineProbe) grow(n int) {
-	for len(p.lanes) < n {
-		p.lanes = append(p.lanes, &laneBuf{})
-	}
-	for len(p.stalled) < n {
-		p.stalled = append(p.stalled, false)
-	}
-	if n > p.laneCount {
-		p.laneCount = n
-	}
-}
-
-// lane returns the buffer for a lane index, growing host-side when the
-// index is new (only ever needed before the engine runs).
-func (p *EngineProbe) lane(i int) *laneBuf {
-	if i >= len(p.lanes) {
-		p.grow(i + 1)
-	}
-	return p.lanes[i]
-}
-
 // RunStart implements sim.WallProbe.
-func (p *EngineProbe) RunStart(lanes, workers int) {
-	p.grow(lanes)
-	if workers > p.workers {
-		p.workers = workers
-	}
-	p.runs++
-	p.runT0 = p.clock()
-}
+func (p *EngineProbe) RunStart() { p.runT0 = p.clock() }
 
 // RunEnd implements sim.WallProbe.
-func (p *EngineProbe) RunEnd() { p.runNS += p.clock() - p.runT0 }
-
-// RoundStart implements sim.WallProbe.
-func (p *EngineProbe) RoundStart() {
-	p.rounds++
-	for i := range p.stalled {
-		p.stalled[i] = false
-	}
-	p.roundT0 = p.clock()
-}
-
-// LaneStalled implements sim.WallProbe.
-func (p *EngineProbe) LaneStalled(lane int) { p.stalled[lane] = true }
-
-// RoundEnd implements sim.WallProbe: the burst phase is over, so its
-// duration is charged as stall time to every lane the horizon held
-// back this round.
-func (p *EngineProbe) RoundEnd(active int) {
-	dt := p.clock() - p.roundT0
-	p.activeTotal += int64(active)
-	for i, st := range p.stalled {
-		if st {
-			p.lanes[i].stallNS += dt
-		}
-	}
-}
-
-// BarrierStart implements sim.WallProbe.
-func (p *EngineProbe) BarrierStart() {
-	p.barriers++
-	p.barrierT0 = p.clock()
-}
-
-// BarrierEnd implements sim.WallProbe: every message emitted since the
-// previous barrier has now been delivered, so the pending stamps drain
-// into the latency histogram and their count is the mailbox depth this
-// barrier cleared.
-func (p *EngineProbe) BarrierEnd() {
+func (p *EngineProbe) RunEnd(events int) {
 	now := p.clock()
-	p.barrierNS += now - p.barrierT0
-	depth := 0
-	for _, lb := range p.lanes {
-		for _, ts := range lb.emitTS {
-			p.latency.Observe(now - ts)
-		}
-		depth += len(lb.emitTS)
-		lb.emitTS = lb.emitTS[:0]
-	}
-	p.depth.Observe(int64(depth))
+	p.runs++
+	p.runNS += now - p.runT0
+	p.events += int64(events)
 	if p.timeline {
-		p.barrierSpan = append(p.barrierSpan, span{start: p.barrierT0, end: now})
+		p.spans = append(p.spans, span{start: p.runT0, end: now, events: events})
 	}
 }
 
-// BurstStart implements sim.WallProbe (lane context).
-func (p *EngineProbe) BurstStart(lane int) { p.lane(lane).burstT0 = p.clock() }
-
-// BurstEnd implements sim.WallProbe (lane context).
-func (p *EngineProbe) BurstEnd(lane int, events int) {
-	lb := p.lanes[lane]
-	now := p.clock()
-	lb.busyNS += now - lb.burstT0
-	lb.bursts++
-	lb.events += int64(events)
-	if p.timeline {
-		lb.spans = append(lb.spans, span{start: lb.burstT0, end: now, events: events})
-	}
-}
-
-// MsgEmitted implements sim.WallProbe (lane context).
-func (p *EngineProbe) MsgEmitted(lane int) {
-	lb := p.lanes[lane]
-	lb.msgs++
-	lb.emitTS = append(lb.emitTS, p.clock())
-}
-
-// EventAlloc implements sim.WallProbe (lane context).
-func (p *EngineProbe) EventAlloc(lane int, reused bool) {
-	lb := p.lane(lane)
+// EventAlloc implements sim.WallProbe.
+func (p *EngineProbe) EventAlloc(reused bool) {
 	if reused {
-		lb.allocReused++
+		p.allocReused++
 	} else {
-		lb.allocFresh++
+		p.allocFresh++
 	}
 }
 
-// HeapShrink implements sim.WallProbe (lane context).
-func (p *EngineProbe) HeapShrink(lane int) { p.lanes[lane].shrinks++ }
+// HeapShrink implements sim.WallProbe.
+func (p *EngineProbe) HeapShrink() { p.shrinks++ }
 
 // sortedCells snapshots the cell map in deterministic (workload,
 // system, params) order — map iteration must never pick report order.

@@ -23,22 +23,18 @@ func tickClock() wallprof.Clock {
 	}
 }
 
-// runProbed drives a three-lane engine with cross-lane migrations under
-// a probed collector and returns the report.
+// runProbed drives an engine with two interleaved processes under a
+// probed collector and returns the report.
 func runProbed(t *testing.T, c *wallprof.Collector) *wallprof.Report {
 	t.Helper()
 	cp := c.Cell(obs.Key{Workload: "w", System: "s"})
 	e := sim.NewEngine()
-	l1 := e.NewLane()
-	l2 := e.NewLane()
 	e.SetWallProbe(cp.Probe())
-	e.GoOn(l1, "hopper", func(p *sim.Proc) {
+	e.Go("hopper", func(p *sim.Proc) {
 		p.Hold(units.Seconds(1e-6))
-		p.MoveTo(l2)
 		p.Hold(units.Seconds(1e-6))
-		p.MoveTo(0)
 	})
-	e.GoOn(l2, "worker", func(p *sim.Proc) {
+	e.Go("worker", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			p.Hold(units.Seconds(2e-6))
 		}
@@ -62,37 +58,20 @@ func TestEngineProbeAccounting(t *testing.T) {
 	if cell.EngineRuns != 1 {
 		t.Errorf("engine runs = %d, want 1", cell.EngineRuns)
 	}
-	if cell.Rounds == 0 || cell.Barriers == 0 {
-		t.Errorf("rounds=%d barriers=%d, want both > 0", cell.Rounds, cell.Barriers)
+	if len(cell.Lanes) != 1 {
+		t.Fatalf("lanes = %d, want 1", len(cell.Lanes))
 	}
-	if len(cell.Lanes) != 3 {
-		t.Fatalf("lanes = %d, want 3", len(cell.Lanes))
+	l := cell.Lanes[0]
+	// Two process starts plus six holds.
+	if l.Events != 8 {
+		t.Errorf("events = %d, want 8", l.Events)
 	}
-	var events, msgs, alloc int64
-	for _, l := range cell.Lanes {
-		events += l.Events
-		msgs += l.MsgsEmitted
-		alloc += l.AllocFresh + l.AllocReused
-		if l.BusyMS < 0 || l.StallMS < 0 {
-			t.Errorf("lane %d negative accounting: busy=%v stall=%v", l.Lane, l.BusyMS, l.StallMS)
-		}
+	if l.AllocFresh+l.AllocReused != l.Events {
+		t.Errorf("event allocations = %d fresh + %d reused, want one per event (%d)",
+			l.AllocFresh, l.AllocReused, l.Events)
 	}
-	if events == 0 {
-		t.Error("no events counted across lanes")
-	}
-	// Two MoveTo calls, the second relaying through lane 0: ≥ 2 emissions.
-	if msgs < 2 {
-		t.Errorf("msgs emitted = %d, want >= 2", msgs)
-	}
-	if alloc == 0 {
-		t.Error("no event allocations counted")
-	}
-	if cell.MailboxLatency.Count != msgs {
-		t.Errorf("latency samples = %d, want %d (every emission drains at a barrier)",
-			cell.MailboxLatency.Count, msgs)
-	}
-	if cell.MailboxDepth.Count != cell.Barriers {
-		t.Errorf("depth samples = %d, want one per barrier (%d)", cell.MailboxDepth.Count, cell.Barriers)
+	if l.BusyMS <= 0 || l.Utilization != 1 {
+		t.Errorf("busy=%v utilization=%v, want busy > 0 and utilization 1", l.BusyMS, l.Utilization)
 	}
 	if cell.EngineRunMS <= 0 {
 		t.Errorf("engine run wall = %v, want > 0 under the tick clock", cell.EngineRunMS)
@@ -111,11 +90,11 @@ func TestSerialEngineIsOneBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := c.Report().Cells[0]
-	if cell.Rounds != 0 || cell.Barriers != 0 {
-		t.Errorf("serial run has rounds=%d barriers=%d, want 0/0", cell.Rounds, cell.Barriers)
+	if cell.Rounds != 0 || cell.BarrierMS != 0 {
+		t.Errorf("serial run has rounds=%d barrier_ms=%v, want 0/0", cell.Rounds, cell.BarrierMS)
 	}
-	if len(cell.Lanes) != 1 || cell.Lanes[0].Bursts != 1 || cell.Lanes[0].Events != 5 {
-		t.Errorf("serial drain: lanes=%+v, want one lane, one burst, five events", cell.Lanes)
+	if cell.EngineRuns != 1 || len(cell.Lanes) != 1 || cell.Lanes[0].Events != 5 {
+		t.Errorf("serial drain: runs=%d lanes=%+v, want one run on one lane, five events", cell.EngineRuns, cell.Lanes)
 	}
 	if cell.Lanes[0].AllocFresh != 5 {
 		t.Errorf("alloc fresh = %d, want 5 (cold free-list)", cell.Lanes[0].AllocFresh)
@@ -149,7 +128,7 @@ func TestReportRendering(t *testing.T) {
 	if err := rep.WriteReport(&human); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Wall-clock self-profile", "LANE", "BUSY_MS", "STALL_MS", "mailbox"} {
+	for _, want := range []string{"Wall-clock self-profile", "LANE", "BUSY_MS", "UTIL", "engine: 1 run(s)"} {
 		if !strings.Contains(human.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, human.String())
 		}
@@ -194,20 +173,17 @@ func TestChromeTraceTimeline(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 		t.Fatal(err)
 	}
-	var bursts, barriers int
+	var runs int
 	for _, ev := range tf.TraceEvents {
 		if ev.TS < 0 {
 			t.Errorf("negative timestamp on %q", ev.Name)
 		}
-		switch ev.Name {
-		case "burst":
-			bursts++
-		case "barrier":
-			barriers++
+		if ev.Name == "run" {
+			runs++
 		}
 	}
-	if bursts == 0 || barriers == 0 {
-		t.Errorf("timeline trace has %d bursts, %d barriers; want both > 0", bursts, barriers)
+	if runs != 1 {
+		t.Errorf("timeline trace has %d engine runs, want 1", runs)
 	}
 	if !strings.Contains(buf.String(), "wall: w @ s") {
 		t.Error("trace missing the wall process name")
@@ -218,11 +194,11 @@ func TestTotals(t *testing.T) {
 	c := wallprof.NewWithClock(tickClock())
 	rep := runProbed(t, c)
 	tot := rep.Totals()
-	if tot.Rounds == 0 || tot.BusySeconds <= 0 || tot.MailboxMsgs < 2 {
-		t.Errorf("totals = %+v, want rounds/busy/msgs populated", tot)
+	if tot.BusySeconds <= 0 {
+		t.Errorf("totals = %+v, want busy time populated", tot)
 	}
-	if len(tot.LaneUtilization) != 3 {
-		t.Errorf("lane utilization samples = %d, want 3", len(tot.LaneUtilization))
+	if len(tot.LaneUtilization) != 1 {
+		t.Errorf("utilization samples = %d, want one per instrumented cell", len(tot.LaneUtilization))
 	}
 }
 
@@ -232,14 +208,12 @@ func TestTotals(t *testing.T) {
 func TestProbeIsSideChannel(t *testing.T) {
 	run := func(probed bool) units.Seconds {
 		e := sim.NewEngine()
-		l1 := e.NewLane()
 		if probed {
 			c := wallprof.New()
 			e.SetWallProbe(c.Cell(obs.Key{Workload: "x", System: "y"}).Probe())
 		}
-		e.GoOn(l1, "p", func(p *sim.Proc) {
+		e.Go("p", func(p *sim.Proc) {
 			p.Hold(units.Seconds(5e-6))
-			p.MoveTo(0)
 			p.Hold(units.Seconds(5e-6))
 		})
 		if err := e.Run(); err != nil {

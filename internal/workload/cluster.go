@@ -109,7 +109,7 @@ func NewAllreduceCell(name string, sys topology.System, nodes int, prec, algo st
 // runAllreduce executes one allreduce of size bytes on every rank of
 // the communicator and returns the finish time of the slowest rank.
 func runAllreduce(c *mpirt.Comm, size units.Bytes, algo string) (units.Seconds, error) {
-	// Per-rank finish slots: ranks run on independent event lanes.
+	// Per-rank finish slots; the slowest rank is their max.
 	finishes := make([]units.Seconds, c.Size())
 	err := c.Spawn(func(p *sim.Proc, r *mpirt.Rank) {
 		var e error
