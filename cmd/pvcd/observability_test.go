@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pvcsim/internal/chrometrace"
 	"pvcsim/internal/history"
 	"pvcsim/internal/telemetry"
 )
@@ -435,10 +436,7 @@ func TestReqtraceExportIsChromeJSON(t *testing.T) {
 	waitRun(t, s, id)
 	body := getBytes(t, ts.URL+"/v1/reqtrace")
 	var file struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
+		TraceEvents []chrometrace.Event `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &file); err != nil {
 		t.Fatalf("reqtrace export is not JSON: %v", err)

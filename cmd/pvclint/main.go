@@ -8,7 +8,7 @@
 //	maprange      no map iteration order reaching slices or output unsorted
 //	seededrand    no global math/rand draws; inject a seeded *rand.Rand
 //	floateq       no exact ==/!= on floats in model code
-//	recorderguard every obs/prof Recorder call dominated by a nil check
+//	recorderguard every obs.Recorder call dominated by a nil check
 //	boundtag      constant bound tags drawn from the closed prof taxonomy
 //	timeunit      no raw float64 seconds crossing call boundaries in model code
 //

@@ -1,7 +1,8 @@
 // Timeline: trace a pipelined GPU workload — H2D upload, compute kernel,
 // halo exchange, D2H readback on every Aurora stack — and export a
 // Chrome-trace JSON (load it at ui.perfetto.dev) plus a per-stack
-// utilization summary. Demonstrates the gpusim Recorder.
+// utilization summary. Demonstrates the obs recorder every device
+// operation reports to.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"pvcsim/internal/gpusim"
 	"pvcsim/internal/hw"
 	"pvcsim/internal/mpirt"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
@@ -26,8 +28,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := gpusim.NewRecorder()
-	machine.SetRecorder(rec)
+	col := obs.NewCollector()
+	key := obs.Key{Workload: "timeline", System: node.System.String()}
+	trace := col.Cell(key)
+	machine.Observe(trace)
 
 	comm, err := mpirt.NewComm(machine, node.TotalStacks())
 	if err != nil {
@@ -65,18 +69,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	col.Finish(key, 0, nil)
 
+	// Busy time per stack: the summed extent of its device spans
+	// (fabric flows, on GPU -1, belong to no stack).
+	busy := map[topology.StackID]units.Seconds{}
+	events := 0
+	for _, s := range trace.Spans() {
+		if s.GPU >= 0 {
+			busy[topology.StackID{GPU: s.GPU, Stack: s.Stack}] += s.Duration()
+			events++
+		}
+	}
 	total := machine.Eng.Now()
 	fmt.Printf("simulated %d ranks x %d steps in %v of virtual time\n", node.TotalStacks(), steps, total)
-	fmt.Printf("%d device events recorded\n\n", rec.Len())
-	fmt.Print(rec.Summary(total))
+	fmt.Printf("%d device events recorded\n\n", events)
+	for _, id := range node.Subdevices() {
+		if b, ok := busy[id]; ok {
+			fmt.Printf("%v: busy %v (%.0f%%)\n", id, b, float64(b)/float64(total)*100)
+		}
+	}
 
 	f, err := os.Create("timeline.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := rec.WriteChromeTrace(f); err != nil {
+	if err := col.Report().WriteChromeTrace(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nwrote timeline.json (open with ui.perfetto.dev)")

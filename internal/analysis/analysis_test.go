@@ -147,7 +147,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		// a non-simulation path are clean.
 		{dir: "floateq", asPath: "pvcsim/internal/report/floatfixture", noWants: true},
 		{dir: "recorderguard", asPath: "pvcsim/internal/mem/fixture"},
-		{dir: "profguard", asPath: "pvcsim/internal/perfmodel/proffixture"},
 		{dir: "directive", asPath: "pvcsim/internal/power/fixture"},
 		// The closed bound taxonomy and seconds-as-float64.
 		{dir: "boundtag", asPath: "pvcsim/internal/fabric/boundfixture"},
@@ -314,7 +313,7 @@ func renderAll(diags []Diagnostic) string {
 // files and fixtures are excluded — they exist to exercise the
 // directives.
 func TestExceptionCountIsPinned(t *testing.T) {
-	const wantCount = 11
+	const wantCount = 8
 	var got int
 	var where []string
 	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {

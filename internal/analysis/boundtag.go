@@ -45,7 +45,7 @@ func knownBoundTag(s string) bool {
 // Three shapes are checked in simulation and prof code:
 //
 //   - a constant string passed for a parameter literally named "bound"
-//     (prof.Sample, fabric.StartBound, perfmodel attribution helpers)
+//     (fabric.StartBound, gpusim's record helper)
 //     must be a known tag — a misspelled tag would silently create a
 //     new residency bucket and break share-sums-to-1;
 //   - a constant string assigned to a struct field named Bound,

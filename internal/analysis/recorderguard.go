@@ -7,10 +7,9 @@ import (
 )
 
 // RecorderGuard enforces the recording hot-path contract documented in
-// internal/obs and internal/prof: model code holds a nil Recorder by
-// default, so every method call on an obs.Recorder- or
-// prof.Recorder-typed value must be dominated by a nil check (or routed
-// through the nil-tolerant helpers — obs.Emit/obs.Count, prof.Sample —
+// internal/obs: model code holds a nil Recorder by default, so every
+// method call on an obs.Recorder-typed value must be dominated by a nil
+// check (or routed through the nil-tolerant helpers obs.Emit/obs.Count,
 // which carry the guard). An unguarded call is a latent panic that only
 // fires when tracing is off — the common case — so it is enforced
 // statically.
@@ -21,7 +20,7 @@ import (
 //	if r == nil { return }; r.Add(...)  // early-return guard
 var RecorderGuard = &Analyzer{
 	Name: "recorderguard",
-	Doc:  "require a dominating nil check for method calls on an obs.Recorder or prof.Recorder value",
+	Doc:  "require a dominating nil check for method calls on an obs.Recorder value",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
@@ -37,20 +36,15 @@ var RecorderGuard = &Analyzer{
 				if !ok {
 					return true
 				}
-				pkg := recorderPackage(tv.Type)
-				if pkg == "" {
+				if !isObsRecorder(tv.Type) {
 					return true
 				}
 				recv := exprKey(sel.X)
 				if recv == "" || nilGuarded(recv, stack) {
 					return true
 				}
-				helpers := "obs.Emit/obs.Count, which tolerate nil"
-				if pkg == "prof" {
-					helpers = "prof.Sample, which tolerates nil"
-				}
 				p.ReportFixf(call.Pos(),
-					"guard with `if "+recv+" != nil { ... }` or use "+helpers,
+					"guard with `if "+recv+" != nil { ... }` or use obs.Emit/obs.Count, which tolerate nil",
 					"%s.%s is called without a dominating nil check; a nil Recorder is the hot-path default", recv, sel.Sel.Name)
 				return true
 			})
@@ -58,27 +52,20 @@ var RecorderGuard = &Analyzer{
 	},
 }
 
-// recorderPackage returns the defining package name ("obs" or "prof")
-// when t is one of the recording Recorder interfaces, "" otherwise
+// isObsRecorder reports whether t is the obs.Recorder interface
 // (matched by package name so testdata stubs behave like the real
-// pvcsim/internal packages).
-func recorderPackage(t types.Type) string {
+// pvcsim/internal package).
+func isObsRecorder(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
-		return ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Name() != "Recorder" || obj.Pkg() == nil {
-		return ""
+	if obj.Name() != "Recorder" || obj.Pkg() == nil || obj.Pkg().Name() != "obs" {
+		return false
 	}
-	name := obj.Pkg().Name()
-	if name != "obs" && name != "prof" {
-		return ""
-	}
-	if _, isIface := named.Underlying().(*types.Interface); !isIface {
-		return ""
-	}
-	return name
+	_, isIface := named.Underlying().(*types.Interface)
+	return isIface
 }
 
 // nilGuarded reports whether a call on recv at the innermost position

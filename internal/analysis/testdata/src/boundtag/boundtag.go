@@ -4,8 +4,9 @@
 // switch over the fixed tags must be exhaustive or carry a default.
 package boundfixture
 
-// Sample mimics prof.Sample's shape: the analyzer keys on the
-// parameter name "bound" in the callee's signature.
+// Sample stands in for any bound-tagged call (fabric.StartBound and the
+// like): the analyzer keys on the parameter name "bound" in the callee's
+// signature.
 func Sample(r any, bound string, v float64) {}
 
 // Span mimics obs.Span's tagged field.

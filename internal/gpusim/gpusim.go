@@ -31,7 +31,6 @@ type Machine struct {
 	poolBidir *fabric.Constraint
 	peerLinks map[stackPair]*fabric.Link
 	queues    map[topology.StackID]*sim.Resource
-	rec       *Recorder
 	sink      obs.Recorder // the recorder handed to Observe
 
 	// prefix namespaces constraint/queue names and gpuBase offsets the
@@ -192,26 +191,27 @@ func (s *Stack) LaunchKernel(p *sim.Proc, kp perfmodel.Profile) {
 	q := s.queue()
 	q.Acquire(p)
 	start := p.Now()
-	pk := s.m.Model.Price(kp)
+	t := s.m.Model.SubdeviceTime(kp)
 	bound := ""
-	if r := s.m.sink; r != nil {
-		bound = pk.Bound
-		// Price records nothing; emit the counter sequence the model's
-		// recording path produces when it times, then attributes, a
-		// launch.
-		if pk.Throttled {
-			r.Add("power.throttle_events", 1)
-		}
-		r.Add("model.flops", kp.Flops)
-		r.Add("model.mem_bytes", float64(kp.MemBytes))
-		if pk.Throttled {
-			r.Add("power.throttled_s", float64(pk.Time))
-			r.Add("power.throttle_events", 1) // the attribution pass re-reads the governed clock
-		}
+	if s.m.sink != nil {
+		bound = s.m.Model.Attribution(kp)
 	}
-	p.Hold(pk.Time)
+	p.Hold(t)
 	s.m.record(kp.Name, "kernel", s.ID, start, p.Now(), kp.MemBytes, kp.Flops, bound)
 	q.Release()
+}
+
+// record emits one device operation as an obs span on the attached
+// recorder; bound is the operation's binding-resource tag (prof
+// taxonomy).
+func (m *Machine) record(name, kind string, st topology.StackID, start, end units.Seconds, bytes units.Bytes, flops float64, bound string) {
+	if m.sink != nil {
+		m.sink.Span(obs.Span{
+			Name: name, Cat: kind, GPU: m.gpuBase + st.GPU, Stack: st.Stack,
+			Start: start, End: end, Bytes: bytes, Flops: flops,
+			Bound: bound,
+		})
+	}
 }
 
 // Hold blocks the process for a fixed duration on this stack (CPU-side or

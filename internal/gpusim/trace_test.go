@@ -1,21 +1,35 @@
 package gpusim
 
 import (
+	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
+	"pvcsim/internal/chrometrace"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 )
 
+// deviceSpans returns the spans tied to a subdevice, dropping the
+// fabric flows the network records alongside them.
+func deviceSpans(tr *obs.Trace) []obs.Span {
+	var out []obs.Span
+	for _, s := range tr.Spans() {
+		if s.GPU >= 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestRecorderCapturesTimeline(t *testing.T) {
 	m := MustNew(topology.NewAurora())
-	rec := NewRecorder()
-	m.SetRecorder(rec)
-	if m.Recorder() != rec {
+	tr := obs.NewTrace()
+	m.Observe(tr)
+	if m.Observer() != tr {
 		t.Fatal("recorder accessor")
 	}
 	st, _ := m.Stack(topology.StackID{})
@@ -28,31 +42,27 @@ func TestRecorderCapturesTimeline(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	evs := rec.Events()
+	evs := deviceSpans(tr)
 	if len(evs) != 3 {
-		t.Fatalf("events = %d, want 3", len(evs))
+		t.Fatalf("device spans = %d, want 3", len(evs))
 	}
 	kinds := []string{"h2d", "kernel", "d2h"}
 	for i, e := range evs {
-		if e.Kind != kinds[i] {
-			t.Errorf("event %d kind = %s, want %s", i, e.Kind, kinds[i])
+		if e.Cat != kinds[i] {
+			t.Errorf("span %d cat = %s, want %s", i, e.Cat, kinds[i])
 		}
 		if e.End <= e.Start {
-			t.Errorf("event %d has non-positive duration", i)
+			t.Errorf("span %d has non-positive duration", i)
+		}
+		if e.GPU != 0 || e.Stack != 0 {
+			t.Errorf("span %d on gpu %d stack %d, want 0.0", i, e.GPU, e.Stack)
 		}
 	}
 	// Sequential ops do not overlap.
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Start < evs[i-1].End {
-			t.Errorf("event %d overlaps previous", i)
+			t.Errorf("span %d overlaps previous", i)
 		}
-	}
-	if rec.Len() != 3 {
-		t.Error("Len")
-	}
-	busy := rec.BusyTime()
-	if busy[topology.StackID{}] <= 0 {
-		t.Error("busy time missing")
 	}
 }
 
@@ -63,15 +73,16 @@ func TestRecorderDisabledByDefault(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Recorder() != nil {
+	if m.Observer() != nil {
 		t.Error("recorder should default to nil")
 	}
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	m := MustNew(topology.NewDawn())
-	rec := NewRecorder()
-	m.SetRecorder(rec)
+	col := obs.NewCollector()
+	k := obs.Key{Workload: "fma", System: "dawn"}
+	m.Observe(col.Cell(k))
 	for _, st := range m.Stacks()[:4] {
 		s := st
 		m.Go("k", func(p *sim.Proc) {
@@ -81,23 +92,31 @@ func TestChromeTraceExport(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := rec.WriteChromeTrace(&b); err != nil {
+	col.Finish(k, 0, nil)
+	var b bytes.Buffer
+	if err := col.Report().WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
-	var parsed []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &parsed); err != nil {
+	var parsed struct {
+		TraceEvents []chrometrace.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &parsed); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(parsed) != 4 {
-		t.Fatalf("trace events = %d", len(parsed))
+	// One process_name, one thread_name per stack, one kernel per stack.
+	var meta, kernels int
+	for _, e := range parsed.TraceEvents {
+		switch e.Ph {
+		case "M":
+			meta++
+		case "X":
+			kernels++
+			if e.Name != "fma" || e.Cat != "kernel" || e.Dur == nil || *e.Dur <= 0 {
+				t.Errorf("trace format: %+v", e)
+			}
+		}
 	}
-	if parsed[0]["ph"] != "X" || parsed[0]["name"] != "fma" {
-		t.Errorf("trace format: %v", parsed[0])
-	}
-	// Summary renders one line per active stack.
-	sum := rec.Summary(1)
-	if strings.Count(sum, "busy") != 4 {
-		t.Errorf("summary:\n%s", sum)
+	if meta != 5 || kernels != 4 {
+		t.Fatalf("metadata events = %d, kernels = %d; want 5 and 4", meta, kernels)
 	}
 }

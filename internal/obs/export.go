@@ -6,6 +6,8 @@ import (
 	"io"
 	"text/tabwriter"
 	"time"
+
+	"pvcsim/internal/chrometrace"
 )
 
 // CellReport is one cell's aggregated metrics. Wall is the measured
@@ -25,6 +27,9 @@ type CellReport struct {
 	Wall  time.Duration `json:"-"`
 	spans []Span
 }
+
+// key returns the cell's Collector key.
+func (c CellReport) key() Key { return Key{Workload: c.Workload, System: c.System, Params: c.Params} }
 
 // Spans returns the cell's spans in canonical order.
 func (c CellReport) Spans() []Span { return c.spans }
@@ -52,20 +57,6 @@ func (r *RunReport) WriteMetrics(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
-// (loadable in about:tracing and Perfetto). Timestamps and durations
-// are in microseconds.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // tid maps a span's device coordinates onto a Chrome thread id: one
 // track per subdevice, plus track 0 for spans not tied to a device
 // (fabric flows, host-side phases).
@@ -89,24 +80,14 @@ func tidName(s Span) string {
 // microseconds. Deterministic: cells, spans, and metadata are all in
 // canonical order.
 func (r *RunReport) WriteChromeTrace(w io.Writer) error {
-	var events []chromeEvent
+	var events []chrometrace.Event
 	for pid, c := range r.Cells {
-		name := c.Workload + " @ " + c.System
-		if c.Params != "" {
-			name += " [" + c.Params + "]"
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": name},
-		})
+		events = append(events, chrometrace.ProcessName(pid, c.key().String()))
 		seen := map[int]bool{}
 		for _, s := range c.spans {
 			if t := tid(s); !seen[t] {
 				seen[t] = true
-				events = append(events, chromeEvent{
-					Name: "thread_name", Ph: "M", PID: pid, TID: t,
-					Args: map[string]any{"name": tidName(s)},
-				})
+				events = append(events, chrometrace.ThreadName(pid, t, tidName(s)))
 			}
 		}
 		for _, s := range c.spans {
@@ -124,19 +105,14 @@ func (r *RunReport) WriteChromeTrace(w io.Writer) error {
 			if len(args) == 0 {
 				args = nil
 			}
-			events = append(events, chromeEvent{
+			events = append(events, chrometrace.Event{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
 				TS: float64(s.Start) * 1e6, Dur: &dur,
 				PID: pid, TID: tid(s), Args: args,
 			})
 		}
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return chrometrace.Write(w, events)
 }
 
 // Summary writes the human-facing run table: one line per cell with its
@@ -147,16 +123,12 @@ func (r *RunReport) Summary(w io.Writer) error {
 	fmt.Fprintln(tw, "CELL\tEVENTS\tSIM END\tWALL")
 	var wall time.Duration
 	for _, c := range r.Cells {
-		name := c.Workload + " @ " + c.System
-		if c.Params != "" {
-			name += " [" + c.Params + "]"
-		}
 		status := ""
 		if c.Error != "" {
 			status = "  ERROR: " + c.Error
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.6gs\t%s%s\n",
-			name, c.Events, c.SimEnd, c.Wall.Round(time.Microsecond), status)
+			c.key(), c.Events, c.SimEnd, c.Wall.Round(time.Microsecond), status)
 		wall += c.Wall
 	}
 	fmt.Fprintf(tw, "total\t\t\t%s\n", wall.Round(time.Microsecond))

@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 
 	"pvcsim/internal/units"
@@ -162,10 +161,11 @@ type Key struct {
 	Params   string
 }
 
-// String renders "workload @ system".
+// String renders "workload @ system", followed by " [params]" when
+// the cell has params. Every export names cells this way.
 func (k Key) String() string {
 	if k.Params == "" {
-		return fmt.Sprintf("%s @ %s", k.Workload, k.System)
+		return k.Workload + " @ " + k.System
 	}
-	return fmt.Sprintf("%s @ %s [%s]", k.Workload, k.System, k.Params)
+	return k.Workload + " @ " + k.System + " [" + k.Params + "]"
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pvcsim/internal/chrometrace"
 	"pvcsim/internal/units"
 )
 
@@ -147,15 +148,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tf struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			TS   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			PID  int            `json:"pid"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
+		TraceEvents []chrometrace.Event `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
@@ -173,12 +166,12 @@ func TestWriteChromeTrace(t *testing.T) {
 		case e.Ph != "X":
 		case e.Name == "kern":
 			sawKern = true
-			if e.TID != 1+1*100+0 || e.Dur != 1 || e.Args["flops"].(float64) != 64 {
+			if e.TID != 1+1*100+0 || *e.Dur != 1 || e.Args["flops"].(float64) != 64 {
 				t.Fatalf("kern event wrong: %+v", e)
 			}
 		case e.Name == "flow":
 			sawFlow = true
-			if e.TID != 0 || e.Dur != 2 || e.Args["bytes"].(float64) != 32 {
+			if e.TID != 0 || *e.Dur != 2 || e.Args["bytes"].(float64) != 32 {
 				t.Fatalf("flow event wrong: %+v", e)
 			}
 		}

@@ -252,9 +252,8 @@ type Model struct {
 	Cal  *Calibration
 	Var  Variant
 
-	obs  obs.Recorder
-	prof prof.Recorder
-	mem  *mem.Hierarchy
+	obs obs.Recorder
+	mem *mem.Hierarchy
 }
 
 // Observe attaches a recorder to the model and its governor. Timed
@@ -264,11 +263,6 @@ func (m *Model) Observe(r obs.Recorder) {
 	m.obs = r
 	m.Gov.Observe(r)
 }
-
-// SetProfiler attaches a bound-attribution recorder: every priced
-// launch then samples its Attribution for the span's full duration.
-// Like Observe, nil detaches and keeps the hot path free.
-func (m *Model) SetProfiler(r prof.Recorder) { m.prof = r }
 
 // New builds a model for the node with the default calibration.
 func New(node *topology.NodeSpec) *Model {
@@ -354,24 +348,6 @@ func (m *Model) timing(p Profile) (tComp, tMem, launch units.Seconds) {
 	} else {
 		computeRate = m.VectorRate(p.Kind, p.Precision)
 	}
-	return m.timingWith(p, computeRate)
-}
-
-// quietTiming is timing through the governor's side-effect-free peaks:
-// same numbers, no throttle-event emission.
-func (m *Model) quietTiming(p Profile) (tComp, tMem, launch units.Seconds) {
-	engine := p.Engine
-	if engine != hw.MatrixEngine {
-		engine = hw.VectorEngine
-	}
-	computeRate := units.Rate(float64(m.Gov.SustainedPeakQuiet(engine, p.Precision)) *
-		m.Cal.Efficiency(m.Var, p.Kind, p.Precision))
-	return m.timingWith(p, computeRate)
-}
-
-// timingWith is the shared roofline arithmetic under a given compute
-// rate.
-func (m *Model) timingWith(p Profile, computeRate units.Rate) (tComp, tMem, launch units.Seconds) {
 	if p.Flops > 0 {
 		tComp = units.TimeToCompute(p.Flops, computeRate)
 	}
@@ -401,39 +377,7 @@ func (m *Model) SubdeviceTime(p Profile) units.Seconds {
 			m.obs.Add("power.throttled_s", float64(t+launch))
 		}
 	}
-	if m.prof != nil {
-		m.prof.Sample(m.Attribution(p), float64(t+launch))
-	}
 	return t + launch
-}
-
-// Priced is the outcome of pricing one kernel launch on a subdevice:
-// the modeled duration, the binding-resource attribution, and whether
-// the TDP governor pinned the clock below MaxClock for the launch's
-// pipeline. It carries everything the launch path needs to emit the
-// observability record itself.
-type Priced struct {
-	Time      units.Seconds // roofline max + launch overhead
-	Bound     string        // prof-taxonomy attribution tag
-	Throttled bool          // governed clock below MaxClock
-}
-
-// Price evaluates the profile like SubdeviceTime and Attribution
-// combined, but records nothing: no counters, no throttle events, no
-// profiler samples. It is the pricing path of gpusim.LaunchKernel,
-// which emits the equivalent counters itself once it knows the launch
-// is observed.
-func (m *Model) Price(p Profile) Priced {
-	tComp, tMem, launch := m.quietTiming(p)
-	t := tComp
-	if tMem > t {
-		t = tMem
-	}
-	return Priced{
-		Time:      t + launch,
-		Bound:     m.attributionFor(p, tComp, tMem),
-		Throttled: m.Gov.Throttled(p.Engine, p.Precision),
-	}
 }
 
 // Bound reports whether the profile is compute- or memory-bound on this
@@ -463,12 +407,6 @@ func (m *Model) Bound(p Profile) string {
 //   - Memory-bound otherwise: device-memory bandwidth ("hbm").
 func (m *Model) Attribution(p Profile) string {
 	tComp, tMem, _ := m.timing(p)
-	return m.attributionFor(p, tComp, tMem)
-}
-
-// attributionFor is the shared classification under precomputed
-// roofline terms.
-func (m *Model) attributionFor(p Profile, tComp, tMem units.Seconds) string {
 	switch {
 	case tComp <= 0 && tMem <= 0:
 		return prof.BoundLaunch

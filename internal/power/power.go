@@ -117,15 +117,6 @@ func (g *Governor) SustainedPeak(class hw.EngineClass, prec hw.Precision) units.
 	return g.dev.Sub.PeakRate(class, prec, g.ClockFor(class, prec))
 }
 
-// SustainedPeakQuiet is SustainedPeak without the throttle-event
-// emission — the side-effect-free path gpusim.LaunchKernel prices
-// kernels through (the launch path emits the equivalent counters
-// itself).
-func (g *Governor) SustainedPeakQuiet(class hw.EngineClass, prec hw.Precision) units.Rate {
-	f, _ := g.governedClock(hw.ClassOf(class, prec))
-	return g.dev.Sub.PeakRate(class, prec, f)
-}
-
 // BestSustainedPeak returns the higher of the vector and matrix sustained
 // peaks for the precision, together with the winning pipeline — the rate a
 // well-tuned GEMM targets.

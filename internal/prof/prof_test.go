@@ -35,27 +35,6 @@ func TestBoundTags(t *testing.T) {
 	}
 }
 
-func TestSampleNilTolerant(t *testing.T) {
-	Sample(nil, BoundHBM, 1) // must not panic
-}
-
-func TestTally(t *testing.T) {
-	tl := NewTally()
-	Sample(tl, BoundHBM, 3)
-	tl.Sample(BoundHBM, 1)
-	tl.Sample(BoundPCIe, 4)
-	if got := tl.Total(); got != 8 {
-		t.Fatalf("Total = %v, want 8", got)
-	}
-	shares := tl.Shares()
-	if len(shares) != 2 || shares[0].Bound != BoundHBM || shares[1].Bound != BoundPCIe {
-		t.Fatalf("Shares = %+v", shares)
-	}
-	if shares[0].Fraction != 0.5 || shares[1].Fraction != 0.5 {
-		t.Fatalf("fractions = %v, %v, want 0.5 each", shares[0].Fraction, shares[1].Fraction)
-	}
-}
-
 // report builds an obs.RunReport from recorded spans, the way the
 // runner's collector would.
 func report(t *testing.T, cells map[obs.Key][]obs.Span) *obs.RunReport {

@@ -18,11 +18,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"pvcsim/internal/chrometrace"
 )
 
 // ctxKey is the private context key carrying the request's trace.
@@ -309,19 +310,6 @@ func (h *RunHooks) CellFinish(system, workload string, wall time.Duration, cache
 // visible as the run span's finish error path; no extra span needed.
 func (h *RunHooks) CellPanic(system, workload string, err error) {}
 
-// chromeEvent mirrors the trace-event JSON entries the obs and
-// wallprof exports use; timestamps and durations are wall-clock
-// microseconds here.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace renders the retained traces as Chrome trace-event
 // JSON — the third track next to the simulated-time (obs) and
 // wall-time (wallprof) traces; load all three in one Perfetto
@@ -343,26 +331,20 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
-	events := []chromeEvent{{
-		Name: "process_name", Ph: "M", PID: 0, TID: 0,
-		Args: map[string]any{"name": "requests"},
-	}}
+	events := []chrometrace.Event{chrometrace.ProcessName(0, "requests")}
 	for tid, tr := range traces {
 		tr.mu.Lock()
 		end := tr.end
 		if end == 0 {
 			end = tr.clock()
 		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: tid,
-			Args: map[string]any{"name": tr.id + " " + tr.name},
-		})
+		events = append(events, chrometrace.ThreadName(0, tid, tr.id+" "+tr.name))
 		total := float64(end-tr.start) / 1e3
 		args := map[string]any{"trace_id": tr.id}
 		if tr.outcome != "" {
 			args["outcome"] = tr.outcome
 		}
-		events = append(events, chromeEvent{
+		events = append(events, chrometrace.Event{
 			Name: tr.name, Ph: "X", TS: us(tr.start), Dur: &total, PID: 0, TID: tid, Args: args,
 		})
 		for _, s := range tr.spans {
@@ -371,16 +353,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			if s.Detail != "" {
 				sargs = map[string]any{"detail": s.Detail}
 			}
-			events = append(events, chromeEvent{
+			events = append(events, chrometrace.Event{
 				Name: s.Name, Ph: "X", TS: us(s.Start), Dur: &dur, PID: 0, TID: tid, Args: sargs,
 			})
 		}
 		tr.mu.Unlock()
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return chrometrace.Write(w, events)
 }

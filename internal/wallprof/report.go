@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+
+	"pvcsim/internal/chrometrace"
+	"pvcsim/internal/obs"
 )
 
 // WallSchemaVersion is the wall-report schema. The field name is
@@ -49,12 +52,9 @@ type CellReport struct {
 	Lanes []LaneReport `json:"lanes"`
 }
 
-// Name renders "workload @ system [params]", matching obs.Key.
+// Name renders the cell the way every export does (obs.Key.String).
 func (c *CellReport) Name() string {
-	if c.Params == "" {
-		return c.Workload + " @ " + c.System
-	}
-	return c.Workload + " @ " + c.System + " [" + c.Params + "]"
+	return obs.Key{Workload: c.Workload, System: c.System, Params: c.Params}.String()
 }
 
 // Report is the machine-readable wall-clock profile of one run. Unlike
@@ -192,18 +192,6 @@ func (r *Report) WriteFlame(w io.Writer) error {
 	return emit("export", r.ExportMS)
 }
 
-// chromeEvent mirrors the trace-event JSON entry obs exports use;
-// timestamps and durations are wall-clock microseconds here.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace writes the wall-time timelines as Chrome trace-event
 // JSON — the second track next to the simulated-time trace (load both
 // files in the same Perfetto session). One "process" per cell, with an
@@ -235,10 +223,10 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		cp.mu.Unlock()
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
-	var events []chromeEvent
+	var events []chrometrace.Event
 	x := func(name string, pid, tid int, s span, args map[string]any) {
 		dur := float64(s.end-s.start) / 1e3
-		events = append(events, chromeEvent{
+		events = append(events, chrometrace.Event{
 			Name: name, Ph: "X", TS: us(s.start), Dur: &dur, PID: pid, TID: tid, Args: args,
 		})
 	}
@@ -246,18 +234,9 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	for pid, cp := range cells {
 		cp.mu.Lock()
 		events = append(events,
-			chromeEvent{
-				Name: "process_name", Ph: "M", PID: pid, TID: 0,
-				Args: map[string]any{"name": "wall: " + cp.key.String()},
-			},
-			chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: engineTID,
-				Args: map[string]any{"name": "engine"},
-			},
-			chromeEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: phaseTID,
-				Args: map[string]any{"name": "runner phases"},
-			})
+			chrometrace.ProcessName(pid, "wall: "+cp.key.String()),
+			chrometrace.ThreadName(pid, engineTID, "engine"),
+			chrometrace.ThreadName(pid, phaseTID, "runner phases"))
 		for _, ph := range cp.phases {
 			x(ph.name, pid, phaseTID, span{start: ph.start, end: ph.end}, nil)
 		}
@@ -268,12 +247,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 		cp.mu.Unlock()
 	}
-	type traceFile struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(traceFile{TraceEvents: events})
+	return chrometrace.Write(w, events)
 }
 
 // Totals aggregates the report into the plain numbers the telemetry

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pvcsim/internal/chrometrace"
 	"pvcsim/internal/obs"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/units"
@@ -164,11 +165,7 @@ func TestChromeTraceTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tf struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-		} `json:"traceEvents"`
+		TraceEvents []chrometrace.Event `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
 		t.Fatal(err)
