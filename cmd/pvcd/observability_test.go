@@ -156,6 +156,44 @@ func TestSpecCacheKeyNormalizesEquivalentSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecCacheKeyIgnoresSystemSpelling: resolveCells parses systems
+// case-insensitively and accepts aliases, so every spelling of one
+// selection must share one completed-run cache key. Duplicates stay
+// significant: they add cells and change the run's status.
+func TestSpecCacheKeyIgnoresSystemSpelling(t *testing.T) {
+	for _, pair := range [][2][]string{
+		{{"aurora"}, {"Aurora"}},
+		{{"h100"}, {"jlse-h100"}},
+		{{"DAWN", "aurora"}, {"Aurora", "dawn"}},
+	} {
+		a := specCacheKey(runSpec{Workload: "triad", Systems: pair[0]})
+		b := specCacheKey(runSpec{Workload: "triad", Systems: pair[1]})
+		if a != b {
+			t.Errorf("%v and %v key differently:\n %q\n %q", pair[0], pair[1], a, b)
+		}
+	}
+	if specCacheKey(runSpec{Systems: []string{"aurora"}}) == specCacheKey(runSpec{Systems: []string{"aurora", "Aurora"}}) {
+		t.Error("a duplicated system must not share the single-system key")
+	}
+
+	s, ts := testServer(t, 1)
+	_, first := postJSON(t, ts, `{"workload":"p2p","systems":["aurora"],"wait":true}`)
+	_, second := postJSON(t, ts, `{"workload":"p2p","systems":["Aurora"],"wait":true}`)
+	var st1, st2 statusJSON
+	if err := json.Unmarshal(first, &st1); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(second, &st2); err != nil {
+		t.Fatal(err)
+	}
+	if !st2.Cached || st2.ID != st1.ID {
+		t.Fatalf("respelled repeat = %+v, want cache hit on run %s", st2, st1.ID)
+	}
+	if got := s.tele.RunCacheHits.Value(); got != 1 {
+		t.Fatalf("pvcd_run_cache_hits_total = %g, want 1", got)
+	}
+}
+
 func TestHistoryJournalRecordsRunsAndSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	j, err := history.Open(path)

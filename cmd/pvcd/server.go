@@ -145,7 +145,8 @@ func (b *broadcaster) wait(ctx context.Context, from int, timeout time.Duration)
 }
 
 // sseHooks feeds runner lifecycle events into a run's broadcaster. It
-// satisfies runner.Hooks structurally.
+// satisfies runner.Hooks structurally. A memo-served cell is announced
+// as a cache-hit event followed by its finish.
 type sseHooks struct{ b *broadcaster }
 
 func (h sseHooks) CellQueued(sys, name string) {
@@ -155,15 +156,15 @@ func (h sseHooks) CellStart(sys, name string) {
 	h.b.publish(event{Phase: "start", Workload: name, System: sys})
 }
 func (h sseHooks) CellFinish(sys, name string, wall time.Duration, cached bool, err error) {
+	if cached {
+		h.b.publish(event{Phase: "cache-hit", Workload: name, System: sys})
+	}
 	e := event{Phase: "finish", Workload: name, System: sys,
 		Cached: cached, WallMS: float64(wall) / float64(time.Millisecond)}
 	if err != nil {
 		e.Error = err.Error()
 	}
 	h.b.publish(e)
-}
-func (h sseHooks) CellCacheHit(sys, name string) {
-	h.b.publish(event{Phase: "cache-hit", Workload: name, System: sys})
 }
 func (h sseHooks) CellPanic(sys, name string, err error) {
 	h.b.publish(event{Phase: "panic", Workload: name, System: sys, Error: err.Error()})
@@ -448,15 +449,23 @@ func (s *server) resolveCells(spec runSpec) ([]runner.Cell, error) {
 // across any -jobs setting (the determinism tests prove it), so two
 // specs differing only there produce byte-identical outputs. Workload
 // "" and "all" are the same selection (resolveCells treats them
-// identically), and system order never reaches the exported bytes
-// (the artifacts zip is path-sorted, the obs report cell-sorted), so
-// both normalize to one key.
+// identically), system order never reaches the exported bytes (the
+// artifacts zip is path-sorted, the obs report cell-sorted), and
+// systems key by the name topology.ParseSystem resolves them to, so
+// case and aliases do not matter; all normalize to one key. Duplicates
+// are kept: they add cells and change the run's status.
 func specCacheKey(spec runSpec) string {
 	w := spec.Workload
 	if w == "" {
 		w = "all"
 	}
-	systems := append([]string(nil), spec.Systems...)
+	systems := make([]string, len(spec.Systems))
+	for i, name := range spec.Systems {
+		systems[i] = name
+		if sys, err := topology.ParseSystem(name); err == nil {
+			systems[i] = sys.String()
+		}
+	}
 	sort.Strings(systems)
 	return fmt.Sprintf("w=%s|s=%s|a=%t",
 		w, strings.Join(systems, ","), spec.Artifacts)
@@ -602,7 +611,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 	col := obs.NewCollector()
 	r.Observe(col)
 	// Wall-clock self-profiling and request tracing ride along on every
-	// run: wallprof totals feed the engine-health metrics scraped at
+	// run: the wallprof report feeds the engine-health metrics scraped at
 	// /metrics, and the run's trace records queue-wait / run /
 	// cache-lookup spans per cell. Pure side channels — the simulated
 	// artifacts below are unaffected.
@@ -632,15 +641,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 
 	wallRep := wall.Report()
 	refineTraceSpans(rn.trace, wallRep)
-	wt := wallRep.Totals()
-	s.tele.ObserveEngine(telemetry.EngineRunStats{
-		BusySeconds:      wt.BusySeconds,
-		LaneUtilization:  wt.LaneUtilization,
-		BuildSeconds:     wt.BuildSeconds,
-		SimulateSeconds:  wt.SimulateSeconds,
-		CacheWaitSeconds: wt.CacheWaitSeconds,
-		ExportSeconds:    wt.ExportSeconds,
-	})
+	s.observeWall(wallRep)
 
 	rn.mu.Lock()
 	rn.status = "done"
@@ -688,7 +689,7 @@ func (s *server) execute(ctx context.Context, rn *apiRun, cells []runner.Cell) {
 		s.mu.Unlock()
 	}
 	if s.journal != nil {
-		if err := s.journal.Append(s.historyRecord(rn, results, wt)); err != nil {
+		if err := s.journal.Append(s.historyRecord(rn, results, wallRep)); err != nil {
 			s.log.ErrorContext(ctx, "history append failed", "err", err)
 		}
 	}
@@ -734,60 +735,68 @@ func refineTraceSpans(tr *reqtrace.Trace, rep *wallprof.Report) {
 	}
 }
 
+// observeWall feeds one run's wall report into the engine-health
+// metrics: engine busy time, and one runner-phase sample per cell for
+// build and simulate, per memo-served cell for cache-wait, and per run
+// for export.
+func (s *server) observeWall(rep *wallprof.Report) {
+	for i := range rep.Cells {
+		c := &rep.Cells[i]
+		s.tele.LaneBusy.Add(c.EngineRunMS / 1e3)
+		s.tele.PhaseWall.With("build").Observe(c.BuildMS / 1e3)
+		s.tele.PhaseWall.With("simulate").Observe(c.SimulateMS / 1e3)
+		if c.CacheHits > 0 {
+			s.tele.PhaseWall.With("cache-wait").Observe(c.CacheWaitMS / 1e3)
+		}
+	}
+	if rep.ExportMS > 0 {
+		s.tele.PhaseWall.With("export").Observe(rep.ExportMS / 1e3)
+	}
+}
+
 // historyRecord freezes one finished run into its journal record. Sim
-// keys use the bench format "workload:metric[/scope]@system" so
-// `pvcprof history` can diff them against BENCH_*.json baselines.
-func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wt wallprof.Totals) history.Record {
+// keys are workload.SimKey, the bench-record format, so `pvcprof
+// history` can diff them against BENCH_*.json baselines.
+func (s *server) historyRecord(rn *apiRun, results []runner.CellResult, wall *wallprof.Report) history.Record {
 	rn.mu.Lock()
 	status := rn.status
 	rn.mu.Unlock()
-	workload := rn.spec.Workload
-	if workload == "" {
-		workload = "all"
+	selection := rn.spec.Workload
+	if selection == "" {
+		selection = "all"
 	}
 	rec := history.Record{
 		ID:        rn.id,
 		TraceID:   rn.trace.ID(),
 		Start:     rn.start.UTC().Format(time.RFC3339Nano),
-		Workload:  workload,
+		Workload:  selection,
 		Systems:   rn.spec.Systems,
 		Status:    status,
 		Cells:     len(results),
 		CacheHits: rn.stats.CacheHits(),
 		Panics:    rn.stats.Panics(),
 		Wall: history.WallStats{
-			RunMS:       float64(time.Since(rn.start)) / float64(time.Millisecond),
-			ExportMS:    wt.ExportSeconds * 1e3,
-			CacheWaitMS: sumSeconds(wt.CacheWaitSeconds) * 1e3,
-			BuildMS:     sumSeconds(wt.BuildSeconds) * 1e3,
-			SimulateMS:  sumSeconds(wt.SimulateSeconds) * 1e3,
+			RunMS:    float64(time.Since(rn.start)) / float64(time.Millisecond),
+			ExportMS: wall.ExportMS,
 		},
+	}
+	for _, c := range wall.Cells {
+		rec.Wall.BuildMS += c.BuildMS
+		rec.Wall.SimulateMS += c.SimulateMS
+		rec.Wall.CacheWaitMS += c.CacheWaitMS
 	}
 	for _, res := range results {
 		if res.Err != nil {
 			continue
 		}
 		for _, v := range res.Result.Values {
-			key := res.Name + ":" + v.Metric
-			if v.Scope != "" {
-				key += "/" + v.Scope
-			}
 			if rec.Sim == nil {
 				rec.Sim = map[string]float64{}
 			}
-			rec.Sim[key+"@"+res.System.String()] = v.Value
+			rec.Sim[workload.SimKey(res.Name, res.System, v)] = v.Value
 		}
 	}
 	return rec
-}
-
-// sumSeconds folds per-cell second samples into one total.
-func sumSeconds(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // get looks a run up by the request's {id}.

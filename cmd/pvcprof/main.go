@@ -54,6 +54,7 @@ import (
 	"pvcsim/internal/sweep"
 	"pvcsim/internal/telemetry"
 	"pvcsim/internal/wallprof"
+	"pvcsim/internal/workload"
 )
 
 func main() {
@@ -354,21 +355,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	results := r.Run(context.Background(), cells)
 	wall := time.Since(begin)
 
-	tot := wc.Report().Totals()
-	meanUtil := 0.0
-	for _, u := range tot.LaneUtilization {
-		meanUtil += u
-	}
-	if n := len(tot.LaneUtilization); n > 0 {
-		meanUtil /= float64(n)
-	}
-	buildMS, simMS := 0.0, 0.0
-	for _, s := range tot.BuildSeconds {
-		buildMS += s * 1e3
-	}
-	for _, s := range tot.SimulateSeconds {
-		simMS += s * 1e3
-	}
 	rec := prof.Record{
 		Schema:    prof.BenchSchemaVersion,
 		Date:      *date,
@@ -376,14 +362,15 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		GoVersion: runtime.Version(),
 		Sim:       map[string]float64{},
 		Wall: prof.WallStats{
-			RunMS:        float64(wall) / float64(time.Millisecond),
-			Jobs:         *jobs,
-			Cells:        len(cells),
-			BuildMS:      buildMS,
-			SimulateMS:   simMS,
-			LaneBusyMS:   tot.BusySeconds * 1e3,
-			MeanLaneUtil: meanUtil,
+			RunMS: float64(wall) / float64(time.Millisecond),
+			Jobs:  *jobs,
+			Cells: len(cells),
 		},
+	}
+	for _, c := range wc.Report().Cells {
+		rec.Wall.BuildMS += c.BuildMS
+		rec.Wall.SimulateMS += c.SimulateMS
+		rec.Wall.LaneBusyMS += c.EngineRunMS
 	}
 	for _, res := range results {
 		if res.Err != nil {
@@ -391,11 +378,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		for _, v := range res.Result.Values {
-			key := res.Name + ":" + v.Metric
-			if v.Scope != "" {
-				key += "/" + v.Scope
-			}
-			rec.Sim[key+"@"+res.System.String()] = v.Value
+			rec.Sim[workload.SimKey(res.Name, res.System, v)] = v.Value
 		}
 	}
 

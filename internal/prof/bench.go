@@ -22,19 +22,18 @@ type WallStats struct {
 	// reports the asymmetry instead of comparing). Engine fields stay
 	// zero when the bench set's workloads are analytic (no event-engine
 	// simulation); that zero is a measurement, not an absence. Older
-	// records may also carry lane_jobs and the event-lane engine's
-	// stall, barrier, round and mailbox totals; they load and are
-	// ignored.
-	BuildMS      float64 `json:"build_ms,omitempty"`       // Σ machine-construction wall time
-	SimulateMS   float64 `json:"simulate_ms,omitempty"`    // Σ workload-execution wall time
-	LaneBusyMS   float64 `json:"lane_busy_ms,omitempty"`   // Σ engine busy wall time
-	MeanLaneUtil float64 `json:"mean_lane_util,omitempty"` // mean engine busy fraction
+	// records may also carry lane_jobs, mean_lane_util and the
+	// event-lane engine's stall, barrier, round and mailbox totals; they
+	// load and are ignored.
+	BuildMS    float64 `json:"build_ms,omitempty"`     // Σ machine-construction wall time
+	SimulateMS float64 `json:"simulate_ms,omitempty"`  // Σ workload-execution wall time
+	LaneBusyMS float64 `json:"lane_busy_ms,omitempty"` // Σ engine busy wall time
 }
 
 // HasSelfProfile reports whether the record carries wallprof totals
 // (records predating the self-profiling layer do not).
 func (w WallStats) HasSelfProfile() bool {
-	return w.BuildMS != 0 || w.SimulateMS != 0 || w.LaneBusyMS != 0 || w.MeanLaneUtil != 0
+	return w.BuildMS != 0 || w.SimulateMS != 0 || w.LaneBusyMS != 0
 }
 
 // BenchSchemaVersion stamps records `pvcprof bench` writes. It is

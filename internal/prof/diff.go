@@ -129,7 +129,6 @@ func flattenBench(r Record) *Metrics {
 		m.Wall["wall.build_ms"] = r.Wall.BuildMS
 		m.Wall["wall.simulate_ms"] = r.Wall.SimulateMS
 		m.Wall["wall.lane_busy_ms"] = r.Wall.LaneBusyMS
-		m.Wall["wall.mean_lane_util"] = r.Wall.MeanLaneUtil
 	}
 	return m
 }

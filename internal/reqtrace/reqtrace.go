@@ -239,7 +239,6 @@ type RunHooks struct {
 	mu       sync.Mutex
 	queuedAt map[string]int64
 	startAt  map[string]int64
-	cached   map[string]bool
 }
 
 // RunHooks returns a lifecycle-hook consumer recording cell spans into
@@ -249,7 +248,6 @@ func (tr *Trace) RunHooks() *RunHooks {
 		tr:       tr,
 		queuedAt: map[string]int64{},
 		startAt:  map[string]int64{},
-		cached:   map[string]bool{},
 	}
 }
 
@@ -279,13 +277,6 @@ func (h *RunHooks) CellStart(system, workload string) {
 	}
 }
 
-// CellCacheHit implements the runner's Hooks interface.
-func (h *RunHooks) CellCacheHit(system, workload string) {
-	h.mu.Lock()
-	h.cached[cellKey(system, workload)] = true
-	h.mu.Unlock()
-}
-
 // CellFinish implements the runner's Hooks interface.
 func (h *RunHooks) CellFinish(system, workload string, wall time.Duration, cached bool, err error) {
 	now := h.tr.Now()
@@ -293,14 +284,12 @@ func (h *RunHooks) CellFinish(system, workload string, wall time.Duration, cache
 	h.mu.Lock()
 	start, ok := h.startAt[k]
 	delete(h.startAt, k)
-	memo := cached || h.cached[k]
-	delete(h.cached, k)
 	h.mu.Unlock()
 	if !ok {
 		return
 	}
 	name := "run"
-	if memo {
+	if cached {
 		name = "cache-lookup"
 	}
 	h.tr.AddSpanAt(name, k, start, now)

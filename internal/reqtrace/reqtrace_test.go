@@ -70,7 +70,6 @@ func TestRunHooksRecordSpans(t *testing.T) {
 	h.CellQueued("dawn", "triad")
 	c.advance(500)
 	h.CellStart("dawn", "triad")
-	h.CellCacheHit("dawn", "triad")
 	c.advance(100)
 	h.CellFinish("dawn", "triad", 0, true, nil)
 

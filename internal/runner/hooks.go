@@ -7,9 +7,9 @@ import (
 
 // Hooks receives wall-clock lifecycle callbacks from the runner: cells
 // entering the pool, starting on a worker, finishing (with their memo
-// disposition), being served from the memo cache, and recovering from a
-// panic. It exists so services and CLIs can observe saturation, cache
-// effectiveness, and failures live, without touching the simulation: a
+// disposition: served from the memo cache or computed), and recovering
+// from a panic. It exists so services and CLIs can observe saturation,
+// cache effectiveness, and failures live, without touching the simulation: a
 // hook sees only wall-clock facts and identity strings, never simulated
 // quantities, so attaching or detaching hooks cannot change any
 // simulated output (enforced by TestHooksAreSideChannel in
@@ -28,12 +28,9 @@ type Hooks interface {
 	CellStart(system, workload string)
 	// CellFinish fires when the cell's result is final. wall is the
 	// compute duration (for cached cells, the original computation's),
-	// cached reports whether the memo served it, and err carries the
-	// failure, if any.
+	// cached reports whether the memo cache served the cell instead of
+	// computing it, and err carries the failure, if any.
 	CellFinish(system, workload string, wall time.Duration, cached bool, err error)
-	// CellCacheHit fires, in addition to CellFinish, when the memo
-	// cache served the cell instead of computing it.
-	CellCacheHit(system, workload string)
 	// CellPanic fires when a panicking workload was recovered into a
 	// *PanicError; CellFinish follows with that error.
 	CellPanic(system, workload string, err error)
@@ -69,12 +66,6 @@ func (r *Runner) hookFinish(sys, name string, wall time.Duration, cached bool, e
 	}
 }
 
-func (r *Runner) hookCacheHit(sys, name string) {
-	for _, h := range r.hooks {
-		h.CellCacheHit(sys, name)
-	}
-}
-
 func (r *Runner) hookPanic(sys, name string, err error) {
 	for _, h := range r.hooks {
 		h.CellPanic(sys, name, err)
@@ -99,10 +90,10 @@ func (s *Stats) CellStart(system, workload string) { s.started.Add(1) }
 // CellFinish implements Hooks.
 func (s *Stats) CellFinish(system, workload string, wall time.Duration, cached bool, err error) {
 	s.finished.Add(1)
+	if cached {
+		s.cacheHits.Add(1)
+	}
 }
-
-// CellCacheHit implements Hooks.
-func (s *Stats) CellCacheHit(system, workload string) { s.cacheHits.Add(1) }
 
 // CellPanic implements Hooks.
 func (s *Stats) CellPanic(system, workload string, err error) { s.panics.Add(1) }

@@ -36,7 +36,6 @@ func (h *recordingHooks) CellFinish(sys, name string, wall time.Duration, cached
 	}
 	h.add(phase, sys, name)
 }
-func (h *recordingHooks) CellCacheHit(sys, name string) { h.add("cache-hit", sys, name) }
 func (h *recordingHooks) CellPanic(sys, name string, err error) {
 	h.add("panic", sys, name)
 }
@@ -84,11 +83,8 @@ func TestHooksLifecycle(t *testing.T) {
 	if got := rec.count("finish"); got != 3 {
 		t.Errorf("finish events = %d, want 3", got)
 	}
-	if got := rec.count("cache-hit"); got != 2 {
-		t.Errorf("cache-hit events = %d, want 2 (one compute, two memo hits)", got)
-	}
 	if got := rec.count("finish-cached"); got != 2 {
-		t.Errorf("finish-cached events = %d, want 2", got)
+		t.Errorf("finish-cached events = %d, want 2 (one compute, two memo hits)", got)
 	}
 	if stats.Queued() != 3 || stats.Started() != 3 || stats.Finished() != 3 {
 		t.Errorf("stats queued/started/finished = %d/%d/%d, want 3/3/3",

@@ -172,7 +172,6 @@ func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workl
 					r.col.MemoHit()
 				}
 				out.Result, out.Err, out.Elapsed, out.Cached = e.res, e.err, e.elapsed, true
-				r.hookCacheHit(sys.String(), w.Name())
 				if cp != nil {
 					cp.AddCacheHit(waitT0)
 				}

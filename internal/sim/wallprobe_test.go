@@ -17,7 +17,7 @@ func TestWallprobeNilPathZeroAlloc(t *testing.T) {
 	if e.InstalledWallProbe() != nil {
 		t.Fatal("fresh engine has a wall probe installed")
 	}
-	fn := func() {} // captures nothing: a static func value, no per-call alloc
+	fn := func() {}   // captures nothing: a static func value, no per-call alloc
 	const events = 16 // stays under shrinkMinCap so the heap never reallocates
 	run := func() {
 		for i := 0; i < events; i++ {

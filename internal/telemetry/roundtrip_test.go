@@ -25,7 +25,8 @@ func populatedRegistry() *Registry {
 		hv.With("runs_submit", "ok").Observe(v)
 	}
 	hv.With("runs_submit", "cache-hit").Observe(0.001)
-	h := reg.Histogram("rt_lane_util", "unlabelled histogram", UtilizationBuckets)
+	h := reg.Histogram("rt_lane_util", "unlabelled histogram",
+		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
 	h.Observe(0.5)
 	// A long-lived daemon's counts pass a million: %d-rendered
 	// _bucket/_count values must survive the round trip without being

@@ -63,16 +63,11 @@ type Telemetry struct {
 	// Simulated-observability health re-exported for scraping.
 	OrphanFinishes *Gauge
 
-	// Engine health, fed per run from the wall-clock self-profiling
-	// layer (ObserveEngine): how the event engine spent host time.
-	LaneBusy        *Counter      // seconds
-	LaneUtilization *Histogram    // one sample per instrumented cell per run
-	PhaseWall       *HistogramVec // by phase: build | simulate | export
+	// Engine health, fed per run by pvcd from the wall-clock
+	// self-profiling report: how the simulator spent host time.
+	LaneBusy  *Counter      // seconds
+	PhaseWall *HistogramVec // by phase: build | simulate | export | cache-wait
 }
-
-// UtilizationBuckets are the histogram bounds for engine busy
-// fractions (0..1).
-var UtilizationBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}
 
 // New builds a Telemetry with every standard metric registered.
 func New() *Telemetry {
@@ -117,47 +112,9 @@ func New() *Telemetry {
 			"obs collector Finish calls for cells that never registered a trace (runner bookkeeping bugs)"),
 		LaneBusy: reg.Counter("pvcsim_engine_lane_busy_seconds_total",
 			"wall-clock seconds the event engine spent processing events"),
-		LaneUtilization: reg.Histogram("pvcsim_engine_lane_utilization",
-			"busy fraction of engine wall time, one sample per instrumented cell per run",
-			UtilizationBuckets),
 		PhaseWall: reg.HistogramVec("pvcsim_runner_phase_seconds",
 			"wall-clock runner phase durations, by phase (build, simulate, export, cache-wait)",
 			WallBuckets, "phase"),
-	}
-}
-
-// EngineRunStats is one run's wall-clock self-profile totals, shaped so
-// wallprof.Totals satisfies it field-for-field without telemetry
-// importing wallprof (the daemon copies the values across
-// structurally). All durations are wall-clock seconds.
-type EngineRunStats struct {
-	BusySeconds      float64
-	LaneUtilization  []float64 // one sample per instrumented cell
-	BuildSeconds     []float64 // one sample per cell
-	SimulateSeconds  []float64
-	CacheWaitSeconds []float64 // one sample per memo-served cell
-	ExportSeconds    float64
-}
-
-// ObserveEngine folds one run's engine self-profile totals into the
-// scrapeable engine-health metrics. Like every telemetry input it is a
-// pure wall-clock side channel.
-func (t *Telemetry) ObserveEngine(s EngineRunStats) {
-	t.LaneBusy.Add(s.BusySeconds)
-	for _, u := range s.LaneUtilization {
-		t.LaneUtilization.Observe(u)
-	}
-	for _, b := range s.BuildSeconds {
-		t.PhaseWall.With("build").Observe(b)
-	}
-	for _, sim := range s.SimulateSeconds {
-		t.PhaseWall.With("simulate").Observe(sim)
-	}
-	for _, cw := range s.CacheWaitSeconds {
-		t.PhaseWall.With("cache-wait").Observe(cw)
-	}
-	if s.ExportSeconds > 0 {
-		t.PhaseWall.With("export").Observe(s.ExportSeconds)
 	}
 }
 
@@ -242,15 +199,13 @@ func (h *RunnerHooks) CellFinish(system, workload string, wall time.Duration, ca
 	// finishes are cells that never reached compute (unsupported system,
 	// cancelled waiter) and would pollute the miss counter and the
 	// latency histogram's smallest bucket.
-	if !cached && wall > 0 {
+	switch {
+	case cached:
+		h.t.MemoHits.Inc()
+	case wall > 0:
 		h.t.MemoMisses.Inc()
 		h.t.CellWall.With(workload).Observe(wall.Seconds())
 	}
-}
-
-// CellCacheHit implements the runner's Hooks interface.
-func (h *RunnerHooks) CellCacheHit(system, workload string) {
-	h.t.MemoHits.Inc()
 }
 
 // CellPanic implements the runner's Hooks interface.

@@ -73,42 +73,6 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 	}
 }
 
-// TestObserveEngine folds one run's self-profile totals into the
-// engine-health metrics and checks the page still strict-parses.
-func TestObserveEngine(t *testing.T) {
-	tele := New()
-	tele.ObserveEngine(EngineRunStats{
-		BusySeconds:     0.5,
-		LaneUtilization: []float64{0.8, 0.3},
-		BuildSeconds:    []float64{0.01},
-		SimulateSeconds: []float64{0.4},
-		ExportSeconds:   0.02,
-	})
-	tele.ObserveEngine(EngineRunStats{BusySeconds: 0.25}) // runs accumulate
-	var page bytes.Buffer
-	if err := tele.WritePrometheus(&page); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseMetrics(bytes.NewReader(page.Bytes()))
-	if err != nil {
-		t.Fatalf("engine metrics page does not parse: %v\n%s", err, page.String())
-	}
-	for name, want := range map[string]float64{
-		"pvcsim_engine_lane_busy_seconds_total": 0.75,
-		"pvcsim_engine_lane_utilization_count":  2,
-	} {
-		if got, ok := fams.Value(name, nil); !ok || got != want {
-			t.Errorf("%s = %v (present=%v), want %g", name, got, ok, want)
-		}
-	}
-	for phase, want := range map[string]float64{"build": 1, "simulate": 1, "export": 1} {
-		if got, ok := fams.Value("pvcsim_runner_phase_seconds_count",
-			map[string]string{"phase": phase}); !ok || got != want {
-			t.Errorf("phase_seconds_count{%s} = %v (present=%v), want %g", phase, got, ok, want)
-		}
-	}
-}
-
 // TestOrphanGauge folds orphan counts into the gauge.
 func TestOrphanGauge(t *testing.T) {
 	tele := New()

@@ -15,7 +15,7 @@ func FuzzLoadClusterConfig(f *testing.F) {
 		`{"nodes":2,"node":{"base_system":"aurora"}}`,
 		`{"name":"big","nodes":8,"node":{"base_system":"dawn"},"network":{"injection_gbs":25,"hops":3}}`,
 		`{"nodes":1,"node":{"base_system":"aurora","gpu_count":2},"network":{"link_latency_us":0.3,"switch_latency_us":0.35}}`,
-		`{"node":{"base_system":"aurora"}}`,  // missing nodes
+		`{"node":{"base_system":"aurora"}}`, // missing nodes
 		`{"nodes":2,"node":{"base_system":"nope"}}`,
 		`{"nodes":2,"node":{"base_system":"aurora"},"typo":1}`,
 		`{"nodes":-3,"node":{"base_system":"aurora"}}`,

@@ -249,33 +249,3 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	return chrometrace.Write(w, events)
 }
-
-// Totals aggregates the report into the plain numbers the telemetry
-// layer scrapes (internal/telemetry stays import-free, so the daemon
-// copies these fields across structurally).
-type Totals struct {
-	BusySeconds      float64
-	LaneUtilization  []float64 // one sample per instrumented cell
-	BuildSeconds     []float64 // one sample per cell
-	SimulateSeconds  []float64
-	CacheWaitSeconds []float64 // one sample per memo-served cell
-	ExportSeconds    float64
-}
-
-// Totals flattens the report for per-run scraping.
-func (r *Report) Totals() Totals {
-	t := Totals{ExportSeconds: r.ExportMS / 1e3}
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		t.BuildSeconds = append(t.BuildSeconds, c.BuildMS/1e3)
-		t.SimulateSeconds = append(t.SimulateSeconds, c.SimulateMS/1e3)
-		if c.CacheHits > 0 {
-			t.CacheWaitSeconds = append(t.CacheWaitSeconds, c.CacheWaitMS/1e3)
-		}
-		for _, l := range c.Lanes {
-			t.BusySeconds += l.BusyMS / 1e3
-			t.LaneUtilization = append(t.LaneUtilization, l.Utilization)
-		}
-	}
-	return t
-}

@@ -187,18 +187,6 @@ func TestChromeTraceTimeline(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	c := wallprof.NewWithClock(tickClock())
-	rep := runProbed(t, c)
-	tot := rep.Totals()
-	if tot.BusySeconds <= 0 {
-		t.Errorf("totals = %+v, want busy time populated", tot)
-	}
-	if len(tot.LaneUtilization) != 1 {
-		t.Errorf("utilization samples = %d, want one per instrumented cell", len(tot.LaneUtilization))
-	}
-}
-
 // TestProbeIsSideChannel reruns the identical model with and without a
 // probe and requires identical simulated end times — the probe can
 // observe but never steer.

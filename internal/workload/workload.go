@@ -29,6 +29,17 @@ type Value struct {
 	X      float64 // numeric x-coordinate for series (0 when not a series)
 }
 
+// SimKey renders the key one simulated value carries in bench records
+// and the run-history journal, "workload:metric[/scope]@system", so
+// `pvcprof history` can diff journal records against BENCH_*.json.
+func SimKey(workload string, sys topology.System, v Value) string {
+	key := workload + ":" + v.Metric
+	if v.Scope != "" {
+		key += "/" + v.Scope
+	}
+	return key + "@" + sys.String()
+}
+
 // Result is the outcome of one (workload, system) cell.
 type Result struct {
 	Workload string

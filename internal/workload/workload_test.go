@@ -47,6 +47,24 @@ func TestResultLookupSelect(t *testing.T) {
 	}
 }
 
+// TestSimKeyFormat pins the key bench records and the run-history
+// journal share; committed BENCH_*.json baselines are keyed this way.
+func TestSimKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		sys      topology.System
+		v        Value
+		want     string
+	}{
+		{"cloverleaf", topology.Aurora, Value{Metric: "CloverLeaf", Scope: "Full Node"}, "cloverleaf:CloverLeaf/Full Node@Aurora"},
+		{"p2p", topology.JLSEH100, Value{Metric: "latency"}, "p2p:latency@JLSE-H100"},
+	} {
+		if got := SimKey(tc.workload, tc.sys, tc.v); got != tc.want {
+			t.Errorf("SimKey(%s, %s, %+v) = %q, want %q", tc.workload, tc.sys, tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestSpecRunStampsIdentity(t *testing.T) {
 	w := New("stamp", "desc", "p=1", []topology.System{topology.Dawn},
 		func(ctx context.Context, m *gpusim.Machine) (Result, error) {
