@@ -128,7 +128,7 @@ func run(args []string) int {
 		s.journal = j
 		logger.Info("run history enabled", "path", j.Path(), "records", j.Len())
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.handler()}
+	httpSrv := newHTTPServer(*addr, s.handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
@@ -191,4 +191,19 @@ func validateMetricsFile(path string) error {
 		}
 	}
 	return nil
+}
+
+// newHTTPServer builds the daemon's HTTP server. ReadHeaderTimeout
+// bounds how long a client may take to send its request headers, and
+// IdleTimeout how long a keep-alive connection may sit between requests.
+// There is deliberately no WriteTimeout (nor ReadTimeout, whose expiry
+// cancels a running handler's context): SSE streams and wait-mode
+// submits legitimately outlive any fixed deadline.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -471,15 +472,25 @@ func specCacheKey(spec runSpec) string {
 		w, strings.Join(systems, ","), spec.Artifacts)
 }
 
+// maxSpecBytes caps a run-spec request body: far above any real spec (a
+// few hundred bytes), small enough that no client can make the daemon
+// read an unbounded body.
+const maxSpecBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		apiError(w, http.StatusServiceUnavailable, "daemon is draining")
 		return
 	}
 	var spec runSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			apiError(w, http.StatusRequestEntityTooLarge, "run spec exceeds %d bytes", maxSpecBytes)
+			return
+		}
 		apiError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}
@@ -566,11 +577,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// execute may already be updating the status.
+	rn.mu.Lock()
+	status := rn.status
+	rn.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]any{
 		"id":       id,
-		"status":   rn.status,
+		"status":   status,
 		"cells":    len(cells),
 		"trace_id": rn.trace.ID(),
 		"links": map[string]string{

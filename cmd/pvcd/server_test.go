@@ -358,6 +358,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyIsCapped pads a valid spec with leading whitespace past
+// the body cap: the daemon must refuse it with 413 instead of reading
+// the whole body, while the same spec unpadded is accepted.
+func TestSubmitBodyIsCapped(t *testing.T) {
+	s, ts := testServer(t, 1)
+	spec := `{"workload":"energy","systems":["dawn"]}`
+	padded := strings.Repeat(" ", 2<<20) + spec
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded submit: status %d, want 413 (%s)", resp.StatusCode, body)
+	}
+	waitRun(t, s, submitRun(t, ts, spec))
+}
+
+// TestHTTPServerTimeouts pins the daemon's connection limits: bounded
+// header reads and idle keep-alives, but no write or read deadline that
+// would cut off SSE streams and wait-mode submits.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Errorf("addr %q handler %v: not the ones passed in", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout %v, ReadTimeout %v: want none, long-lived responses must not be cut off",
+			srv.WriteTimeout, srv.ReadTimeout)
+	}
+}
+
 // TestFailedRunCountsAsFailed submits a run whose workload cannot
 // succeed on the chosen path and checks the failure metrics... p2p on
 // every system includes H100/MI250 comparators where it is supported,

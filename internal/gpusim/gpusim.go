@@ -58,10 +58,6 @@ func (m *Machine) Observe(r obs.Recorder) {
 	}
 }
 
-// Observer returns the attached recorder (nil when disabled), so
-// machine-building helpers can inherit it.
-func (m *Machine) Observer() obs.Recorder { return m.sink }
-
 // stackPair is an unordered pair of subdevices keyed canonically.
 type stackPair struct {
 	a, b topology.StackID
@@ -121,20 +117,6 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 		}
 		m.cards = append(m.cards, c)
 	}
-	// Create every cross-card peer link up front. Constraints are
-	// passive until a flow uses them, so eager creation changes no
-	// simulated output.
-	spec := gpu.PeerLink
-	for i, a := range subs {
-		for _, b := range subs[i+1:] {
-			if a.GPU == b.GPU {
-				continue
-			}
-			key := pairKey(a, b)
-			m.peerLinks[key] = fabric.NewLink(net, fmt.Sprintf("%speer%v-%v", prefix, key.a, key.b),
-				spec.Sustained(), spec.DuplexFactor, spec.Latency)
-		}
-	}
 	return m, nil
 }
 
@@ -148,12 +130,21 @@ func MustNew(node *topology.NodeSpec) *Machine {
 }
 
 // peerLink returns the inter-card path between two subdevices, created
-// at build time. Xe-Link (and its NVLink/IF counterparts)
-// provides a distinct port per stack pair: six disjoint remote stack
-// pairs on Aurora each sustain the full per-pair bandwidth (Table III:
-// 95 ≈ 6 × 15 GB/s).
+// on first use: constraints are passive until a flow crosses them, so
+// building only the links a run drives changes no simulated output.
+// Xe-Link (and its NVLink/IF counterparts) provides a distinct port per
+// stack pair: six disjoint remote stack pairs on Aurora each sustain
+// the full per-pair bandwidth (Table III: 95 ≈ 6 × 15 GB/s).
 func (m *Machine) peerLink(a, b topology.StackID) *fabric.Link {
-	return m.peerLinks[pairKey(a, b)]
+	key := pairKey(a, b)
+	link, ok := m.peerLinks[key]
+	if !ok {
+		spec := m.Node.GPU.PeerLink
+		link = fabric.NewLink(m.Net, fmt.Sprintf("%speer%v-%v", m.prefix, key.a, key.b),
+			spec.Sustained(), spec.DuplexFactor, spec.Latency)
+		m.peerLinks[key] = link
+	}
+	return link
 }
 
 // Stack is a handle to one subdevice of a machine.

@@ -29,8 +29,8 @@ func TestRecorderCapturesTimeline(t *testing.T) {
 	m := MustNew(topology.NewAurora())
 	tr := obs.NewTrace()
 	m.Observe(tr)
-	if m.Observer() != tr {
-		t.Fatal("recorder accessor")
+	if m.sink != tr {
+		t.Fatal("recorder not attached")
 	}
 	st, _ := m.Stack(topology.StackID{})
 	prof := perfmodel.Profile{Name: "triad", MemBytes: units.Bytes(2.4e9), Kind: perfmodel.KindStream}
@@ -73,7 +73,7 @@ func TestRecorderDisabledByDefault(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Observer() != nil {
+	if m.sink != nil {
 		t.Error("recorder should default to nil")
 	}
 }

@@ -35,7 +35,7 @@ func (s *Suite) PeakFlopsSweep(prec ChainPrecision, works []float64) ([]ChainSwe
 		if work <= 0 {
 			return nil, fmt.Errorf("microbench: non-positive work %v", work)
 		}
-		m, err := s.newMachine()
+		m, err := s.Target.Machine()
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ const (
 // ladder in clock cycles, the y-axis of Figure 1.
 func (s *Suite) Lats(lo, hi units.Bytes) []LatsPoint {
 	h := mem.NewHierarchy(&s.Node.GPU.Sub)
-	h.Obs = s.Obs
+	h.Obs = s.Target.Obs
 	var out []LatsPoint
 	for w := lo; w <= hi; w *= 2 {
 		out = append(out, LatsPoint{
@@ -65,6 +65,6 @@ func (s *Suite) LatsSimulated(footprint units.Bytes, seed int64) (float64, error
 	}
 	cs := mem.NewCacheSim(h, 16, mem.PolicyRandom)
 	avg := mem.SimulateChase(r, cs, 2)
-	cs.ReportTo(s.Obs)
+	cs.ReportTo(s.Target.Obs)
 	return avg, nil
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"pvcsim/internal/gpusim"
-	"pvcsim/internal/obs"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/topology"
@@ -31,42 +30,21 @@ type Suite struct {
 	// framework (§IV-A). The simulator is deterministic, so repeats
 	// exist to exercise the same policy the paper used.
 	Repeats int
-	// Obs, when set, receives spans and counters from every machine the
-	// suite builds and from its analytic model evaluations.
-	Obs obs.Recorder
+	// Target builds every machine a benchmark runs on; its recorder
+	// also receives the suite's analytic model evaluations.
+	Target *gpusim.Target
 }
 
-// NewSuite builds a suite for the node.
+// NewSuite builds an unobserved suite for the node.
 func NewSuite(node *topology.NodeSpec) *Suite {
-	return &Suite{Node: node, Model: perfmodel.New(node), Repeats: 3}
+	return NewSuiteOn(&gpusim.Target{Node: node})
 }
 
-// NewSuiteFrom builds a suite that inherits the machine's node and
-// observability recorder, so suite-driven benchmarks in a runner cell
-// land in that cell's trace.
-func NewSuiteFrom(m *gpusim.Machine) *Suite {
-	s := NewSuite(m.Node)
-	s.Observe(m.Observer())
-	return s
-}
-
-// Observe attaches a recorder to the suite and its analytic model.
-func (s *Suite) Observe(r obs.Recorder) {
-	s.Obs = r
-	s.Model.Observe(r)
-}
-
-// newMachine builds a fresh machine for one benchmark run, carrying the
-// suite's recorder so its kernels, transfers, and flows are observed.
-func (s *Suite) newMachine() (*gpusim.Machine, error) {
-	m, err := gpusim.New(s.Node)
-	if err != nil {
-		return nil, err
-	}
-	if s.Obs != nil {
-		m.Observe(s.Obs)
-	}
-	return m, nil
+// NewSuiteOn builds a suite for the target's node that builds its
+// machines through the target, so suite-driven benchmarks in a runner
+// cell land in that cell's trace and wall-clock profile.
+func NewSuiteOn(t *gpusim.Target) *Suite {
+	return &Suite{Node: t.Node, Model: t.Model(), Repeats: 3, Target: t}
 }
 
 // StacksFor maps a Table II column to a subdevice count on this node.

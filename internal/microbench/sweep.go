@@ -28,7 +28,7 @@ func (s *Suite) P2PSweep(kind topology.PathKind, sizes []units.Bytes) ([]MsgSwee
 	}
 	var out []MsgSweepPoint
 	for _, size := range sizes {
-		m, err := s.newMachine()
+		m, err := s.Target.Machine()
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ const (
 // bandwidth in TB/s. Each stack's kernel streams three 805 MB arrays
 // ("two loads, one store").
 func (s *Suite) Triad(n int) (float64, error) {
-	m, err := s.newMachine()
+	m, err := s.Target.Machine()
 	if err != nil {
 		return 0, err
 	}
@@ -56,7 +56,7 @@ func (s *Suite) Triad(n int) (float64, error) {
 // returns aggregate bandwidth in GB/s: 500 MB per direction per stack
 // ("a total of 1 GB when transferred simultaneously in both directions").
 func (s *Suite) PCIe(dir Direction, n int) (float64, error) {
-	m, err := s.newMachine()
+	m, err := s.Target.Machine()
 	if err != nil {
 		return 0, err
 	}
@@ -181,7 +181,7 @@ func (s *Suite) remotePairs() []pair {
 // using non-blocking MPI over the simulated fabric and returns the
 // aggregate bandwidth in GB/s.
 func (s *Suite) runPairs(pairs []pair, bidir bool) (float64, error) {
-	m, err := s.newMachine()
+	m, err := s.Target.Machine()
 	if err != nil {
 		return 0, err
 	}

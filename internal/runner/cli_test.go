@@ -18,7 +18,7 @@ import (
 // after the per-cell summary.
 func TestObsFlagsStatsLine(t *testing.T) {
 	w := workload.New("cli-hooked", "obs flags test workload", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{Values: []workload.Value{{Metric: "x", Value: 1}}}, nil
 		})
 

@@ -20,7 +20,7 @@ import (
 func TestPanicRecovered(t *testing.T) {
 	var runs atomic.Int64
 	w := workload.New("panicky", "", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			runs.Add(1)
 			panic("kaboom")
 		})
@@ -67,7 +67,7 @@ func TestCancelDuringComputeWaitersRetry(t *testing.T) {
 	var runs atomic.Int64
 	started := make(chan struct{})
 	w := workload.New("cancel-retry", "", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			if runs.Add(1) == 1 {
 				close(started)
 				<-ctx.Done()
@@ -124,7 +124,7 @@ func TestRunProducerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var firstRuns, laterRuns atomic.Int64
 	first := workload.New("first", "", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			firstRuns.Add(1)
 			cancel()
 			// Keep the lone worker busy so the producer sits in its send.
@@ -136,7 +136,7 @@ func TestRunProducerCancel(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cells = append(cells, Cell{System: topology.AllSystems()[i%4], Workload: workload.New(
 			"later", "", "", topology.AllSystems(),
-			func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+			func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 				laterRuns.Add(1)
 				return workload.Result{}, nil
 			})})

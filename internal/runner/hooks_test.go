@@ -56,7 +56,7 @@ func (h *recordingHooks) count(prefix string) int {
 // memo hits) and checks every event pairs up.
 func TestHooksLifecycle(t *testing.T) {
 	w := workload.New("hooked", "hook test workload", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{Values: []workload.Value{{Metric: "x", Value: 1}}}, nil
 		})
 	rec := &recordingHooks{}
@@ -103,12 +103,12 @@ func TestHooksLifecycle(t *testing.T) {
 // unsupported system still pairs start with finish.
 func TestHooksPanicAndUnsupported(t *testing.T) {
 	boom := workload.New("boom", "panics", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			panic("kaboom")
 		})
 	auroraOnly := workload.New("aurora-only", "restricted", "",
 		[]topology.System{topology.Aurora},
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{}, nil
 		})
 	rec := &recordingHooks{}

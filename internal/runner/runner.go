@@ -1,9 +1,10 @@
 // Package runner executes (system × workload) cells from the workload
-// registry across a worker pool. Every cell gets its own fresh
-// deterministic gpusim.Machine, so parallel runs are bit-identical to
-// serial ones; an in-process memo cache keyed by (system, workload,
-// params) guarantees no cell is ever simulated twice, however many
-// tables and figures view its result.
+// registry across a worker pool. Every cell gets its own node spec and
+// observers in a gpusim.Target and builds only the machine or cluster it
+// drives, so no state is shared between cells and parallel runs are
+// bit-identical to serial ones; an in-process memo cache keyed by
+// (system, workload, params) guarantees no cell is ever simulated twice,
+// however many tables and figures view its result.
 package runner
 
 import (
@@ -107,11 +108,12 @@ func (r *Runner) Observe(c *obs.Collector) { r.col = c }
 func (r *Runner) Collector() *obs.Collector { return r.col }
 
 // ProfileWall attaches a wall-clock self-profiling collector: every
-// computed cell gets machine build / workload simulate phase timings
-// plus an engine probe on its machine, and cache hits record the
-// waiter's blocked time. Like obs and the lifecycle hooks this is a
-// pure side channel — simulated results and exports are byte-identical
-// with or without it. Pass nil to detach.
+// computed cell gets build / simulate phase timings (build covers each
+// machine or cluster the workload builds) plus an engine probe on
+// everything it builds, and cache hits record the waiter's blocked
+// time. Like obs and the lifecycle hooks this is a pure side channel —
+// simulated results and exports are byte-identical with or without it.
+// Pass nil to detach.
 func (r *Runner) ProfileWall(c *wallprof.Collector) { r.wall = c }
 
 // WallProfiler returns the attached wall-clock collector (nil when
@@ -119,8 +121,8 @@ func (r *Runner) ProfileWall(c *wallprof.Collector) { r.wall = c }
 func (r *Runner) WallProfiler() *wallprof.Collector { return r.wall }
 
 // RunOne executes one cell (or returns its memoized result). The first
-// caller for a key computes it on a fresh machine; concurrent callers for
-// the same key wait for that computation rather than duplicating it.
+// caller for a key computes it; concurrent callers for the same key wait
+// for that computation rather than duplicating it.
 func (r *Runner) RunOne(ctx context.Context, sys topology.System, w workload.Workload) (workload.Result, error) {
 	res := r.cell(ctx, sys, w)
 	return res.Result, res.Err
@@ -217,31 +219,22 @@ func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workl
 	}
 }
 
-// compute runs the workload on a fresh deterministic machine. A panic
-// in the workload is recovered into a *PanicError carrying the panic
-// value and stack, so one broken cell cannot take down the process.
+// compute runs the workload against the cell's own build target: a
+// fresh node spec plus the cell's recorder, engine probe and build-phase
+// hook, so the workload builds only the machine or cluster it drives.
+// With wall profiling on, the compute interval is split into build
+// phases (each machine or cluster built) and simulate phases (all the
+// rest), which tile it. A panic in the workload is recovered into a
+// *PanicError carrying the panic value and stack, so one broken cell
+// cannot take down the process.
 func (r *Runner) compute(ctx context.Context, sys topology.System, w workload.Workload) (res workload.Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return workload.Result{}, err
 	}
-	var cp *wallprof.CellProf
-	if r.wall != nil {
-		cp = r.wall.Cell(obs.Key{Workload: w.Name(), System: sys.String(), Params: workload.ParamsOf(w)})
-	}
-	var buildT0 int64
-	if cp != nil {
-		buildT0 = cp.Now()
-	}
-	m, merr := gpusim.New(topology.NewNode(sys))
-	if merr != nil {
-		return workload.Result{}, fmt.Errorf("runner: machine for %s: %w", sys, merr)
-	}
-	if cp != nil {
-		cp.AddBuild(buildT0)
-		m.Eng.SetWallProbe(cp.Probe())
-	}
+	k := obs.Key{Workload: w.Name(), System: sys.String(), Params: workload.ParamsOf(w)}
+	t := &gpusim.Target{Node: topology.NewNode(sys)}
 	if r.col != nil {
-		m.Observe(r.col.Cell(obs.Key{Workload: w.Name(), System: sys.String(), Params: workload.ParamsOf(w)}))
+		t.Obs = r.col.Cell(k)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -249,13 +242,19 @@ func (r *Runner) compute(ctx context.Context, sys topology.System, w workload.Wo
 			err = &PanicError{Workload: w.Name(), System: sys.String(), Value: p, Stack: debug.Stack()}
 		}
 	}()
-	if cp != nil {
+	if r.wall != nil {
+		cp := r.wall.Cell(k)
+		t.Probe = cp.Probe()
+		seg := cp.Now()
+		t.OnBuild = func() func() {
+			buildT0 := cp.AddSimulate(seg)
+			return func() { seg = cp.AddBuild(buildT0) }
+		}
 		// Registered after the recover defer, so it runs first and the
-		// simulate phase is recorded even when the workload panics.
-		simT0 := cp.Now()
-		defer func() { cp.AddSimulate(simT0) }()
+		// last simulate phase is recorded even when the workload panics.
+		defer func() { cp.AddSimulate(seg) }()
 	}
-	res, err = w.Run(ctx, m)
+	res, err = w.Run(ctx, t)
 	if err != nil {
 		return workload.Result{}, fmt.Errorf("runner: %s on %s: %w", w.Name(), sys, err)
 	}

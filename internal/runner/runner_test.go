@@ -21,10 +21,10 @@ import (
 func countingWorkload(name string, runs *atomic.Int64) *workload.Spec {
 	return workload.New(name, "counting test workload", "",
 		topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			runs.Add(1)
 			return workload.Result{Values: []workload.Value{
-				{Metric: "stacks", Value: float64(m.Node.TotalStacks())},
+				{Metric: "stacks", Value: float64(tg.Node.TotalStacks())},
 			}}, nil
 		})
 }
@@ -140,7 +140,7 @@ func TestContextCancellation(t *testing.T) {
 func TestRunError(t *testing.T) {
 	boom := errors.New("boom")
 	w := workload.New("failing", "", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{}, boom
 		})
 	_, err := New(1).RunOne(context.Background(), topology.Dawn, w)

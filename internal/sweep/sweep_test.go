@@ -103,7 +103,7 @@ func TestLegacyRegistryEquivalence(t *testing.T) {
 // stub builds a trivially runnable workload for contract tests.
 func stub(name string) workload.Workload {
 	return workload.New(name, "stub", "", []topology.System{topology.Aurora},
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{}, nil
 		})
 }

@@ -81,10 +81,11 @@ func firstDiff(a, b []byte) int {
 // layer: runs with a wallprof collector attached must render metrics,
 // trace, and profile exports byte-identical to runs with no profiler at
 // all. The wall-clock layer may observe the simulation but never perturb
-// it. clover-scaling genuinely drives the event engine, so its profile
-// must also have measured engine busy time — a collector that silently
-// stopped attaching would pass the byte comparison vacuously. p2p is
-// analytic: nothing for the probe to see, only the exports to keep.
+// it. Both families genuinely drive the event engine — clover-scaling on
+// its one machine, p2p on the machines its benchmark suite builds per
+// run — so each profile must also have measured engine busy time: a
+// collector that silently stopped attaching would pass the byte
+// comparison vacuously.
 func TestWallprofSideChannel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full sweep cells with and without profiling")
@@ -92,7 +93,7 @@ func TestWallprofSideChannel(t *testing.T) {
 	for _, tc := range []struct {
 		family string
 		engine bool
-	}{{"clover-scaling", true}, {"p2p", false}} {
+	}{{"clover-scaling", true}, {"p2p", true}} {
 		want, _ := runFamily(t, tc.family, false)
 		got, wall := runFamily(t, tc.family, true)
 		if !bytes.Equal(got.metrics, want.metrics) {

@@ -18,11 +18,11 @@ import (
 func TestRunnerHooksFeedMetrics(t *testing.T) {
 	tele := New()
 	w := workload.New("tw", "telemetry test workload", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{Values: []workload.Value{{Metric: "x", Value: 1}}}, nil
 		})
 	boom := workload.New("tw-boom", "panicking workload", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (workload.Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			panic("telemetry test panic")
 		})
 	r := runner.New(2)

@@ -40,10 +40,10 @@ func wallClock() Clock {
 // Collector accumulates wall-clock self-profiling across the cells of
 // one run. Attach it to a runner with Runner.ProfileWall; the runner
 // hands each computed cell a CellProf, whose EngineProbe is installed
-// on the cell's machine. Cell is safe for concurrent use by runner
-// workers; each CellProf is then written only by the goroutine
-// computing that cell (the runner memo guarantees one computer per
-// key).
+// on every machine and cluster the cell builds. Cell is safe for
+// concurrent use by runner workers; each CellProf is then written only
+// by the goroutine computing that cell (the runner memo guarantees one
+// computer per key).
 type Collector struct {
 	clock    Clock
 	timeline bool
@@ -120,26 +120,32 @@ type phaseSpan struct {
 }
 
 // addPhase accumulates a phase duration (and its interval in timeline
-// mode). start is a clock reading taken by the caller via Now.
-func (cp *CellProf) addPhase(name string, total *int64, start int64) {
-	end := cp.clock()
+// mode). start is a clock reading taken by the caller via Now; the
+// returned end reading lets the next phase start exactly where this one
+// ended, so alternating phases tile an interval without gap or overlap.
+func (cp *CellProf) addPhase(name string, total *int64, start int64) (end int64) {
+	end = cp.clock()
 	cp.mu.Lock()
 	*total += end - start
 	if cp.timeline {
 		cp.phases = append(cp.phases, phaseSpan{name: name, start: start, end: end})
 	}
 	cp.mu.Unlock()
+	return end
 }
 
 // Now reads the collector's clock; pair it with AddBuild/AddSimulate.
 func (cp *CellProf) Now() int64 { return cp.clock() }
 
 // AddBuild records machine-construction wall time since start (a Now
-// reading).
-func (cp *CellProf) AddBuild(start int64) { cp.addPhase("build", &cp.buildNS, start) }
+// reading) and returns the end reading.
+func (cp *CellProf) AddBuild(start int64) int64 { return cp.addPhase("build", &cp.buildNS, start) }
 
-// AddSimulate records workload-execution wall time since start.
-func (cp *CellProf) AddSimulate(start int64) { cp.addPhase("simulate", &cp.simNS, start) }
+// AddSimulate records workload-execution wall time since start and
+// returns the end reading.
+func (cp *CellProf) AddSimulate(start int64) int64 {
+	return cp.addPhase("simulate", &cp.simNS, start)
+}
 
 // AddCacheHit records one memo-cache hit and the wall time the waiter
 // spent blocked on the computing goroutine.

@@ -12,11 +12,11 @@ import (
 	"pvcsim/internal/units"
 )
 
-// Cluster cells: workloads that build a multi-node cluster for the
-// cell's system instead of driving the single-node machine the runner
-// hands them. They inherit the machine's recorder, so traces, metrics
-// and bound-attribution profiles (including the fabric.remote-node
-// residency of inter-node flows) work exactly as for node cells.
+// Cluster cells: workloads that build a multi-node cluster of the cell's
+// system through its target. The cluster carries the cell's recorder and
+// wall probe, so traces, metrics, bound-attribution profiles (including
+// the fabric.remote-node residency of inter-node flows) and wall-clock
+// profiles work exactly as for node cells.
 
 // CloverStrongEdge and CloverStrongSteps fix the strong-scaling problem:
 // a globalEdge² grid stepped a few times, large enough that 4-node runs
@@ -35,13 +35,12 @@ func NewCloverStrongCell(name string, sys topology.System, nodes int, place topo
 		fmt.Sprintf("system=%s nodes=%d placement=%s edge=%d steps=%d",
 			sys, nodes, place, CloverStrongEdge, CloverStrongSteps),
 		[]topology.System{sys},
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
 			spec := topology.NewCluster(sys, nodes)
-			cl, err := gpusim.NewCluster(spec)
+			cl, err := t.Cluster(spec)
 			if err != nil {
 				return Result{}, err
 			}
-			cl.Observe(mach.Observer())
 			total, comm, err := cloverleaf.StrongScalingBreakdownOn(cl, place, CloverStrongEdge, CloverStrongSteps)
 			if err != nil {
 				return Result{}, err
@@ -76,31 +75,30 @@ func NewAllreduceCell(name string, sys topology.System, nodes int, prec, algo st
 		fmt.Sprintf("Allreduce (%s, %s) across a %d-node %s cluster", prec, algo, nodes, sys),
 		fmt.Sprintf("system=%s nodes=%d prec=%s algo=%s count=%d", sys, nodes, prec, algo, AllreduceCount),
 		[]topology.System{sys},
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
 			spec := topology.NewCluster(sys, nodes)
-			cl, err := gpusim.NewCluster(spec)
+			cl, err := t.Cluster(spec)
 			if err != nil {
 				return Result{}, err
 			}
-			cl.Observe(mach.Observer())
 			c, err := mpirt.NewClusterComm(cl, spec.TotalStacks(), topology.PlacePacked)
 			if err != nil {
 				return Result{}, err
 			}
-			t, err := runAllreduce(c, units.Bytes(payload), algo)
+			elapsed, err := runAllreduce(c, units.Bytes(payload), algo)
 			if err != nil {
 				return Result{}, err
 			}
 			scope := fmt.Sprintf("%d nodes/%d ranks", nodes, spec.TotalStacks())
 			bw := 0.0
-			if t > 0 {
+			if elapsed > 0 {
 				// Algorithm bandwidth: each rank moves ~2(n−1)/n of the
 				// payload, the standard allreduce cost metric.
 				n := float64(spec.TotalStacks())
-				bw = 2 * (n - 1) / n * float64(payload) / float64(t) / 1e9
+				bw = 2 * (n - 1) / n * float64(payload) / float64(elapsed) / 1e9
 			}
 			return Result{Values: []Value{
-				{Metric: "time", Scope: scope, Value: float64(t) * 1e6, Unit: "us", Bound: "fabric", X: float64(nodes)},
+				{Metric: "time", Scope: scope, Value: float64(elapsed) * 1e6, Unit: "us", Bound: "fabric", X: float64(nodes)},
 				{Metric: "bus bw", Scope: scope, Value: bw, Unit: "GB/s", Bound: "fabric", X: float64(nodes)},
 			}}, nil
 		})

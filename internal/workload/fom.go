@@ -51,10 +51,10 @@ func NewFOMCell(w paper.Workload) *Spec {
 		fmt.Sprintf("Table VI row: %s (%s, %s-bound)", w, c.Domain, c.Bound),
 		fmt.Sprintf("workload=%s grans=stack,gpu,node", w),
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
 			var res Result
 			for _, g := range FOMGranularities {
-				v, ok, err := EvalFOM(w, mach.Node.System, g)
+				v, ok, err := EvalFOM(w, t.Node.System, g)
 				if err != nil {
 					return Result{}, err
 				}
@@ -144,8 +144,8 @@ func NewBUDESweepCell() *Spec {
 		"miniBUDE ppwi/work-group tuning surface (occupancy model)",
 		"ppwi=1,2,4,8,16 wg=64,128,256",
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			best, sweep := minibude.FOM(mach.Node.System)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			best, sweep := minibude.FOM(t.Node.System)
 			res := Result{Values: []Value{{
 				Metric: "best",
 				Scope:  "",
@@ -187,10 +187,11 @@ func NewEnergyCell() *Spec {
 		"X21: full-node energy to solution (DGEMM and FP32 FMA, 10 Pflop)",
 		fmt.Sprintf("work=%.0e", EnergyWork),
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			model := t.Model()
 			var res Result
 			for _, spec := range energySpecs {
-				rep, err := mach.Model.EnergyToSolution(spec.kind, spec.prec, EnergyWork, mach.Node.TotalStacks())
+				rep, err := model.EnergyToSolution(spec.kind, spec.prec, EnergyWork, t.Node.TotalStacks())
 				if err != nil {
 					return Result{}, err
 				}

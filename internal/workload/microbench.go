@@ -85,14 +85,14 @@ func pvcSystems() []topology.System { return []topology.System{topology.Aurora, 
 
 // NewMetricCell wraps one Table II metric: it evaluates the metric at
 // the three column scopes (one stack, one PVC, full node) on the cell's
-// machine.
+// node.
 func NewMetricCell(m paper.Metric) *Spec {
 	return New(MetricSlug(m),
 		fmt.Sprintf("Table II row: %s", m),
 		fmt.Sprintf("metric=%s scopes=stack,pvc,node", m),
 		pvcSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			suite := microbench.NewSuiteFrom(mach)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			suite := microbench.NewSuiteOn(t)
 			var res Result
 			for _, sc := range TableIIScopes {
 				v, err := suite.Run(m, sc)
@@ -117,8 +117,8 @@ func NewP2PCell() *Spec {
 		"Table III: stack-to-stack point-to-point bandwidth",
 		fmt.Sprintf("msg=%v", microbench.TransferSize),
 		pvcSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			suite := microbench.NewSuiteFrom(mach)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			suite := microbench.NewSuiteOn(t)
 			got, err := suite.P2P()
 			if err != nil {
 				return Result{}, err
@@ -158,8 +158,8 @@ func NewLatsCell(lo, hi units.Bytes) *Spec {
 		"Figure 1: memory access latency ladder (coalesced pointer chase)",
 		fmt.Sprintf("lo=%d hi=%d", int64(lo), int64(hi)),
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			suite := microbench.NewSuiteFrom(mach)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			suite := microbench.NewSuiteOn(t)
 			var res Result
 			for _, p := range suite.Lats(lo, hi) {
 				res.Values = append(res.Values, Value{
@@ -199,8 +199,8 @@ func NewP2PSweepCell() *Spec {
 		"X1: P2P latency-bandwidth curves per path kind",
 		"sizes=default paths=local,remote,extra",
 		pvcSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			suite := microbench.NewSuiteFrom(mach)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			suite := microbench.NewSuiteOn(t)
 			sizes := microbench.DefaultSweepSizes()
 			var res Result
 			for _, k := range kinds {
@@ -242,8 +242,8 @@ func NewFMASweepCell() *Spec {
 		"X18: FMA-chain kernel-size sweep (launch overhead to saturation)",
 		"prec=fp64 works=1e6..1e12",
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			suite := microbench.NewSuiteFrom(mach)
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			suite := microbench.NewSuiteOn(t)
 			pts, err := suite.PeakFlopsSweep(microbench.FP64Chain, fmaSweepWorks)
 			if err != nil {
 				return Result{}, err

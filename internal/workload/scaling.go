@@ -20,7 +20,7 @@ const (
 
 // NewCloverScalingCell wraps the decomposed CloverLeaf weak-scaling
 // breakdown (X3) as a registry workload. Unlike the analytic Table VI
-// FOM rows it drives the discrete-event machine it is handed, so a
+// FOM rows it builds and drives a discrete-event machine, so a
 // traced run of this cell shows the full timeline: hydro kernels per
 // stack, halo-exchange flows, and the allreduce fan-in.
 func NewCloverScalingCell() *Spec {
@@ -28,8 +28,12 @@ func NewCloverScalingCell() *Spec {
 		"X3: decomposed CloverLeaf weak scaling with MPI-overhead breakdown",
 		fmt.Sprintf("edge=%d steps=%d ranks=node", cloverScalingEdge, cloverScalingSteps),
 		topology.AllSystems(),
-		func(ctx context.Context, mach *gpusim.Machine) (Result, error) {
-			n := mach.Node.TotalStacks()
+		func(ctx context.Context, t *gpusim.Target) (Result, error) {
+			mach, err := t.Machine()
+			if err != nil {
+				return Result{}, err
+			}
+			n := t.Node.TotalStacks()
 			total, comm, err := cloverleaf.WeakScalingBreakdownOn(mach, n, cloverScalingEdge, cloverScalingSteps)
 			if err != nil {
 				return Result{}, err

@@ -4,7 +4,10 @@
 // extension sweep is registered with its parameters. Tables and figures
 // (internal/core) become pure views over Results, and the parallel
 // executor (internal/runner) fans (system × workload) cells across a
-// worker pool without knowing what any workload computes.
+// worker pool without knowing what any workload computes. Each cell
+// hands its workload a gpusim.Target, and the workload builds only what
+// it drives: analytic cells build nothing, microbenchmarks build their
+// per-run machines, cluster cells their cluster.
 package workload
 
 import (
@@ -70,14 +73,15 @@ func (r *Result) Select(metric string) []Value {
 	return out
 }
 
-// Workload is one registered experiment. Run receives a fresh
-// deterministic machine for the target system — workloads must not
-// retain it across calls, which is what keeps parallel runs bit-identical
-// to serial ones.
+// Workload is one registered experiment. Run receives the cell's own
+// build target: its node spec and the cell's observers. A workload
+// builds through it only the machine or cluster it drives, and must not
+// retain what it builds across calls — that is what keeps parallel runs
+// bit-identical to serial ones.
 type Workload interface {
 	Name() string
 	Systems() []topology.System
-	Run(ctx context.Context, m *gpusim.Machine) (Result, error)
+	Run(ctx context.Context, t *gpusim.Target) (Result, error)
 }
 
 // Parameterized is implemented by workloads whose identity includes
@@ -126,13 +130,13 @@ type Spec struct {
 	desc    string
 	params  string
 	systems []topology.System
-	run     func(ctx context.Context, m *gpusim.Machine) (Result, error)
+	run     func(ctx context.Context, t *gpusim.Target) (Result, error)
 }
 
 // New builds a Spec. The params string must capture every knob that
 // changes the result, since the runner memoizes on it.
 func New(name, desc, params string, systems []topology.System,
-	run func(ctx context.Context, m *gpusim.Machine) (Result, error)) *Spec {
+	run func(ctx context.Context, t *gpusim.Target) (Result, error)) *Spec {
 	return &Spec{name: name, desc: desc, params: params, systems: systems, run: run}
 }
 
@@ -149,16 +153,16 @@ func (s *Spec) Params() string { return s.params }
 func (s *Spec) Systems() []topology.System { return append([]topology.System(nil), s.systems...) }
 
 // Run implements Workload.
-func (s *Spec) Run(ctx context.Context, m *gpusim.Machine) (Result, error) {
+func (s *Spec) Run(ctx context.Context, t *gpusim.Target) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res, err := s.run(ctx, m)
+	res, err := s.run(ctx, t)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Workload = s.name
-	res.System = m.Node.System
+	res.System = t.Node.System
 	return res, nil
 }
 

@@ -14,7 +14,7 @@ import (
 func TestRegistryDuplicate(t *testing.T) {
 	reg := NewRegistry()
 	w := New("dup", "", "", topology.AllSystems(),
-		func(ctx context.Context, m *gpusim.Machine) (Result, error) { return Result{}, nil })
+		func(ctx context.Context, tg *gpusim.Target) (Result, error) { return Result{}, nil })
 	if err := reg.Register(w); err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,10 @@ func TestSimKeyFormat(t *testing.T) {
 
 func TestSpecRunStampsIdentity(t *testing.T) {
 	w := New("stamp", "desc", "p=1", []topology.System{topology.Dawn},
-		func(ctx context.Context, m *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (Result, error) {
 			return Result{Values: []Value{{Metric: "m", Value: 42}}}, nil
 		})
-	mach := gpusim.MustNew(topology.NewDawn())
-	res, err := w.Run(context.Background(), mach)
+	res, err := w.Run(context.Background(), &gpusim.Target{Node: topology.NewDawn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +87,13 @@ func TestSpecRunStampsIdentity(t *testing.T) {
 
 func TestSpecRunHonorsContext(t *testing.T) {
 	w := New("ctx", "", "", []topology.System{topology.Aurora},
-		func(ctx context.Context, m *gpusim.Machine) (Result, error) {
+		func(ctx context.Context, tg *gpusim.Target) (Result, error) {
 			t.Fatal("run closure called despite cancelled context")
 			return Result{}, nil
 		})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := w.Run(ctx, gpusim.MustNew(topology.NewAurora())); !errors.Is(err, context.Canceled) {
+	if _, err := w.Run(ctx, &gpusim.Target{Node: topology.NewAurora()}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
