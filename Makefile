@@ -1,13 +1,19 @@
 # Development targets. `make check` is the gate CI and contributors run
-# before merging: vet, full build, pvclint (the determinism/simulated-
-# time invariant analyzers), and the race-enabled test suite (the
-# parallel runner makes -race meaningful).
+# before merging: the gofmt gate, vet, full build, pvclint (the
+# determinism/simulated-time invariant analyzers), the race-enabled test
+# suite (the parallel runner makes -race meaningful), and vet + tests of
+# the nested perfbench module, which the root `./...` patterns never
+# reach.
 
 GO ?= go
 
-.PHONY: check vet build lint test race bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
+.PHONY: check fmt vet build lint test race perfbench-check bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
 
-check: vet build lint race
+check: fmt vet build lint race perfbench-check
+
+fmt:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +35,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

@@ -504,8 +504,7 @@ func BenchmarkExpected_Predictor(b *testing.B) {
 // Sanity: governed clocks queried in a tight loop (the hot path of every
 // model evaluation).
 func BenchmarkPower_GovernedClocks(b *testing.B) {
-	study := core.NewStudy()
-	suite := study.Suite(topology.Aurora)
+	suite := microbench.NewSuite(topology.NewAurora())
 	for i := 0; i < b.N; i++ {
 		if v := suite.PeakFlops(microbench.FP64Chain, 1); v < 16 || v > 18 {
 			b.Fatalf("FP64 peak drifted: %v", v)

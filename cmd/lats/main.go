@@ -99,7 +99,7 @@ func main() {
 
 	// Run the (possibly custom-ranged) ladder on every system through
 	// the parallel runner; each system is one cell.
-	w := workload.NewLats(loB, hiB)
+	w := workload.NewLatsCell(loB, hiB)
 	var cells []runner.Cell
 	for _, sys := range topology.AllSystems() {
 		cells = append(cells, runner.Cell{System: sys, Workload: w})

@@ -115,27 +115,45 @@ func TestWaitModeRepeatIsCacheHit(t *testing.T) {
 	}
 }
 
+// cacheKeyOf resolves a spec on the server and keys its cells the way
+// handleSubmit does.
+func cacheKeyOf(t *testing.T, s *server, spec runSpec) string {
+	t.Helper()
+	cells, err := s.resolveCells(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runCacheKey(cells, spec.Artifacts)
+}
+
 func TestSpecCacheKeyNormalizesEquivalentSpecs(t *testing.T) {
+	s, ts := testServer(t, 2)
 	// Workload "" and "all" are documented as the same selection, and
 	// system order never changes the exported bytes — both must map to
 	// one cache key.
-	a := specCacheKey(runSpec{Workload: "", Systems: []string{"dawn", "aurora"}})
-	b := specCacheKey(runSpec{Workload: "all", Systems: []string{"aurora", "dawn"}})
+	a := cacheKeyOf(t, s, runSpec{Workload: "", Systems: []string{"dawn", "aurora"}})
+	b := cacheKeyOf(t, s, runSpec{Workload: "all", Systems: []string{"aurora", "dawn"}})
 	if a != b {
 		t.Fatalf("equivalent specs key differently:\n %q\n %q", a, b)
 	}
-	if c := specCacheKey(runSpec{Workload: "p2p", Systems: []string{"aurora", "dawn"}}); c == a {
+	if c := cacheKeyOf(t, s, runSpec{Workload: "p2p", Systems: []string{"aurora", "dawn"}}); c == a {
 		t.Fatalf("distinct workload collides with %q", a)
 	}
-	spec := runSpec{Systems: []string{"dawn", "aurora"}}
-	specCacheKey(spec)
-	if spec.Systems[0] != "dawn" {
-		t.Fatal("specCacheKey reordered the caller's Systems slice")
+	if c := cacheKeyOf(t, s, runSpec{Systems: []string{"aurora", "dawn"}, Artifacts: true}); c == a {
+		t.Fatalf("artifacts run collides with %q", a)
+	}
+	cells, err := s.resolveCells(runSpec{Systems: []string{"dawn", "aurora"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := cells[0]
+	runCacheKey(cells, false)
+	if cells[0] != head {
+		t.Fatal("runCacheKey reordered the caller's cells")
 	}
 
 	// End to end: a repeat submission with systems reordered is served
 	// from the completed-run cache.
-	s, ts := testServer(t, 2)
 	_, first := postJSON(t, ts, `{"workload":"p2p","systems":["aurora","dawn"],"wait":true}`)
 	_, second := postJSON(t, ts, `{"workload":"p2p","systems":["dawn","aurora"],"wait":true}`)
 	var st1, st2 statusJSON
@@ -157,26 +175,27 @@ func TestSpecCacheKeyNormalizesEquivalentSpecs(t *testing.T) {
 }
 
 // TestSpecCacheKeyIgnoresSystemSpelling: resolveCells parses systems
-// case-insensitively and accepts aliases, so every spelling of one
+// case-insensitively and accepts aliases, and an omitted system list
+// selects every system the workload runs on, so every spelling of one
 // selection must share one completed-run cache key. Duplicates stay
 // significant: they add cells and change the run's status.
 func TestSpecCacheKeyIgnoresSystemSpelling(t *testing.T) {
-	for _, pair := range [][2][]string{
-		{{"aurora"}, {"Aurora"}},
-		{{"h100"}, {"jlse-h100"}},
-		{{"DAWN", "aurora"}, {"Aurora", "dawn"}},
+	s, ts := testServer(t, 1)
+	for _, pair := range [][2]runSpec{
+		{{Workload: "triad", Systems: []string{"aurora"}}, {Workload: "triad", Systems: []string{"Aurora"}}},
+		{{Workload: "lats", Systems: []string{"h100"}}, {Workload: "lats", Systems: []string{"jlse-h100"}}},
+		{{Workload: "triad", Systems: []string{"DAWN", "aurora"}}, {Workload: "triad", Systems: []string{"Aurora", "dawn"}}},
+		{{Workload: "p2p"}, {Workload: "p2p", Systems: []string{"aurora", "dawn"}}},
 	} {
-		a := specCacheKey(runSpec{Workload: "triad", Systems: pair[0]})
-		b := specCacheKey(runSpec{Workload: "triad", Systems: pair[1]})
+		a, b := cacheKeyOf(t, s, pair[0]), cacheKeyOf(t, s, pair[1])
 		if a != b {
-			t.Errorf("%v and %v key differently:\n %q\n %q", pair[0], pair[1], a, b)
+			t.Errorf("%+v and %+v key differently:\n %q\n %q", pair[0], pair[1], a, b)
 		}
 	}
-	if specCacheKey(runSpec{Systems: []string{"aurora"}}) == specCacheKey(runSpec{Systems: []string{"aurora", "Aurora"}}) {
+	if cacheKeyOf(t, s, runSpec{Systems: []string{"aurora"}}) == cacheKeyOf(t, s, runSpec{Systems: []string{"aurora", "Aurora"}}) {
 		t.Error("a duplicated system must not share the single-system key")
 	}
 
-	s, ts := testServer(t, 1)
 	_, first := postJSON(t, ts, `{"workload":"p2p","systems":["aurora"],"wait":true}`)
 	_, second := postJSON(t, ts, `{"workload":"p2p","systems":["Aurora"],"wait":true}`)
 	var st1, st2 statusJSON
@@ -189,8 +208,21 @@ func TestSpecCacheKeyIgnoresSystemSpelling(t *testing.T) {
 	if !st2.Cached || st2.ID != st1.ID {
 		t.Fatalf("respelled repeat = %+v, want cache hit on run %s", st2, st1.ID)
 	}
-	if got := s.tele.RunCacheHits.Value(); got != 1 {
-		t.Fatalf("pvcd_run_cache_hits_total = %g, want 1", got)
+	// Omitting the systems selects the same cells as listing them all.
+	_, third := postJSON(t, ts, `{"workload":"p2p","wait":true}`)
+	_, fourth := postJSON(t, ts, `{"workload":"p2p","systems":["aurora","dawn"],"wait":true}`)
+	var st3, st4 statusJSON
+	if err := json.Unmarshal(third, &st3); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(fourth, &st4); err != nil {
+		t.Fatal(err)
+	}
+	if st3.Cached || !st4.Cached || st4.ID != st3.ID {
+		t.Fatalf("implicit %+v then explicit %+v, want a cache hit on run %s", st3, st4, st3.ID)
+	}
+	if got := s.tele.RunCacheHits.Value(); got != 2 {
+		t.Fatalf("pvcd_run_cache_hits_total = %g, want 2", got)
 	}
 }
 

@@ -373,8 +373,8 @@ func (s *server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		out = append(out, apiWorkload{
 			Name:        wl.Name(),
 			Systems:     systems,
-			Params:      workload.ParamsOf(wl),
-			Description: workload.DescriptionOf(wl),
+			Params:      wl.Params(),
+			Description: wl.Description(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -405,7 +405,7 @@ func (s *server) resolveCells(spec runSpec) ([]runner.Cell, error) {
 		}
 		systems = append(systems, sys)
 	}
-	var workloads []workload.Workload
+	var workloads []*workload.Workload
 	if spec.Workload == "" || spec.Workload == "all" {
 		workloads = s.reg.Workloads()
 	} else {
@@ -414,7 +414,7 @@ func (s *server) resolveCells(spec runSpec) ([]runner.Cell, error) {
 			return nil, fmt.Errorf("unknown workload %q (have %s)",
 				spec.Workload, strings.Join(s.reg.SortedNames(), ", "))
 		}
-		workloads = []workload.Workload{w}
+		workloads = []*workload.Workload{w}
 	}
 	var cells []runner.Cell
 	for _, w := range workloads {
@@ -422,7 +422,7 @@ func (s *server) resolveCells(spec runSpec) ([]runner.Cell, error) {
 		if len(systems) > 0 {
 			targets = nil
 			for _, sys := range systems {
-				if !workload.Supports(w, sys) {
+				if !w.Supports(sys) {
 					// Whole-registry runs skip unsupported pairs; a
 					// named workload on an explicit bad system is a
 					// client error.
@@ -445,31 +445,23 @@ func (s *server) resolveCells(spec runSpec) ([]runner.Cell, error) {
 	return cells, nil
 }
 
-// specCacheKey canonicalizes the result-determining part of a spec.
-// Jobs and Wait are excluded on purpose: results are deterministic
-// across any -jobs setting (the determinism tests prove it), so two
-// specs differing only there produce byte-identical outputs. Workload
-// "" and "all" are the same selection (resolveCells treats them
-// identically), system order never reaches the exported bytes (the
-// artifacts zip is path-sorted, the obs report cell-sorted), and
-// systems key by the name topology.ParseSystem resolves them to, so
-// case and aliases do not matter; all normalize to one key. Duplicates
-// are kept: they add cells and change the run's status.
-func specCacheKey(spec runSpec) string {
-	w := spec.Workload
-	if w == "" {
-		w = "all"
+// runCacheKey keys the completed-run cache on what a run computes: the
+// cells resolveCells returned for its spec, plus whether it renders
+// artifacts. Specs that select the same cells share one key however they
+// spell it (workload "" or "all", system order, case, aliases, systems
+// omitted or listed in full). Jobs and Wait are excluded on purpose:
+// results are deterministic across any -jobs setting (the determinism
+// tests prove it). Cell order never reaches the exported bytes (the
+// artifacts zip is path-sorted, the obs report cell-sorted), so the key
+// sorts a copy; duplicates are kept, since they add cells and change the
+// run's status.
+func runCacheKey(cells []runner.Cell, artifacts bool) string {
+	ids := make([]string, len(cells))
+	for i, c := range cells {
+		ids[i] = obs.Key{Workload: c.Workload.Name(), System: c.System.String(), Params: c.Workload.Params()}.String()
 	}
-	systems := make([]string, len(spec.Systems))
-	for i, name := range spec.Systems {
-		systems[i] = name
-		if sys, err := topology.ParseSystem(name); err == nil {
-			systems[i] = sys.String()
-		}
-	}
-	sort.Strings(systems)
-	return fmt.Sprintf("w=%s|s=%s|a=%t",
-		w, strings.Join(systems, ","), spec.Artifacts)
+	sort.Strings(ids)
+	return fmt.Sprintf("%s\na=%t", strings.Join(ids, "\n"), artifacts)
 }
 
 // maxSpecBytes caps a run-spec request body: far above any real spec (a
@@ -508,7 +500,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := specCacheKey(spec)
+	key := runCacheKey(cells, spec.Artifacts)
 	if spec.Wait {
 		// Only synchronous submissions consult the completed-run cache:
 		// async clients may be probing live lifecycle events, and the

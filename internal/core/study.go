@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"pvcsim/internal/expected"
-	"pvcsim/internal/microbench"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/report"
 	"pvcsim/internal/runner"
@@ -57,12 +56,6 @@ func (s *Study) Registry() *workload.Registry { return s.reg }
 
 // Runner exposes the memoizing executor backing the study.
 func (s *Study) Runner() *runner.Runner { return s.runner }
-
-// Suite returns a fresh microbenchmark suite for a system, for callers
-// that drive benchmark internals directly (message-size sweeps).
-func (s *Study) Suite(sys topology.System) *microbench.Suite {
-	return microbench.NewSuite(topology.NewNode(sys))
-}
 
 // result fetches one (workload, system) cell through the memoizing
 // runner.

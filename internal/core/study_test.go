@@ -6,6 +6,7 @@ import (
 
 	"pvcsim/internal/expected"
 	"pvcsim/internal/paper"
+	"pvcsim/internal/report"
 	"pvcsim/internal/topology"
 )
 
@@ -169,6 +170,27 @@ func TestFigures234(t *testing.T) {
 	if !found {
 		t.Error("Figure 2 missing miniBUDE per-stack bar")
 	}
+	// miniQMC bars carry no expectation (no microbenchmark captures its
+	// CPU congestion); the other three mini-apps all do.
+	expectations := func(c *report.BarChart) {
+		t.Helper()
+		qmc := 0
+		for _, b := range c.Bars {
+			switch {
+			case strings.Contains(b.Label, "miniQMC"):
+				qmc++
+				if b.Expected != 0 {
+					t.Errorf("%s: miniQMC bar %q has expectation %v", c.Title, b.Label, b.Expected)
+				}
+			case b.Expected <= 0:
+				t.Errorf("%s: bar %q has no expectation", c.Title, b.Label)
+			}
+		}
+		if qmc == 0 {
+			t.Errorf("%s: no miniQMC bar", c.Title)
+		}
+	}
+	expectations(f2)
 	for _, sys := range []topology.System{topology.Aurora, topology.Dawn} {
 		f3, err := s.Figure3(sys)
 		if err != nil {
@@ -177,6 +199,7 @@ func TestFigures234(t *testing.T) {
 		if len(f3.Bars) == 0 {
 			t.Error("Figure 3 empty")
 		}
+		expectations(f3)
 		f4, err := s.Figure4(sys)
 		if err != nil {
 			t.Fatal(err)
@@ -184,6 +207,7 @@ func TestFigures234(t *testing.T) {
 		if len(f4.Bars) == 0 {
 			t.Error("Figure 4 empty")
 		}
+		expectations(f4)
 	}
 }
 

@@ -8,8 +8,6 @@
 package expected
 
 import (
-	"fmt"
-
 	"pvcsim/internal/hw"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/perfmodel"
@@ -173,40 +171,4 @@ func (p *Predictor) Ratio(w paper.Workload, sysA topology.System, granA Granular
 		return 0, false
 	}
 	return a / b, true
-}
-
-// Bar is one figure entry: a workload's expected ratio at a granularity.
-type Bar struct {
-	Workload paper.Workload
-	Gran     Granularity
-	Ratio    float64
-	HasBar   bool
-}
-
-// String renders "CloverLeaf (One GPU): 0.59×".
-func (b Bar) String() string {
-	if !b.HasBar {
-		return fmt.Sprintf("%s (%s): no expectation bar", b.Workload, b.Gran)
-	}
-	return fmt.Sprintf("%s (%s): %.2fx", b.Workload, b.Gran, b.Ratio)
-}
-
-// FigureBars computes the black bars for one figure: every mini-app at
-// the given granularities, sysA relative to sysB.
-func (p *Predictor) FigureBars(sysA, sysB topology.System, grans []Granularity) []Bar {
-	var out []Bar
-	for _, w := range []paper.Workload{paper.MiniBUDE, paper.CloverLeaf, paper.MiniQMC, paper.MiniGAMESS} {
-		for _, g := range grans {
-			granB := g
-			if sysB == topology.JLSEH100 && g == PerStack {
-				// A PVC stack is compared against a whole H100 in
-				// Figure 3's per-GPU panel; per-stack bars use the H100
-				// as-is.
-				granB = PerGPU
-			}
-			ratio, ok := p.Ratio(w, sysA, g, sysB, granB)
-			out = append(out, Bar{Workload: w, Gran: g, Ratio: ratio, HasBar: ok})
-		}
-	}
-	return out
 }

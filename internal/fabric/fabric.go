@@ -49,10 +49,6 @@ type Flow struct {
 	start     units.Seconds // when the flow entered the network
 }
 
-// Bound returns the flow's binding-resource tag ("" when the flow is
-// covered by an enclosing recorded span).
-func (f *Flow) Bound() string { return f.bound }
-
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
 

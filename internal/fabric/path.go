@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"pvcsim/internal/sim"
-	"pvcsim/internal/units"
-)
+import "pvcsim/internal/units"
 
 // Path is a composed multi-hop route through the network: the union of
 // the constraint sets its flow must cross simultaneously (a fluid flow
@@ -31,10 +28,4 @@ func (p Path) Plus(lat units.Seconds) Path {
 // tagged with its binding resource; callers wait with Flow.Wait.
 func (n *Network) StartPath(name, bound string, size units.Bytes, p Path) *Flow {
 	return n.StartBound(name, bound, size, p.Latency, p.Constraints...)
-}
-
-// TransferPath moves size bytes along a composed route, blocking the
-// calling process until completion.
-func (n *Network) TransferPath(proc *sim.Proc, name string, size units.Bytes, p Path) {
-	n.Transfer(proc, name, size, p.Latency, p.Constraints...)
 }

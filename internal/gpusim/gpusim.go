@@ -205,10 +205,6 @@ func (m *Machine) record(name, kind string, st topology.StackID, start, end unit
 	}
 }
 
-// Hold blocks the process for a fixed duration on this stack (CPU-side or
-// fixed-cost phases).
-func (s *Stack) Hold(p *sim.Proc, d units.Seconds) { p.Hold(d) }
-
 // MemcpyH2D transfers size bytes from pinned host memory to the stack.
 // Both stacks of a card share its single PCIe link ("Only the first
 // Xe-Stack contains the PCIe link"), and all cards share the host pools.
@@ -227,54 +223,6 @@ func (s *Stack) MemcpyD2H(p *sim.Proc, size units.Bytes) {
 	start := p.Now()
 	s.m.Net.Transfer(p, fmt.Sprintf("d2h:%v", s.ID), size, c.pcie.Latency, cs...)
 	s.m.record("memcpy", "d2h", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
-}
-
-// MemcpyD2D transfers size bytes from this stack to dst, routed per the
-// node topology: the in-card MDFI path for sibling stacks, one Xe-Link
-// (or NVLink/IF) hop for plane-aligned remote stacks, and an extra
-// internal hop — with its latency and bandwidth cost — for cross-plane
-// pairs (§IV-A4).
-func (s *Stack) MemcpyD2D(p *sim.Proc, dst topology.StackID, size units.Bytes) error {
-	kind := s.m.Node.Route(s.ID, dst)
-	start := p.Now()
-	switch kind {
-	case topology.SameStack:
-		// Local copy at memory bandwidth: two passes (read + write).
-		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
-		p.Hold(t)
-		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
-		return nil
-	case topology.LocalStack:
-		c := s.m.cards[s.ID.GPU]
-		if c.internal == nil {
-			return fmt.Errorf("gpusim: %s has no internal link", s.m.Node.Name)
-		}
-		rev := s.ID.Stack > dst.Stack
-		s.m.countHops(kind)
-		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, c.internal.Latency, c.internal.Dir(rev)...)
-		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
-		return nil
-	case topology.RemoteDirect, topology.RemoteExtraHop:
-		link := s.m.peerLink(s.ID, dst)
-		rev := s.ID.GPU > dst.GPU
-		cs := link.Dir(rev)
-		latency := link.Latency
-		if kind == topology.RemoteExtraHop {
-			// The driver routes via a partner stack: add the internal
-			// hop's latency and consume its bandwidth too.
-			c := s.m.cards[s.ID.GPU]
-			if c.internal != nil {
-				cs = append(cs, c.internal.Dir(s.ID.Stack > 0)...)
-				latency += c.internal.Latency
-			}
-		}
-		s.m.countHops(kind)
-		s.m.Net.Transfer(p, fmt.Sprintf("d2d:%v->%v", s.ID, dst), size, latency, cs...)
-		s.m.record("memcpy", "d2d", s.ID, start, p.Now(), size, 0, routeBound(kind))
-		return nil
-	default:
-		return fmt.Errorf("gpusim: unroutable path %v -> %v", s.ID, dst)
-	}
 }
 
 // routeBound maps a routed transfer path onto its binding resource:

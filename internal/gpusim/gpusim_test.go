@@ -15,6 +15,17 @@ func bwOf(size units.Bytes, t units.Seconds) float64 {
 	return float64(size) / float64(t)
 }
 
+// d2d copies size bytes from src to dst on the path programs run:
+// StartD2D, then Flow.Wait.
+func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error {
+	f, err := src.StartD2D(dst, size)
+	if err != nil {
+		return err
+	}
+	f.Wait(p)
+	return nil
+}
+
 func approx(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if math.Abs(got-want)/want > tol {
@@ -123,7 +134,7 @@ func TestLocalStackToStack(t *testing.T) {
 	var elapsed units.Seconds
 	m.Go("d2d", func(p *sim.Proc) {
 		start := p.Now()
-		if err := src.MemcpyD2D(p, topology.StackID{GPU: 0, Stack: 1}, size); err != nil {
+		if err := d2d(p, src, topology.StackID{GPU: 0, Stack: 1}, size); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now() - start
@@ -144,7 +155,7 @@ func TestRemoteStackXeLink(t *testing.T) {
 	m.Go("d2d", func(p *sim.Proc) {
 		start := p.Now()
 		// 0.0 → 1.1 shares a plane: direct hop.
-		if err := src.MemcpyD2D(p, topology.StackID{GPU: 1, Stack: 1}, size); err != nil {
+		if err := d2d(p, src, topology.StackID{GPU: 1, Stack: 1}, size); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now() - start
@@ -168,7 +179,7 @@ func TestExtraHopLatency(t *testing.T) {
 	var tDirect, tExtra units.Seconds
 	m.Go("direct", func(p *sim.Proc) {
 		start := p.Now()
-		_ = src.MemcpyD2D(p, topology.StackID{GPU: 1, Stack: 1}, tiny)
+		_ = d2d(p, src, topology.StackID{GPU: 1, Stack: 1}, tiny)
 		tDirect = p.Now() - start
 	})
 	if err := m.Run(); err != nil {
@@ -178,7 +189,7 @@ func TestExtraHopLatency(t *testing.T) {
 	src2, _ := m2.Stack(topology.StackID{GPU: 0, Stack: 0})
 	m2.Go("extra", func(p *sim.Proc) {
 		start := p.Now()
-		_ = src2.MemcpyD2D(p, topology.StackID{GPU: 1, Stack: 0}, tiny)
+		_ = d2d(p, src2, topology.StackID{GPU: 1, Stack: 0}, tiny)
 		tExtra = p.Now() - start
 	})
 	if err := m2.Run(); err != nil {
@@ -196,7 +207,7 @@ func TestSameStackCopy(t *testing.T) {
 	var elapsed units.Seconds
 	m.Go("copy", func(p *sim.Proc) {
 		start := p.Now()
-		_ = st.MemcpyD2D(p, st.ID, size)
+		_ = d2d(p, st, st.ID, size)
 		elapsed = p.Now() - start
 	})
 	if err := m.Run(); err != nil {
@@ -256,7 +267,7 @@ func TestMI250GCDToGCD(t *testing.T) {
 	var elapsed units.Seconds
 	m.Go("d2d", func(p *sim.Proc) {
 		start := p.Now()
-		_ = src.MemcpyD2D(p, topology.StackID{GPU: 0, Stack: 1}, size)
+		_ = d2d(p, src, topology.StackID{GPU: 0, Stack: 1}, size)
 		elapsed = p.Now() - start
 	})
 	if err := m.Run(); err != nil {
@@ -273,7 +284,7 @@ func TestH100NVLink(t *testing.T) {
 	var elapsed units.Seconds
 	m.Go("d2d", func(p *sim.Proc) {
 		start := p.Now()
-		if err := src.MemcpyD2D(p, topology.StackID{GPU: 1, Stack: 0}, size); err != nil {
+		if err := d2d(p, src, topology.StackID{GPU: 1, Stack: 0}, size); err != nil {
 			t.Error(err)
 		}
 		elapsed = p.Now() - start

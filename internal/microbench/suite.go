@@ -72,25 +72,6 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s (%s) = %.4g %s", r.Metric, r.Scope, r.Value, r.Unit)
 }
 
-// TableII regenerates every Table II cell for this system, in the paper's
-// row order and units.
-func (s *Suite) TableII() (map[paper.Metric][3]float64, error) {
-	out := map[paper.Metric][3]float64{}
-	scopes := []paper.Scope{paper.OneStack, paper.OnePVC, paper.FullNode}
-	for _, m := range paper.TableIIMetrics() {
-		var row [3]float64
-		for i, sc := range scopes {
-			v, err := s.Run(m, sc)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out[m] = row
-	}
-	return out, nil
-}
-
 // Run executes one metric at one scope and returns the value in the
 // paper's units for that row.
 func (s *Suite) Run(metric paper.Metric, scope paper.Scope) (float64, error) {

@@ -120,6 +120,10 @@ type Calibration struct {
 	scaling map[scaleKey]scaleAnchor
 }
 
+// defaultCalibration is built once: no method mutates a Calibration, so
+// every model shares it.
+var defaultCalibration = DefaultCalibration()
+
 // DefaultCalibration returns the table anchored to the paper's Tables II
 // and IV. Each entry's comment cites the measurement that fixes it.
 func DefaultCalibration() *Calibration {
@@ -215,12 +219,6 @@ func (c *Calibration) Efficiency(v Variant, kind Kind, prec hw.Precision) float6
 	return 1.0
 }
 
-// SetEfficiency overrides one calibration entry (used by ablation
-// benchmarks).
-func (c *Calibration) SetEfficiency(v Variant, kind Kind, prec hw.Precision, e float64) {
-	c.eff[effKey{v, kind, prec}] = e
-}
-
 // ScalingEff returns the parallel efficiency of running the kernel on n
 // subdevices out of full on a node: 1.0 for n ≤ 1, the measured anchors
 // at n = 2 and n = full, and log-linear interpolation between them.
@@ -269,7 +267,7 @@ func New(node *topology.NodeSpec) *Model {
 	return &Model{
 		Node: node,
 		Gov:  power.NewGovernor(node.GPU),
-		Cal:  DefaultCalibration(),
+		Cal:  defaultCalibration,
 		Var:  VariantOf(node.System),
 		mem:  mem.NewHierarchy(&node.GPU.Sub),
 	}
@@ -378,17 +376,6 @@ func (m *Model) SubdeviceTime(p Profile) units.Seconds {
 		}
 	}
 	return t + launch
-}
-
-// Bound reports whether the profile is compute- or memory-bound on this
-// node ("compute" / "memory"), the classification Table V assigns to each
-// mini-app.
-func (m *Model) Bound(p Profile) string {
-	tComp, tMem, _ := m.timing(p)
-	if tComp >= tMem {
-		return "compute"
-	}
-	return "memory"
 }
 
 // Attribution returns the binding resource of the profile on this node

@@ -2,9 +2,11 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pvcsim/internal/hw"
+	"pvcsim/internal/prof"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 )
@@ -143,11 +145,6 @@ func TestEfficiencyFallbacks(t *testing.T) {
 	if got := c.Efficiency(VariantH100, Kind(99), hw.FP32); got != 1.0 {
 		t.Errorf("unknown kind eff = %v", got)
 	}
-	// Override works.
-	c.SetEfficiency(VariantH100, KindFFT1D, hw.FP32, 0.5)
-	if got := c.Efficiency(VariantH100, KindFFT1D, hw.FP32); got != 0.5 {
-		t.Errorf("override eff = %v", got)
-	}
 }
 
 func TestSubdeviceTimeRoofline(t *testing.T) {
@@ -184,16 +181,17 @@ func TestSubdeviceTimeRoofline(t *testing.T) {
 
 func TestBoundClassification(t *testing.T) {
 	m := New(topology.NewAurora())
-	// Triad: 2 flops per 24 bytes → memory bound.
+	// Triad: 2 flops per 24 bytes → bound by device memory.
 	triad := Profile{Flops: 2e9, MemBytes: 24e9, Precision: hw.FP64, Kind: KindStream}
-	if m.Bound(triad) != "memory" {
-		t.Error("triad should be memory bound")
+	if got := m.Attribution(triad); got != prof.BoundHBM {
+		t.Errorf("triad attributed to %q, want %q", got, prof.BoundHBM)
 	}
-	// GEMM at N=20480: 2N³ flops over ~3N²·8 bytes → compute bound.
+	// GEMM at N=20480: 2N³ flops over ~3N²·8 bytes → bound by the
+	// pipeline or by the power governor that clocks it.
 	n := 20480.0
 	gemm := Profile{Flops: 2 * n * n * n, MemBytes: units.Bytes(3 * n * n * 8), Precision: hw.FP64, Engine: hw.VectorEngine, Kind: KindGEMM}
-	if m.Bound(gemm) != "compute" {
-		t.Error("large GEMM should be compute bound")
+	if got := m.Attribution(gemm); !strings.HasPrefix(got, "compute.") && got != prof.BoundPower {
+		t.Errorf("large GEMM attributed to %q, want a compute.* or %q tag", got, prof.BoundPower)
 	}
 }
 

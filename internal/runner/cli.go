@@ -196,7 +196,7 @@ func List(out io.Writer, reg *workload.Registry, pattern string) (int, error) {
 		for _, sys := range w.Systems() {
 			names = append(names, sys.String())
 		}
-		t.AddRow(w.Name(), strings.Join(names, ","), workload.ParamsOf(w), workload.DescriptionOf(w))
+		t.AddRow(w.Name(), strings.Join(names, ","), w.Params(), w.Description())
 	}
 	if n == 0 {
 		return 0, nil
@@ -223,7 +223,7 @@ func RunNamed(ctx context.Context, out io.Writer, r *Runner, reg *workload.Regis
 		cells = append(cells, Cell{System: sys, Workload: w})
 	}
 	results := r.Run(ctx, cells)
-	t := report.NewTable(fmt.Sprintf("Workload %s: %s", name, workload.DescriptionOf(w)),
+	t := report.NewTable(fmt.Sprintf("Workload %s: %s", name, w.Description()),
 		"System", "Metric", "Scope", "Value", "Unit", "Bound resource")
 	for _, res := range results {
 		if res.Err != nil {

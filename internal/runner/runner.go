@@ -26,7 +26,7 @@ import (
 // Cell is one (system, workload) execution unit.
 type Cell struct {
 	System   topology.System
-	Workload workload.Workload
+	Workload *workload.Workload
 }
 
 // CellResult is the outcome of one cell: the workload result or error,
@@ -123,24 +123,31 @@ func (r *Runner) WallProfiler() *wallprof.Collector { return r.wall }
 // RunOne executes one cell (or returns its memoized result). The first
 // caller for a key computes it; concurrent callers for the same key wait
 // for that computation rather than duplicating it.
-func (r *Runner) RunOne(ctx context.Context, sys topology.System, w workload.Workload) (workload.Result, error) {
+func (r *Runner) RunOne(ctx context.Context, sys topology.System, w *workload.Workload) (workload.Result, error) {
 	res := r.cell(ctx, sys, w)
 	return res.Result, res.Err
 }
 
 // cell runs one cell through the memo cache. Lifecycle hooks fire in
 // pairs: every cell that starts also finishes, whatever path it takes.
-func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workload) CellResult {
+func (r *Runner) cell(ctx context.Context, sys topology.System, w *workload.Workload) CellResult {
 	out := CellResult{System: sys, Name: w.Name()}
 	r.hookStart(sys.String(), w.Name())
-	if !workload.Supports(w, sys) {
+	if !w.Supports(sys) {
 		out.Err = fmt.Errorf("runner: workload %q does not run on %s (supported: %v)", w.Name(), sys, w.Systems())
 		r.hookFinish(sys.String(), w.Name(), 0, false, out.Err)
 		return out
 	}
-	k := key{sys: sys, name: w.Name(), params: workload.ParamsOf(w)}
+	k := key{sys: sys, name: w.Name(), params: w.Params()}
 
 	for {
+		// A cancelled caller claims no entry: it never computes, so it
+		// must not count a memo miss or finish a cell it never opened.
+		if err := ctx.Err(); err != nil {
+			out.Err = err
+			r.hookFinish(sys.String(), w.Name(), 0, false, out.Err)
+			return out
+		}
 		r.mu.Lock()
 		e, hit := r.memo[k]
 		if !hit {
@@ -163,11 +170,6 @@ func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workl
 					// computation finished; its entry is already out of
 					// the memo. Re-enter the cache (and possibly become
 					// the new first caller) unless we are cancelled too.
-					if err := ctx.Err(); err != nil {
-						out.Err = err
-						r.hookFinish(sys.String(), w.Name(), 0, false, out.Err)
-						return out
-					}
 					continue
 				}
 				if r.col != nil {
@@ -227,11 +229,8 @@ func (r *Runner) cell(ctx context.Context, sys topology.System, w workload.Workl
 // rest), which tile it. A panic in the workload is recovered into a
 // *PanicError carrying the panic value and stack, so one broken cell
 // cannot take down the process.
-func (r *Runner) compute(ctx context.Context, sys topology.System, w workload.Workload) (res workload.Result, err error) {
-	if err := ctx.Err(); err != nil {
-		return workload.Result{}, err
-	}
-	k := obs.Key{Workload: w.Name(), System: sys.String(), Params: workload.ParamsOf(w)}
+func (r *Runner) compute(ctx context.Context, sys topology.System, w *workload.Workload) (res workload.Result, err error) {
+	k := obs.Key{Workload: w.Name(), System: sys.String(), Params: w.Params()}
 	t := &gpusim.Target{Node: topology.NewNode(sys)}
 	if r.col != nil {
 		t.Obs = r.col.Cell(k)

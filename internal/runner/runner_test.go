@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	"pvcsim/internal/gpusim"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/sweep"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/workload"
 )
 
 // countingWorkload counts how many times its closure actually runs.
-func countingWorkload(name string, runs *atomic.Int64) *workload.Spec {
+func countingWorkload(name string, runs *atomic.Int64) *workload.Workload {
 	return workload.New(name, "counting test workload", "",
 		topology.AllSystems(),
 		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
@@ -119,6 +120,8 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := New(2)
+	col := obs.NewCollector()
+	r.Observe(col)
 	for _, res := range r.Run(ctx, Cells(sweep.DefaultRegistry())) {
 		if res.Err == nil {
 			t.Fatalf("cell %s/%s succeeded under a cancelled context", res.Name, res.System)
@@ -126,6 +129,12 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if _, err := r.RunOne(ctx, topology.Aurora, w); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// A cell the runner never computed leaves no trace in the collector:
+	// no memo miss, no orphan finish, no cell.
+	if rep := col.Report(); rep.MemoMisses != 0 || rep.OrphanFinishes != 0 || len(rep.Cells) != 0 {
+		t.Fatalf("cancelled cells recorded: misses=%d orphans=%d cells=%d",
+			rep.MemoMisses, rep.OrphanFinishes, len(rep.Cells))
 	}
 	// The failed computation must not poison the cache: a fresh context
 	// recomputes.

@@ -40,8 +40,7 @@ type Engine struct {
 	free      []*event // recycled event structs (allocation churn)
 	highWater int      // peak heap length, for shrink decisions
 
-	tracer func(t units.Seconds, what string)
-	probe  WallProbe // wall-clock self-profiling hooks; nil = disabled
+	probe WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
 
 // NewEngine returns a ready-to-use simulation engine with the clock at 0.
@@ -51,17 +50,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
-
-// SetTracer installs a callback invoked for significant kernel events
-// (process start/finish, resource waits). A nil tracer disables tracing.
-func (e *Engine) SetTracer(fn func(t units.Seconds, what string)) { e.tracer = fn }
-
-// trace emits a tracer callback at the current time.
-func (e *Engine) trace(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // event is a scheduled callback.
 type event struct {
@@ -243,11 +231,9 @@ func (e *Engine) Go(name string, body func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{})}
 	e.live++
 	e.Schedule(0, func() {
-		e.trace("start %s", name)
 		go func() {
 			body(p)
 			e.live--
-			e.trace("finish %s", name)
 			close(p.done)
 			e.parked <- struct{}{}
 		}()
@@ -357,18 +343,8 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	r.queue = append(r.queue, p)
 	r.eng.block(r.blockerLabel())
-	r.eng.trace("wait %s on %s (%d queued)", p.name, r.name, len(r.queue))
 	p.yield()
 	// When woken, the unit has already been transferred to us by Release.
-}
-
-// TryAcquire obtains a unit without blocking; it reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap {
-		r.inUse++
-		return true
-	}
-	return false
 }
 
 // Release frees one unit. If processes are queued, ownership passes
@@ -386,12 +362,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // Barrier makes n processes rendezvous: each calls Arrive and blocks until
 // all n have arrived, at which point all are released at the same virtual

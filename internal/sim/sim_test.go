@@ -184,24 +184,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x", 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire should succeed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after Release should succeed")
-	}
-	if r.InUse() != 1 {
-		t.Errorf("InUse = %d", r.InUse())
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -279,19 +261,6 @@ func TestRunUntil(t *testing.T) {
 	}
 	if len(fired) != 4 || e.Now() != 4 {
 		t.Errorf("after Run: fired=%v now=%v", fired, e.Now())
-	}
-}
-
-func TestTracer(t *testing.T) {
-	e := NewEngine()
-	var events []string
-	e.SetTracer(func(_ units.Seconds, what string) { events = append(events, what) })
-	e.Go("p1", func(p *Proc) { p.Hold(1) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Errorf("expected start+finish trace events, got %v", events)
 	}
 }
 

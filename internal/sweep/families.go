@@ -58,11 +58,11 @@ func fomFor(name string) (paper.Workload, error) {
 }
 
 // single wraps a fixed single-cell constructor as a zero-axis family.
-func single(name, desc string, build func() *workload.Spec) *Family {
+func single(name, desc string, build func() *workload.Workload) *Family {
 	return &Family{
 		Name: name,
 		Desc: desc,
-		Make: func(_ string, _ Point) (workload.Workload, error) { return build(), nil },
+		Make: func(_ string, _ Point) (*workload.Workload, error) { return build(), nil },
 	}
 }
 
@@ -80,7 +80,7 @@ func DefaultFamilies() []*Family {
 			Desc:    "Table II microbenchmark rows (E1-E5)",
 			Axes:    []Axis{{Name: "metric", Values: metricValues()}},
 			NameFor: valueNamed("metric"),
-			Make: func(_ string, p Point) (workload.Workload, error) {
+			Make: func(_ string, p Point) (*workload.Workload, error) {
 				m, err := metricFor(p.Get("metric"))
 				if err != nil {
 					return nil, err
@@ -89,15 +89,15 @@ func DefaultFamilies() []*Family {
 			},
 		},
 		single("p2p", "Table III point-to-point benchmark (E6)", workload.NewP2PCell),
-		single("lats", "Figure 1 latency ladder (E7)", func() *workload.Spec {
-			return workload.NewLats(microbench.LatsDefaultLo, microbench.LatsDefaultHi)
+		single("lats", "Figure 1 latency ladder (E7)", func() *workload.Workload {
+			return workload.NewLatsCell(microbench.LatsDefaultLo, microbench.LatsDefaultHi)
 		}),
 		{
 			Name:    "fom",
 			Desc:    "Table V/VI figure-of-merit workloads (E10-E15)",
 			Axes:    []Axis{{Name: "workload", Values: fomValues()}},
 			NameFor: valueNamed("workload"),
-			Make: func(_ string, p Point) (workload.Workload, error) {
+			Make: func(_ string, p Point) (*workload.Workload, error) {
 				w, err := fomFor(p.Get("workload"))
 				if err != nil {
 					return nil, err
@@ -118,7 +118,7 @@ func DefaultFamilies() []*Family {
 				{Name: "nodes", Values: []string{"1", "2", "4"}},
 				{Name: "placement", Values: []string{"packed", "spread"}},
 			},
-			Make: func(name string, p Point) (workload.Workload, error) {
+			Make: func(name string, p Point) (*workload.Workload, error) {
 				sys, err := topology.ParseSystem(p.Get("system"))
 				if err != nil {
 					return nil, err
@@ -142,7 +142,7 @@ func DefaultFamilies() []*Family {
 				{Name: "prec", Values: []string{"fp64", "fp32"}},
 				{Name: "algo", Values: []string{"rd", "ring"}},
 			},
-			Make: func(name string, p Point) (workload.Workload, error) {
+			Make: func(name string, p Point) (*workload.Workload, error) {
 				nodes, err := strconv.Atoi(p.Get("nodes"))
 				if err != nil {
 					return nil, err

@@ -2,7 +2,7 @@
 // scenario families: a Family is a named workload template plus a set
 // of axes (system, problem size, node count, precision, placement
 // policy, ...), and expansion walks the cartesian product of the axis
-// values in a deterministic order, producing ordinary workload.Workload
+// values in a deterministic order, producing ordinary *workload.Workload
 // cells with stable names. Because the cells that come out are plain
 // registry entries, everything downstream — runner memoization,
 // obs/prof/telemetry, artifacts, pvcd — works unchanged.
@@ -65,7 +65,7 @@ type Family struct {
 	Axes []Axis
 	// Make builds the cell for one point; name is the cell's stable
 	// registry name, which the returned workload must adopt.
-	Make func(name string, p Point) (workload.Workload, error)
+	Make func(name string, p Point) (*workload.Workload, error)
 	// NameFor optionally overrides the default cell-naming scheme
 	// (family/k1=v1,...). The legacy paper families use it to keep
 	// their original flat names ("triad", "cloverleaf", ...).
@@ -221,7 +221,7 @@ func (w Where) matches(p Point) bool {
 // axis fastest) and builds the cell for every point matching the
 // restriction (nil = all points). Each built workload must report the
 // point's stable cell name, a contract Expand enforces.
-func (f *Family) Expand(where Where) ([]workload.Workload, error) {
+func (f *Family) Expand(where Where) ([]*workload.Workload, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,7 +229,7 @@ func (f *Family) Expand(where Where) ([]workload.Workload, error) {
 		return nil, err
 	}
 	idx := make([]int, len(f.Axes))
-	var out []workload.Workload
+	var out []*workload.Workload
 	for {
 		p := Point{axes: f.Axes, idx: append([]int(nil), idx...)}
 		if where.matches(p) {

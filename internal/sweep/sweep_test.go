@@ -59,12 +59,12 @@ func TestDefaultRegistryContents(t *testing.T) {
 // the workloads the old hand-enumerated registry registered — same
 // name, description, parameters, and system list, in the same order.
 func TestLegacyRegistryEquivalence(t *testing.T) {
-	var legacy []workload.Workload
+	var legacy []*workload.Workload
 	for _, m := range paper.TableIIMetrics() {
 		legacy = append(legacy, workload.NewMetricCell(m))
 	}
 	legacy = append(legacy, workload.NewP2PCell())
-	legacy = append(legacy, workload.NewLats(microbench.LatsDefaultLo, microbench.LatsDefaultHi))
+	legacy = append(legacy, workload.NewLatsCell(microbench.LatsDefaultLo, microbench.LatsDefaultHi))
 	for _, w := range paper.Workloads() {
 		if _, ok := workload.FOMName(w); ok {
 			legacy = append(legacy, workload.NewFOMCell(w))
@@ -88,10 +88,10 @@ func TestLegacyRegistryEquivalence(t *testing.T) {
 			t.Errorf("cell %d: name %q, want %q", i, got.Name(), want.Name())
 			continue
 		}
-		if d1, d2 := workload.DescriptionOf(got), workload.DescriptionOf(want); d1 != d2 {
+		if d1, d2 := got.Description(), want.Description(); d1 != d2 {
 			t.Errorf("%s: description %q, want %q", want.Name(), d1, d2)
 		}
-		if p1, p2 := workload.ParamsOf(got), workload.ParamsOf(want); p1 != p2 {
+		if p1, p2 := got.Params(), want.Params(); p1 != p2 {
 			t.Errorf("%s: params %q, want %q", want.Name(), p1, p2)
 		}
 		if !reflect.DeepEqual(got.Systems(), want.Systems()) {
@@ -101,7 +101,7 @@ func TestLegacyRegistryEquivalence(t *testing.T) {
 }
 
 // stub builds a trivially runnable workload for contract tests.
-func stub(name string) workload.Workload {
+func stub(name string) *workload.Workload {
 	return workload.New(name, "stub", "", []topology.System{topology.Aurora},
 		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
 			return workload.Result{}, nil
@@ -117,7 +117,7 @@ func TestExpansionOrderDeterministic(t *testing.T) {
 			{Name: "a", Values: []string{"1", "2"}},
 			{Name: "b", Values: []string{"x", "y", "z"}},
 		},
-		Make: func(name string, p Point) (workload.Workload, error) { return stub(name), nil },
+		Make: func(name string, p Point) (*workload.Workload, error) { return stub(name), nil },
 	}
 	want := []string{
 		"fam/a=1,b=x", "fam/a=1,b=y", "fam/a=1,b=z",
@@ -144,7 +144,7 @@ func TestExpansionOrderDeterministic(t *testing.T) {
 // TestZeroAxisFamily checks a family without axes expands to exactly
 // one cell named after the family.
 func TestZeroAxisFamily(t *testing.T) {
-	f := &Family{Name: "solo", Make: func(name string, p Point) (workload.Workload, error) {
+	f := &Family{Name: "solo", Make: func(name string, p Point) (*workload.Workload, error) {
 		if name != "solo" {
 			t.Errorf("zero-axis cell name %q, want %q", name, "solo")
 		}
@@ -168,7 +168,7 @@ func TestNamingContractEnforced(t *testing.T) {
 	f := &Family{
 		Name: "fam",
 		Axes: []Axis{{Name: "a", Values: []string{"1"}}},
-		Make: func(name string, p Point) (workload.Workload, error) { return stub("rogue"), nil },
+		Make: func(name string, p Point) (*workload.Workload, error) { return stub("rogue"), nil },
 	}
 	if _, err := f.Expand(nil); err == nil || !strings.Contains(err.Error(), "naming contract") {
 		t.Fatalf("Expand = %v, want naming-contract error", err)
@@ -224,7 +224,7 @@ func TestWhereFiltering(t *testing.T) {
 // TestValidate covers the family well-formedness checks, including the
 // system-axis membership rule.
 func TestValidate(t *testing.T) {
-	mk := func(name string, p Point) (workload.Workload, error) { return stub(name), nil }
+	mk := func(name string, p Point) (*workload.Workload, error) { return stub(name), nil }
 	cases := []struct {
 		label string
 		f     *Family

@@ -118,10 +118,6 @@ func New() *Telemetry {
 	}
 }
 
-// Registry exposes the underlying registry (for registering additional
-// metrics next to the standard set).
-func (t *Telemetry) Registry() *Registry { return t.reg }
-
 // WritePrometheus renders the whole metric set in the Prometheus text
 // format.
 func (t *Telemetry) WritePrometheus(w io.Writer) error { return t.reg.WritePrometheus(w) }

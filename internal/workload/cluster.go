@@ -29,7 +29,7 @@ const (
 // NewCloverStrongCell builds one strong-scaling cell: CloverLeaf's
 // fixed-size grid decomposed across every stack of a nodes-node cluster
 // of the system, ranks placed under the given policy.
-func NewCloverStrongCell(name string, sys topology.System, nodes int, place topology.Placement) *Spec {
+func NewCloverStrongCell(name string, sys topology.System, nodes int, place topology.Placement) *Workload {
 	return New(name,
 		fmt.Sprintf("CloverLeaf strong scaling: %d-node %s cluster, %s placement", nodes, sys, place),
 		fmt.Sprintf("system=%s nodes=%d placement=%s edge=%d steps=%d",
@@ -65,7 +65,7 @@ const AllreduceCount = 1 << 16
 // AllreduceCount elements of the given precision across every stack of
 // a nodes-node cluster, using recursive doubling ("rd") or the ring
 // algorithm ("ring").
-func NewAllreduceCell(name string, sys topology.System, nodes int, prec, algo string) *Spec {
+func NewAllreduceCell(name string, sys topology.System, nodes int, prec, algo string) *Workload {
 	elem := 8
 	if prec == "fp32" {
 		elem = 4

@@ -45,7 +45,7 @@ var FOMGranularities = []expected.Granularity{expected.PerStack, expected.PerGPU
 // of merit at every granularity the paper defines for it (blank cells
 // produce no value, exactly as published — mini-GAMESS on MI250, the
 // non-MPI miniBUDE at full node, the node-only applications).
-func NewFOMCell(w paper.Workload) *Spec {
+func NewFOMCell(w paper.Workload) *Workload {
 	c := paper.TableV[w]
 	return New(mustFOMName(w),
 		fmt.Sprintf("Table VI row: %s (%s, %s-bound)", w, c.Domain, c.Bound),
@@ -139,7 +139,7 @@ func EvalFOM(w paper.Workload, sys topology.System, g expected.Granularity) (flo
 // NewBUDESweepCell wraps the miniBUDE ppwi/work-group tuning surface
 // behind the paper's "combination of poses per work-item and work-group
 // sizes" search (the occupancy model's register cliff made visible).
-func NewBUDESweepCell() *Spec {
+func NewBUDESweepCell() *Workload {
 	return New("minibude-sweep",
 		"miniBUDE ppwi/work-group tuning surface (occupancy model)",
 		"ppwi=1,2,4,8,16 wg=64,128,256",
@@ -182,7 +182,7 @@ const EnergyWork = 1e16
 
 // NewEnergyCell wraps the X12/X21 extension: full-node energy to
 // solution for a fixed DGEMM and FP32-FMA workload.
-func NewEnergyCell() *Spec {
+func NewEnergyCell() *Workload {
 	return New("energy",
 		"X21: full-node energy to solution (DGEMM and FP32 FMA, 10 Pflop)",
 		fmt.Sprintf("work=%.0e", EnergyWork),

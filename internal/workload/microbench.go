@@ -86,7 +86,7 @@ func pvcSystems() []topology.System { return []topology.System{topology.Aurora, 
 // NewMetricCell wraps one Table II metric: it evaluates the metric at
 // the three column scopes (one stack, one PVC, full node) on the cell's
 // node.
-func NewMetricCell(m paper.Metric) *Spec {
+func NewMetricCell(m paper.Metric) *Workload {
 	return New(MetricSlug(m),
 		fmt.Sprintf("Table II row: %s", m),
 		fmt.Sprintf("metric=%s scopes=stack,pvc,node", m),
@@ -112,7 +112,7 @@ func NewMetricCell(m paper.Metric) *Spec {
 }
 
 // NewP2PCell wraps the Table III stack-to-stack benchmark (E6).
-func NewP2PCell() *Spec {
+func NewP2PCell() *Workload {
 	return New("p2p",
 		"Table III: stack-to-stack point-to-point bandwidth",
 		fmt.Sprintf("msg=%v", microbench.TransferSize),
@@ -144,16 +144,12 @@ func NewP2PCell() *Spec {
 		})
 }
 
-// NewLats builds the Figure 1 latency-ladder workload for a custom sweep
-// range; the registry's "lats" entry uses the paper's default range. The
-// range is part of the workload's parameters, so differently-ranged
-// instances memoize independently in the runner.
-func NewLats(lo, hi units.Bytes) *Spec { return NewLatsCell(lo, hi) }
-
 // NewLatsCell wraps the Figure 1 pointer-chase latency ladder (E7),
 // including the per-level plateau values the paper's cross-architecture
-// ratios are stated over.
-func NewLatsCell(lo, hi units.Bytes) *Spec {
+// ratios are stated over. The registry's "lats" entry uses the paper's
+// default range; the range is part of the workload's parameters, so
+// differently-ranged instances memoize independently in the runner.
+func NewLatsCell(lo, hi units.Bytes) *Workload {
 	return New("lats",
 		"Figure 1: memory access latency ladder (coalesced pointer chase)",
 		fmt.Sprintf("lo=%d hi=%d", int64(lo), int64(hi)),
@@ -186,7 +182,7 @@ func NewLatsCell(lo, hi units.Bytes) *Spec {
 
 // NewP2PSweepCell wraps the X1 extension: the message-size sweep
 // extending Table III down to latency-bound messages, per path kind.
-func NewP2PSweepCell() *Spec {
+func NewP2PSweepCell() *Workload {
 	kinds := []struct {
 		name string
 		kind topology.PathKind
@@ -237,7 +233,7 @@ var fmaSweepWorks = []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12}
 
 // NewFMASweepCell wraps the X18 extension: the launch-overhead →
 // saturation knee of the FMA chain on one stack.
-func NewFMASweepCell() *Spec {
+func NewFMASweepCell() *Workload {
 	return New("fma-sweep",
 		"X18: FMA-chain kernel-size sweep (launch overhead to saturation)",
 		"prec=fp64 works=1e6..1e12",

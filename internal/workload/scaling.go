@@ -23,7 +23,7 @@ const (
 // FOM rows it builds and drives a discrete-event machine, so a
 // traced run of this cell shows the full timeline: hydro kernels per
 // stack, halo-exchange flows, and the allreduce fan-in.
-func NewCloverScalingCell() *Spec {
+func NewCloverScalingCell() *Workload {
 	return New("clover-scaling",
 		"X3: decomposed CloverLeaf weak scaling with MPI-overhead breakdown",
 		fmt.Sprintf("edge=%d steps=%d ranks=node", cloverScalingEdge, cloverScalingSteps),

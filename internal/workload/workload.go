@@ -1,5 +1,5 @@
 // Package workload defines the single front door to every experiment of
-// the study: a Workload interface, a self-describing Result type, and a
+// the study: a Workload type, a self-describing Result type, and a
 // Registry in which every microbenchmark, mini-app, application, and
 // extension sweep is registered with its parameters. Tables and figures
 // (internal/core) become pure views over Results, and the parallel
@@ -73,59 +73,13 @@ func (r *Result) Select(metric string) []Value {
 	return out
 }
 
-// Workload is one registered experiment. Run receives the cell's own
-// build target: its node spec and the cell's observers. A workload
-// builds through it only the machine or cluster it drives, and must not
-// retain what it builds across calls — that is what keeps parallel runs
-// bit-identical to serial ones.
-type Workload interface {
-	Name() string
-	Systems() []topology.System
-	Run(ctx context.Context, t *gpusim.Target) (Result, error)
-}
-
-// Parameterized is implemented by workloads whose identity includes
-// parameters beyond the name; the runner's memo cache keys on
-// (system, name, params).
-type Parameterized interface {
-	Params() string
-}
-
-// Describer is implemented by workloads that carry a one-line
-// description for -list output.
-type Describer interface {
-	Description() string
-}
-
-// ParamsOf returns the cache-key parameter string of a workload.
-func ParamsOf(w Workload) string {
-	if p, ok := w.(Parameterized); ok {
-		return p.Params()
-	}
-	return ""
-}
-
-// DescriptionOf returns the workload's description, or "".
-func DescriptionOf(w Workload) string {
-	if d, ok := w.(Describer); ok {
-		return d.Description()
-	}
-	return ""
-}
-
-// Supports reports whether the workload runs on the system.
-func Supports(w Workload, sys topology.System) bool {
-	for _, s := range w.Systems() {
-		if s == sys {
-			return true
-		}
-	}
-	return false
-}
-
-// Spec is the standard Workload implementation: a named closure with its
-// parameters and supported systems baked in at registration time.
-type Spec struct {
+// Workload is one registered experiment: a named closure with its
+// parameters and supported systems baked in at registration time. Run
+// receives the cell's own build target: its node spec and the cell's
+// observers. A workload builds through it only the machine or cluster it
+// drives, and must not retain what it builds across calls — that is what
+// keeps parallel runs bit-identical to serial ones.
+type Workload struct {
 	name    string
 	desc    string
 	params  string
@@ -133,35 +87,46 @@ type Spec struct {
 	run     func(ctx context.Context, t *gpusim.Target) (Result, error)
 }
 
-// New builds a Spec. The params string must capture every knob that
+// New builds a Workload. The params string must capture every knob that
 // changes the result, since the runner memoizes on it.
 func New(name, desc, params string, systems []topology.System,
-	run func(ctx context.Context, t *gpusim.Target) (Result, error)) *Spec {
-	return &Spec{name: name, desc: desc, params: params, systems: systems, run: run}
+	run func(ctx context.Context, t *gpusim.Target) (Result, error)) *Workload {
+	return &Workload{name: name, desc: desc, params: params, systems: systems, run: run}
 }
 
-// Name implements Workload.
-func (s *Spec) Name() string { return s.name }
+// Name returns the registry name.
+func (w *Workload) Name() string { return w.name }
 
-// Description implements Describer.
-func (s *Spec) Description() string { return s.desc }
+// Description returns the one-line description shown by -list.
+func (w *Workload) Description() string { return w.desc }
 
-// Params implements Parameterized.
-func (s *Spec) Params() string { return s.params }
+// Params returns the parameter string beyond the name; the runner's
+// memo cache keys on (system, name, params).
+func (w *Workload) Params() string { return w.params }
 
-// Systems implements Workload.
-func (s *Spec) Systems() []topology.System { return append([]topology.System(nil), s.systems...) }
+// Systems returns the systems the workload runs on.
+func (w *Workload) Systems() []topology.System { return append([]topology.System(nil), w.systems...) }
 
-// Run implements Workload.
-func (s *Spec) Run(ctx context.Context, t *gpusim.Target) (Result, error) {
+// Supports reports whether the workload runs on the system.
+func (w *Workload) Supports(sys topology.System) bool {
+	for _, s := range w.systems {
+		if s == sys {
+			return true
+		}
+	}
+	return false
+}
+
+// Run executes the workload on one cell's target.
+func (w *Workload) Run(ctx context.Context, t *gpusim.Target) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res, err := s.run(ctx, t)
+	res, err := w.run(ctx, t)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Workload = s.name
+	res.Workload = w.name
 	res.System = t.Node.System
 	return res, nil
 }
@@ -169,14 +134,14 @@ func (s *Spec) Run(ctx context.Context, t *gpusim.Target) (Result, error) {
 // Registry holds workloads by name in registration order.
 type Registry struct {
 	order  []string
-	byName map[string]Workload
+	byName map[string]*Workload
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry { return &Registry{byName: map[string]Workload{}} }
+func NewRegistry() *Registry { return &Registry{byName: map[string]*Workload{}} }
 
 // Register adds a workload; duplicate names are an error.
-func (r *Registry) Register(w Workload) error {
+func (r *Registry) Register(w *Workload) error {
 	if w.Name() == "" {
 		return fmt.Errorf("workload: empty name")
 	}
@@ -189,14 +154,14 @@ func (r *Registry) Register(w Workload) error {
 }
 
 // MustRegister is Register, panicking on error (registration is static).
-func (r *Registry) MustRegister(w Workload) {
+func (r *Registry) MustRegister(w *Workload) {
 	if err := r.Register(w); err != nil {
 		panic(err)
 	}
 }
 
 // Get returns the named workload.
-func (r *Registry) Get(name string) (Workload, bool) {
+func (r *Registry) Get(name string) (*Workload, bool) {
 	w, ok := r.byName[name]
 	return w, ok
 }
@@ -212,8 +177,8 @@ func (r *Registry) SortedNames() []string {
 }
 
 // Workloads lists workloads in registration order.
-func (r *Registry) Workloads() []Workload {
-	out := make([]Workload, 0, len(r.order))
+func (r *Registry) Workloads() []*Workload {
+	out := make([]*Workload, 0, len(r.order))
 	for _, n := range r.order {
 		out = append(out, r.byName[n])
 	}

@@ -77,10 +77,10 @@ func TestSpecRunStampsIdentity(t *testing.T) {
 	if res.Workload != "stamp" || res.System != topology.Dawn {
 		t.Errorf("identity = %q/%v, want stamp/Dawn", res.Workload, res.System)
 	}
-	if ParamsOf(w) != "p=1" || DescriptionOf(w) != "desc" {
-		t.Errorf("params/description not exposed: %q %q", ParamsOf(w), DescriptionOf(w))
+	if w.Params() != "p=1" || w.Description() != "desc" {
+		t.Errorf("params/description not exposed: %q %q", w.Params(), w.Description())
 	}
-	if Supports(w, topology.Aurora) || !Supports(w, topology.Dawn) {
+	if w.Supports(topology.Aurora) || !w.Supports(topology.Dawn) {
 		t.Error("Supports does not respect the system list")
 	}
 }
