@@ -9,8 +9,8 @@ import (
 // RecorderGuard enforces the recording hot-path contract documented in
 // internal/obs: model code holds a nil Recorder by default, so every
 // method call on an obs.Recorder-typed value must be dominated by a nil
-// check (or routed through the nil-tolerant helpers obs.Emit/obs.Count,
-// which carry the guard). An unguarded call is a latent panic that only
+// check (or routed through the nil-tolerant helper obs.Count, which
+// carries the guard). An unguarded call is a latent panic that only
 // fires when tracing is off — the common case — so it is enforced
 // statically.
 //
@@ -44,7 +44,7 @@ var RecorderGuard = &Analyzer{
 					return true
 				}
 				p.ReportFixf(call.Pos(),
-					"guard with `if "+recv+" != nil { ... }` or use obs.Emit/obs.Count, which tolerate nil",
+					"guard with `if "+recv+" != nil { ... }` or use obs.Count, which tolerates nil",
 					"%s.%s is called without a dominating nil check; a nil Recorder is the hot-path default", recv, sel.Sel.Name)
 				return true
 			})

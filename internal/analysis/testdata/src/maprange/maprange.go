@@ -104,9 +104,10 @@ func badSpawnFromMap(e engine, bodies map[string]func()) {
 	}
 }
 
-// The repair idiom: collect into a slice, order by admission sequence,
-// then fire from the sorted slice — exactly how the fabric network
-// finishes simultaneously-drained flows.
+// The repair idiom when the source must be a map: collect into a slice,
+// order by admission sequence, then fire from the sorted slice. (The
+// fabric network needs no repair: it keeps its active flows in a slice
+// in admission order and finishes drained flows straight from it.)
 func goodSortedFire(flows map[*flow]bool) {
 	var drained []*flow
 	for f := range flows {

@@ -60,10 +60,9 @@ func goodDisjunctReturn(r obs.Recorder, done bool) {
 	r.Add("z", 1)
 }
 
-// The nil-tolerant helpers are the sanctioned unguarded path.
+// The nil-tolerant helper is the sanctioned unguarded path.
 func goodHelper(r obs.Recorder) {
 	obs.Count(r, "z", 1)
-	obs.Emit(r, obs.Span{})
 }
 
 // A guard outside a closure does not dominate calls inside it: the

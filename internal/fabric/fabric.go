@@ -14,7 +14,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pvcsim/internal/obs"
 	"pvcsim/internal/sim"
@@ -25,7 +24,7 @@ import (
 type Constraint struct {
 	Name     string
 	capacity float64 // bytes per second
-	flows    map[*Flow]struct{}
+	active   int     // flows currently crossing
 }
 
 // Capacity returns the constraint's capacity.
@@ -33,21 +32,24 @@ func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacit
 
 // ActiveFlows returns the number of flows currently crossing the
 // constraint.
-func (c *Constraint) ActiveFlows() int { return len(c.flows) }
+func (c *Constraint) ActiveFlows() int { return c.active }
 
 // Flow is one in-flight transfer.
 type Flow struct {
-	name      string
-	bound     string // binding-resource tag carried onto the recorded span
+	name      func() string // formats the flow's label; called only when it is read
+	bound     string        // binding-resource tag carried onto the recorded span
 	remaining float64
 	rate      float64
 	cs        []*Constraint
 	done      *sim.Signal
 	finished  bool
-	seq       uint64        // admission order, breaks finish-order ties
 	size      float64       // total bytes, for the recorded span
 	start     units.Seconds // when the flow entered the network
 }
+
+// String is the flow's label in deadlock diagnostics ("flow h2d:0.0").
+// It formats the name, so only cold paths call it.
+func (f *Flow) String() string { return "flow " + f.name() }
 
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
@@ -60,11 +62,13 @@ func (f *Flow) Rate() units.ByteRate { return units.ByteRate(f.rate) }
 
 // Network manages flows over a set of constraints on one engine.
 type Network struct {
-	eng     *sim.Engine
-	flows   map[*Flow]struct{}
+	eng *sim.Engine
+	// flows holds the active flows in admission order: simultaneous
+	// completions finish in this order, so their signals fire, their
+	// waiters wake and their spans record identically run to run.
+	flows   []*Flow
 	lastT   units.Seconds
 	gen     uint64 // invalidates stale completion events
-	seq     uint64 // admission counter for deterministic finish order
 	epsilon float64
 	obs     obs.Recorder
 }
@@ -73,23 +77,21 @@ type Network struct {
 // span and admitted flows are counted (fabric.flows, fabric.bytes).
 func (n *Network) Observe(r obs.Recorder) { n.obs = r }
 
-// admit registers a flow with the network, stamping its admission order
-// and entry time.
+// admit registers a flow with the network at the end of the admission
+// order, stamping its entry time.
 func (n *Network) admit(f *Flow) {
-	n.seq++
-	f.seq = n.seq
 	f.start = n.eng.Now()
 	for _, c := range f.cs {
-		c.flows[f] = struct{}{}
+		c.active++
 	}
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	obs.Count(n.obs, "fabric.flows", 1)
 	obs.Count(n.obs, "fabric.bytes", f.size)
 }
 
 // NewNetwork creates a flow network bound to the engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng, flows: make(map[*Flow]struct{}), epsilon: 1e-6}
+	return &Network{eng: eng, epsilon: 1e-6}
 }
 
 // NewConstraint registers a capacity. Non-positive capacities are
@@ -98,7 +100,7 @@ func (n *Network) NewConstraint(name string, cap units.ByteRate) (*Constraint, e
 	if cap <= 0 {
 		return nil, fmt.Errorf("fabric: constraint %q needs positive capacity", name)
 	}
-	return &Constraint{Name: name, capacity: float64(cap), flows: make(map[*Flow]struct{})}, nil
+	return &Constraint{Name: name, capacity: float64(cap)}, nil
 }
 
 // MustConstraint is NewConstraint for static topologies where a failure is
@@ -114,7 +116,11 @@ func (n *Network) MustConstraint(name string, cap units.ByteRate) *Constraint {
 // Transfer moves size bytes across the constraints, blocking the calling
 // process until completion. A positive latency is charged up front (wire
 // and software setup time), matching how a single message experiences it.
-func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
+// name formats the flow's label; it is called only when something reads
+// the label (a recorded span or a deadlock diagnostic). cs must not repeat
+// a constraint, and the network never modifies it, so callers may pass a
+// route slice they keep.
+func (n *Network) Transfer(p *sim.Proc, name func() string, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
 	if latency > 0 {
 		p.Hold(latency)
 	}
@@ -128,24 +134,19 @@ func (n *Network) Transfer(p *sim.Proc, name string, size units.Bytes, latency u
 	f.done.Wait(p)
 }
 
-// Start begins a non-blocking transfer after an optional latency delay and
-// returns its Flow; callers wait on it with Flow.Wait. It is the primitive
-// under MPI_Isend-style overlapped communication in the mpirt package.
-func (n *Network) Start(name string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
-	return n.StartBound(name, "", size, latency, cs...)
-}
-
-// StartBound is Start with a binding-resource tag: the flow's recorded
-// span carries bound, attributing the transfer when no enclosing span
-// covers it (the overlapped-communication path, where the flow span is
-// the only record of the transfer).
-func (n *Network) StartBound(name, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
+// StartBound begins a non-blocking transfer after an optional latency
+// delay and returns its Flow; callers wait on it with Flow.Wait. It is the
+// primitive under MPI_Isend-style overlapped communication in the mpirt
+// package. The flow's recorded span carries bound, attributing the
+// transfer when no enclosing span covers it (the overlapped-communication
+// path, where the flow span is the only record of the transfer). name and
+// cs are as for Transfer.
+func (n *Network) StartBound(name func() string, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
 	if size <= 0 && latency <= 0 {
-		f := &Flow{name: name, bound: bound, done: n.doneSignal(name), finished: true}
-		return f
+		return &Flow{name: name, bound: bound, finished: true}
 	}
 	if latency > 0 {
-		f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+		f := n.newFlow(name, bound, size, cs)
 		n.eng.Schedule(latency, func() {
 			if f.remaining <= 0 {
 				n.completePending(f)
@@ -174,20 +175,23 @@ func (f *Flow) Wait(p *sim.Proc) {
 	f.done.Wait(p)
 }
 
-// doneSignal builds a flow's completion signal, named so deadlock
-// diagnostics can report "blocked: 1 on signal flow h2d:0".
-func (n *Network) doneSignal(name string) *sim.Signal {
-	return sim.NewNamedSignal(n.eng, "flow "+name)
+// newFlow builds a flow that has yet to complete. Its completion signal
+// is labelled by the flow itself, so deadlock diagnostics can report
+// "blocked: 1 on signal flow h2d:0.0" without the name being formatted
+// on runs that never deadlock.
+func (n *Network) newFlow(name func() string, bound string, size units.Bytes, cs []*Constraint) *Flow {
+	f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
+	f.done = sim.NewLabeledSignal(n.eng, f)
+	return f
 }
 
 // start registers a flow and returns it; flows with no constraints
 // complete instantly.
-func (n *Network) start(name, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs, done: n.doneSignal(name)}
+func (n *Network) start(name func() string, bound string, size units.Bytes, cs []*Constraint) *Flow {
 	if len(cs) == 0 {
-		f.finished = true
-		return f
+		return &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), finished: true}
 	}
+	f := n.newFlow(name, bound, size, cs)
 	n.advance()
 	n.admit(f)
 	n.reschedule()
@@ -204,7 +208,7 @@ func (n *Network) advance() {
 	if dt <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.remaining -= f.rate * dt
 		if f.remaining < 0 {
 			f.remaining = 0
@@ -222,30 +226,27 @@ func (n *Network) reschedule() {
 	for {
 		// Complete drained flows first (may cascade: their departure
 		// frees bandwidth for the rest, handled by the rate recompute).
-		// Finish in admission order, not map order: simultaneous
-		// completions fire their signals in a reproducible sequence, so
-		// downstream wakeups — and any recorded trace — are identical
-		// run to run.
-		var drained []*Flow
-		for f := range n.flows {
+		// The survivors keep their admission order.
+		live := n.flows[:0]
+		for _, f := range n.flows {
 			if f.remaining <= n.epsilon {
-				drained = append(drained, f)
+				n.finish(f)
+			} else {
+				live = append(live, f)
 			}
 		}
-		sort.Slice(drained, func(i, j int) bool { return drained[i].seq < drained[j].seq })
-		for _, f := range drained {
-			n.finish(f)
-		}
+		clear(n.flows[len(live):])
+		n.flows = live
 		if len(n.flows) == 0 {
 			return
 		}
 		// Equal-share rates: share of each constraint divided by its
 		// current flow count; a flow runs at its minimum share.
 		soonest := math.Inf(1)
-		for f := range n.flows {
+		for _, f := range n.flows {
 			rate := math.Inf(1)
 			for _, c := range f.cs {
-				share := c.capacity / float64(len(c.flows))
+				share := c.capacity / float64(c.active)
 				if share < rate {
 					rate = share
 				}
@@ -276,7 +277,7 @@ func (n *Network) reschedule() {
 			return
 		}
 		// Sub-resolution completions: drain them in place and loop.
-		for f := range n.flows {
+		for _, f := range n.flows {
 			if f.rate > 0 && f.remaining/f.rate < resolution {
 				f.remaining = 0
 			}
@@ -284,18 +285,20 @@ func (n *Network) reschedule() {
 	}
 }
 
+// finish completes an admitted flow; the caller removes it from n.flows.
 func (n *Network) finish(f *Flow) {
 	f.finished = true
 	f.rate = 0
 	for _, c := range f.cs {
-		delete(c.flows, f)
+		c.active--
 	}
-	delete(n.flows, f)
-	obs.Emit(n.obs, obs.Span{
-		Name: f.name, Cat: "flow", GPU: -1, Stack: -1,
-		Start: f.start, End: n.eng.Now(), Bytes: units.Bytes(f.size),
-		Bound: f.bound,
-	})
+	if n.obs != nil {
+		n.obs.Span(obs.Span{
+			Name: f.name(), Cat: "flow", GPU: -1, Stack: -1,
+			Start: f.start, End: n.eng.Now(), Bytes: units.Bytes(f.size),
+			Bound: f.bound,
+		})
+	}
 	f.done.Fire()
 }
 
@@ -313,6 +316,8 @@ type Link struct {
 	Rev     *Constraint // e.g. device-to-host
 	Duplex  *Constraint
 	Latency units.Seconds
+
+	fwd, rev []*Constraint // Dir's two constraint sets, built once
 }
 
 // NewLink constructs the pipes for one port.
@@ -320,20 +325,25 @@ func NewLink(n *Network, name string, sustained units.ByteRate, duplexFactor flo
 	if duplexFactor <= 0 {
 		duplexFactor = 2
 	}
-	return &Link{
+	l := &Link{
 		Name:    name,
 		Fwd:     n.MustConstraint(name+"/fwd", sustained),
 		Rev:     n.MustConstraint(name+"/rev", sustained),
 		Duplex:  n.MustConstraint(name+"/duplex", units.ByteRate(float64(sustained)*duplexFactor)),
 		Latency: latency,
 	}
+	l.fwd = []*Constraint{l.Fwd, l.Duplex}
+	l.rev = []*Constraint{l.Rev, l.Duplex}
+	return l
 }
 
 // Dir selects the constraint set for one direction of the link: the
-// directional pipe plus the shared duplex cap.
+// directional pipe plus the shared duplex cap. The slice is the link's
+// own: callers must not modify it, and a route that extends it must copy
+// it first (appending to it already copies, as its capacity is full).
 func (l *Link) Dir(reverse bool) []*Constraint {
 	if reverse {
-		return []*Constraint{l.Rev, l.Duplex}
+		return l.rev
 	}
-	return []*Constraint{l.Fwd, l.Duplex}
+	return l.fwd
 }

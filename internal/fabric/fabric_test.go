@@ -2,12 +2,17 @@ package fabric
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pvcsim/internal/hw"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/units"
 )
+
+// named is a flow label fixed at the call site.
+func named(s string) func() string { return func() string { return s } }
 
 func approx(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
@@ -28,7 +33,7 @@ func TestSingleFlowTime(t *testing.T) {
 	c := n.MustConstraint("pipe", 100) // 100 B/s
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "t", 500, 0, c)
+		n.Transfer(p, named("t"), 500, 0, c)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -43,7 +48,7 @@ func TestLatencyChargedUpFront(t *testing.T) {
 	c := n.MustConstraint("pipe", 100)
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "t", 100, 2, c)
+		n.Transfer(p, named("t"), 100, 2, c)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -58,7 +63,7 @@ func TestZeroByteTransferInstant(t *testing.T) {
 	c := n.MustConstraint("pipe", 100)
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "t", 0, 0, c)
+		n.Transfer(p, named("t"), 0, 0, c)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -74,7 +79,7 @@ func TestNoConstraintTransferInstant(t *testing.T) {
 	n := NewNetwork(e)
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "t", 1e12, 0)
+		n.Transfer(p, named("t"), 1e12, 0)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -91,8 +96,8 @@ func TestEqualSharing(t *testing.T) {
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
 	var t1, t2 units.Seconds
-	e.Go("a", func(p *sim.Proc) { n.Transfer(p, "a", 500, 0, c); t1 = p.Now() })
-	e.Go("b", func(p *sim.Proc) { n.Transfer(p, "b", 500, 0, c); t2 = p.Now() })
+	e.Go("a", func(p *sim.Proc) { n.Transfer(p, named("a"), 500, 0, c); t1 = p.Now() })
+	e.Go("b", func(p *sim.Proc) { n.Transfer(p, named("b"), 500, 0, c); t2 = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +113,8 @@ func TestDepartureSpeedsUpRemainder(t *testing.T) {
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
 	var tShort, tLong units.Seconds
-	e.Go("short", func(p *sim.Proc) { n.Transfer(p, "s", 100, 0, c); tShort = p.Now() })
-	e.Go("long", func(p *sim.Proc) { n.Transfer(p, "l", 900, 0, c); tLong = p.Now() })
+	e.Go("short", func(p *sim.Proc) { n.Transfer(p, named("s"), 100, 0, c); tShort = p.Now() })
+	e.Go("long", func(p *sim.Proc) { n.Transfer(p, named("l"), 900, 0, c); tLong = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +128,10 @@ func TestLateJoiner(t *testing.T) {
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
 	var tA units.Seconds
-	e.Go("a", func(p *sim.Proc) { n.Transfer(p, "a", 1000, 0, c); tA = p.Now() })
+	e.Go("a", func(p *sim.Proc) { n.Transfer(p, named("a"), 1000, 0, c); tA = p.Now() })
 	e.Go("b", func(p *sim.Proc) {
 		p.Hold(5) // a has moved 500 B
-		n.Transfer(p, "b", 250, 0, c)
+		n.Transfer(p, named("b"), 250, 0, c)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -147,7 +152,7 @@ func TestLinkDuplexBehaviour(t *testing.T) {
 
 	size := units.Bytes(500 * units.MB)
 	var tH2D units.Seconds
-	e.Go("h2d", func(p *sim.Proc) { n.Transfer(p, "h2d", size, 0, l.Dir(false)...); tH2D = p.Now() })
+	e.Go("h2d", func(p *sim.Proc) { n.Transfer(p, named("h2d"), size, 0, l.Dir(false)...); tH2D = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestLinkDuplexBehaviour(t *testing.T) {
 	for _, rev := range []bool{false, true} {
 		r := rev
 		e2.Go("dir", func(p *sim.Proc) {
-			n2.Transfer(p, "x", size, 0, l2.Dir(r)...)
+			n2.Transfer(p, named("x"), size, 0, l2.Dir(r)...)
 			if p.Now() > tEnd {
 				tEnd = p.Now()
 			}
@@ -190,7 +195,7 @@ func TestHostPoolContention(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			e.Go("d2h", func(p *sim.Proc) {
 				cs := append(link.Dir(true), pool)
-				n.Transfer(p, "d2h", size, 0, cs...)
+				n.Transfer(p, named("d2h"), size, 0, cs...)
 				if p.Now() > finish {
 					finish = p.Now()
 				}
@@ -222,7 +227,7 @@ func TestFlowAccessors(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
-	f := n.start("probe", "", 500, []*Constraint{c})
+	f := n.start(named("probe"), "", 500, []*Constraint{c})
 	if f.Finished() {
 		t.Error("flow should be active")
 	}
@@ -255,8 +260,8 @@ func TestTinyTransferAfterLongHold(t *testing.T) {
 	c := n.MustConstraint("pipe", 200*units.GBps)
 	var done bool
 	e.Go("late", func(p *sim.Proc) {
-		p.Hold(1e9)                    // ~31 virtual years: ulp(1e9 s) ≈ 1.2e-7 s
-		n.Transfer(p, "tiny", 8, 0, c) // 8 bytes: 4e-11 s << ulp
+		p.Hold(1e9)                           // ~31 virtual years: ulp(1e9 s) ≈ 1.2e-7 s
+		n.Transfer(p, named("tiny"), 8, 0, c) // 8 bytes: 4e-11 s << ulp
 		done = true
 	})
 	if err := e.Run(); err != nil {
@@ -278,7 +283,7 @@ func TestWorkConservation(t *testing.T) {
 		var finish units.Seconds
 		for i := 0; i < k; i++ {
 			e.Go("f", func(p *sim.Proc) {
-				n.Transfer(p, "f", 500, 0, c)
+				n.Transfer(p, named("f"), 500, 0, c)
 				if p.Now() > finish {
 					finish = p.Now()
 				}
@@ -297,12 +302,12 @@ func TestStartNonBlocking(t *testing.T) {
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
 	// Zero-size, zero-latency start completes immediately.
-	f0 := n.Start("instant", 0, 0, c)
+	f0 := n.StartBound(named("instant"), "", 0, 0, c)
 	if !f0.Finished() {
 		t.Error("zero flow should be finished")
 	}
 	// Latency-only flow (no bytes) completes after the delay.
-	fl := n.Start("latency-only", 0, 2, c)
+	fl := n.StartBound(named("latency-only"), "", 0, 2, c)
 	var done units.Seconds
 	e.Go("waiter", func(p *sim.Proc) {
 		fl.Wait(p)
@@ -318,7 +323,7 @@ func TestStartNonBlocking(t *testing.T) {
 	e2 := sim.NewEngine()
 	n2 := NewNetwork(e2)
 	c2 := n2.MustConstraint("pipe", 100)
-	f2 := n2.Start("quick", 100, 0, c2)
+	f2 := n2.StartBound(named("quick"), "", 100, 0, c2)
 	e2.Go("late", func(p *sim.Proc) {
 		p.Hold(10) // flow done at t=1
 		f2.Wait(p)
@@ -335,7 +340,7 @@ func TestStartWithLatencyAndBytes(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	c := n.MustConstraint("pipe", 100)
-	f := n.Start("both", 300, 2, c)
+	f := n.StartBound(named("both"), "", 300, 2, c)
 	var done units.Seconds
 	e.Go("w", func(p *sim.Proc) {
 		f.Wait(p)
@@ -354,5 +359,58 @@ func TestLinkDefaultDuplex(t *testing.T) {
 	l := NewLink(n, "x", 100, 0, 0) // non-positive duplex defaults to 2
 	if l.Duplex.Capacity() != 200 {
 		t.Errorf("default duplex capacity = %v, want 200", l.Duplex.Capacity())
+	}
+}
+
+// spanLog records the names and end times of the spans it is handed.
+type spanLog struct {
+	names []string
+	ends  []units.Seconds
+}
+
+func (l *spanLog) Span(s obs.Span) {
+	l.names = append(l.names, s.Name)
+	l.ends = append(l.ends, s.End)
+}
+func (l *spanLog) Add(string, float64) {}
+
+// Equal flows on one constraint that drain at the same instant finish in
+// admission order: their waiters wake, and their spans are recorded, in
+// the order the flows entered the network, not in label or waiter order.
+// Repeated in-process so an unordered container would show.
+func TestSimultaneousCompletionsFinishInAdmissionOrder(t *testing.T) {
+	labels := []string{"e", "c", "a", "d", "b"} // admission order
+	for run := 0; run < 20; run++ {
+		e := sim.NewEngine()
+		n := NewNetwork(e)
+		log := &spanLog{}
+		n.Observe(log)
+		c := n.MustConstraint("pipe", 1000)
+		flows := make([]*Flow, len(labels))
+		for i, l := range labels {
+			flows[i] = n.StartBound(named(l), "", 500, 0, c)
+		}
+		var woke []string
+		for i := len(flows) - 1; i >= 0; i-- { // waiters start in reverse
+			e.Go("w", func(p *sim.Proc) {
+				flows[i].Wait(p)
+				woke = append(woke, labels[i])
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Join(labels, " ")
+		if got := strings.Join(woke, " "); got != want {
+			t.Fatalf("run %d: waiters woke in order %q, want admission order %q", run, got, want)
+		}
+		if got := strings.Join(log.names, " "); got != want {
+			t.Fatalf("run %d: spans recorded in order %q, want admission order %q", run, got, want)
+		}
+		for i, end := range log.ends {
+			if end != 2.5 { // five flows of 500 B share 1000 B/s
+				t.Fatalf("run %d: span %s ends at %v, want all five at 2.5", run, log.names[i], end)
+			}
+		}
 	}
 }

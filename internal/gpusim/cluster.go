@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"strconv"
 
 	"pvcsim/internal/fabric"
 	"pvcsim/internal/obs"
@@ -25,6 +26,7 @@ type Cluster struct {
 	nodes  []*Machine
 	nics   []*fabric.Link
 	global *fabric.Constraint
+	routes []fabric.Path // inter-node routes by ordered node pair, built on first use
 	sink   obs.Recorder
 }
 
@@ -47,6 +49,7 @@ func NewCluster(spec *topology.ClusterSpec) (*Cluster, error) {
 			spec.Network.InjectionBW, spec.Network.DuplexFactor, 0))
 	}
 	c.global = net.MustConstraint("net/global", spec.Network.GlobalBW)
+	c.routes = make([]fabric.Path, spec.NodeCount*spec.NodeCount)
 	return c, nil
 }
 
@@ -67,15 +70,19 @@ func (c *Cluster) Observe(r obs.Recorder) {
 	}
 }
 
-// remotePath composes the inter-node route between two nodes: source
-// NIC injection, the shared switch-fabric pool, destination NIC
-// ejection, plus the network's end-to-end message latency.
+// remotePath returns the inter-node route between two nodes, composed on
+// first use: source NIC injection, the shared switch-fabric pool,
+// destination NIC ejection, plus the network's end-to-end message
+// latency.
 func (c *Cluster) remotePath(src, dst int) fabric.Path {
-	return fabric.Path{}.
-		Via(c.nics[src].Dir(false)...).
-		Via(c.global).
-		Via(c.nics[dst].Dir(true)...).
-		Plus(c.Spec.Network.RemoteLatency())
+	p := &c.routes[src*len(c.nodes)+dst]
+	if p.Constraints == nil {
+		in, out := c.nics[src].Dir(false), c.nics[dst].Dir(true)
+		cs := make([]*fabric.Constraint, 0, len(in)+1+len(out))
+		cs = append(append(append(cs, in...), c.global), out...)
+		*p = fabric.Path{Latency: c.Spec.Network.RemoteLatency(), Constraints: cs}
+	}
+	return *p
 }
 
 // StartRemote begins a non-blocking inter-node transfer from a stack on
@@ -90,7 +97,9 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 	}
 	// NIC-to-NIC hops: every switch traversal plus the two ends.
 	obs.Count(c.sink, "fabric.hops", float64(c.Spec.Network.Hops+2))
-	name := fmt.Sprintf("n2n:n%d/%v->n%d/%v", src, from, dst, to)
+	name := func() string {
+		return "n2n:n" + strconv.Itoa(src) + "/" + from.String() + "->n" + strconv.Itoa(dst) + "/" + to.String()
+	}
 	return c.Net.StartPath(name, prof.BoundFabricNode, size, c.remotePath(src, dst)), nil
 }
 

@@ -30,8 +30,9 @@ type Machine struct {
 	poolD2H   *fabric.Constraint
 	poolBidir *fabric.Constraint
 	peerLinks map[stackPair]*fabric.Link
-	queues    map[topology.StackID]*sim.Resource
-	sink      obs.Recorder // the recorder handed to Observe
+	routes    []*route        // device-to-device routes by ordered stack pair, built on first use
+	queues    []*sim.Resource // in-order compute queues by stack index
+	sink      obs.Recorder    // the recorder handed to Observe
 
 	// prefix namespaces constraint/queue names and gpuBase offsets the
 	// recorded GPU index when the machine is one node of a cluster;
@@ -72,7 +73,15 @@ func pairKey(a, b topology.StackID) stackPair {
 
 type card struct {
 	pcie     *fabric.Link
-	internal *fabric.Link // stack-to-stack, nil when SubCount == 1
+	internal *fabric.Link         // stack-to-stack, nil when SubCount == 1
+	h2d, d2h []*fabric.Constraint // memcpy routes: the PCIe direction plus the host pools
+}
+
+// route is the device-to-device path between two stacks: the constraint
+// set its flows cross and the latency they pay up front.
+type route struct {
+	cs      []*fabric.Constraint
+	latency units.Seconds
 }
 
 // New builds a machine for the node on its own engine and network.
@@ -93,14 +102,14 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 		Node:      node,
 		Model:     perfmodel.New(node),
 		peerLinks: map[stackPair]*fabric.Link{},
-		queues:    map[topology.StackID]*sim.Resource{},
 		prefix:    prefix,
 		gpuBase:   gpuBase,
 		shared:    prefix != "",
 	}
 	subs := node.Subdevices()
+	m.routes = make([]*route, len(subs)*len(subs))
 	for _, st := range subs {
-		m.queues[st] = sim.NewResource(eng, prefix+"queue:"+st.String(), 1)
+		m.queues = append(m.queues, sim.NewResource(eng, prefix+"queue:"+st.String(), 1))
 	}
 	m.poolH2D = net.MustConstraint(prefix+"host/h2d-pool", node.HostH2DPool)
 	m.poolD2H = net.MustConstraint(prefix+"host/d2h-pool", node.HostD2HPool)
@@ -115,6 +124,8 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 			c.internal = fabric.NewLink(net, fmt.Sprintf("%scard%d/internal", prefix, i),
 				gpu.InternalLink.Sustained(), gpu.InternalLink.DuplexFactor, gpu.InternalLink.Latency)
 		}
+		c.h2d = []*fabric.Constraint{c.pcie.Fwd, c.pcie.Duplex, m.poolH2D, m.poolBidir}
+		c.d2h = []*fabric.Constraint{c.pcie.Rev, c.pcie.Duplex, m.poolD2H, m.poolBidir}
 		m.cards = append(m.cards, c)
 	}
 	return m, nil
@@ -155,10 +166,18 @@ type Stack struct {
 
 // Stack returns the handle for a subdevice.
 func (m *Machine) Stack(id topology.StackID) (*Stack, error) {
-	if id.GPU < 0 || id.GPU >= m.Node.GPUCount || id.Stack < 0 || id.Stack >= m.Node.GPU.SubCount {
-		return nil, fmt.Errorf("gpusim: no stack %v on %s", id, m.Node.Name)
+	if err := m.checkStack(id); err != nil {
+		return nil, err
 	}
 	return &Stack{m: m, ID: id}, nil
+}
+
+// checkStack rejects an id that names no subdevice of the node.
+func (m *Machine) checkStack(id topology.StackID) error {
+	if id.GPU < 0 || id.GPU >= m.Node.GPUCount || id.Stack < 0 || id.Stack >= m.Node.GPU.SubCount {
+		return fmt.Errorf("gpusim: no stack %v on %s", id, m.Node.Name)
+	}
+	return nil
 }
 
 // Stacks returns handles for every subdevice in rank order.
@@ -172,7 +191,12 @@ func (m *Machine) Stacks() []*Stack {
 
 // queue returns the stack's in-order compute queue (created at build
 // time).
-func (s *Stack) queue() *sim.Resource { return s.m.queues[s.ID] }
+func (s *Stack) queue() *sim.Resource { return s.m.queues[s.m.stackIndex(s.ID)] }
+
+// stackIndex numbers a subdevice in rank order (Node.Subdevices).
+func (m *Machine) stackIndex(id topology.StackID) int {
+	return id.GPU*m.Node.GPU.SubCount + id.Stack
+}
 
 // LaunchKernel blocks the process for the modeled execution time of the
 // profile on this stack. Kernels on the same stack serialize through its
@@ -210,18 +234,18 @@ func (m *Machine) record(name, kind string, st topology.StackID, start, end unit
 // Xe-Stack contains the PCIe link"), and all cards share the host pools.
 func (s *Stack) MemcpyH2D(p *sim.Proc, size units.Bytes) {
 	c := s.m.cards[s.ID.GPU]
-	cs := append(c.pcie.Dir(false), s.m.poolH2D, s.m.poolBidir)
+	id := s.ID
 	start := p.Now()
-	s.m.Net.Transfer(p, fmt.Sprintf("h2d:%v", s.ID), size, c.pcie.Latency, cs...)
+	s.m.Net.Transfer(p, func() string { return "h2d:" + id.String() }, size, c.pcie.Latency, c.h2d...)
 	s.m.record("memcpy", "h2d", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
 // MemcpyD2H transfers size bytes from the stack to pinned host memory.
 func (s *Stack) MemcpyD2H(p *sim.Proc, size units.Bytes) {
 	c := s.m.cards[s.ID.GPU]
-	cs := append(c.pcie.Dir(true), s.m.poolD2H, s.m.poolBidir)
+	id := s.ID
 	start := p.Now()
-	s.m.Net.Transfer(p, fmt.Sprintf("d2h:%v", s.ID), size, c.pcie.Latency, cs...)
+	s.m.Net.Transfer(p, func() string { return "d2h:" + id.String() }, size, c.pcie.Latency, c.d2h...)
 	s.m.record("memcpy", "d2h", s.ID, start, p.Now(), size, 0, prof.BoundPCIe)
 }
 
@@ -257,36 +281,54 @@ func (m *Machine) countHops(kind topology.PathKind) {
 // flow; the caller waits with Flow.Wait. It underlies MPI_Isend/Irecv of
 // device buffers in the mpirt package.
 func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, error) {
-	kind := s.m.Node.Route(s.ID, dst)
-	switch kind {
-	case topology.SameStack:
-		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v", s.ID), routeBound(kind), 0, t), nil
-	case topology.LocalStack:
-		c := s.m.cards[s.ID.GPU]
-		if c.internal == nil {
-			return nil, fmt.Errorf("gpusim: %s has no internal link", s.m.Node.Name)
-		}
-		rev := s.ID.Stack > dst.Stack
-		s.m.countHops(kind)
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, c.internal.Latency, c.internal.Dir(rev)...), nil
-	case topology.RemoteDirect, topology.RemoteExtraHop:
-		link := s.m.peerLink(s.ID, dst)
-		rev := s.ID.GPU > dst.GPU
-		cs := link.Dir(rev)
-		latency := link.Latency
-		if kind == topology.RemoteExtraHop {
-			c := s.m.cards[s.ID.GPU]
-			if c.internal != nil {
-				cs = append(cs, c.internal.Dir(s.ID.Stack > 0)...)
-				latency += c.internal.Latency
-			}
-		}
-		s.m.countHops(kind)
-		return s.m.Net.StartBound(fmt.Sprintf("d2d:%v->%v", s.ID, dst), routeBound(kind), size, latency, cs...), nil
-	default:
-		return nil, fmt.Errorf("gpusim: unroutable path %v -> %v", s.ID, dst)
+	if err := s.m.checkStack(dst); err != nil {
+		return nil, err
 	}
+	src := s.ID
+	kind := s.m.Node.Route(src, dst)
+	if kind == topology.SameStack {
+		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
+		return s.m.Net.StartBound(func() string { return "d2d:" + src.String() }, routeBound(kind), 0, t), nil
+	}
+	r, err := s.m.route(src, dst, kind)
+	if err != nil {
+		return nil, err
+	}
+	s.m.countHops(kind)
+	return s.m.Net.StartBound(func() string { return "d2d:" + src.String() + "->" + dst.String() },
+		routeBound(kind), size, r.latency, r.cs...), nil
+}
+
+// route returns the path from stack a to stack b, built on first use and
+// kept for every later transfer between them. Sibling stacks cross the
+// card's internal link; remote stacks cross their peer link, plus the
+// source card's internal link when the driver adds the cross-plane hop.
+func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, error) {
+	i := m.stackIndex(a)*len(m.queues) + m.stackIndex(b)
+	if r := m.routes[i]; r != nil {
+		return r, nil
+	}
+	c := m.cards[a.GPU]
+	var r *route
+	switch kind {
+	case topology.LocalStack:
+		if c.internal == nil {
+			return nil, fmt.Errorf("gpusim: %s has no internal link", m.Node.Name)
+		}
+		r = &route{cs: c.internal.Dir(a.Stack > b.Stack), latency: c.internal.Latency}
+	case topology.RemoteDirect, topology.RemoteExtraHop:
+		link := m.peerLink(a, b)
+		r = &route{cs: link.Dir(a.GPU > b.GPU), latency: link.Latency}
+		if kind == topology.RemoteExtraHop && c.internal != nil {
+			hop := c.internal.Dir(a.Stack > 0)
+			r.cs = append(append(make([]*fabric.Constraint, 0, len(r.cs)+len(hop)), r.cs...), hop...)
+			r.latency += c.internal.Latency
+		}
+	default:
+		return nil, fmt.Errorf("gpusim: unroutable path %v -> %v", a, b)
+	}
+	m.routes[i] = r
+	return r, nil
 }
 
 // Run drives the simulation to completion.

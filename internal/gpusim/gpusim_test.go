@@ -26,6 +26,41 @@ func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error 
 	return nil
 }
 
+// A warm cross-plane device-to-device round trip with no recorder pays
+// six heap allocations: the flow, its completion signal and first waiter
+// slot, its deferred label, and the latency and completion events'
+// closures. The route, its constraint set and the flow's name are not
+// built per transfer. Before routes were cached and labels deferred, the
+// same round trip made 18.
+func TestD2DRoundTripAllocs(t *testing.T) {
+	m := MustNew(topology.NewAurora())
+	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := topology.StackID{GPU: 1, Stack: 0}
+	if kind := m.Node.Route(src.ID, dst); kind != topology.RemoteExtraHop {
+		t.Fatalf("route %v -> %v is %v, want the cross-plane path", src.ID, dst, kind)
+	}
+	const rounds = 200 // amortizes the process that drives them
+	run := func() {
+		m.Go("rt", func(p *sim.Proc) {
+			for i := 0; i < rounds; i++ {
+				if err := d2d(p, src, dst, units.MB); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // build the route, warm the event free-list
+	if perTrip := testing.AllocsPerRun(5, run) / rounds; perTrip > 6.1 {
+		t.Errorf("%.2f allocs per StartD2D+Flow.Wait round trip, want at most 6", perTrip)
+	}
+}
+
 func approx(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if math.Abs(got-want)/want > tol {
@@ -46,6 +81,21 @@ func TestStackLookup(t *testing.T) {
 	}
 	if got := len(m.Stacks()); got != 12 {
 		t.Errorf("Aurora stacks = %d", got)
+	}
+}
+
+// A transfer to a stack the node does not have is refused rather than
+// routed over links built for it.
+func TestStartD2DRejectsUnknownStack(t *testing.T) {
+	m := MustNew(topology.NewAurora())
+	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []topology.StackID{{GPU: 6, Stack: 0}, {GPU: 0, Stack: 2}, {GPU: -1, Stack: 0}} {
+		if _, err := src.StartD2D(dst, units.MB); err == nil {
+			t.Errorf("StartD2D to %v succeeded on a 6-card, 2-stack node", dst)
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ type message struct {
 	tag      int
 	size     units.Bytes
 	flow     *fabric.Flow
-	claimed  bool
 }
 
 // Rank is one MPI process.
@@ -45,7 +44,7 @@ type Rank struct {
 	Node    int // node index within the cluster (0 on a single node)
 	Stack   *gpusim.Stack
 	Binding topology.RankBinding
-	inbox   []*message
+	inbox   []*message // unclaimed messages in arrival order
 	newMsg  *sim.Signal
 }
 
@@ -181,19 +180,20 @@ const AnySource = -1
 // AnyTag matches any tag.
 const AnyTag = -1
 
-// findMatch claims the first unclaimed inbox message matching the request.
+// findMatch claims the earliest-arrived inbox message matching the
+// request, removing it from the inbox so the rest keep their order.
 func (req *Request) findMatch() *message {
-	for _, m := range req.rank.inbox {
-		if m.claimed {
-			continue
-		}
+	inbox := req.rank.inbox
+	for i, m := range inbox {
 		if req.src != AnySource && m.src != req.src {
 			continue
 		}
 		if req.tag != AnyTag && m.tag != req.tag {
 			continue
 		}
-		m.claimed = true
+		copy(inbox[i:], inbox[i+1:])
+		inbox[len(inbox)-1] = nil
+		req.rank.inbox = inbox[:len(inbox)-1]
 		return m
 	}
 	return nil

@@ -217,6 +217,66 @@ func TestAnySourceAndTagMatching(t *testing.T) {
 	}
 }
 
+// TestInboxDrainsAsMessagesMatch sends n messages to rank 0 from two
+// interleaved senders and receives them all: each claimed message leaves
+// the inbox, and AnySource receives match the unclaimed ones in arrival
+// order even after a selective receive has taken the newest.
+func TestInboxDrainsAsMessagesMatch(t *testing.T) {
+	const n = 8
+	c := auroraComm(t, 3)
+	var order []int
+	err := c.Spawn(func(p *sim.Proc, r *Rank) {
+		if r.Rank() > 0 {
+			// Rank 1 sends the even tags, rank 2 the odd ones; tag k
+			// arrives at (k+1) µs.
+			var reqs []*Request
+			for tag := r.Rank() - 1; tag < n; tag += 2 {
+				p.Hold(units.Seconds(float64(tag+1)*1e-6) - p.Now())
+				req, err := r.Isend(0, tag, 1000)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reqs = append(reqs, req)
+			}
+			WaitAll(p, reqs...)
+			return
+		}
+		// The newest message first, by source and tag.
+		if err := r.Recv(p, 2, n-1); err != nil {
+			t.Error(err)
+		}
+		if got := len(r.inbox); got != n-1 {
+			t.Errorf("inbox holds %d messages after the selective receive, want %d", got, n-1)
+		}
+		for i := 0; i < n-1; i++ {
+			req, err := r.Irecv(AnySource, AnyTag)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Wait(p)
+			order = append(order, req.matched.tag)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tag := range order {
+		if tag != i {
+			t.Fatalf("AnySource receives matched tags %v, want arrival order 0..%d", order, n-2)
+		}
+	}
+	if len(order) != n-1 {
+		t.Fatalf("matched %d messages, want %d", len(order), n-1)
+	}
+	for _, r := range c.ranks {
+		if len(r.inbox) != 0 {
+			t.Errorf("rank %d inbox retains %d claimed messages", r.rank, len(r.inbox))
+		}
+	}
+}
+
 func TestBarrierSynchronizes(t *testing.T) {
 	c := auroraComm(t, 4)
 	var after []units.Seconds

@@ -58,14 +58,6 @@ type Recorder interface {
 	Add(name string, delta float64)
 }
 
-// Emit records a span on r, tolerating a nil recorder. Model code that
-// only has the interface should use it instead of a method call.
-func Emit(r Recorder, s Span) {
-	if r != nil {
-		r.Span(s)
-	}
-}
-
 // Count increments a counter on r, tolerating a nil recorder.
 func Count(r Recorder, name string, delta float64) {
 	if r != nil {

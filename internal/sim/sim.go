@@ -30,12 +30,11 @@ const shrinkMinCap = 64
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; call NewEngine.
 type Engine struct {
-	now     units.Seconds
-	queue   eventHeap
-	seq     uint64
-	parked  chan struct{}  // a running process hands control back here
-	live    int            // processes started and not yet finished
-	blocked map[string]int // blocker label → waiter count, for deadlock diagnostics
+	now    units.Seconds
+	queue  eventHeap
+	seq    uint64
+	parked chan struct{} // a running process hands control back here
+	procs  []*Proc       // processes started and not yet finished, any order
 
 	free      []*event // recycled event structs (allocation churn)
 	highWater int      // peak heap length, for shrink decisions
@@ -45,7 +44,7 @@ type Engine struct {
 
 // NewEngine returns a ready-to-use simulation engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{}), blocked: map[string]int{}}
+	return &Engine{parked: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -172,22 +171,31 @@ func (e *Engine) RunUntil(deadline units.Seconds) error {
 }
 
 // deadlockErr builds the Run error when live processes remain: the total
-// plus a sorted breakdown of which signals/resources hold waiters.
+// plus a breakdown, sorted by label, of which signals/resources hold
+// waiters. Blocker labels are formatted here and nowhere else, so a run
+// that completes never builds one.
 func (e *Engine) deadlockErr() error {
-	if e.live == 0 {
+	if len(e.procs) == 0 {
 		return nil
 	}
 	msg := fmt.Sprintf("sim: deadlock at t=%v: %d process(es) blocked with empty event queue",
-		e.now, e.live)
-	if len(e.blocked) > 0 {
-		names := make([]string, 0, len(e.blocked))
-		for name := range e.blocked {
-			names = append(names, name)
+		e.now, len(e.procs))
+	var labels []string
+	for _, p := range e.procs {
+		if p.blockedOn != nil {
+			labels = append(labels, p.blockedOn.blockerLabel())
 		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, name := range names {
-			parts = append(parts, fmt.Sprintf("%d on %s", e.blocked[name], name))
+	}
+	if len(labels) > 0 {
+		sort.Strings(labels)
+		var parts []string
+		for i := 0; i < len(labels); {
+			j := i + 1
+			for j < len(labels) && labels[j] == labels[i] {
+				j++
+			}
+			parts = append(parts, fmt.Sprintf("%d on %s", j-i, labels[i]))
+			i = j
 		}
 		msg += "; blocked: " + strings.Join(parts, ", ")
 	}
@@ -197,22 +205,22 @@ func (e *Engine) deadlockErr() error {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
-// block/unblock maintain the per-blocker waiter counts behind the
-// deadlock diagnostics.
-func (e *Engine) block(label string) { e.blocked[label]++ }
-func (e *Engine) unblock(label string) {
-	if e.blocked[label]--; e.blocked[label] <= 0 {
-		delete(e.blocked, label)
-	}
+// blocker is what a waiting process is blocked on: a Signal or a
+// Resource, named for deadlock diagnostics.
+type blocker interface {
+	blockerLabel() string
 }
 
 // Proc is a cooperative simulation process. Its methods may only be called
 // from within the process's own body function.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   chan struct{}
+	eng       *Engine
+	name      string
+	resume    chan struct{}
+	done      chan struct{}
+	wakeFn    func()  // p.wake, bound once so scheduling a wake-up does not allocate
+	idx       int     // position in eng.procs while live
+	blockedOn blocker // set while queued on a signal or resource
 }
 
 // Name returns the process name given to Go.
@@ -228,18 +236,30 @@ func (p *Proc) Now() units.Seconds { return p.eng.now }
 // runs cooperatively: it executes until it blocks in Hold, Wait, or
 // Acquire, at which point control returns to the engine.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{})}
-	e.live++
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{}), idx: len(e.procs)}
+	p.wakeFn = p.wake
+	e.procs = append(e.procs, p)
 	e.Schedule(0, func() {
 		go func() {
 			body(p)
-			e.live--
+			e.retire(p)
 			close(p.done)
 			e.parked <- struct{}{}
 		}()
 		<-e.parked
 	})
 	return p
+}
+
+// retire drops a finished process from the live set (swap-remove), so
+// the engine retains only processes that can still block.
+func (e *Engine) retire(p *Proc) {
+	last := len(e.procs) - 1
+	moved := e.procs[last]
+	e.procs[p.idx] = moved
+	moved.idx = p.idx
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
 }
 
 // yield transfers control from the process back to the engine and blocks
@@ -257,7 +277,7 @@ func (p *Proc) wake() {
 
 // Hold suspends the process for d of virtual time.
 func (p *Proc) Hold(d units.Seconds) {
-	p.eng.Schedule(d, p.wake)
+	p.eng.Schedule(d, p.wakeFn)
 	p.yield()
 }
 
@@ -271,7 +291,7 @@ func (p *Proc) Done() <-chan struct{} { return p.done }
 // later Fire. Fire may be called from process bodies or event callbacks.
 type Signal struct {
 	eng     *Engine
-	name    string
+	name    fmt.Stringer // nil for an unnamed signal
 	waiters []*Proc
 }
 
@@ -280,32 +300,45 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // NewNamedSignal creates a signal whose name identifies it in deadlock
 // diagnostics ("blocked: 2 on signal halo-ready").
-func NewNamedSignal(e *Engine, name string) *Signal { return &Signal{eng: e, name: name} }
+func NewNamedSignal(e *Engine, name string) *Signal {
+	return &Signal{eng: e, name: fixedName(name)}
+}
+
+// NewLabeledSignal creates a signal named by name.String(), which is
+// called only when a deadlock diagnostic reports the signal: a hot-path
+// owner passes itself instead of formatting a name no one may read.
+func NewLabeledSignal(e *Engine, name fmt.Stringer) *Signal { return &Signal{eng: e, name: name} }
+
+// fixedName is a signal name known at construction.
+type fixedName string
+
+func (n fixedName) String() string { return string(n) }
 
 // blockerLabel names the signal in deadlock diagnostics.
 func (s *Signal) blockerLabel() string {
-	if s.name == "" {
+	if s.name == nil {
 		return "signal (unnamed)"
 	}
-	return "signal " + s.name
+	return "signal " + s.name.String()
 }
 
 // Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	s.eng.block(s.blockerLabel())
+	p.blockedOn = s
 	p.yield()
 }
 
 // Fire schedules a wake-up, at the current time, for every process
-// currently waiting.
+// currently waiting. The waiter list keeps its backing array for the
+// next round of waiters.
 func (s *Signal) Fire() {
-	woken := s.waiters
-	s.waiters = nil
-	for _, p := range woken {
-		s.eng.unblock(s.blockerLabel())
-		s.eng.Schedule(0, p.wake)
+	for i, p := range s.waiters {
+		p.blockedOn = nil
+		s.eng.Schedule(0, p.wakeFn)
+		s.waiters[i] = nil
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting reports the number of processes currently blocked on the signal.
@@ -342,7 +375,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	r.eng.block(r.blockerLabel())
+	p.blockedOn = r
 	p.yield()
 	// When woken, the unit has already been transferred to us by Release.
 }
@@ -355,9 +388,10 @@ func (r *Resource) Release() {
 	}
 	if len(r.queue) > 0 {
 		head := r.queue[0]
+		r.queue[0] = nil
 		r.queue = r.queue[1:]
-		r.eng.unblock(r.blockerLabel())
-		r.eng.Schedule(0, head.wake)
+		head.blockedOn = nil
+		r.eng.Schedule(0, head.wakeFn)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--

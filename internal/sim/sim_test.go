@@ -315,6 +315,61 @@ func TestDeadlockDiagnosticsNameBlockers(t *testing.T) {
 	}
 }
 
+// countingName is a signal name that counts how often it is formatted.
+type countingName struct {
+	name  string
+	calls int
+}
+
+func (c *countingName) String() string { c.calls++; return c.name }
+
+// A blocker's label is formatted only when a deadlock is reported: a run
+// that completes never builds one, and keeps no finished process, while a
+// deadlocked run still names its blockers with counts.
+func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
+	e := NewEngine()
+	late := &countingName{name: "late"}
+	sig := NewLabeledSignal(e, late)
+	dma := NewResource(e, "dma", 1)
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) {
+			sig.Wait(p)
+			dma.Acquire(p)
+			p.Hold(1)
+			dma.Release()
+		})
+	}
+	e.Go("firer", func(p *Proc) { p.Hold(1); sig.Fire() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if late.calls != 0 {
+		t.Errorf("completed run formatted the signal's label %d times, want 0", late.calls)
+	}
+	if len(e.procs) != 0 {
+		t.Errorf("engine retains %d finished processes", len(e.procs))
+	}
+
+	e2 := NewEngine()
+	stuck := &countingName{name: "stuck"}
+	sig2 := NewLabeledSignal(e2, stuck)
+	for i := 0; i < 2; i++ {
+		e2.Go("w", func(p *Proc) { sig2.Wait(p) })
+	}
+	e2.Go("done", func(p *Proc) { p.Hold(1) })
+	err := e2.Run()
+	if err == nil {
+		t.Fatal("expected deadlock error")
+	}
+	want := "2 process(es) blocked with empty event queue; blocked: 2 on signal stuck"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+	if stuck.calls == 0 {
+		t.Error("deadlock report did not format the signal's label")
+	}
+}
+
 // The event heap sheds capacity once it drains far below its
 // high-water mark instead of pinning the peak forever.
 func TestEventHeapShrinks(t *testing.T) {

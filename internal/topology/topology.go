@@ -100,7 +100,7 @@ type StackID struct {
 }
 
 // String renders the paper's GPU.STACK notation.
-func (s StackID) String() string { return fmt.Sprintf("%d.%d", s.GPU, s.Stack) }
+func (s StackID) String() string { return strconv.Itoa(s.GPU) + "." + strconv.Itoa(s.Stack) }
 
 // NodeSpec is a complete single-node system description.
 type NodeSpec struct {
