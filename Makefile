@@ -1,5 +1,6 @@
 # Development targets. `make check` is the gate CI and contributors run
-# before merging: the gofmt gate, vet, full build, pvclint (the
+# before merging: the gofmt gate, vet, full build, a run of every
+# example from a temp dir, pvclint (the
 # determinism/simulated-time invariant analyzers), the race-enabled test
 # suite (the parallel runner makes -race meaningful), and vet + tests of
 # the nested perfbench module, which the root `./...` patterns never
@@ -7,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test race perfbench-check bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
+.PHONY: check fmt vet build examples lint test race perfbench-check bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
 
-check: fmt vet build lint race perfbench-check
+check: fmt vet build examples lint race perfbench-check
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -29,6 +30,18 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# Build and run the four examples from a temp dir, as CI's check job
+# does: they write their outputs to the working directory, and the
+# timeline example's Chrome trace must parse as a non-empty traceEvents
+# file.
+examples:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./examples/... && cd "$$tmp" && \
+	for ex in quickstart customnode projection timeline; do \
+		echo "== examples/$$ex"; "./$$ex" || exit 1; \
+	done && \
+	jq -e '.traceEvents | length > 0' timeline.json
 
 test:
 	$(GO) test ./...
@@ -90,14 +103,14 @@ wallprof-demo: build
 	@echo "wrote wallprof-demo-trace.json + wallprof-demo-walltrace.json — load both at https://ui.perfetto.dev"
 
 # Append today's bench record (the six Table V/VI FOM workloads) to
-# BENCH_<date>.json — the simulator's own performance trajectory.
+# BENCH_<date>.json — the simulated FOM trajectory.
 bench-record: build
 	$(GO) run ./cmd/pvcprof bench -jobs 0
 
 # Regression gate: run the bench set now and diff it against the
-# committed baseline. Simulated FOM drift hard-fails (exact tolerance);
-# wall-clock drift only warns — -jobs workers may only move wall time.
-# The zero-alloc test pins the disabled wall-probe path first: every
+# committed baseline. Simulated FOM drift hard-fails (exact tolerance),
+# whatever -jobs is. The simulator's speed is perfbench's to measure
+# (bash perfbench/run.sh), not this gate's. The zero-alloc test pins the disabled wall-probe path first: every
 # simulation pays the nil-probe hook sites, so they must stay a single
 # pointer compare — no allocations (DESIGN.md §13).
 bench-check: build

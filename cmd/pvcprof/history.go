@@ -139,42 +139,27 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "note: no completed run carries simulated FOMs; nothing to gate")
 		return 0
 	}
+	// Compare only the FOMs both sides carry: a run covers one workload,
+	// the baseline the whole bench set.
 	ref := base[len(base)-1].Sim
-	keys := make([]string, 0, len(latest.Sim))
+	shared := map[string]float64{}
 	for k := range latest.Sim {
-		if _, ok := ref[k]; ok {
-			keys = append(keys, k)
+		if v, ok := ref[k]; ok {
+			shared[k] = v
 		}
 	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
+	if len(shared) == 0 {
 		fmt.Fprintf(stdout, "note: run %s shares no FOMs with %s; trend only\n", latest.ID, *baseline)
 		return 0
 	}
-	regressions := 0
-	for _, k := range keys {
-		ov, nv := ref[k], latest.Sim[k]
-		den := ov
-		if den < 0 {
-			den = -den
-		}
-		if den < 1e-300 {
-			den = 1e-300
-		}
-		rel := (nv - ov) / den
-		abs := rel
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs > *relTol {
-			regressions++
-			fmt.Fprintf(stdout, "FAIL %s: baseline %.6g -> run %s %.6g (%+.2f%%)\n", k, ov, latest.ID, nv, rel*100)
-		}
+	res := prof.Diff(&prof.Metrics{Sim: shared}, &prof.Metrics{Sim: latest.Sim}, prof.DiffOptions{RelTol: *relTol})
+	for _, l := range res.Regressions {
+		fmt.Fprintf(stdout, "FAIL %s: baseline %.6g -> run %s %.6g (%+.2f%%)\n", l.Metric, l.Old, latest.ID, l.New, l.Rel*100)
 	}
-	if regressions > 0 {
-		fmt.Fprintf(stderr, "pvcprof history: %d FOM regression(s) in run %s vs %s\n", regressions, latest.ID, *baseline)
+	if res.Failed() {
+		fmt.Fprintf(stderr, "pvcprof history: %d FOM regression(s) in run %s vs %s\n", len(res.Regressions), latest.ID, *baseline)
 		return 1
 	}
-	fmt.Fprintf(stdout, "ok: run %s matches %s on %d shared FOM(s)\n", latest.ID, *baseline, len(keys))
+	fmt.Fprintf(stdout, "ok: run %s matches %s on %d shared FOM(s)\n", latest.ID, *baseline, len(shared))
 	return 0
 }

@@ -1,7 +1,8 @@
 // Command pvcprof inspects and guards the simulator's bound-attribution
 // profiles: it renders per-cell residency tables and folded-stack
 // flamegraphs from a -profile export, compares two exports with
-// per-metric thresholds, and maintains the repo's bench trajectory.
+// per-metric thresholds, and maintains the repo's simulated FOM
+// trajectory.
 //
 // Usage:
 //
@@ -11,29 +12,25 @@
 //	pvcprof bench [flags]                  run the bench set, append a record
 //	pvcprof wall report wall.json          engine and runner-phase tables
 //	pvcprof wall flame wall.json           wall-time folded stacks
-//	pvcprof wall diff [flags] a.json b.json compare two wall self-profiles
 //	pvcprof history [flags] history.jsonl  pvcd run-history trends + regression flags
 //
-// diff accepts any pvcsim export — a -profile file, a -metrics file, a
-// -wallprof file, or a bench record array (the last record is compared)
-// — and exits 1 when a simulated metric drifted beyond its threshold.
-// Simulated figures are deterministic, so the default threshold is
-// exact equality; wall-clock figures only ever warn unless
-// -fail-on-wall is set. An input missing a wall stat the other carries
-// is noted, never treated as zero.
+// diff accepts a -profile file, a -metrics file, or a bench record
+// array (the last record is compared), and exits 1 when a simulated
+// metric drifted beyond its threshold. Simulated figures are
+// deterministic, so the default threshold is exact equality:
+//
+//	pvcprof diff -rel-tol 0.01 -metric-tol 'cloverleaf:CloverLeaf/Full Node@Dawn=0.05' old.json new.json
+//
+// A -wallprof file is refused with exit 2: the simulator's speed is
+// measured by perfbench (bash perfbench/run.sh), not diffed here.
 //
 // wall inspects the simulator's wall-clock self-profile (a -wallprof
 // export): where host time went — engine run time, event-struct churn,
 // and runner phases.
 //
-//	pvcprof diff -rel-tol 0.01 -metric-tol 'wall.run_ms=0.5' old.json new.json
-//
 // bench runs the six Table V/VI figure-of-merit workloads through the
-// parallel runner, records their simulated FOMs plus the wall-clock
-// cost of the run itself, and appends the record to BENCH_<date>.json
-// (override with -out). Simulated and wall-clock quantities live in
-// separate fields of the record, so diffing the file hard-fails only on
-// simulated drift.
+// parallel runner, records their simulated FOMs, and appends the
+// record to BENCH_<date>.json (override with -out).
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -63,7 +59,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "pvcprof: usage: pvcprof report|flame|diff|bench|wall [flags] [files]")
+		fmt.Fprintln(stderr, "pvcprof: usage: pvcprof report|flame|diff|bench|wall|history [flags] [files]")
 		return 2
 	}
 	switch args[0] {
@@ -88,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runWall dispatches the wall-clock self-profile views.
 func runWall(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "pvcprof wall: usage: pvcprof wall report|flame|diff [flags] [files]")
+		fmt.Fprintln(stderr, "pvcprof wall: usage: pvcprof wall report|flame [flags] wall.json")
 		return 2
 	}
 	switch args[0] {
@@ -96,33 +92,37 @@ func runWall(args []string, stdout, stderr io.Writer) int {
 		return runWallRender(args[1:], stdout, stderr, "report", (*wallprof.Report).WriteReport)
 	case "flame":
 		return runWallRender(args[1:], stdout, stderr, "flame", (*wallprof.Report).WriteFlame)
-	case "diff":
-		// ParseMetrics recognizes wall profiles, so the shared diff
-		// path compares them (every metric wall-classed: warnings
-		// unless -fail-on-wall).
-		return runDiff(args[1:], stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "pvcprof wall: unknown subcommand %q (want report, flame, or diff)\n", args[0])
+		fmt.Fprintf(stderr, "pvcprof wall: unknown subcommand %q (want report or flame)\n", args[0])
 		return 2
 	}
 }
 
-// loadWall reads a -wallprof export.
+// loadWall reads a -wallprof export. prof.ParseMetrics refuses wall
+// profiles, so the format check lives here; any other export is named
+// by the kind ParseMetrics detects.
 func loadWall(path string) (*wallprof.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := prof.ParseMetrics(data)
-	if err != nil {
-		return nil, err
+	var probe struct {
+		WallSchema *int `json:"wall_schema_version"`
 	}
-	if m.Source != "wall" {
+	if json.Unmarshal(data, &probe) != nil || probe.WallSchema == nil {
+		m, err := prof.ParseMetrics(data)
+		if err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%s is a %s export; wall report/flame need a -wallprof file", path, m.Source)
+	}
+	if *probe.WallSchema != wallprof.WallSchemaVersion {
+		return nil, fmt.Errorf("%s: wall profile schema %d, this build understands %d",
+			path, *probe.WallSchema, wallprof.WallSchemaVersion)
 	}
 	var r wallprof.Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: parsing wall profile: %w", path, err)
 	}
 	return &r, nil
 }
@@ -213,10 +213,6 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	relTol := fs.Float64("rel-tol", 0,
 		"relative tolerance for simulated metrics (0 = exact: any drift fails)")
-	wallTol := fs.Float64("wall-rel-tol", 0.25,
-		"relative tolerance for wall-clock metrics before a warning is printed")
-	failOnWall := fs.Bool("fail-on-wall", false,
-		"treat wall-clock drift beyond its tolerance as a failure, not a warning")
 	perMetric := map[string]float64{}
 	fs.Func("metric-tol", "per-metric override, `name=reltol` (repeatable)", func(v string) error {
 		name, val, ok := strings.Cut(v, "=")
@@ -265,17 +261,12 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 			oldM.Source, newM.Source)
 		return 2
 	}
-	res := prof.Diff(oldM, newM, prof.DiffOptions{
-		RelTol: *relTol, WallRelTol: *wallTol, FailOnWall: *failOnWall, PerMetric: perMetric,
-	})
+	res := prof.Diff(oldM, newM, prof.DiffOptions{RelTol: *relTol, PerMetric: perMetric})
 	for _, m := range res.Missing {
 		fmt.Fprintf(stdout, "FAIL %s: present in old, missing in new\n", m)
 	}
 	for _, l := range res.Regressions {
 		fmt.Fprintf(stdout, "FAIL %s\n", l)
-	}
-	for _, l := range res.Warnings {
-		fmt.Fprintf(stdout, "warn %s\n", l)
 	}
 	for _, n := range res.Notes {
 		fmt.Fprintf(stdout, "note %s\n", n)
@@ -283,19 +274,11 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	for _, m := range res.Added {
 		fmt.Fprintf(stdout, "note %s: new metric, no baseline\n", m)
 	}
-	for _, m := range res.WallMissing {
-		fmt.Fprintf(stdout, "note %s: %s lacks this wall stat (recorded without self-profiling?); not compared\n",
-			m, fs.Arg(1))
-	}
 	if res.Failed() {
 		fmt.Fprintf(stderr, "pvcprof diff: %d regression(s)\n", len(res.Regressions)+len(res.Missing))
 		return 1
 	}
-	if oldM.Source == "wall" {
-		fmt.Fprintf(stdout, "ok: %d wall stat(s) compared (warnings only unless -fail-on-wall)\n", len(oldM.Wall))
-	} else {
-		fmt.Fprintf(stdout, "ok: %d simulated metric(s) within tolerance\n", len(oldM.Sim))
-	}
+	fmt.Fprintf(stdout, "ok: %d simulated metric(s) within tolerance\n", len(oldM.Sim))
 	return 0
 }
 
@@ -334,11 +317,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 
 	reg := sweep.DefaultRegistry()
 	r := runner.New(*jobs)
-	// Bench runs always self-profile: the engine totals land in the
-	// record's wall side so the trajectory tracks engine busy time
-	// alongside raw run time.
-	wc := wallprof.New()
-	r.ProfileWall(wc)
 	var cells []runner.Cell
 	for _, name := range benchWorkloads {
 		w, ok := reg.Get(name)
@@ -351,26 +329,13 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	begin := time.Now()
 	results := r.Run(context.Background(), cells)
-	wall := time.Since(begin)
-
 	rec := prof.Record{
 		Schema:    prof.BenchSchemaVersion,
 		Date:      *date,
 		Label:     *label,
 		GoVersion: runtime.Version(),
 		Sim:       map[string]float64{},
-		Wall: prof.WallStats{
-			RunMS: float64(wall) / float64(time.Millisecond),
-			Jobs:  *jobs,
-			Cells: len(cells),
-		},
-	}
-	for _, c := range wc.Report().Cells {
-		rec.Wall.BuildMS += c.BuildMS
-		rec.Wall.SimulateMS += c.SimulateMS
-		rec.Wall.LaneBusyMS += c.EngineRunMS
 	}
 	for _, res := range results {
 		if res.Err != nil {
@@ -386,12 +351,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pvcprof bench: %v\n", err)
 		return 2
 	}
-	names := make([]string, 0, len(rec.Sim))
-	for n := range rec.Sim {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(stdout, "recorded %d simulated FOM(s) over %d cell(s) in %s (jobs=%d) -> %s\n",
-		len(names), len(cells), wall.Round(time.Millisecond), *jobs, *out)
+	fmt.Fprintf(stdout, "recorded %d simulated FOM(s) over %d cell(s) (jobs=%d) -> %s\n",
+		len(rec.Sim), len(cells), *jobs, *out)
 	return 0
 }

@@ -103,26 +103,6 @@ func TestDiffExitCodes(t *testing.T) {
 	}
 }
 
-func TestDiffWallWarnsByDefault(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "old.json", benchJSON(100))
-	slow := writeFile(t, dir, "slow.json",
-		`[{"schema_version": 1, "date": "2026-01-02",
-  "sim": {"cloverleaf:grind/cell@Aurora": 100},
-  "wall": {"run_ms": 400, "jobs": 1, "cells": 1}}]`)
-	var out, errb bytes.Buffer
-	if code := run([]string{"diff", base, slow}, &out, &errb); code != 0 {
-		t.Fatalf("wall-only drift: exit %d, want 0 (warn)\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "warn wall.run_ms") {
-		t.Fatalf("missing wall warning:\n%s", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"diff", "-fail-on-wall", base, slow}, &out, &errb); code != 1 {
-		t.Fatalf("-fail-on-wall: exit %d, want 1\n%s", code, out.String())
-	}
-}
-
 func TestDiffRefusesMixedSources(t *testing.T) {
 	dir := t.TempDir()
 	bench := writeFile(t, dir, "bench.json", benchJSON(100))
@@ -251,15 +231,15 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 		t.Fatalf("wall flame missing lane stack:\n%s", out.String())
 	}
 
-	// Two wall profiles of the same run differ only in wall time: the
-	// diff must never fail by default, whatever the drift.
+	// Wall profiles are not diffable: the refusal names the benchmark
+	// that does measure the simulator's speed, and `wall` has no diff view.
 	out.Reset()
-	if code := run([]string{"wall", "diff", a, b}, &out, &errb); code != 0 {
-		t.Fatalf("wall diff: exit %d, want 0 (wall drift warns)\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
+	errb.Reset()
+	if code := run([]string{"diff", a, b}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "perfbench") {
+		t.Fatalf("diff of two wall profiles: exit %d, want 2 naming perfbench\nstderr:\n%s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "wall stat(s) compared") {
-		t.Fatalf("wall diff ok line missing:\n%s", out.String())
+	if code := run([]string{"wall", "diff", a, b}, &out, &errb); code != 2 {
+		t.Fatalf("wall diff: exit %d, want 2", code)
 	}
 
 	// wall report refuses other export kinds, naming what it got.
@@ -271,30 +251,6 @@ func TestWallReportFlameAndDiff(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "is a bench export") {
 		t.Fatalf("stderr:\n%s", errb.String())
-	}
-}
-
-func TestDiffNotesMissingWallStats(t *testing.T) {
-	dir := t.TempDir()
-	// Old record carries engine self-profile stats; new one predates
-	// them. The diff must say so instead of comparing against zero.
-	withStats := writeFile(t, dir, "with.json",
-		`[{"schema_version": 1, "date": "2026-01-01",
-  "sim": {"cloverleaf:grind/cell@Aurora": 100},
-  "wall": {"run_ms": 100, "jobs": 1, "cells": 1,
-           "lane_busy_ms": 80, "lane_stall_ms": 5, "barrier_ms": 2,
-           "engine_rounds": 40, "mailbox_msgs": 12, "mean_lane_util": 0.8}}]`)
-	without := writeFile(t, dir, "without.json", benchJSON(100))
-	var out, errb bytes.Buffer
-	if code := run([]string{"diff", withStats, without}, &out, &errb); code != 0 {
-		t.Fatalf("missing wall stats must not fail: exit %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "note wall.lane_busy_ms") ||
-		!strings.Contains(out.String(), "lacks this wall stat") {
-		t.Fatalf("missing-wall note absent:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "warn wall.lane_busy_ms") {
-		t.Fatalf("absent wall stat was compared as zero:\n%s", out.String())
 	}
 }
 
@@ -313,7 +269,7 @@ func TestBenchAppendsAndDiffsClean(t *testing.T) {
 		t.Fatalf("bench jobs=2: exit %d, stderr:\n%s", code, errb.String())
 	}
 	// Two separate runs: the simulated figures must diff clean at exact
-	// tolerance whatever the parallelism; wall time may warn.
+	// tolerance whatever the parallelism.
 	out.Reset()
 	errb.Reset()
 	if code := run([]string{"diff", out1, out2}, &out, &errb); code != 0 {
@@ -331,10 +287,49 @@ func TestBenchAppendsAndDiffsClean(t *testing.T) {
 	if len(recs) != 2 || recs[1].Label != "again" || recs[1].Date != "2026-01-03" {
 		t.Fatalf("records after append: %+v", recs)
 	}
-	if recs[0].Wall.Cells == 0 || len(recs[0].Sim) == 0 {
+	if recs[0].Schema != prof.BenchSchemaVersion || len(recs[0].Sim) == 0 {
 		t.Fatalf("bench record is empty: %+v", recs[0])
 	}
-	if !recs[0].Wall.HasSelfProfile() {
-		t.Fatalf("bench record lacks self-profile stats: %+v", recs[0].Wall)
+	data, err := os.ReadFile(out1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"wall"`) {
+		t.Fatalf("bench record carries a wall object:\n%s", data)
+	}
+}
+
+// TestWallReportRendersLaneEraProfile keeps old wall reports readable:
+// one written by the former event-lane engine carries round, barrier,
+// stall and mailbox fields, which load and are ignored.
+func TestWallReportRendersLaneEraProfile(t *testing.T) {
+	path := writeFile(t, t.TempDir(), "wall.json", `{"wall_schema_version": 1, "export_ms": 2,
+  "cells": [{"workload": "w", "system": "aurora", "build_ms": 1, "simulate_ms": 3,
+             "engine_runs": 1, "engine_run_ms": 3, "workers": 2, "rounds": 4,
+             "barriers": 4, "barrier_ms": 0.5, "mean_active_lanes": 1.5,
+             "lanes": [{"lane": 0, "busy_ms": 2, "stall_ms": 0.1, "idle_ms": 0.9,
+                        "utilization": 0.66, "stall_frac": 0.03, "bursts": 4,
+                        "events": 9, "msgs_emitted": 1,
+                        "event_alloc_fresh": 9, "event_alloc_reused": 0, "heap_shrinks": 0}],
+             "mailbox_depth": {"bounds": [], "counts": [0], "count": 0, "sum": 0, "max": 0},
+             "mailbox_latency_ns": {"bounds": [], "counts": [0], "count": 0, "sum": 0, "max": 0}}]}`)
+	var out, errb bytes.Buffer
+	if code := run([]string{"wall", "report", path}, &out, &errb); code != 0 {
+		t.Fatalf("wall report: exit %d, stderr:\n%s", code, errb.String())
+	}
+	for _, want := range []string{"w @ aurora", "engine: 1 run(s), 3 ms wall", "66.0%"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("wall report missing %q:\n%s", want, out.String())
+		}
+	}
+
+	// A wall report from another schema is refused, not misread.
+	future := writeFile(t, t.TempDir(), "future.json", `{"wall_schema_version": 99, "cells": []}`)
+	errb.Reset()
+	if code := run([]string{"wall", "report", future}, &out, &errb); code != 2 {
+		t.Fatalf("foreign wall schema: exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "wall profile schema 99") {
+		t.Fatalf("stderr:\n%s", errb.String())
 	}
 }

@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -187,36 +188,17 @@ func TestParseMetricsDetectsFormats(t *testing.T) {
 	if m.Source != "bench" {
 		t.Fatalf("Source = %q, want bench", m.Source)
 	}
-	// The LAST record is the one compared.
-	if m.Sim["fom@Aurora"] != 12 || m.Wall["wall.run_ms"] != 7 {
-		t.Fatalf("bench metrics = sim %+v wall %+v", m.Sim, m.Wall)
+	// The LAST record is the one compared; the "wall" object older
+	// records carry loads and is ignored.
+	if len(m.Sim) != 1 || m.Sim["fom@Aurora"] != 12 {
+		t.Fatalf("bench metrics = %+v", m.Sim)
 	}
 
-	// A wall report written by the former event-lane engine: its round,
-	// barrier, stall and mailbox fields must still parse (and are
-	// ignored).
-	wall := []byte(`{"wall_schema_version": 1, "export_ms": 2,
-  "cells": [{"workload": "w", "system": "aurora", "build_ms": 1, "simulate_ms": 3,
-             "engine_runs": 1, "engine_run_ms": 3, "workers": 2, "rounds": 4,
-             "barriers": 4, "barrier_ms": 0.5, "mean_active_lanes": 1.5,
-             "lanes": [{"lane": 0, "busy_ms": 2, "stall_ms": 0.1, "idle_ms": 0.9,
-                        "utilization": 0.66, "stall_frac": 0.03, "bursts": 4,
-                        "events": 9, "msgs_emitted": 1,
-                        "event_alloc_fresh": 9, "event_alloc_reused": 0, "heap_shrinks": 0}],
-             "mailbox_depth": {"bounds": [], "counts": [0], "count": 0, "sum": 0, "max": 0},
-             "mailbox_latency_ns": {"bounds": [], "counts": [0], "count": 0, "sum": 0, "max": 0}}]}`)
-	m, err = ParseMetrics(wall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Source != "wall" {
-		t.Fatalf("Source = %q, want wall", m.Source)
-	}
-	if len(m.Sim) != 0 {
-		t.Fatalf("wall profile leaked into simulated metrics: %+v", m.Sim)
-	}
-	if m.Wall["w @ aurora wall.lane0.utilization"] != 0.66 || m.Wall["w @ aurora wall.lane0.busy_ms"] != 2 {
-		t.Fatalf("wall metrics = %+v", m.Wall)
+	// A wall self-profile is refused, pointing at the benchmark that
+	// measures the simulator's speed.
+	_, err = ParseMetrics([]byte(`{"wall_schema_version": 1, "export_ms": 2, "cells": []}`))
+	if err == nil || !strings.Contains(err.Error(), "perfbench") {
+		t.Fatalf("wall profile: err = %v, want a refusal naming perfbench", err)
 	}
 
 	for _, bad := range []string{"[]", "{}", `{"schema_version": 99, "cells": []}`,
@@ -227,75 +209,34 @@ func TestParseMetricsDetectsFormats(t *testing.T) {
 	}
 }
 
-func TestDiffReportsMissingWallStats(t *testing.T) {
-	old := &Metrics{Source: "bench",
-		Sim:  map[string]float64{"fom@Aurora": 10},
-		Wall: map[string]float64{"wall.run_ms": 5, "wall.lane_busy_ms": 4}}
-	new := &Metrics{Source: "bench",
-		Sim:  map[string]float64{"fom@Aurora": 10},
-		Wall: map[string]float64{"wall.run_ms": 5}}
-	res := Diff(old, new, DiffOptions{WallRelTol: 0.25})
-	if res.Failed() {
-		t.Fatalf("missing wall stat failed the diff: %+v", res)
-	}
-	if len(res.WallMissing) != 1 || res.WallMissing[0] != "wall.lane_busy_ms" {
-		t.Fatalf("WallMissing = %v, want [wall.lane_busy_ms]", res.WallMissing)
-	}
-	if len(res.Warnings) != 0 {
-		t.Fatalf("absent stat compared as zero: %+v", res.Warnings)
-	}
-}
-
-func benchMetrics(fom, wall float64) *Metrics {
-	return &Metrics{
-		Source: "bench",
-		Sim:    map[string]float64{"fom@Aurora": fom},
-		Wall:   map[string]float64{"wall.run_ms": wall},
-	}
+func benchMetrics(fom float64) *Metrics {
+	return &Metrics{Source: "bench", Sim: map[string]float64{"fom@Aurora": fom}}
 }
 
 func TestDiffExactByDefault(t *testing.T) {
-	old := benchMetrics(100, 5)
-	if res := Diff(old, benchMetrics(100, 5), DiffOptions{}); res.Failed() {
+	old := benchMetrics(100)
+	if res := Diff(old, benchMetrics(100), DiffOptions{}); res.Failed() {
 		t.Fatalf("identical inputs failed: %+v", res)
 	}
 	// A 10% simulated regression must fail under the default exact
 	// tolerance...
-	res := Diff(old, benchMetrics(90, 5), DiffOptions{})
+	res := Diff(old, benchMetrics(90), DiffOptions{})
 	if !res.Failed() || len(res.Regressions) != 1 {
 		t.Fatalf("10%% regression not caught: %+v", res)
 	}
 	// ...and a too-good 10% improvement is drift too.
-	if res := Diff(old, benchMetrics(110, 5), DiffOptions{}); !res.Failed() {
+	if res := Diff(old, benchMetrics(110), DiffOptions{}); !res.Failed() {
 		t.Fatalf("10%% improvement not flagged as drift: %+v", res)
 	}
 	// A wide tolerance admits it.
-	if res := Diff(old, benchMetrics(90, 5), DiffOptions{RelTol: 0.2}); res.Failed() {
+	if res := Diff(old, benchMetrics(90), DiffOptions{RelTol: 0.2}); res.Failed() {
 		t.Fatalf("regression within tolerance still failed: %+v", res)
 	}
 }
 
-func TestDiffWallIsWarnOnly(t *testing.T) {
-	old := benchMetrics(100, 5)
-	double := benchMetrics(100, 10)
-	res := Diff(old, double, DiffOptions{WallRelTol: 0.25})
-	if res.Failed() || len(res.Warnings) != 1 {
-		t.Fatalf("wall drift should warn, not fail: %+v", res)
-	}
-	res = Diff(old, double, DiffOptions{WallRelTol: 0.25, FailOnWall: true})
-	if !res.Failed() {
-		t.Fatalf("FailOnWall should promote wall drift to a regression: %+v", res)
-	}
-	// Within the wall tolerance: silent.
-	res = Diff(old, benchMetrics(100, 6), DiffOptions{WallRelTol: 0.25})
-	if res.Failed() || len(res.Warnings) != 0 {
-		t.Fatalf("wall within tolerance should be silent: %+v", res)
-	}
-}
-
 func TestDiffMissingAndAddedAndOverrides(t *testing.T) {
-	old := &Metrics{Source: "bench", Sim: map[string]float64{"a": 1, "b": 2}, Wall: map[string]float64{}}
-	new := &Metrics{Source: "bench", Sim: map[string]float64{"a": 1.05, "c": 3}, Wall: map[string]float64{}}
+	old := &Metrics{Source: "bench", Sim: map[string]float64{"a": 1, "b": 2}}
+	new := &Metrics{Source: "bench", Sim: map[string]float64{"a": 1.05, "c": 3}}
 	res := Diff(old, new, DiffOptions{PerMetric: map[string]float64{"a": 0.1}})
 	if len(res.Missing) != 1 || res.Missing[0] != "b" {
 		t.Fatalf("Missing = %v, want [b]", res.Missing)
@@ -315,9 +256,9 @@ func TestDiffNotesSchemaAndToolchainAsymmetry(t *testing.T) {
 	// A v1 baseline (no go_version) gating a v2 build: the comparison
 	// must still run on the shared metrics, and the provenance
 	// asymmetry must surface as notes, never as silent zero-compares.
-	old := benchMetrics(100, 5)
+	old := benchMetrics(100)
 	old.BenchSchema = 1
-	new := benchMetrics(100, 5)
+	new := benchMetrics(100)
 	new.BenchSchema = BenchSchemaVersion
 	new.GoVersion = "go1.24.0"
 	res := Diff(old, new, DiffOptions{})
@@ -327,7 +268,7 @@ func TestDiffNotesSchemaAndToolchainAsymmetry(t *testing.T) {
 	if len(res.Notes) != 2 {
 		t.Fatalf("Notes = %v, want schema + toolchain notes", res.Notes)
 	}
-	if !strings.Contains(res.Notes[0], "schema_version differs: old 1 vs new 2") {
+	if !strings.Contains(res.Notes[0], fmt.Sprintf("schema_version differs: old 1 vs new %d", BenchSchemaVersion)) {
 		t.Errorf("schema note = %q", res.Notes[0])
 	}
 	if !strings.Contains(res.Notes[1], "old (unrecorded) vs new go1.24.0") {
@@ -342,7 +283,7 @@ func TestDiffNotesSchemaAndToolchainAsymmetry(t *testing.T) {
 
 	// Non-bench sources never get the schema note even when the zero
 	// values differ from a bench record's.
-	prof := &Metrics{Source: "profile", Sim: map[string]float64{"a": 1}, Wall: map[string]float64{}}
+	prof := &Metrics{Source: "profile", Sim: map[string]float64{"a": 1}}
 	res = Diff(prof, prof, DiffOptions{})
 	if len(res.Notes) != 0 {
 		t.Fatalf("profile diff produced provenance notes: %v", res.Notes)
@@ -352,7 +293,7 @@ func TestDiffNotesSchemaAndToolchainAsymmetry(t *testing.T) {
 func TestBenchRecordCarriesGoVersion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	rec := Record{Schema: BenchSchemaVersion, Date: "2026-08-08", GoVersion: "go1.24.0",
-		Sim: map[string]float64{"fom@Aurora": 10}, Wall: WallStats{RunMS: 5, Jobs: 1, Cells: 1}}
+		Sim: map[string]float64{"fom@Aurora": 10}}
 	if err := AppendRecord(path, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +301,11 @@ func TestBenchRecordCarriesGoVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs[0].Schema != 2 || recs[0].GoVersion != "go1.24.0" {
+	if recs[0].Schema != BenchSchemaVersion || recs[0].GoVersion != "go1.24.0" {
 		t.Fatalf("record = %+v", recs[0])
 	}
 	m := flattenBench(recs[0])
-	if m.BenchSchema != 2 || m.GoVersion != "go1.24.0" {
+	if m.BenchSchema != BenchSchemaVersion || m.GoVersion != "go1.24.0" {
 		t.Fatalf("flattenBench lost provenance: %+v", m)
 	}
 }
@@ -376,9 +317,9 @@ func TestBenchRecords(t *testing.T) {
 		t.Fatalf("missing file: recs=%v err=%v, want empty history", recs, err)
 	}
 	r1 := Record{Schema: SchemaVersion, Date: "2026-01-01",
-		Sim: map[string]float64{"fom@Aurora": 10}, Wall: WallStats{RunMS: 5, Jobs: 1, Cells: 1}}
+		Sim: map[string]float64{"fom@Aurora": 10}}
 	r2 := Record{Schema: SchemaVersion, Date: "2026-01-02", Label: "tuned",
-		Sim: map[string]float64{"fom@Aurora": 10}, Wall: WallStats{RunMS: 4, Jobs: 2, Cells: 1}}
+		Sim: map[string]float64{"fom@Aurora": 10}}
 	if err := AppendRecord(path, r1); err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,3 @@ type WallProbe interface {
 // event order, so simulated results are byte-identical with any probe
 // installed or none. Install before Run.
 func (e *Engine) SetWallProbe(p WallProbe) { e.probe = p }
-
-// InstalledWallProbe returns the engine's probe (nil when disabled).
-func (e *Engine) InstalledWallProbe() WallProbe { return e.probe }

@@ -14,7 +14,7 @@ import (
 // the build gate, not just a profile someone has to read.
 func TestWallprobeNilPathZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	if e.InstalledWallProbe() != nil {
+	if e.probe != nil {
 		t.Fatal("fresh engine has a wall probe installed")
 	}
 	fn := func() {}   // captures nothing: a static func value, no per-call alloc

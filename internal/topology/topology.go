@@ -123,9 +123,6 @@ type NodeSpec struct {
 	Planes [][]StackID
 }
 
-// StacksPerGPU returns the number of subdevices per card.
-func (n *NodeSpec) StacksPerGPU() int { return n.GPU.SubCount }
-
 // TotalStacks returns the node's subdevice count (ranks in the paper's
 // "explicit scaling" mode: 12 on Aurora, 8 on Dawn and JLSE-MI250, 4 on
 // JLSE-H100).

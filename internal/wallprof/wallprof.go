@@ -83,12 +83,9 @@ func (c *Collector) Cell(k obs.Key) *CellProf {
 // Now reads the collector's clock; pair it with AddExportNS.
 func (c *Collector) Now() int64 { return c.clock() }
 
-// AddExport folds the run-level export phase (writing trace/metrics/
-// profile files) into the collector. Called once by the CLI layer.
-func (c *Collector) AddExport(d time.Duration) { c.AddExportNS(int64(d)) }
-
-// AddExportNS is AddExport for a raw nanosecond interval measured with
-// the collector's own clock (Now readings).
+// AddExportNS folds the run-level export phase (writing trace/metrics/
+// profile files) into the collector: a raw nanosecond interval measured
+// with the collector's own clock (Now readings).
 func (c *Collector) AddExportNS(ns int64) {
 	c.mu.Lock()
 	c.exportNS += ns

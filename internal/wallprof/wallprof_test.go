@@ -108,7 +108,7 @@ func TestPhaseTimings(t *testing.T) {
 	cp.AddBuild(cp.Now())
 	cp.AddSimulate(cp.Now())
 	cp.AddCacheHit(cp.Now())
-	c.AddExport(3 * time.Millisecond)
+	c.AddExportNS(int64(3 * time.Millisecond))
 	cell := c.Report().Cells[0]
 	if cell.BuildMS <= 0 || cell.SimulateMS <= 0 || cell.CacheWaitMS <= 0 {
 		t.Errorf("phase timings not recorded: %+v", cell)
