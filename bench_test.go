@@ -21,8 +21,10 @@ import (
 	"pvcsim/internal/microbench"
 	"pvcsim/internal/miniapps/cloverleaf"
 	"pvcsim/internal/miniapps/miniqmc"
+	"pvcsim/internal/obs"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/perfmodel"
+	"pvcsim/internal/prof"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
 	"pvcsim/internal/topology"
@@ -172,6 +174,42 @@ func benchWallprofOverhead(b *testing.B, enabled bool) {
 
 func BenchmarkWallprofOverheadNil(b *testing.B)     { benchWallprofOverhead(b, false) }
 func BenchmarkWallprofOverheadEnabled(b *testing.B) { benchWallprofOverhead(b, true) }
+
+// --- Exports: the three files written beside a paper artifact run
+// (metrics JSON, Chrome trace, bound-attribution profile), timed into
+// io.Discard over one report of the full artifact run with obs on, as
+// perfbench's paper-artifacts op builds it. Simulation and rendering
+// happen once, before the timer. ---
+
+func BenchmarkExports_PaperReport(b *testing.B) {
+	st := core.NewStudy()
+	col := obs.NewCollector()
+	st.Runner().Observe(col)
+	if err := st.Prefetch(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.WriteAllArtifacts(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	rep := col.Report()
+	for _, bc := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"ChromeTrace", rep.WriteChromeTrace},
+		{"Metrics", rep.WriteMetrics},
+		{"Profile", func(w io.Writer) error { return prof.Build(rep).WriteJSON(w) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // --- Registry: the full study cell set, serial vs parallel, plus the
 // memo-cache hit path. ---

@@ -1,13 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
 	"time"
 
 	"pvcsim/internal/chrometrace"
+	"pvcsim/internal/jsonw"
 )
 
 // CellReport is one cell's aggregated metrics. Wall is the measured
@@ -52,9 +52,41 @@ type RunReport struct {
 // JSON. The output contains only simulated quantities and is
 // byte-identical across -jobs settings.
 func (r *RunReport) WriteMetrics(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	j := jsonw.New("  ")
+	j.BeginObject()
+	j.Key("memo_hits").Int(r.MemoHits)
+	j.Key("memo_misses").Int(r.MemoMisses)
+	j.Key("orphan_finishes").Int(r.OrphanFinishes)
+	jsonw.Array(j.Key("cells"), r.Cells, writeCell)
+	j.EndObject()
+	return j.Finish(w)
+}
+
+// writeCell writes one CellReport in its field order; Wall and the
+// spans are not exported.
+func writeCell(j *jsonw.Writer, c *CellReport) {
+	j.BeginObject()
+	j.Key("workload").String(c.Workload)
+	j.Key("system").String(c.System)
+	if c.Params != "" {
+		j.Key("params").String(c.Params)
+	}
+	if c.Error != "" {
+		j.Key("error").String(c.Error)
+	}
+	j.Key("events").Int(int64(c.Events))
+	j.Key("sim_end_s").Float(c.SimEnd)
+	if len(c.Counters) > 0 {
+		jsonw.Array(j.Key("counters"), c.Counters, writeCounter)
+	}
+	j.EndObject()
+}
+
+func writeCounter(j *jsonw.Writer, c *Counter) {
+	j.BeginObject()
+	j.Key("name").String(c.Name)
+	j.Key("value").Float(c.Value)
+	j.EndObject()
 }
 
 // tid maps a span's device coordinates onto a Chrome thread id: one

@@ -1,12 +1,12 @@
 package prof
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"text/tabwriter"
 
+	"pvcsim/internal/jsonw"
 	"pvcsim/internal/obs"
 )
 
@@ -140,9 +140,41 @@ func sortedBounds(byBound map[string]float64) []string {
 // WriteJSON writes the machine-readable profile as indented JSON. Like
 // the obs exports it carries only simulated quantities.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+	j := jsonw.New("  ")
+	j.BeginObject()
+	j.Key("schema_version").Int(int64(p.SchemaVersion))
+	jsonw.Array(j.Key("cells"), p.Cells, writeCellProfile)
+	j.EndObject()
+	return j.Finish(w)
+}
+
+func writeCellProfile(j *jsonw.Writer, c *CellProfile) {
+	j.BeginObject()
+	j.Key("workload").String(c.Workload)
+	j.Key("system").String(c.System)
+	if c.Params != "" {
+		j.Key("params").String(c.Params)
+	}
+	j.Key("attributed_s").Float(c.AttributedS)
+	j.Key("sim_end_s").Float(c.SimEndS)
+	jsonw.Array(j.Key("residency"), c.Residency, writeShare)
+	jsonw.Array(j.Key("frames"), c.Frames, writeFrame)
+	j.EndObject()
+}
+
+func writeShare(j *jsonw.Writer, s *BoundShare) {
+	j.BeginObject()
+	j.Key("bound").String(s.Bound)
+	j.Key("seconds").Float(s.Seconds)
+	j.Key("fraction").Float(s.Fraction)
+	j.EndObject()
+}
+
+func writeFrame(j *jsonw.Writer, f *Frame) {
+	j.BeginObject()
+	j.Key("stack").String(f.Stack)
+	j.Key("seconds").Float(f.Seconds)
+	j.EndObject()
 }
 
 // WriteFlame writes the profile in the folded-stack format flamegraph
