@@ -246,8 +246,8 @@ func BenchmarkRegistry_CacheHit(b *testing.B) {
 func BenchmarkFigure1_Lats(b *testing.B) {
 	study := core.NewStudy()
 	for i := 0; i < b.N; i++ {
-		if series := study.Figure1(); len(series) != 4 {
-			b.Fatal("wrong series count")
+		if ladders, err := study.Figure1(microbench.LatsDefaultLo, microbench.LatsDefaultHi); err != nil || len(ladders) != 4 {
+			b.Fatalf("Figure 1: %d ladders, err %v", len(ladders), err)
 		}
 	}
 }

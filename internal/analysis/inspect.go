@@ -126,7 +126,8 @@ var simulationSegments = []string{
 // emits callbacks, wallprof reads the clock. reqtrace (request
 // correlation spans) and history (run-journal timestamps) are the same
 // kind of side channel: they measure the service, never the
-// simulation. cmd wins over a sim segment, so cmd/apps is allowed.
+// simulation. cmd wins over a sim segment, so a command directory named
+// after a simulation package (cmd/sim, say) could read the clock.
 var wallClockAllowed = []string{"cmd", "runner", "telemetry", "wallprof", "reqtrace", "history"}
 
 // isSimulationPackage classifies an import path under the walltime /

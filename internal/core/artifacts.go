@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"pvcsim/internal/microbench"
 	"pvcsim/internal/report"
 	"pvcsim/internal/topology"
+	"pvcsim/internal/workload"
 )
 
 // WriteAllArtifacts regenerates the paper's complete artifact into dir:
@@ -96,17 +99,21 @@ func (s *Study) WriteAllArtifacts(dir string) (err error) {
 		return err
 	}
 
-	// Figure 1: CSV and SVG.
-	if err := writeFile("figure1.csv", func(f *os.File) error { return s.LatsCSV(f) }); err != nil {
+	// Figure 1: CSV and SVG. Like every other artifact file, each fetches
+	// the registry's lats cells through the memo itself.
+	figure1 := func(render func(io.Writer, [][]workload.Value) error) func(*os.File) error {
+		return func(f *os.File) error {
+			ladders, err := s.Figure1(microbench.LatsDefaultLo, microbench.LatsDefaultHi)
+			if err != nil {
+				return err
+			}
+			return render(f, ladders)
+		}
+	}
+	if err := writeFile("figure1.csv", figure1(Figure1CSV)); err != nil {
 		return err
 	}
-	if err := writeFile("figure1.svg", func(f *os.File) error {
-		plot := report.NewSVGPlot("Figure 1: Memory Latency (coalesced pointer chase)",
-			"footprint [bytes, log2]", "latency [cycles]")
-		plot.LogX = true
-		plot.Series = s.Figure1()
-		return plot.Render(f)
-	}); err != nil {
+	if err := writeFile("figure1.svg", figure1(Figure1SVG)); err != nil {
 		return err
 	}
 

@@ -57,9 +57,9 @@ func (s *Study) Registry() *workload.Registry { return s.reg }
 // Runner exposes the memoizing executor backing the study.
 func (s *Study) Runner() *runner.Runner { return s.runner }
 
-// result fetches one (workload, system) cell through the memoizing
-// runner.
-func (s *Study) result(name string, sys topology.System) (workload.Result, error) {
+// Result fetches one registered (workload, system) cell through the
+// memoizing runner.
+func (s *Study) Result(name string, sys topology.System) (workload.Result, error) {
 	w, ok := s.reg.Get(name)
 	if !ok {
 		return workload.Result{}, fmt.Errorf("core: workload %q not registered", name)
@@ -120,7 +120,7 @@ func (s *Study) TableI() *report.Table {
 
 // metricRow fetches the three Table II cells of one metric for a system.
 func (s *Study) metricRow(sys topology.System, m paper.Metric) ([3]float64, error) {
-	res, err := s.result(workload.MetricSlug(m), sys)
+	res, err := s.Result(workload.MetricSlug(m), sys)
 	if err != nil {
 		return [3]float64{}, err
 	}
@@ -160,7 +160,7 @@ var p2pRows = []string{"Local Uni", "Local Bidir", "Remote Uni", "Remote Bidir"}
 
 // p2pRow fetches one Table III (one pair, all pairs) row for a system.
 func (s *Study) p2pRow(sys topology.System, name string) (one, all float64, err error) {
-	res, err := s.result("p2p", sys)
+	res, err := s.Result("p2p", sys)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -234,7 +234,7 @@ func (s *Study) FOM(w paper.Workload, sys topology.System, g expected.Granularit
 	if !known {
 		return 0, false, fmt.Errorf("core: unknown workload %q", w)
 	}
-	res, err := s.result(name, sys)
+	res, err := s.Result(name, sys)
 	if err != nil {
 		return 0, false, err
 	}
@@ -290,26 +290,56 @@ func (s *Study) TableVI() (*report.Table, error) {
 
 // latsResult fetches the Figure 1 ladder for a system.
 func (s *Study) latsResult(sys topology.System) (workload.Result, error) {
-	return s.result("lats", sys)
+	return s.Result("lats", sys)
 }
 
-// Figure1 returns the memory-latency series of every system.
-func (s *Study) Figure1() []*report.Series {
-	var out []*report.Series
+// Figure1 runs the memory-latency ladder from lo to hi on every system
+// as one batch through the study's runner and returns each system's
+// latency points, in topology.AllSystems order. The default range,
+// microbench.LatsDefaultLo to LatsDefaultHi, is the registry's lats cell.
+func (s *Study) Figure1(lo, hi units.Bytes) ([][]workload.Value, error) {
+	w := workload.NewLatsCell(lo, hi)
+	var cells []runner.Cell
 	for _, sys := range topology.AllSystems() {
-		res, err := s.latsResult(sys)
-		if err != nil {
-			// The analytic ladder cannot fail on the standard systems;
-			// an empty series keeps the signature compatible.
-			continue
+		cells = append(cells, runner.Cell{System: sys, Workload: w})
+	}
+	var ladders [][]workload.Value
+	for _, res := range s.runner.Run(context.Background(), cells) {
+		if res.Err != nil {
+			return nil, res.Err
 		}
+		ladders = append(ladders, res.Result.Select("latency"))
+	}
+	return ladders, nil
+}
+
+// figure1Series turns the ladders Figure1 returns into one plot series
+// per system.
+func figure1Series(ladders [][]workload.Value) []*report.Series {
+	var out []*report.Series
+	for i, sys := range topology.AllSystems() {
 		ser := &report.Series{Name: sys.String(), XLabel: "footprint [bytes]", YLabel: "latency [cycles]"}
-		for _, v := range res.Select("latency") {
+		for _, v := range ladders[i] {
 			ser.Add(v.X, v.Value)
 		}
 		out = append(out, ser)
 	}
 	return out
+}
+
+// Figure1CSV writes Figure 1 ladders as CSV: the footprint column, then
+// one latency column per system.
+func Figure1CSV(w io.Writer, ladders [][]workload.Value) error {
+	return report.CSVMulti(w, "footprint_bytes", figure1Series(ladders)...)
+}
+
+// Figure1SVG writes Figure 1 ladders as a standalone SVG plot.
+func Figure1SVG(w io.Writer, ladders [][]workload.Value) error {
+	plot := report.NewSVGPlot("Figure 1: Memory Latency (coalesced pointer chase)",
+		"footprint [bytes, log2]", "latency [cycles]")
+	plot.LogX = true
+	plot.Series = figure1Series(ladders)
+	return plot.Render(w)
 }
 
 // latsPlateau returns the latency plateau of one hierarchy level.
@@ -546,12 +576,3 @@ func (s *Study) WriteExperimentsMarkdown(w io.Writer) error {
 	fmt.Fprintf(w, "Comparisons: %d. Worst relative error: %.1f%%.\n", len(exps), worst*100)
 	return nil
 }
-
-// LatsCSV writes Figure 1 as CSV.
-func (s *Study) LatsCSV(w io.Writer) error {
-	series := s.Figure1()
-	return report.CSVMulti(w, "footprint_bytes", series...)
-}
-
-// FigureBytes formats a footprint axis tick for Figure 1 output.
-func FigureBytes(b float64) string { return units.Bytes(b).IEC() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pvcsim/internal/expected"
+	"pvcsim/internal/microbench"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/report"
 	"pvcsim/internal/topology"
@@ -126,17 +127,20 @@ func TestTableVIRenders(t *testing.T) {
 
 func TestFigure1SeriesShape(t *testing.T) {
 	s := NewStudy()
-	series := s.Figure1()
-	if len(series) != 4 {
-		t.Fatalf("series = %d, want 4 systems", len(series))
+	ladders, err := s.Figure1(microbench.LatsDefaultLo, microbench.LatsDefaultHi)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ser := range series {
-		if len(ser.X) < 20 {
-			t.Errorf("%s: only %d points", ser.Name, len(ser.X))
+	if len(ladders) != 4 {
+		t.Fatalf("ladders = %d, want 4 systems", len(ladders))
+	}
+	for i, ladder := range ladders {
+		if len(ladder) < 20 {
+			t.Errorf("%s: only %d points", topology.AllSystems()[i], len(ladder))
 		}
 	}
 	var b strings.Builder
-	if err := s.LatsCSV(&b); err != nil {
+	if err := Figure1CSV(&b, ladders); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(b.String(), "footprint_bytes,Aurora,Dawn,JLSE-H100,JLSE-MI250") {
@@ -247,11 +251,5 @@ func TestWriteExperimentsMarkdown(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q", want)
 		}
-	}
-}
-
-func TestFigureBytes(t *testing.T) {
-	if FigureBytes(512*1024) != "512 KiB" {
-		t.Errorf("got %q", FigureBytes(512*1024))
 	}
 }

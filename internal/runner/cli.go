@@ -19,9 +19,8 @@ import (
 
 // ObsFlags bundles the observability flags (-trace, -metrics, -profile)
 // shared by the command line tools: Register them on the flag set,
-// Attach the resulting collector to every runner the tool uses, and
-// Finish once to write the requested files plus a per-cell summary on
-// stderr.
+// Attach the resulting collector to the tool's runner, and Finish once
+// to write the requested files plus a per-cell summary on stderr.
 type ObsFlags struct {
 	Trace     string
 	Metrics   string
@@ -47,43 +46,23 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 		"write a wall-time Chrome trace-event JSON timeline (engine runs, runner phases) to `file`")
 }
 
-// Enabled reports whether any observability output was requested.
-func (f *ObsFlags) Enabled() bool {
-	return f.Trace != "" || f.Metrics != "" || f.Profile != "" || f.WallEnabled()
-}
-
-// WallEnabled reports whether a wall-clock self-profiling output was
-// requested.
-func (f *ObsFlags) WallEnabled() bool { return f.Wall != "" || f.WallTrace != "" }
-
-// Attach wires one shared collector into the runners when an output was
-// requested; with neither flag set it attaches nothing, keeping the hot
-// path recorder-free. The wall-clock collector attaches independently of
-// the simulated-observability collector: each rides only on its own
-// flags.
-func (f *ObsFlags) Attach(rs ...*Runner) {
-	if !f.Enabled() {
-		return
-	}
-	simOut := f.Trace != "" || f.Metrics != "" || f.Profile != ""
-	if simOut && f.col == nil {
+// Attach wires the requested collectors into the runner; with no output
+// requested it attaches nothing, keeping the hot path recorder-free. The
+// wall-clock collector attaches independently of the
+// simulated-observability collector: each rides only on its own flags.
+func (f *ObsFlags) Attach(r *Runner) {
+	if f.Trace != "" || f.Metrics != "" || f.Profile != "" {
 		f.col = obs.NewCollector()
 		f.stats = &Stats{}
+		r.Observe(f.col)
+		r.AddHooks(f.stats)
 	}
-	if f.WallEnabled() && f.wc == nil {
+	if f.Wall != "" || f.WallTrace != "" {
 		f.wc = wallprof.New()
 		if f.WallTrace != "" {
 			f.wc.EnableTimeline()
 		}
-	}
-	for _, r := range rs {
-		if f.col != nil {
-			r.Observe(f.col)
-			r.AddHooks(f.stats)
-		}
-		if f.wc != nil {
-			r.ProfileWall(f.wc)
-		}
+		r.ProfileWall(f.wc)
 	}
 }
 
