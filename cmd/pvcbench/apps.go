@@ -1,40 +1,44 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
 	"pvcsim/internal/apps/hacc"
 	"pvcsim/internal/apps/openmc"
-	"pvcsim/internal/core"
 	"pvcsim/internal/topology"
 )
 
 // runApps reports the mechanism analyses behind the two full science
 // applications' rows of Table VI: OpenMC's effective cross-section
 // access latency per architecture and HACC's GPU/CPU time breakdown.
-// The rows themselves are Table VI of `pvcbench miniapps`.
+// The rows themselves are Table VI of `pvcbench miniapps`. Both analyses
+// call the application models directly and run no registry cell, so apps
+// takes no -jobs, observability or log flags.
 func runApps(args []string, stdout, stderr io.Writer) error {
-	c := newStudyCmd("pvcbench apps", stderr)
-	keff := c.Bool("keff", false, "run the OpenMC eigenvalue (k-effective) demonstration and exit")
-	return c.run(args, func(*core.Study) error {
-		if *keff {
-			return runKeffDemo(stdout)
-		}
-		fmt.Fprintln(stdout, "OpenMC mechanism: effective cross-section access latency (300 MB working set)")
-		for _, sys := range topology.AllSystems() {
-			node := topology.NewNode(sys)
-			fmt.Fprintf(stdout, "  %-12s %6.0f ns  (L2 per subdevice: %v)\n",
-				sys, openmc.AccessLatencyNs(sys), node.GPU.Sub.Caches[1].Capacity.IEC())
-		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "HACC mechanism: step-time breakdown (GPU FP32 vs CPU memory bandwidth)")
-		for _, sys := range topology.AllSystems() {
-			g, c := hacc.Breakdown(sys)
-			fmt.Fprintf(stdout, "  %-12s GPU %4.0f%%  CPU %4.0f%%\n", sys, g*100, c*100)
-		}
-		return nil
-	})
+	fs := flag.NewFlagSet("pvcbench apps", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	keff := fs.Bool("keff", false, "run the OpenMC eigenvalue (k-effective) demonstration and exit")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *keff {
+		return runKeffDemo(stdout)
+	}
+	fmt.Fprintln(stdout, "OpenMC mechanism: effective cross-section access latency (300 MB working set)")
+	for _, sys := range topology.AllSystems() {
+		node := topology.NewNode(sys)
+		fmt.Fprintf(stdout, "  %-12s %6.0f ns  (L2 per subdevice: %v)\n",
+			sys, openmc.AccessLatencyNs(sys), node.GPU.Sub.Caches[1].Capacity.IEC())
+	}
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "HACC mechanism: step-time breakdown (GPU FP32 vs CPU memory bandwidth)")
+	for _, sys := range topology.AllSystems() {
+		g, c := hacc.Breakdown(sys)
+		fmt.Fprintf(stdout, "  %-12s GPU %4.0f%%  CPU %4.0f%%\n", sys, g*100, c*100)
+	}
+	return nil
 }
 
 // runKeffDemo runs the power iteration across slab thicknesses and shows

@@ -20,7 +20,8 @@
 // with bit-identical output. -trace, -metrics and -profile write every
 // computed cell's simulated timeline, counters and bound-attribution
 // profile (inspect with pvcprof); they are byte-identical across -jobs.
-// Every command but nodeinfo, which simulates nothing, takes them.
+// The root, lats and miniapps take them and the log flags; apps and
+// nodeinfo run no registry cell and take none of them.
 //
 // Exit codes: 0 on success, 1 on an error, 2 on a usage error (bad flag,
 // out-of-range -table or -figure, stray argument, unknown subcommand),
@@ -45,6 +46,7 @@ import (
 	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
+	"pvcsim/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -332,9 +334,16 @@ func printP2PCurves(out io.Writer, study *core.Study) error {
 	}
 	t := report.NewTable("P2P message-size sweep (Aurora): bandwidth [GB/s] per path",
 		"Message", "Local (MDFI)", "Remote (Xe-Link)", "Remote extra-hop")
-	local, remote, extra := res.Select("local"), res.Select("remote"), res.Select("extra")
-	for i := range local {
-		t.AddRow(local[i].Scope, report.Num(local[i].Value), report.Num(remote[i].Value), report.Num(extra[i].Value))
+	curves := map[string][]workload.Value{
+		"local":  res.Select("local"),
+		"remote": res.Select("remote"),
+		"extra":  res.Select("extra"),
+	}
+	for i := range curves["local"] {
+		t.AddRow(curves["local"][i].Scope,
+			report.Num(curves["local"][i].Value),
+			report.Num(curves["remote"][i].Value),
+			report.Num(curves["extra"][i].Value))
 	}
 	if err := t.Render(out); err != nil {
 		return err
@@ -359,16 +368,31 @@ func printEnergy(out io.Writer, study *core.Study) error {
 			if err != nil {
 				return err
 			}
-			var vals [4]float64
-			for i, scope := range []string{"time", "power", "energy", "efficiency"} {
+			get := func(scope string) (workload.Value, error) {
 				v, ok := res.Lookup(name, scope)
 				if !ok {
-					return fmt.Errorf("energy: no %s %s for %s", name, scope, sys)
+					return workload.Value{}, fmt.Errorf("energy: no %s %s for %s", name, scope, sys)
 				}
-				vals[i] = v.Value
+				return v, nil
 			}
-			t.AddRow(sys.String(), name, units.Seconds(vals[0]).String(),
-				report.Num(vals[1]), report.Num(vals[2]), report.Num(vals[3]))
+			tv, err := get("time")
+			if err != nil {
+				return err
+			}
+			pv, err := get("power")
+			if err != nil {
+				return err
+			}
+			ev, err := get("energy")
+			if err != nil {
+				return err
+			}
+			fv, err := get("efficiency")
+			if err != nil {
+				return err
+			}
+			t.AddRow(sys.String(), name, units.Seconds(tv.Value).String(),
+				report.Num(pv.Value), report.Num(ev.Value), report.Num(fv.Value))
 		}
 	}
 	return t.Render(out)

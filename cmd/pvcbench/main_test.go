@@ -124,6 +124,27 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestNoStudyFlagsOnApps: apps and nodeinfo run no registry cell, so
+// they refuse -jobs and the observability flags instead of writing an
+// export with no cells.
+func TestNoStudyFlagsOnApps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	for _, args := range [][]string{
+		{"apps", "-metrics", path},
+		{"apps", "-jobs", "4"},
+		{"nodeinfo", "-trace", path},
+		{"nodeinfo", "-jobs", "4"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("pvcbench %q: exit %d, stdout %q; want exit 2 and no output", args, code, stdout.String())
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Fatalf("pvcbench %q wrote %s", args, path)
+		}
+	}
+}
+
 // TestLatsRangeAppliesToCSVAndSVG: -lo/-hi set the ladder of every
 // Figure 1 rendering, not only the text table.
 func TestLatsRangeAppliesToCSVAndSVG(t *testing.T) {
