@@ -23,7 +23,6 @@ import (
 	"pvcsim/internal/miniapps/miniqmc"
 	"pvcsim/internal/obs"
 	"pvcsim/internal/paper"
-	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/prof"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
@@ -215,11 +214,11 @@ func BenchmarkExports_PaperReport(b *testing.B) {
 // memo-cache hit path. ---
 
 func BenchmarkRegistry_AllSerial(b *testing.B) {
-	benchCells(b, 1, runner.Cells(sweep.DefaultRegistry()))
+	benchCells(b, 1, runner.Cells(sweep.DefaultRegistry().Workloads()))
 }
 
 func BenchmarkRegistry_AllParallel(b *testing.B) {
-	benchCells(b, 0, runner.Cells(sweep.DefaultRegistry()))
+	benchCells(b, 0, runner.Cells(sweep.DefaultRegistry().Workloads()))
 }
 
 func BenchmarkRegistry_CacheHit(b *testing.B) {
@@ -605,17 +604,6 @@ func BenchmarkKernel_Eigenvalue(b *testing.B) {
 	}
 }
 
-func BenchmarkKernel_SplineVGL(b *testing.B) {
-	sp := miniqmc.ConstantSpline(24, 1.0)
-	b.ResetTimer()
-	sink := 0.0
-	for i := 0; i < b.N; i++ {
-		v := sp.EvalVGL(0.31, 0.42, 0.53)
-		sink += v.Laplacian
-	}
-	_ = sink
-}
-
 // Extension: the message-size sweep behind cmd/pvcbench -sweep.
 func BenchmarkExtension_P2PSweep(b *testing.B) {
 	s := microbench.NewSuite(topology.NewAurora())
@@ -627,15 +615,8 @@ func BenchmarkExtension_P2PSweep(b *testing.B) {
 	}
 }
 
-// Extension: energy-to-solution comparison across all systems.
+// Extension: the registry's energy cell on all four systems, what
+// cmd/pvcbench -energy runs.
 func BenchmarkExtension_Energy(b *testing.B) {
-	var models []*perfmodel.Model
-	for _, sys := range topology.AllSystems() {
-		models = append(models, perfmodel.New(topology.NewNode(sys)))
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := perfmodel.EnergyComparison(models, perfmodel.KindGEMM, hw.FP64, 1e16); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCells(b, 1, registryCells(b, topology.AllSystems(), "energy"))
 }

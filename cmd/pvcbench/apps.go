@@ -15,7 +15,7 @@ import (
 // access latency per architecture and HACC's GPU/CPU time breakdown.
 // The rows themselves are Table VI of `pvcbench miniapps`. Both analyses
 // call the application models directly and run no registry cell, so apps
-// takes no -jobs, observability or log flags.
+// takes no -jobs or observability flags.
 func runApps(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pvcbench apps", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -20,7 +20,7 @@
 // with bit-identical output. -trace, -metrics and -profile write every
 // computed cell's simulated timeline, counters and bound-attribution
 // profile (inspect with pvcprof); they are byte-identical across -jobs.
-// The root, lats and miniapps take them and the log flags; apps and
+// The root, lats and miniapps take them; apps and
 // nodeinfo run no registry cell and take none of them.
 //
 // Exit codes: 0 on success, 1 on an error, 2 on a usage error (bad flag,
@@ -43,7 +43,6 @@ import (
 	"pvcsim/internal/report"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 	"pvcsim/internal/workload"
@@ -124,14 +123,12 @@ func parse(fs *flag.FlagSet, args []string) error {
 }
 
 // studyCmd is the flag set of a command that simulates, with the setup
-// every such command shares: -jobs, the observability flags and the log
-// flags.
+// every such command shares: -jobs and the observability flags.
 type studyCmd struct {
 	*flag.FlagSet
 	stderr io.Writer
 	jobs   int
 	obs    runner.ObsFlags
-	log    telemetry.LogFlags
 }
 
 func newStudyCmd(name string, stderr io.Writer) *studyCmd {
@@ -139,7 +136,6 @@ func newStudyCmd(name string, stderr io.Writer) *studyCmd {
 	c.SetOutput(stderr)
 	c.IntVar(&c.jobs, "jobs", 1, "parallel simulation workers; 0 = all CPUs")
 	c.obs.Register(c.FlagSet)
-	c.log.Register(c.FlagSet)
 	return c
 }
 
@@ -148,9 +144,6 @@ func newStudyCmd(name string, stderr io.Writer) *studyCmd {
 // observability exports.
 func (c *studyCmd) run(args []string, body func(*core.Study) error) error {
 	if err := parse(c.FlagSet, args); err != nil {
-		return err
-	}
-	if _, err := c.log.Setup(c.stderr); err != nil {
 		return err
 	}
 	study := core.NewParallelStudy(c.jobs)
@@ -303,15 +296,9 @@ func runSweep(out io.Writer, study *core.Study, name, whereStr string, csv bool)
 	if err != nil {
 		return err
 	}
-	var rcells []runner.Cell
-	for _, w := range cells {
-		for _, sys := range w.Systems() {
-			rcells = append(rcells, runner.Cell{System: sys, Workload: w})
-		}
-	}
 	t := report.NewTable(fmt.Sprintf("Sweep %s: %s (%d cells)", f.Name, f.Desc, len(cells)),
 		"Cell", "System", "Metric", "Scope", "Value", "Unit", "Bound resource")
-	for _, res := range study.Runner().Run(context.Background(), rcells) {
+	for _, res := range study.Runner().Run(context.Background(), runner.Cells(cells)) {
 		if res.Err != nil {
 			return res.Err
 		}

@@ -183,3 +183,19 @@ func TestHelpListsEachSubcommandOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestLogFlagsRejected: only the pvcd daemon logs, so the study
+// commands refuse -log-format/-log-level instead of accepting values
+// that change nothing.
+func TestLogFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-log-format", "json", "-skip-selfcheck", "-table", "1"},
+		{"lats", "-log-format", "json"},
+		{"miniapps", "-log-level", "debug", "-table", "5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("pvcbench %q: exit %d, stdout %q; want exit 2 and no output", args, code, stdout.String())
+		}
+	}
+}

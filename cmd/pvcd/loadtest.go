@@ -33,13 +33,7 @@ func runLoadtest(args []string, stdout, stderr io.Writer) int {
 	requests := fs.Int("requests", 20, "total requests to issue")
 	concurrency := fs.Int("concurrency", 4, "in-flight request cap")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request timeout")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcd loadtest:", err)
 		return 2
 	}
 	if *requests <= 0 || *concurrency <= 0 {

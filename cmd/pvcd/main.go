@@ -10,6 +10,10 @@
 //	pvcd -validate-history history.jsonl
 //	pvcd loadtest [-addr host:port] [-requests N] [-concurrency N] ...
 //
+// -log-format and -log-level belong to the daemon alone: it is the only
+// command in the repository that logs, so no other command or
+// subcommand takes them.
+//
 // API:
 //
 //	GET  /v1/workloads             list every registry cell the sweep families expand to

@@ -469,34 +469,44 @@ func runCacheKey(cells []runner.Cell, artifacts bool) string {
 // read an unbounded body.
 const maxSpecBytes = 1 << 20
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining")
-		return
-	}
-	var spec runSpec
+// parseSubmit reads a submit body into its spec and the cells it
+// selects. A body it cannot accept gets a 4xx written to w and ok =
+// false; nothing here starts a run.
+func (s *server) parseSubmit(w http.ResponseWriter, r *http.Request) (spec runSpec, cells []runner.Cell, ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			apiError(w, http.StatusRequestEntityTooLarge, "run spec exceeds %d bytes", maxSpecBytes)
-			return
+			return spec, nil, false
 		}
 		apiError(w, http.StatusBadRequest, "bad run spec: %v", err)
-		return
+		return spec, nil, false
 	}
 	if spec.Artifacts && spec.Workload != "" {
 		apiError(w, http.StatusBadRequest, "artifacts runs span the whole registry; leave workload empty")
-		return
+		return spec, nil, false
 	}
 	cells, err := s.resolveCells(spec)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+		return spec, nil, false
 	}
 	if spec.Jobs < 0 {
 		apiError(w, http.StatusBadRequest, "jobs must be >= 0")
+		return spec, nil, false
+	}
+	return spec, cells, true
+}
+
+func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if s.draining.Load() {
+		apiError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return
+	}
+	spec, cells, ok := s.parseSubmit(w, r)
+	if !ok {
 		return
 	}
 

@@ -2,7 +2,7 @@
 // simulated-time invariants (see DESIGN.md, "Enforced invariants"). It
 // type-checks every package in the module with the standard library's
 // go/parser + go/types — no external analysis framework — and runs the
-// seven purpose-built analyzers from internal/analysis:
+// eight purpose-built analyzers from internal/analysis:
 //
 //	walltime      no time.Now/Since/Sleep in simulation packages
 //	maprange      no map iteration order reaching slices or output unsorted
@@ -10,6 +10,7 @@
 //	floateq       no exact ==/!= on floats in model code
 //	recorderguard every obs.Recorder call dominated by a nil check
 //	boundtag      constant bound tags drawn from the closed prof taxonomy
+//	testonly      no exported internal/ function that only tests reference
 //	timeunit      no raw float64 seconds crossing call boundaries in model code
 //
 // Exit status is 0 when the tree is clean, 1 when any analyzer reports
@@ -17,6 +18,9 @@
 // annotated in source:
 //
 //	//pvclint:ignore <analyzer>[,<analyzer>...] <reason>
+//
+// A testonly directive on the line directly above a file's package
+// clause covers the whole file.
 //
 // -sarif emits the findings as a SARIF 2.1.0 log (for code-scanning
 // upload) instead of file:line text; it always exits 0/1 by findings
@@ -36,7 +40,6 @@ import (
 	"strings"
 
 	"pvcsim/internal/analysis"
-	"pvcsim/internal/telemetry"
 )
 
 func main() {
@@ -51,17 +54,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of file:line text")
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *asJSON && *asSARIF {
 		fmt.Fprintln(stderr, "pvclint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvclint:", err)
 		return 2
 	}
 	if *list {

@@ -175,3 +175,17 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 		}
 	}
 }
+
+// TestLogFlagsRejected: pvclint logs nothing, so it refuses
+// -log-format/-log-level.
+func TestLogFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-log-format", "json", "-list"},
+		{"-log-level", "debug", "-list"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("pvclint %q: exit %d, stdout %q; want exit 2 and no output", args, code, stdout.String())
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"pvcsim/internal/history"
 	"pvcsim/internal/prof"
-	"pvcsim/internal/telemetry"
 )
 
 // tabWriter returns the table writer every history table shares.
@@ -31,13 +30,7 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 	relTol := fs.Float64("rel-tol", 0,
 		"relative tolerance for FOM drift against the baseline (0 = exact)")
 	last := fs.Int("last", 0, "show only the newest N records in the trend table (0 = all)")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcprof history:", err)
 		return 2
 	}
 	if fs.NArg() != 1 {

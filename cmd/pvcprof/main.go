@@ -48,7 +48,6 @@ import (
 	"pvcsim/internal/prof"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
-	"pvcsim/internal/telemetry"
 	"pvcsim/internal/wallprof"
 	"pvcsim/internal/workload"
 )
@@ -132,13 +131,7 @@ func runWallRender(args []string, stdout, stderr io.Writer, name string,
 	render func(*wallprof.Report, io.Writer) error) int {
 	fs := flag.NewFlagSet("pvcprof wall "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintf(stderr, "pvcprof wall %s: %v\n", name, err)
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -183,13 +176,7 @@ func runRender(args []string, stdout, stderr io.Writer, name string,
 	render func(*prof.Profile, io.Writer) error) int {
 	fs := flag.NewFlagSet("pvcprof "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintf(stderr, "pvcprof %s: %v\n", name, err)
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -226,13 +213,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		perMetric[name] = tol
 		return nil
 	})
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcprof diff:", err)
 		return 2
 	}
 	if fs.NArg() != 2 {
@@ -295,13 +276,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	label := fs.String("label", "", "free-form label stored in the record (e.g. a commit hash)")
 	date := fs.String("date", "", "record date as YYYY-MM-DD (default: today)")
 	out := fs.String("out", "", "bench file to append to (default: BENCH_<date>.json)")
-	var logf telemetry.LogFlags
-	logf.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := logf.Setup(stderr); err != nil {
-		fmt.Fprintln(stderr, "pvcprof bench:", err)
 		return 2
 	}
 	if fs.NArg() != 0 {

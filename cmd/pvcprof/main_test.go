@@ -333,3 +333,28 @@ func TestWallReportRendersLaneEraProfile(t *testing.T) {
 		t.Fatalf("stderr:\n%s", errb.String())
 	}
 }
+
+// TestLogFlagsRejected: pvcprof logs nothing, so every subcommand
+// refuses -log-format/-log-level even on inputs it would render.
+func TestLogFlagsRejected(t *testing.T) {
+	dir := t.TempDir()
+	profile := filepath.Join(dir, "profile.json")
+	writeProbeProfile(t, profile)
+	wall := filepath.Join(dir, "wall.json")
+	writeWallProfile(t, wall)
+	bench := writeFile(t, dir, "bench.json", benchJSON(100))
+	journal := filepath.Join(dir, "history.jsonl")
+	writeJournal(t, journal, historyRec("r0001", "clover-scaling", 10, 100))
+	for _, args := range [][]string{
+		{"report", "-log-format", "json", profile},
+		{"flame", "-log-format", "json", profile},
+		{"wall", "report", "-log-format", "json", wall},
+		{"diff", "-log-level", "debug", bench, bench},
+		{"history", "-log-format", "json", "-baseline", "", journal},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 || out.Len() != 0 {
+			t.Errorf("pvcprof %q: exit %d, stdout %q; want exit 2 and no output", args, code, out.String())
+		}
+	}
+}

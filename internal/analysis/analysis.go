@@ -16,8 +16,10 @@
 //
 // which suppresses matching diagnostics on the directive's own line or
 // on the line immediately below (so it works both as a trailing comment
-// and as a comment above the offending statement). The reason is
-// mandatory: an exception without a rationale is itself a finding.
+// and as a comment above the offending statement). A testonly directive
+// on the line directly above the package clause covers the whole file.
+// The reason is mandatory: an exception without a rationale is itself
+// a finding.
 package analysis
 
 import (
@@ -71,6 +73,7 @@ type Pass struct {
 
 	analyzer string
 	sink     *[]Diagnostic
+	callers  *callers // whole-program references; nil outside runLoaded
 }
 
 // Reportf records a finding at pos.
@@ -99,6 +102,7 @@ func (p *Pass) report(pos token.Pos, fix, format string, args ...any) {
 type ignoreDirective struct {
 	file      string
 	line      int
+	wholeFile bool // directly above the package clause
 	analyzers []string
 	reason    string
 }
@@ -108,9 +112,11 @@ var ignoreRE = regexp.MustCompile(`^//\s*pvclint:ignore\s+(\S+)(?:\s+(.*))?$`)
 // parseIgnores extracts the ignore directives of a file, reporting
 // malformed ones (unknown analyzer name or missing reason) as findings
 // of the pseudo-analyzer "directive" so a typo cannot silently disable
-// a check.
+// a check. Only testonly may be ignored for a whole file: every other
+// analyzer's exceptions stay at the line they excuse.
 func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, sink *[]Diagnostic) []ignoreDirective {
 	var out []ignoreDirective
+	pkgLine := fset.Position(f.Package).Line
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			// Directives follow the Go convention: no space after //,
@@ -131,10 +137,15 @@ func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, sink 
 				continue
 			}
 			names := strings.Split(m[1], ",")
+			wholeFile := pos.Line == pkgLine-1
 			ok := true
 			for _, n := range names {
-				if !known[n] {
+				switch {
+				case !known[n]:
 					bad("pvclint:ignore names unknown analyzer %q", n)
+					ok = false
+				case wholeFile && n != TestOnly.Name:
+					bad("file-scope pvclint:ignore names %q: only testonly may be ignored for a whole file", n)
 					ok = false
 				}
 			}
@@ -146,7 +157,7 @@ func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, sink 
 				continue
 			}
 			out = append(out, ignoreDirective{
-				file: pos.Filename, line: pos.Line,
+				file: pos.Filename, line: pos.Line, wholeFile: wholeFile,
 				analyzers: names, reason: strings.TrimSpace(m[2]),
 			})
 		}
@@ -155,10 +166,11 @@ func parseIgnores(fset *token.FileSet, f *ast.File, known map[string]bool, sink 
 }
 
 // suppressed reports whether d is covered by a directive on the same
-// line or the line directly above it in the same file.
+// line or the line directly above it in the same file, or by a
+// file-scope directive of that file.
 func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
 	for _, ig := range dirs {
-		if ig.file != d.File || (ig.line != d.Line && ig.line != d.Line-1) {
+		if ig.file != d.File || (!ig.wholeFile && ig.line != d.Line && ig.line != d.Line-1) {
 			continue
 		}
 		for _, name := range ig.analyzers {
@@ -170,17 +182,19 @@ func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
 	return false
 }
 
-// RunPackage runs the given analyzers over one loaded package and
+// runPackage runs the given analyzers over one loaded package and
 // returns the surviving diagnostics (ignore directives already applied,
 // malformed directives reported). The result is sorted by position so
-// output order never depends on analyzer or map order.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+// output order never depends on analyzer or map order. c is the
+// whole-program view testonly needs; without it (a lone fixture
+// package) testonly reports nothing.
+func runPackage(pkg *Package, analyzers []*Analyzer, c *callers) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Fset: pkg.Fset, Path: pkg.Path, Files: pkg.Files,
 			Types: pkg.Types, Info: pkg.Info,
-			analyzer: a.Name, sink: &raw,
+			analyzer: a.Name, sink: &raw, callers: c,
 		}
 		a.Run(pass)
 	}
@@ -212,11 +226,19 @@ func RunModule(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return runLoaded(l, analyzers)
 }
 
+// runLoaded analyzes every module package. The root packages of nested
+// modules are loaded too, for their references only: they are callers
+// of the module's code, not part of what pvclint checks.
 func runLoaded(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := l.LoadAll()
 	if err != nil {
 		return nil, err
 	}
+	nested, err := l.loadNestedRoots()
+	if err != nil {
+		return nil, err
+	}
+	c := collectCallers(append(append([]*Package(nil), pkgs...), nested...))
 	perPkg := make([][]Diagnostic, len(pkgs))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(pkgs) {
@@ -229,7 +251,7 @@ func runLoaded(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				perPkg[i] = RunPackage(pkgs[i], analyzers)
+				perPkg[i] = runPackage(pkgs[i], analyzers, c)
 			}
 		}()
 	}

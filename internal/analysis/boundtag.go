@@ -11,7 +11,7 @@ import (
 // fixedBounds is the closed set of non-parameterized bound tags from
 // the prof taxonomy (DESIGN.md §9). internal/analysis keeps its own
 // copy so pvclint stays import-free of the packages it checks; a test
-// in analysis_test.go asserts it agrees with prof.KnownBound.
+// in analysis_test.go asserts it agrees with prof's constants.
 var fixedBounds = map[string]bool{
 	"hbm":                  true,
 	"pcie":                 true,

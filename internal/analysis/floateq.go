@@ -10,7 +10,7 @@ import (
 // FloatEq flags == and != between floating-point operands in model
 // code. The simulator's quantities (seconds, bandwidths, FOMs) come out
 // of arithmetic chains where exact equality is a rounding accident;
-// comparisons should state a tolerance (stats.WithinTol / stats.RelErr).
+// comparisons should state a tolerance.
 //
 // Two exact idioms are deliberately permitted:
 //   - comparison against the literal constant 0 (or an untyped constant
@@ -41,7 +41,7 @@ var FloatEq = &Analyzer{
 					return true // NaN test
 				}
 				p.ReportFixf(bin.Pos(),
-					"compare with a tolerance: stats.WithinTol(got, want, tol) or math.Abs(a-b) < eps",
+					"compare with a tolerance: math.Abs(a-b) <= tol*math.Abs(b)",
 					"exact %s on floating-point operands in model code", bin.Op)
 				return true
 			})

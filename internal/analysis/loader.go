@@ -207,10 +207,10 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 
 // moduleDirs lists every package directory of the module: each
 // directory under Root containing non-test Go files, skipping testdata
-// trees, hidden directories, and nested modules. Sorted by path.
-func (l *Loader) moduleDirs() ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
+// trees, hidden directories, and nested modules. It also lists the root
+// directory of each nested module it skipped. Both are sorted by path.
+func (l *Loader) moduleDirs() (dirs, nested []string, err error) {
+	err = filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -223,31 +223,67 @@ func (l *Loader) moduleDirs() ([]string, error) {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // nested module
+				nested = append(nested, path)
+				return filepath.SkipDir
 			}
 		}
-		hasGo := false
-		entries, err := os.ReadDir(path)
-		if err != nil {
+		if ok, err := hasGoFiles(path); err != nil {
 			return err
-		}
-		for _, e := range entries {
-			n := e.Name()
-			if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-				hasGo = true
-				break
-			}
-		}
-		if hasGo {
+		} else if ok {
 			dirs = append(dirs, path)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sort.Strings(dirs)
-	return dirs, nil
+	sort.Strings(nested)
+	return dirs, nested, nil
+}
+
+// hasGoFiles reports whether dir holds a non-test Go file.
+func hasGoFiles(dir string) (bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false, err
+	}
+	for _, e := range entries {
+		n := e.Name()
+		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// loadNestedRoots type-checks the root package of every nested module
+// (perfbench), after LoadAll. Such a package imports the module's
+// packages through the same cache, so its references resolve to the
+// objects pvclint analyzes.
+func (l *Loader) loadNestedRoots() ([]*Package, error) {
+	_, nested, err := l.moduleDirs()
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, dir := range nested {
+		if ok, err := hasGoFiles(dir); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		path, err := l.pathFor(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := l.LoadDir(dir, path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // pathFor maps a module directory to its import path.
@@ -267,7 +303,7 @@ func (l *Loader) pathFor(dir string) (string, error) {
 // dependency waves so independent subtrees check in parallel over the
 // shared import cache.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := l.moduleDirs()
+	dirs, _, err := l.moduleDirs()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@
 // per second, in the paper's normalized units) combines the GPU FP32
 // term with the host-side CPU memory-bandwidth term, "CPU memory BW
 // bound, GPU FP32 flop-rate bound" (Table V).
+//
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: N-body/SPH
 package hacc
 
 import (

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X5 Barnes-Hut gravity: hacc.BuildOctree
 package hacc
 
 import (
@@ -223,34 +224,3 @@ func (s *System) AccelerationsBH(theta float64) ([][3]float64, error) {
 	}
 	return out, nil
 }
-
-// StepBH advances one leapfrog step with tree forces.
-func (s *System) StepBH(dt, theta float64) error {
-	acc, err := s.AccelerationsBH(theta)
-	if err != nil {
-		return err
-	}
-	for i := range s.Particles {
-		p := &s.Particles[i]
-		p.VX += 0.5 * dt * acc[i][0]
-		p.VY += 0.5 * dt * acc[i][1]
-		p.VZ += 0.5 * dt * acc[i][2]
-		p.X += dt * p.VX
-		p.Y += dt * p.VY
-		p.Z += dt * p.VZ
-	}
-	acc, err = s.AccelerationsBH(theta)
-	if err != nil {
-		return err
-	}
-	for i := range s.Particles {
-		p := &s.Particles[i]
-		p.VX += 0.5 * dt * acc[i][0]
-		p.VY += 0.5 * dt * acc[i][1]
-		p.VZ += 0.5 * dt * acc[i][2]
-	}
-	return nil
-}
-
-// Count returns the number of particles indexed by the tree.
-func (t *Octree) Count() int { return t.root.count }

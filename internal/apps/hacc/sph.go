@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X15 SPH gas dynamics: hacc.Gas
 package hacc
 
 import (

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X16 MC statistics: bootstrap CI of the eigenvalue series (EigenvalueResult.ConfidenceInterval)
 package openmc
 
 import (

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X14 heterogeneous transport: openmc.Geometry, RunHetero
 package openmc
 
 import (

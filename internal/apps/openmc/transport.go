@@ -9,6 +9,8 @@
 // L2 holds a large fraction of the cross-section data, the mechanism
 // behind OpenMC's "excellent performance ... on the Aurora PVC
 // architecture" (§VI-B1).
+//
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: Monte Carlo transport (RunSlab)
 package openmc
 
 import (

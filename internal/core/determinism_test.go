@@ -13,10 +13,12 @@ import (
 	"sort"
 	"testing"
 
+	"pvcsim/internal/hw"
 	"pvcsim/internal/obs"
 	"pvcsim/internal/prof"
 	"pvcsim/internal/runner"
 	"pvcsim/internal/sweep"
+	"pvcsim/internal/topology"
 )
 
 // readArtifacts loads every artifact file of a directory keyed by name.
@@ -109,8 +111,8 @@ func TestArtifactsDeterministicAcrossJobs(t *testing.T) {
 func TestRegistryDeterministicAcrossRuns(t *testing.T) {
 	reg := sweep.DefaultRegistry()
 	ctx := context.Background()
-	serial := runner.New(1).RunAll(ctx, reg)
-	parallel := runner.New(runtime.NumCPU()).RunAll(ctx, reg)
+	serial := runner.New(1).Run(ctx, runner.Cells(reg.Workloads()))
+	parallel := runner.New(runtime.NumCPU()).Run(ctx, runner.Cells(reg.Workloads()))
 	for i := range serial {
 		if serial[i].Err != nil {
 			t.Fatalf("serial %s/%s: %v", serial[i].Name, serial[i].System, serial[i].Err)
@@ -135,7 +137,7 @@ func TestTraceDeterministicAcrossJobs(t *testing.T) {
 		col := obs.NewCollector()
 		r := runner.New(jobs)
 		r.Observe(col)
-		for _, res := range r.RunAll(context.Background(), sweep.DefaultRegistry()) {
+		for _, res := range r.Run(context.Background(), runner.Cells(sweep.DefaultRegistry().Workloads())) {
 			if res.Err != nil {
 				t.Fatalf("jobs=%d %s/%s: %v", jobs, res.Name, res.System, res.Err)
 			}
@@ -183,7 +185,7 @@ func TestProfileResidencyOverRegistry(t *testing.T) {
 	col := obs.NewCollector()
 	r := runner.New(runtime.NumCPU())
 	r.Observe(col)
-	for _, res := range r.RunAll(context.Background(), sweep.DefaultRegistry()) {
+	for _, res := range r.Run(context.Background(), runner.Cells(sweep.DefaultRegistry().Workloads())) {
 		if res.Err != nil {
 			t.Fatalf("%s/%s: %v", res.Name, res.System, res.Err)
 		}
@@ -192,10 +194,27 @@ func TestProfileResidencyOverRegistry(t *testing.T) {
 	if len(profile.Cells) == 0 {
 		t.Fatal("no cell in the registry produced an attributed profile")
 	}
+	// Every tag must be one prof constructs: a fixed constant, a
+	// precision's compute tag or a modeled cache level's tag.
+	known := map[string]bool{}
+	for _, tag := range []string{
+		prof.BoundHBM, prof.BoundPCIe, prof.BoundFabricLocal, prof.BoundFabricRemote,
+		prof.BoundFabricXPlane, prof.BoundFabricNode, prof.BoundPower, prof.BoundLaunch,
+	} {
+		known[tag] = true
+	}
+	for _, p := range []hw.Precision{hw.FP64, hw.FP32, hw.FP16, hw.BF16, hw.TF32, hw.I8} {
+		known[prof.BoundCompute(p)] = true
+	}
+	for _, sys := range topology.AllSystems() {
+		for _, lv := range topology.NewNode(sys).GPU.Sub.Caches {
+			known[prof.BoundCache(lv.Name)] = true
+		}
+	}
 	for _, c := range profile.Cells {
 		sum := 0.0
 		for _, sh := range c.Residency {
-			if !prof.KnownBound(sh.Bound) {
+			if !known[sh.Bound] {
 				t.Errorf("%s: unknown bound tag %q", c.Name(), sh.Bound)
 			}
 			if sh.Seconds < 0 || sh.Fraction < 0 {

@@ -27,13 +27,6 @@ type Constraint struct {
 	active   int     // flows currently crossing
 }
 
-// Capacity returns the constraint's capacity.
-func (c *Constraint) Capacity() units.ByteRate { return units.ByteRate(c.capacity) }
-
-// ActiveFlows returns the number of flows currently crossing the
-// constraint.
-func (c *Constraint) ActiveFlows() int { return c.active }
-
 // Flow is one in-flight transfer.
 type Flow struct {
 	name      func() string // formats the flow's label; called only when it is read
@@ -50,15 +43,6 @@ type Flow struct {
 // String is the flow's label in deadlock diagnostics ("flow h2d:0.0").
 // It formats the name, so only cold paths call it.
 func (f *Flow) String() string { return "flow " + f.name() }
-
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.finished }
-
-// Remaining returns the bytes not yet delivered.
-func (f *Flow) Remaining() units.Bytes { return units.Bytes(f.remaining) }
-
-// Rate returns the flow's current share in bytes/s.
-func (f *Flow) Rate() units.ByteRate { return units.ByteRate(f.rate) }
 
 // Network manages flows over a set of constraints on one engine.
 type Network struct {
@@ -301,9 +285,6 @@ func (n *Network) finish(f *Flow) {
 	}
 	f.done.Fire()
 }
-
-// Active returns the number of in-flight flows.
-func (n *Network) Active() int { return len(n.flows) }
 
 // Link bundles the directed pipes and shared duplex constraint of one
 // physical interconnect port, built from a hw.LinkSpec. Transfers in one

@@ -53,9 +53,6 @@ func NewCluster(spec *topology.ClusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Nodes returns the number of nodes.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // Node returns the i-th node's machine.
 func (c *Cluster) Node(i int) *Machine { return c.nodes[i] }
 
@@ -105,8 +102,3 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 
 // Run drives the simulation to completion.
 func (c *Cluster) Run() error { return c.Eng.Run() }
-
-// Go starts a process on the cluster's engine.
-func (c *Cluster) Go(name string, body func(*sim.Proc)) *sim.Proc {
-	return c.Eng.Go(name, body)
-}

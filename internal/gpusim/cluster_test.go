@@ -22,8 +22,8 @@ func auroraCluster(t *testing.T, nodes int) *Cluster {
 
 func TestClusterSetup(t *testing.T) {
 	c := auroraCluster(t, 2)
-	if c.Nodes() != 2 {
-		t.Fatalf("Nodes() = %d", c.Nodes())
+	if len(c.nodes) != 2 {
+		t.Fatalf("nodes = %d", len(c.nodes))
 	}
 	// Node machines share the engine and carry distinct GPU bases: a
 	// stack on node 1 must not collide with node 0's in recorded spans.
@@ -47,7 +47,7 @@ func TestStartRemoteBoundTag(t *testing.T) {
 	c.Observe(tr)
 	s0 := topology.StackID{GPU: 0, Stack: 0}
 	var xferErr error
-	c.Go("xfer", func(p *sim.Proc) {
+	c.Eng.Go("xfer", func(p *sim.Proc) {
 		f, err := c.StartRemote(0, s0, 1, s0, 100*units.MB)
 		if err != nil {
 			xferErr = err
@@ -78,8 +78,14 @@ func TestStartRemoteBoundTag(t *testing.T) {
 		t.Fatalf("recorded %d inter-node flows, want 1", flows)
 	}
 	// Hops counter: 3 switch traversals + 2 NIC ends.
-	if got := tr.Counter("fabric.hops"); got != 5 {
-		t.Errorf("fabric.hops = %v, want 5", got)
+	var hops float64
+	for _, c := range tr.Counters() {
+		if c.Name == "fabric.hops" {
+			hops = c.Value
+		}
+	}
+	if hops != 5 {
+		t.Errorf("fabric.hops = %v, want 5", hops)
 	}
 }
 
@@ -92,7 +98,7 @@ func TestStartRemoteBandwidth(t *testing.T) {
 	size := 250 * units.MB
 	var done units.Seconds
 	var xferErr error
-	c.Go("xfer", func(p *sim.Proc) {
+	c.Eng.Go("xfer", func(p *sim.Proc) {
 		f, err := c.StartRemote(0, s0, 2, s0, size)
 		if err != nil {
 			xferErr = err
@@ -131,7 +137,7 @@ func TestStartRemoteErrors(t *testing.T) {
 // standalone machine keeps its historical constraint names — the
 // cluster namespacing must never leak into single-node artifacts.
 func TestSingleNodePrefixesUnchanged(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	tr := obs.NewTrace()
 	m.Observe(tr)
 	st, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})

@@ -131,15 +131,6 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 	return m, nil
 }
 
-// MustNew is New for the standard nodes, panicking on misconfiguration.
-func MustNew(node *topology.NodeSpec) *Machine {
-	m, err := New(node)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // peerLink returns the inter-card path between two subdevices, created
 // on first use: constraints are passive until a flow crosses them, so
 // building only the links a run drives changes no simulated output.

@@ -33,7 +33,7 @@ func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error 
 // built per transfer. Before routes were cached and labels deferred, the
 // same round trip made 18.
 func TestD2DRoundTripAllocs(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestStackLookup(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	if _, err := m.Stack(topology.StackID{GPU: 5, Stack: 1}); err != nil {
 		t.Error(err)
 	}
@@ -87,7 +87,7 @@ func TestStackLookup(t *testing.T) {
 // A transfer to a stack the node does not have is refused rather than
 // routed over links built for it.
 func TestStartD2DRejectsUnknownStack(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -105,17 +105,21 @@ func TestNewRejectsInvalidNode(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("invalid node should fail")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew should panic")
-		}
-	}()
-	MustNew(bad)
+}
+
+// newMachine builds a machine for a node the test knows is valid.
+func newMachine(t *testing.T, node *topology.NodeSpec) *Machine {
+	t.Helper()
+	m, err := New(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // One-stack H2D on Aurora ≈ 54 GB/s (Table II).
 func TestSingleStackH2D(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	st, _ := m.Stack(topology.StackID{})
 	size := units.Bytes(500 * units.MB)
 	var elapsed units.Seconds
@@ -133,7 +137,7 @@ func TestSingleStackH2D(t *testing.T) {
 // Full-node simultaneous D2H on Aurora is limited by the host pool:
 // aggregate ≈ 264 GB/s, i.e. "40% scaling" (§IV-B4).
 func TestFullNodeD2HContention(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	size := units.Bytes(500 * units.MB)
 	var last units.Seconds
 	for _, st := range m.Stacks() {
@@ -154,7 +158,7 @@ func TestFullNodeD2HContention(t *testing.T) {
 
 // Single-stack bidirectional ≈ 76 GB/s total on Aurora.
 func TestBidirectional(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	st, _ := m.Stack(topology.StackID{})
 	size := units.Bytes(500 * units.MB)
 	var last units.Seconds
@@ -178,7 +182,7 @@ func TestBidirectional(t *testing.T) {
 
 // Local stack-to-stack ≈ 197 GB/s unidirectional (Table III).
 func TestLocalStackToStack(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	src, _ := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	size := units.Bytes(500 * units.MB)
 	var elapsed units.Seconds
@@ -198,7 +202,7 @@ func TestLocalStackToStack(t *testing.T) {
 // Remote stack over Xe-Link ≈ 15 GB/s — "much slower... in fact slower
 // than PCIe" (§IV-B7).
 func TestRemoteStackXeLink(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	src, _ := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	size := units.Bytes(500 * units.MB)
 	var elapsed units.Seconds
@@ -223,7 +227,7 @@ func TestRemoteStackXeLink(t *testing.T) {
 // The extra-hop path (0.0 → 1.0, cross-plane) has the same large-message
 // bandwidth but higher latency than the direct path.
 func TestExtraHopLatency(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	src, _ := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	tiny := units.Bytes(64)
 	var tDirect, tExtra units.Seconds
@@ -235,7 +239,7 @@ func TestExtraHopLatency(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	m2 := MustNew(topology.NewAurora())
+	m2 := newMachine(t, topology.NewAurora())
 	src2, _ := m2.Stack(topology.StackID{GPU: 0, Stack: 0})
 	m2.Go("extra", func(p *sim.Proc) {
 		start := p.Now()
@@ -251,7 +255,7 @@ func TestExtraHopLatency(t *testing.T) {
 }
 
 func TestSameStackCopy(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	st, _ := m.Stack(topology.StackID{})
 	size := units.Bytes(1 * units.GB)
 	var elapsed units.Seconds
@@ -268,7 +272,7 @@ func TestSameStackCopy(t *testing.T) {
 }
 
 func TestLaunchKernelAdvancesClock(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	st, _ := m.Stack(topology.StackID{})
 	prof := perfmodel.Profile{
 		Name: "fma", Flops: 17.03e12, Precision: hw.FP64, Kind: perfmodel.KindPeakFlops,
@@ -289,7 +293,7 @@ func TestLaunchKernelAdvancesClock(t *testing.T) {
 // halves per-stack bandwidth; stacks of different cards do not interfere
 // (below the host pool).
 func TestPCIeSharedPerCard(t *testing.T) {
-	m := MustNew(topology.NewDawn())
+	m := newMachine(t, topology.NewDawn())
 	size := units.Bytes(500 * units.MB)
 	finish := map[string]units.Seconds{}
 	for _, id := range []topology.StackID{{GPU: 0, Stack: 0}, {GPU: 0, Stack: 1}, {GPU: 1, Stack: 0}} {
@@ -311,7 +315,7 @@ func TestPCIeSharedPerCard(t *testing.T) {
 
 // MI250 GCD-to-GCD in-package ≈ 37 GB/s (Table IV).
 func TestMI250GCDToGCD(t *testing.T) {
-	m := MustNew(topology.NewJLSEMI250())
+	m := newMachine(t, topology.NewJLSEMI250())
 	src, _ := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	size := units.Bytes(500 * units.MB)
 	var elapsed units.Seconds
@@ -328,7 +332,7 @@ func TestMI250GCDToGCD(t *testing.T) {
 
 // H100 cards have no internal link; cross-card transfers ride NVLink.
 func TestH100NVLink(t *testing.T) {
-	m := MustNew(topology.NewJLSEH100())
+	m := newMachine(t, topology.NewJLSEH100())
 	src, _ := m.Stack(topology.StackID{GPU: 0, Stack: 0})
 	size := units.Bytes(500 * units.MB)
 	var elapsed units.Seconds
@@ -350,7 +354,7 @@ func TestH100NVLink(t *testing.T) {
 func TestKernelsSerializePerStack(t *testing.T) {
 	prof := perfmodel.Profile{Name: "fma", Flops: 17.03e12, Precision: hw.FP64, Kind: perfmodel.KindPeakFlops}
 	run := func(sameStack bool) units.Seconds {
-		m := MustNew(topology.NewAurora())
+		m := newMachine(t, topology.NewAurora())
 		ids := []topology.StackID{{GPU: 0, Stack: 0}, {GPU: 0, Stack: 0}}
 		if !sameStack {
 			ids[1] = topology.StackID{GPU: 0, Stack: 1}

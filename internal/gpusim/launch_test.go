@@ -99,7 +99,7 @@ func TestLaunchKernelObservableOutput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := MustNew(tc.node)
+			m := newMachine(t, tc.node)
 			log := &callLog{}
 			m.Observe(log)
 			st, _ := m.Stack(topology.StackID{GPU: 1, Stack: 1})

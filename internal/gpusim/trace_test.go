@@ -26,7 +26,7 @@ func deviceSpans(tr *obs.Trace) []obs.Span {
 }
 
 func TestRecorderCapturesTimeline(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	tr := obs.NewTrace()
 	m.Observe(tr)
 	if m.sink != tr {
@@ -67,7 +67,7 @@ func TestRecorderCapturesTimeline(t *testing.T) {
 }
 
 func TestRecorderDisabledByDefault(t *testing.T) {
-	m := MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	st, _ := m.Stack(topology.StackID{})
 	m.Go("work", func(p *sim.Proc) { st.MemcpyH2D(p, 1*units.MB) })
 	if err := m.Run(); err != nil {
@@ -79,7 +79,7 @@ func TestRecorderDisabledByDefault(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	m := MustNew(topology.NewDawn())
+	m := newMachine(t, topology.NewDawn())
 	col := obs.NewCollector()
 	k := obs.Key{Workload: "fma", System: "dawn"}
 	m.Observe(col.Cell(k))

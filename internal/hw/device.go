@@ -44,12 +44,6 @@ func (l LinkSpec) Sustained() units.ByteRate {
 	return units.ByteRate(float64(l.Raw) * l.Efficiency)
 }
 
-// SustainedBidir returns the achievable total bandwidth with simultaneous
-// traffic in both directions.
-func (l LinkSpec) SustainedBidir() units.ByteRate {
-	return units.ByteRate(float64(l.Sustained()) * l.DuplexFactor)
-}
-
 // SubdeviceSpec describes one independently schedulable subdevice: a PVC
 // Xe-Stack, an MI250 GCD, or a whole H100 (which has no subdevice split).
 type SubdeviceSpec struct {
@@ -88,29 +82,6 @@ func (s *SubdeviceSpec) OpsPerClock(class EngineClass, p Precision) float64 {
 // precision at clock f.
 func (s *SubdeviceSpec) PeakRate(class EngineClass, p Precision, f units.Frequency) units.Rate {
 	return units.Rate(s.OpsPerClock(class, p) * float64(f))
-}
-
-// BestPeakRate returns the higher of the vector and matrix pipeline peaks
-// for the precision at clock f, the rate a GEMM would target.
-func (s *SubdeviceSpec) BestPeakRate(p Precision, f units.Frequency) (units.Rate, EngineClass) {
-	v := s.PeakRate(VectorEngine, p, f)
-	m := s.PeakRate(MatrixEngine, p, f)
-	if m > v {
-		return m, MatrixEngine
-	}
-	return v, VectorEngine
-}
-
-// CacheLevelFor returns the innermost cache level whose capacity holds a
-// working set of the given footprint; footprints larger than every cache
-// land in the last (memory) level.
-func (s *SubdeviceSpec) CacheLevelFor(footprint units.Bytes) CacheLevel {
-	for _, c := range s.Caches {
-		if footprint <= c.Capacity {
-			return c
-		}
-	}
-	return s.Caches[len(s.Caches)-1]
 }
 
 // PowerModel parameterizes the DVFS/TDP governor (see the power package):
@@ -184,16 +155,6 @@ type DeviceSpec struct {
 	HostLink     LinkSpec // PCIe to the host (one link per card)
 	InternalLink LinkSpec // stack-to-stack / GCD-to-GCD inside the card
 	PeerLink     LinkSpec // Xe-Link / NVLink / Infinity Fabric between cards
-}
-
-// CardOpsPerClock returns card-wide operations per clock (all subdevices).
-func (d *DeviceSpec) CardOpsPerClock(class EngineClass, p Precision) float64 {
-	return d.Sub.OpsPerClock(class, p) * float64(d.SubCount)
-}
-
-// CardMemory returns total card HBM capacity.
-func (d *DeviceSpec) CardMemory() units.Bytes {
-	return d.Sub.Memory * units.Bytes(d.SubCount)
 }
 
 // DomainCapW returns the power cap of one subdevice's power domain; the

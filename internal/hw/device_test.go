@@ -19,34 +19,16 @@ func relErr(got, want float64) float64 {
 
 func TestPrecisionStringsAndBytes(t *testing.T) {
 	cases := []struct {
-		p     Precision
-		name  string
-		gemm  string
-		bytes int
+		p    Precision
+		name string
 	}{
-		{FP64, "FP64", "DGEMM", 8},
-		{FP32, "FP32", "SGEMM", 4},
-		{FP16, "FP16", "HGEMM", 2},
-		{BF16, "BF16", "BF16GEMM", 2},
-		{TF32, "TF32", "TF32GEMM", 4},
-		{I8, "I8", "I8GEMM", 1},
+		{FP64, "FP64"}, {FP32, "FP32"}, {FP16, "FP16"},
+		{BF16, "BF16"}, {TF32, "TF32"}, {I8, "I8"},
 	}
 	for _, c := range cases {
 		if c.p.String() != c.name {
 			t.Errorf("%v String = %q", c.p, c.p.String())
 		}
-		if c.p.GEMMName() != c.gemm {
-			t.Errorf("%v GEMMName = %q", c.p, c.p.GEMMName())
-		}
-		if c.p.Bytes() != c.bytes {
-			t.Errorf("%v Bytes = %d", c.p, c.p.Bytes())
-		}
-	}
-	if !I8.Integer() || FP64.Integer() {
-		t.Error("Integer() classification wrong")
-	}
-	if len(AllPrecisions()) != 6 {
-		t.Error("AllPrecisions should list 6 formats")
 	}
 }
 
@@ -60,11 +42,11 @@ func TestPVCFirstPrinciplesOpsPerClock(t *testing.T) {
 	if perCore != 256 {
 		t.Errorf("FP64 ops/clock/Xe-Core = %v, want 256", perCore)
 	}
-	card := dawn.CardOpsPerClock(VectorEngine, FP64)
+	card := dawn.Sub.OpsPerClock(VectorEngine, FP64) * float64(dawn.SubCount)
 	if card != 32768 {
 		t.Errorf("card FP64 ops/clock = %v, want 32768", card)
 	}
-	if dawn.CardOpsPerClock(VectorEngine, FP32) != 32768 {
+	if dawn.Sub.OpsPerClock(VectorEngine, FP32)*float64(dawn.SubCount) != 32768 {
 		t.Error("FP32 per-clock should equal FP64 per-clock on PVC")
 	}
 	// Matrix engines do not support FP64 on PVC.
@@ -123,16 +105,15 @@ func TestAuroraDawnCoreRatio(t *testing.T) {
 
 func TestBestPeakRatePicksMatrixForLowPrecision(t *testing.T) {
 	d := NewDawnPVC()
-	rate, class := d.Sub.BestPeakRate(FP16, 1*units.GHz)
-	if class != MatrixEngine {
-		t.Errorf("FP16 best pipeline = %v, want matrix", class)
+	rate := d.Sub.PeakRate(MatrixEngine, FP16, 1*units.GHz)
+	if rate <= d.Sub.PeakRate(VectorEngine, FP16, 1*units.GHz) {
+		t.Errorf("FP16 matrix rate %v should beat the vector pipeline", rate)
 	}
 	if float64(rate) != 4096*64*1e9 {
 		t.Errorf("FP16 matrix rate = %v", rate)
 	}
-	_, class64 := d.Sub.BestPeakRate(FP64, 1*units.GHz)
-	if class64 != VectorEngine {
-		t.Errorf("FP64 best pipeline = %v, want vector", class64)
+	if d.Sub.PeakRate(MatrixEngine, FP64, 1*units.GHz) != 0 {
+		t.Error("FP64 has no matrix pipeline on PVC: the vector pipeline is the best")
 	}
 }
 
@@ -142,8 +123,8 @@ func TestLinkSpecSustained(t *testing.T) {
 	if relErr(float64(l.Sustained()), 54e9) > 0.02 {
 		t.Errorf("PCIe sustained = %v, want ~54 GB/s", l.Sustained())
 	}
-	if relErr(float64(l.SustainedBidir()), 76e9) > 0.02 {
-		t.Errorf("PCIe bidir = %v, want ~76 GB/s", l.SustainedBidir())
+	if bidir := float64(l.Sustained()) * l.DuplexFactor; relErr(bidir, 76e9) > 0.02 {
+		t.Errorf("PCIe bidir = %v, want ~76 GB/s", bidir)
 	}
 }
 
@@ -152,8 +133,8 @@ func TestPVCInternalAndPeerLinks(t *testing.T) {
 	if relErr(float64(d.InternalLink.Sustained()), 197e9) > 0.02 {
 		t.Errorf("stack-to-stack uni = %v, want ~197 GB/s", d.InternalLink.Sustained())
 	}
-	if relErr(float64(d.InternalLink.SustainedBidir()), 284e9) > 0.02 {
-		t.Errorf("stack-to-stack bidir = %v, want ~284 GB/s", d.InternalLink.SustainedBidir())
+	if bidir := float64(d.InternalLink.Sustained()) * d.InternalLink.DuplexFactor; relErr(bidir, 284e9) > 0.02 {
+		t.Errorf("stack-to-stack bidir = %v, want ~284 GB/s", bidir)
 	}
 	if relErr(float64(d.PeerLink.Sustained()), 15e9) > 0.03 {
 		t.Errorf("Xe-Link uni = %v, want ~15 GB/s", d.PeerLink.Sustained())
@@ -161,22 +142,6 @@ func TestPVCInternalAndPeerLinks(t *testing.T) {
 	// The paper's observation: Xe-Link is slower than PCIe.
 	if d.PeerLink.Sustained() >= d.HostLink.Sustained() {
 		t.Error("Xe-Link should be slower than PCIe (§IV-B7)")
-	}
-}
-
-func TestCacheLevelFor(t *testing.T) {
-	sub := NewAuroraPVC().Sub
-	if lv := sub.CacheLevelFor(100 * units.KiB); lv.Name != "L1" {
-		t.Errorf("100KiB → %s, want L1", lv.Name)
-	}
-	if lv := sub.CacheLevelFor(10 * units.MiB); lv.Name != "L2" {
-		t.Errorf("10MiB → %s, want L2", lv.Name)
-	}
-	if lv := sub.CacheLevelFor(1 * units.GB); lv.Name != "HBM" {
-		t.Errorf("1GB → %s, want HBM", lv.Name)
-	}
-	if lv := sub.CacheLevelFor(10 * units.TB); lv.Name != "HBM" {
-		t.Errorf("oversized → %s, want HBM", lv.Name)
 	}
 }
 
@@ -225,7 +190,7 @@ func TestH100AndMI250DatasheetPeaks(t *testing.T) {
 		t.Errorf("H100 FP32 = %v, want ~67 TF", fp32)
 	}
 	m := NewMI250()
-	card64 := m.CardOpsPerClock(VectorEngine, FP64) * 1.7e9
+	card64 := m.Sub.OpsPerClock(VectorEngine, FP64) * float64(m.SubCount) * 1.7e9
 	if relErr(card64, 45.3e12) > 0.02 {
 		t.Errorf("MI250 card FP64 = %v, want ~45.3 TF", card64)
 	}
@@ -265,10 +230,10 @@ func TestDomainCap(t *testing.T) {
 }
 
 func TestCardMemory(t *testing.T) {
-	if NewDawnPVC().CardMemory() != 128*units.GB {
+	if d := NewDawnPVC(); d.Sub.Memory*units.Bytes(d.SubCount) != 128*units.GB {
 		t.Error("PVC card memory should be 128 GB")
 	}
-	if NewMI250().CardMemory() != 128*units.GB {
+	if d := NewMI250(); d.Sub.Memory*units.Bytes(d.SubCount) != 128*units.GB {
 		t.Error("MI250 card memory should be 128 GB")
 	}
 }

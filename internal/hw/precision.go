@@ -36,52 +36,6 @@ func (p Precision) String() string {
 	}
 }
 
-// Bytes returns the storage size of one element.
-func (p Precision) Bytes() int {
-	switch p {
-	case FP64:
-		return 8
-	case FP32, TF32:
-		return 4
-	case FP16, BF16:
-		return 2
-	case I8:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Integer reports whether the format is an integer format (its throughput
-// is quoted in Iop/s rather than Flop/s).
-func (p Precision) Integer() bool { return p == I8 }
-
-// GEMMName returns the paper's name for a GEMM in this precision
-// ("DGEMM", "SGEMM", "HGEMM", "BF16GEMM", "TF32GEMM", "I8GEMM").
-func (p Precision) GEMMName() string {
-	switch p {
-	case FP64:
-		return "DGEMM"
-	case FP32:
-		return "SGEMM"
-	case FP16:
-		return "HGEMM"
-	case BF16:
-		return "BF16GEMM"
-	case TF32:
-		return "TF32GEMM"
-	case I8:
-		return "I8GEMM"
-	default:
-		return p.String() + "GEMM"
-	}
-}
-
-// AllPrecisions lists every supported precision in Table II order.
-func AllPrecisions() []Precision {
-	return []Precision{FP64, FP32, FP16, BF16, TF32, I8}
-}
-
 // EngineClass distinguishes the two execution pipelines of a modern GPU
 // compute unit: the SIMD vector pipeline and the matrix (XMX / tensor core
 // / matrix core) pipeline.

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: mixed-radix FFT, checked against its DFTNaive reference
 package kernels
 
 import (
@@ -63,12 +64,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	}
 	return p, nil
 }
-
-// Size returns the transform length.
-func (p *FFTPlan) Size() int { return p.n }
-
-// Smooth reports whether the plan uses the direct mixed-radix path.
-func (p *FFTPlan) Smooth() bool { return p.bluestein == nil }
 
 func smooth235(n int) bool {
 	for _, f := range []int{2, 3, 5} {

@@ -1,16 +1,14 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
 )
 
-// This file provides the optimized transform paths: an in-place iterative
+// This file provides the optimized transform path: an in-place iterative
 // radix-2 FFT (bit-reversal + butterfly passes, zero allocation per call)
-// used automatically by FFTPlan for power-of-two sizes, and a real-input
-// transform (RFFT) built on the complex machinery. The recursive
+// used automatically by FFTPlan for power-of-two sizes. The recursive
 // mixed-radix path in fft.go remains the reference for other sizes; tests
 // cross-check the two.
 
@@ -67,125 +65,3 @@ func (p *pow2Plan) transform(dst []complex128, inverse bool) {
 
 // IsPow2 reports whether n is a power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// FFTPow2 runs the iterative radix-2 forward transform out-of-place.
-func FFTPow2(dst, src []complex128) error {
-	n := len(src)
-	if !IsPow2(n) {
-		return fmt.Errorf("kernels: FFTPow2 needs a power-of-two length, got %d", n)
-	}
-	if len(dst) < n {
-		return fmt.Errorf("kernels: FFTPow2 dst too short")
-	}
-	copy(dst[:n], src)
-	newPow2Plan(n).transform(dst[:n], false)
-	return nil
-}
-
-// RFFT computes the non-redundant half-spectrum of a real input: n/2+1
-// bins, X[0] and X[n/2] purely real for even n. It packs the real input
-// into a half-length complex transform — the standard trick that gives
-// the paper's 2.5·N·log2(N) real-transform cost.
-func RFFT(x []float64) ([]complex128, error) {
-	n := len(x)
-	if n < 2 || n%2 != 0 {
-		return nil, fmt.Errorf("kernels: RFFT needs even length >= 2, got %d", n)
-	}
-	h := n / 2
-	packed := make([]complex128, h)
-	for i := 0; i < h; i++ {
-		packed[i] = complex(x[2*i], x[2*i+1])
-	}
-	plan, err := NewFFTPlan(h)
-	if err != nil {
-		return nil, err
-	}
-	z := make([]complex128, h)
-	if err := plan.Forward(z, packed); err != nil {
-		return nil, err
-	}
-	out := make([]complex128, h+1)
-	for k := 0; k <= h; k++ {
-		var zk, zc complex128
-		switch {
-		case k == 0 || k == h:
-			zk = z[0]
-			zc = cmplx.Conj(z[0])
-		default:
-			zk = z[k]
-			zc = cmplx.Conj(z[h-k])
-		}
-		even := (zk + zc) / 2
-		odd := (zk - zc) / complex(0, 2)
-		ang := -math.Pi * float64(k) / float64(h)
-		out[k] = even + cmplx.Exp(complex(0, ang))*odd
-	}
-	return out, nil
-}
-
-// IRFFT inverts RFFT: given the n/2+1 half-spectrum it returns the length
-// n real signal.
-func IRFFT(spec []complex128, n int) ([]float64, error) {
-	if n < 2 || n%2 != 0 || len(spec) != n/2+1 {
-		return nil, fmt.Errorf("kernels: IRFFT needs n/2+1 bins for even n, got %d bins for n=%d", len(spec), n)
-	}
-	// Reconstruct the full spectrum by conjugate symmetry and invert.
-	full := make([]complex128, n)
-	copy(full, spec)
-	for k := n/2 + 1; k < n; k++ {
-		full[k] = cmplx.Conj(spec[n-k])
-	}
-	plan, err := NewFFTPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	tmp := make([]complex128, n)
-	if err := plan.Inverse(tmp, full); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i, v := range tmp {
-		out[i] = real(v)
-	}
-	return out, nil
-}
-
-// Convolve returns the circular convolution of a and b (equal lengths)
-// via the frequency domain — an end-to-end exercise of the transform
-// stack used by the tests and the Bluestein path.
-func Convolve(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) || len(a) == 0 {
-		return nil, fmt.Errorf("kernels: convolve needs equal nonzero lengths")
-	}
-	n := len(a)
-	ca := make([]complex128, n)
-	cb := make([]complex128, n)
-	for i := range a {
-		ca[i] = complex(a[i], 0)
-		cb[i] = complex(b[i], 0)
-	}
-	plan, err := NewFFTPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	if err := plan.Forward(fa, ca); err != nil {
-		return nil, err
-	}
-	if err := plan.Forward(fb, cb); err != nil {
-		return nil, err
-	}
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	out := make([]complex128, n)
-	if err := plan.Inverse(out, fa); err != nil {
-		return nil, err
-	}
-	res := make([]float64, n)
-	for i, v := range out {
-		res[i] = real(v)
-	}
-	return res, nil
-}

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"math"
-	"math/cmplx"
 	"testing"
 )
 
@@ -23,20 +21,12 @@ func TestIsPow2(t *testing.T) {
 func TestFFTPow2MatchesNaive(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 64, 256} {
 		x := randComplex(n, int64(n))
-		dst := make([]complex128, n)
-		if err := FFTPow2(dst, x); err != nil {
-			t.Fatal(err)
-		}
+		dst := append([]complex128(nil), x...)
+		newPow2Plan(n).transform(dst, false)
 		want := DFTNaive(x, false)
 		if d := maxCDiff(dst, want); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: pow2 FFT differs by %v", n, d)
 		}
-	}
-	if err := FFTPow2(make([]complex128, 12), make([]complex128, 12)); err == nil {
-		t.Error("non-pow2 should fail")
-	}
-	if err := FFTPow2(make([]complex128, 2), make([]complex128, 8)); err == nil {
-		t.Error("short dst should fail")
 	}
 }
 
@@ -76,146 +66,5 @@ func TestPlanUsesPow2Path(t *testing.T) {
 	p20k, _ := NewFFTPlan(20000)
 	if p20k.pow2 != nil {
 		t.Error("20000 should use the mixed-radix path")
-	}
-}
-
-// RFFT agrees with the complex transform of the real signal.
-func TestRFFTMatchesComplex(t *testing.T) {
-	for _, n := range []int{4, 8, 60, 256} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = math.Sin(0.37*float64(i)) + 0.2*math.Cos(1.7*float64(i))
-		}
-		got, err := RFFT(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cx := make([]complex128, n)
-		for i := range x {
-			cx[i] = complex(x[i], 0)
-		}
-		full, _ := FFT(cx)
-		if len(got) != n/2+1 {
-			t.Fatalf("n=%d: RFFT returned %d bins", n, len(got))
-		}
-		for k := 0; k <= n/2; k++ {
-			if cmplx.Abs(got[k]-full[k]) > 1e-9 {
-				t.Fatalf("n=%d bin %d: %v vs %v", n, k, got[k], full[k])
-			}
-		}
-	}
-	if _, err := RFFT(make([]float64, 3)); err == nil {
-		t.Error("odd length should fail")
-	}
-	if _, err := RFFT(nil); err == nil {
-		t.Error("empty should fail")
-	}
-}
-
-// IRFFT(RFFT(x)) == x.
-func TestRFFTRoundTrip(t *testing.T) {
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64((i*i)%17) - 8
-	}
-	spec, err := RFFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := IRFFT(spec, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(back[i]-x[i]) > 1e-9 {
-			t.Fatalf("roundtrip at %d: %v vs %v", i, back[i], x[i])
-		}
-	}
-	if _, err := IRFFT(spec, n+2); err == nil {
-		t.Error("mismatched n should fail")
-	}
-}
-
-// Circular convolution via FFT matches the direct sum.
-func TestConvolve(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 0, 0}
-	b := []float64{0.5, -1, 0, 0, 0, 0}
-	got, err := Convolve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(a)
-	for k := 0; k < n; k++ {
-		want := 0.0
-		for j := 0; j < n; j++ {
-			want += a[j] * b[(k-j+n)%n]
-		}
-		if math.Abs(got[k]-want) > 1e-9 {
-			t.Errorf("conv[%d] = %v, want %v", k, got[k], want)
-		}
-	}
-	if _, err := Convolve(a, b[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
-func TestBatchedMatMul(t *testing.T) {
-	const batch, m, n, k = 3, 4, 5, 6
-	a := randSlice(batch*m*k, 1)
-	b := randSlice(batch*k*n, 2)
-	c := make([]float64, batch*m*n)
-	if err := BatchedMatMul(batch, m, n, k, a, b, c, 2); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < batch; p++ {
-		want := make([]float64, m*n)
-		if err := MatMulNaive(m, n, k, a[p*m*k:], b[p*k*n:], want); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(c[p*m*n+i]-want[i]) > 1e-10 {
-				t.Fatalf("batch %d element %d mismatch", p, i)
-			}
-		}
-	}
-	if err := BatchedMatMul(-1, m, n, k, a, b, c, 1); err == nil {
-		t.Error("negative batch should fail")
-	}
-	if err := BatchedMatMul(batch, m, n, k, a[:1], b, c, 1); err == nil {
-		t.Error("short buffer should fail")
-	}
-	if err := BatchedMatMul[float64](0, m, n, k, nil, nil, nil, 1); err != nil {
-		t.Error("zero batch should be a no-op")
-	}
-}
-
-func TestStreamSuite(t *testing.T) {
-	s, err := NewStreamSuite(1<<12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("results = %d", len(res))
-	}
-	names := []string{"Copy", "Scale", "Add", "Triad"}
-	for i, r := range res {
-		if r.Kernel != names[i] {
-			t.Errorf("kernel %d = %s", i, r.Kernel)
-		}
-		if r.GBps <= 0 {
-			t.Errorf("%s bandwidth = %v", r.Kernel, r.GBps)
-		}
-	}
-	// Byte counts follow STREAM conventions.
-	if res[0].Bytes != 16*(1<<12) || res[3].Bytes != 24*(1<<12) {
-		t.Error("STREAM byte counting wrong")
-	}
-	if _, err := NewStreamSuite(0, 1); err == nil {
-		t.Error("zero length should fail")
 	}
 }

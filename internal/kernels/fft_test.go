@@ -89,7 +89,7 @@ func TestFFTRoundTripPaperSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Smooth() {
+		if p.bluestein != nil {
 			t.Errorf("n=%d should use the mixed-radix path", n)
 		}
 		x := randComplex(n, int64(n))
@@ -112,7 +112,7 @@ func TestBluesteinPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Smooth() {
+	if p.bluestein == nil {
 		t.Error("97 should use Bluestein")
 	}
 	x := randComplex(97, 7)
@@ -236,7 +236,7 @@ func TestFFTPlanErrors(t *testing.T) {
 	if err := p.Inverse(make([]complex128, 8), make([]complex128, 4)); err == nil {
 		t.Error("short src should fail")
 	}
-	if p.Size() != 8 {
+	if p.n != 8 {
 		t.Error("Size")
 	}
 }

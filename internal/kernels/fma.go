@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: FMA chains
 package kernels
 
 // The paper's peak-flops microbenchmark: "a chain of Fused Multiply Add
@@ -41,17 +42,6 @@ func FMAChain32(xs []float32, a, b float32, depth int) int64 {
 		}
 		xs[i] = x
 	}
-	return int64(len(xs)) * int64(depth) * FMAFlopsPerIter
-}
-
-// FMAChain64Parallel splits the lanes across workers goroutines.
-func FMAChain64Parallel(xs []float64, a, b float64, depth int, workers int) int64 {
-	if depth <= 0 {
-		depth = FMAChainDepth
-	}
-	parallelRanges(len(xs), workers, func(lo, hi int) {
-		FMAChain64(xs[lo:hi], a, b, depth)
-	})
 	return int64(len(xs)) * int64(depth) * FMAFlopsPerIter
 }
 

@@ -151,51 +151,6 @@ func MatMulI8(m, n, k int, a, b []int8, c []int32) error {
 	return nil
 }
 
-// BatchedMatMul multiplies batch pairs of m×k and k×n matrices stored
-// contiguously (A: batch·m·k, B: batch·k·n, C: batch·m·n), distributing
-// whole problems across workers — the oneMKL batched-GEMM shape RI-MP2
-// and batched FFT twiddle stages use.
-func BatchedMatMul[T Float](batch, m, n, k int, a, b, c []T, workers int) error {
-	if batch < 0 {
-		return fmt.Errorf("kernels: negative batch %d", batch)
-	}
-	if len(a) < batch*m*k || len(b) < batch*k*n || len(c) < batch*m*n {
-		return fmt.Errorf("kernels: batched GEMM buffers too small")
-	}
-	if batch == 0 {
-		return nil
-	}
-	var firstErr error
-	parallelRanges(batch, workers, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			ap := a[p*m*k : (p+1)*m*k]
-			bp := b[p*k*n : (p+1)*k*n]
-			cp := c[p*m*n : (p+1)*m*n]
-			for i := range cp {
-				cp[i] = 0
-			}
-			matMulRows(0, m, n, k, ap, bp, cp)
-		}
-	})
-	return firstErr
-}
-
-// MatVec computes y = A·x for row-major A(m×k).
-func MatVec[T Float](m, k int, a, x, y []T) error {
-	if len(a) < m*k || len(x) < k || len(y) < m {
-		return fmt.Errorf("kernels: matvec buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		var sum T
-		row := a[i*k : i*k+k]
-		for p, xv := range x[:k] {
-			sum += row[p] * xv
-		}
-		y[i] = sum
-	}
-	return nil
-}
-
 // Transpose writes the transpose of row-major src(m×n) into dst(n×m).
 func Transpose[T any](m, n int, src, dst []T) error {
 	if len(src) < m*n || len(dst) < m*n {

@@ -173,18 +173,19 @@ func TestMatMulI8NoOverflowAtFullRange(t *testing.T) {
 	}
 }
 
+// A matrix-vector product is a MatMul of one column.
 func TestMatVec(t *testing.T) {
 	// [1 2; 3 4] · [5, 6] = [17, 39]
 	a := []float64{1, 2, 3, 4}
 	x := []float64{5, 6}
 	y := make([]float64, 2)
-	if err := MatVec(2, 2, a, x, y); err != nil {
+	if err := MatMul(2, 1, 2, a, x, y); err != nil {
 		t.Fatal(err)
 	}
 	if y[0] != 17 || y[1] != 39 {
 		t.Errorf("y = %v", y)
 	}
-	if MatVec(2, 2, a[:1], x, y) == nil {
+	if MatMul(2, 1, 2, a[:1], x, y) == nil {
 		t.Error("short buffer should fail")
 	}
 }
@@ -215,8 +216,8 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-// Property: (A·B)·x == A·(B·x) for random small matrices — associativity
-// links MatMul and MatVec.
+// Property: (A·B)·x == A·(B·x) for random small matrices, with each
+// matrix-vector product a MatMul of one column.
 func TestGEMMAssociativityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 8
@@ -228,15 +229,15 @@ func TestGEMMAssociativityProperty(t *testing.T) {
 			return false
 		}
 		y1 := make([]float64, n)
-		if err := MatVec(n, n, ab, x, y1); err != nil {
+		if err := MatMul(n, 1, n, ab, x, y1); err != nil {
 			return false
 		}
 		bx := make([]float64, n)
-		if err := MatVec(n, n, b, x, bx); err != nil {
+		if err := MatMul(n, 1, n, b, x, bx); err != nil {
 			return false
 		}
 		y2 := make([]float64, n)
-		if err := MatVec(n, n, a, bx, y2); err != nil {
+		if err := MatMul(n, 1, n, a, bx, y2); err != nil {
 			return false
 		}
 		return maxAbsDiff(y1, y2) < 1e-10

@@ -1,12 +1,14 @@
 // Package kernels implements the numerical kernels behind the paper's
 // microbenchmarks and mini-apps as real, tested host code: STREAM triad,
 // FMA chains, blocked parallel GEMM in every benchmarked precision,
-// mixed-radix and Bluestein FFTs, reductions and dot products, and the
+// mixed-radix and Bluestein FFTs, and the
 // pointer-chase list (in the mem package).
 //
 // These kernels compute real results — tests verify them against naive
 // references and mathematical identities — while their device execution
 // time on the modeled GPUs comes from the perfmodel package.
+//
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: triad
 package kernels
 
 import (
@@ -46,89 +48,6 @@ func TriadParallel(a, b, c []float64, s float64, workers int) error {
 			a[i] = b[i] + s*c[i]
 		}
 	})
-	return nil
-}
-
-// Copy computes a[i] = b[i] (STREAM copy).
-func Copy(a, b []float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("kernels: copy length mismatch: %d/%d", len(a), len(b))
-	}
-	copy(a, b)
-	return nil
-}
-
-// Scale computes a[i] = s*b[i] (STREAM scale).
-func Scale(a, b []float64, s float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("kernels: scale length mismatch: %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		a[i] = s * b[i]
-	}
-	return nil
-}
-
-// Sum reduces x by addition.
-func Sum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// SumParallel reduces x across workers goroutines with per-worker partial
-// sums combined at the end (deterministic split, so the result is
-// reproducible for a fixed worker count).
-func SumParallel(x []float64, workers int) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	w := effectiveWorkers(n, workers)
-	partial := make([]float64, w)
-	var wg sync.WaitGroup
-	for t := 0; t < w; t++ {
-		lo, hi := chunkBounds(n, w, t)
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += x[i]
-			}
-			partial[t] = s
-		}(t, lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("kernels: dot length mismatch: %d/%d", len(x), len(y))
-	}
-	s := 0.0
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s, nil
-}
-
-// AXPY computes y[i] += a*x[i].
-func AXPY(a float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("kernels: axpy length mismatch: %d/%d", len(x), len(y))
-	}
-	for i := range y {
-		y[i] += a * x[i]
-	}
 	return nil
 }
 

@@ -54,69 +54,6 @@ func TestTriadParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCopyScale(t *testing.T) {
-	b := []float64{1, 2, 3}
-	a := make([]float64, 3)
-	if err := Copy(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if a[2] != 3 {
-		t.Error("copy failed")
-	}
-	if err := Scale(a, b, 4); err != nil {
-		t.Fatal(err)
-	}
-	if a[1] != 8 {
-		t.Error("scale failed")
-	}
-	if Copy(a, b[:1]) == nil || Scale(a, b[:1], 1) == nil {
-		t.Error("length mismatches should fail")
-	}
-}
-
-func TestSumAndParallelSum(t *testing.T) {
-	n := 4097
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	if got := Sum(x); got != float64(n) {
-		t.Errorf("Sum = %v", got)
-	}
-	if got := SumParallel(x, 3); got != float64(n) {
-		t.Errorf("SumParallel = %v", got)
-	}
-	if got := SumParallel(nil, 3); got != 0 {
-		t.Errorf("SumParallel(nil) = %v", got)
-	}
-	// Parallel must match serial within roundoff for random data.
-	y := randSlice(5000, 7)
-	if math.Abs(Sum(y)-SumParallel(y, 8)) > 1e-9 {
-		t.Error("parallel sum diverges from serial")
-	}
-}
-
-func TestDotAXPY(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	d, err := Dot(x, y)
-	if err != nil || d != 32 {
-		t.Errorf("Dot = %v, %v", d, err)
-	}
-	if _, err := Dot(x, y[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if err := AXPY(2, x, y); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[2] != 12 {
-		t.Errorf("AXPY result %v", y)
-	}
-	if AXPY(1, x, y[:2]) == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func TestChunkBoundsCoverExactly(t *testing.T) {
 	f := func(nRaw, wRaw uint8) bool {
 		n := int(nRaw) + 1
@@ -185,19 +122,6 @@ func TestFMAChain32(t *testing.T) {
 	// 2 →2*0.5+1=2 → stays 2 (fixed point)
 	if xs[0] != 2 {
 		t.Errorf("fp32 chain = %v", xs[0])
-	}
-}
-
-func TestFMAChainParallelMatchesSerial(t *testing.T) {
-	n := 1000
-	xs1 := randSlice(n, 3)
-	xs2 := append([]float64(nil), xs1...)
-	FMAChain64(xs1, 1.0001, 0.5, 64)
-	FMAChain64Parallel(xs2, 1.0001, 0.5, 64, 4)
-	for i := range xs1 {
-		if xs1[i] != xs2[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
 	}
 }
 

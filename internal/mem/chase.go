@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: pointer chase (Ring)
 package mem
 
 import (

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X11 coalescing model: mem.CoalescingEfficiency and the derated effective bandwidth
 package mem
 
 import (

@@ -14,7 +14,6 @@
 package mem
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -37,26 +36,6 @@ type Hierarchy struct {
 // conventional 64-byte line size.
 func NewHierarchy(sub *hw.SubdeviceSpec) *Hierarchy {
 	return &Hierarchy{Levels: sub.Caches, LineSize: 64}
-}
-
-// Validate checks structural invariants: at least one level, strictly
-// increasing capacities and latencies.
-func (h *Hierarchy) Validate() error {
-	if len(h.Levels) == 0 {
-		return fmt.Errorf("mem: hierarchy has no levels")
-	}
-	if h.LineSize <= 0 {
-		return fmt.Errorf("mem: non-positive line size")
-	}
-	for i := 1; i < len(h.Levels); i++ {
-		if h.Levels[i].Capacity <= h.Levels[i-1].Capacity {
-			return fmt.Errorf("mem: level %s capacity not larger than %s", h.Levels[i].Name, h.Levels[i-1].Name)
-		}
-		if h.Levels[i].LatencyCycles <= h.Levels[i-1].LatencyCycles {
-			return fmt.Errorf("mem: level %s latency not larger than %s", h.Levels[i].Name, h.Levels[i-1].Name)
-		}
-	}
-	return nil
 }
 
 // residentFraction returns the steady-state hit rate of a cyclic
@@ -144,22 +123,6 @@ func (h *Hierarchy) CacheResident(footprint units.Bytes) (hw.CacheLevel, bool) {
 		}
 	}
 	return h.Levels[len(h.Levels)-1], false
-}
-
-// SweepPoint is one sample of the Figure 1 latency curve.
-type SweepPoint struct {
-	Footprint units.Bytes
-	Cycles    float64
-}
-
-// Sweep samples the latency ladder at power-of-two footprints from lo to
-// hi inclusive, the x-axis of Figure 1.
-func (h *Hierarchy) Sweep(lo, hi units.Bytes) []SweepPoint {
-	var out []SweepPoint
-	for w := lo; w <= hi; w *= 2 {
-		out = append(out, SweepPoint{Footprint: w, Cycles: h.AvgLatencyCycles(w)})
-	}
-	return out
 }
 
 // CacheSim is a multi-level set-associative cache simulator. It is an
@@ -310,22 +273,6 @@ func (l *simLevel) insert(tag int64) {
 		copy(ts[1:], ts)
 		ts[0] = tag
 	}
-}
-
-// AvgCycles returns the mean latency across all simulated accesses.
-func (c *CacheSim) AvgCycles() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return c.cycles / float64(c.accesses)
-}
-
-// HitCounts returns per-level hit counts, with backing-memory accesses in
-// the final slot.
-func (c *CacheSim) HitCounts() []int64 {
-	out := make([]int64, len(c.hits))
-	copy(out, c.hits)
-	return out
 }
 
 // Accesses returns the number of simulated accesses.

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X18 kernel-size sweep: microbench.PeakFlopsSweep and its knee
 package microbench
 
 import (

@@ -1,8 +1,6 @@
 package microbench
 
 import (
-	"math"
-
 	"pvcsim/internal/hw"
 	"pvcsim/internal/paper"
 	"pvcsim/internal/perfmodel"
@@ -73,17 +71,4 @@ func (s *Suite) FFT(dims int, n int) float64 {
 		rate := s.Model.AggregateVectorRate(kind, hw.FP32, n)
 		return float64(rate) / 1e12
 	})
-}
-
-// FFTWorkFlops returns the benchmark's nominal flop count for one batch of
-// transforms, using the paper's conventions; exposed for the bench
-// harness's ops/sec accounting.
-func FFTWorkFlops(dims int) float64 {
-	if dims == 2 {
-		const n = 10000
-		// A 2-D transform of n×n points costs 5·n²·log2(n²).
-		return 5 * float64(n) * float64(n) * 2 * math.Log2(n)
-	}
-	// 1-D benchmark mixes sizes 4096 and 20000; report one of each.
-	return 5*4096*math.Log2(4096) + 5*20000*math.Log2(20000)
 }

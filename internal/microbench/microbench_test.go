@@ -210,13 +210,3 @@ func TestP2POnDualGCDPlaneless(t *testing.T) {
 		}
 	}
 }
-
-func TestFFTWorkFlops(t *testing.T) {
-	if FFTWorkFlops(1) <= 0 || FFTWorkFlops(2) <= 0 {
-		t.Error("flop counts must be positive")
-	}
-	// 2-D cost exceeds the two 1-D transforms.
-	if FFTWorkFlops(2) < FFTWorkFlops(1) {
-		t.Error("2-D benchmark does more work")
-	}
-}

@@ -11,27 +11,17 @@ import (
 	"pvcsim/internal/units"
 )
 
-// StrongScalingBreakdown runs the strong-scaled timing model on a
+// StrongScalingBreakdownOn runs the strong-scaled timing model on a
 // cluster: a fixed globalEdge² grid is split into vertical strips across
 // every stack of every node, so per-rank kernel work shrinks as the
 // cluster grows while each halo column stays globalEdge cells tall.
 // Halo exchanges between ranks on different nodes cross the inter-node
 // network (the fabric.remote-node flows), which is exactly where the
 // placement policy shows up: packed placement keeps most ±1 neighbours
-// on-node, spread placement forces every exchange over the NICs.
-func StrongScalingBreakdown(spec *topology.ClusterSpec, place topology.Placement,
-	globalEdge, steps int) (total, comm units.Seconds, err error) {
-	cl, err := gpusim.NewCluster(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	return StrongScalingBreakdownOn(cl, place, globalEdge, steps)
-}
-
-// StrongScalingBreakdownOn is StrongScalingBreakdown on a caller-built
-// cluster, so a runner cell can observe the run (kernel spans, halo
-// flows on every path kind, the dt allreduce) through the cluster's
-// attached recorder.
+// on-node, spread placement forces every exchange over the NICs. The
+// caller builds the cluster, so a runner cell observes the run (kernel
+// spans, halo flows on every path kind, the dt allreduce) through the
+// cluster's attached recorder.
 func StrongScalingBreakdownOn(cl *gpusim.Cluster, place topology.Placement,
 	globalEdge, steps int) (total, comm units.Seconds, err error) {
 	n := cl.Spec.TotalStacks()

@@ -3,13 +3,24 @@ package cloverleaf
 import (
 	"testing"
 
+	"pvcsim/internal/gpusim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 )
 
+// auroraCluster builds an Aurora cluster of the given node count.
+func auroraCluster(t *testing.T, nodes int) *gpusim.Cluster {
+	t.Helper()
+	cl, err := gpusim.NewCluster(topology.NewCluster(topology.Aurora, nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func strongRun(t *testing.T, nodes int, place topology.Placement) (total, comm units.Seconds) {
 	t.Helper()
-	total, comm, err := StrongScalingBreakdown(topology.NewCluster(topology.Aurora, nodes), place, 768, 2)
+	total, comm, err := StrongScalingBreakdownOn(auroraCluster(t, nodes), place, 768, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +55,7 @@ func TestPlacementChangesCommTime(t *testing.T) {
 // TestStrongScalingEdgeTooSmall: a grid with fewer columns than twice
 // the rank count cannot be stripped.
 func TestStrongScalingEdgeTooSmall(t *testing.T) {
-	if _, _, err := StrongScalingBreakdown(topology.NewCluster(topology.Aurora, 2), topology.PlacePacked, 10, 1); err == nil {
+	if _, _, err := StrongScalingBreakdownOn(auroraCluster(t, 2), topology.PlacePacked, 10, 1); err == nil {
 		t.Error("undersized grid accepted")
 	}
 }

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X3 decomposed CloverLeaf: cloverleaf.Decomposed
 package cloverleaf
 
 import (
@@ -8,7 +9,6 @@ import (
 	"pvcsim/internal/mpirt"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/sim"
-	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
 )
 
@@ -174,25 +174,15 @@ func (d *Decomposed) Gather() (*State, error) {
 	return out, nil
 }
 
-// WeakScalingBreakdown runs the weak-scaled timing model on the simulated
-// node: each of n ranks owns an edge² grid; every step launches the
-// bandwidth-bound hydro kernels, exchanges halos with its grid neighbours
-// and joins the dt allreduce over the real fabric. It returns total and
-// communication-only time, quantifying how little of the weak-scaling
-// loss MPI itself explains (the rest is node-level jitter the scaling
-// anchors carry).
-func WeakScalingBreakdown(sys topology.System, n, edge, steps int) (total, comm units.Seconds, err error) {
-	node := topology.NewNode(sys)
-	m, err := gpusim.New(node)
-	if err != nil {
-		return 0, 0, err
-	}
-	return WeakScalingBreakdownOn(m, n, edge, steps)
-}
-
-// WeakScalingBreakdownOn is WeakScalingBreakdown on a caller-supplied
-// machine, so a runner cell can observe the run (kernel spans, halo
-// flows, allreduce traffic) through the machine's attached recorder.
+// WeakScalingBreakdownOn runs the weak-scaled timing model on the
+// simulated node: each of n ranks owns an edge² grid; every step
+// launches the bandwidth-bound hydro kernels, exchanges halos with its
+// grid neighbours and joins the dt allreduce over the real fabric. It
+// returns total and communication-only time, quantifying how little of
+// the weak-scaling loss MPI itself explains (the rest is node-level
+// jitter the scaling anchors carry). The caller supplies the machine,
+// so a runner cell observes the run (kernel spans, halo flows,
+// allreduce traffic) through the machine's attached recorder.
 func WeakScalingBreakdownOn(m *gpusim.Machine, n, edge, steps int) (total, comm units.Seconds, err error) {
 	c, err := mpirt.NewComm(m, n)
 	if err != nil {

@@ -2,6 +2,7 @@ package cloverleaf
 
 import (
 	"math"
+	"pvcsim/internal/gpusim"
 	"testing"
 
 	"pvcsim/internal/topology"
@@ -107,7 +108,7 @@ func TestDecomposedMassConservation(t *testing.T) {
 // time — consistent with "this large problem size has been selected to
 // minimise the overhead incurred by MPI communication".
 func TestWeakScalingCommOverheadSmall(t *testing.T) {
-	total, comm, err := WeakScalingBreakdown(topology.Aurora, 12, PaperGridEdge, 3)
+	total, comm, err := WeakScalingBreakdownOn(auroraMachine(t), 12, PaperGridEdge, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestWeakScalingCommOverheadSmall(t *testing.T) {
 		t.Errorf("comm fraction = %.1f%%, want < 5%% at the paper's grid size", frac*100)
 	}
 	// A tiny grid flips the balance: communication dominates.
-	totalSmall, commSmall, err := WeakScalingBreakdown(topology.Aurora, 12, 256, 3)
+	totalSmall, commSmall, err := WeakScalingBreakdownOn(auroraMachine(t), 12, 256, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,18 @@ func TestWeakScalingCommOverheadSmall(t *testing.T) {
 	}
 }
 
+// auroraMachine builds one Aurora node.
+func auroraMachine(t *testing.T) *gpusim.Machine {
+	t.Helper()
+	m, err := gpusim.New(topology.NewAurora())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestWeakScalingValidation(t *testing.T) {
-	if _, _, err := WeakScalingBreakdown(topology.Aurora, 99, 1024, 1); err == nil {
+	if _, _, err := WeakScalingBreakdownOn(auroraMachine(t), 99, 1024, 1); err == nil {
 		t.Error("too many ranks should fail")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pvcsim/internal/topology"
-	"pvcsim/internal/units"
 )
 
 // PaperGridEdge is the per-rank grid edge of the paper's runs: "A grid of
@@ -45,12 +44,4 @@ func FOM(sys topology.System, n int) (float64, error) {
 		eff = weakScalingEff[sys]
 	}
 	return perSub * float64(n) * eff, nil
-}
-
-// GridBytes returns the per-rank state footprint of an edge² grid with
-// CloverLeaf's ~15 double-precision field arrays — ≈47 GB at the paper's
-// 15360² size, chosen to fill a stack's HBM.
-func GridBytes(edge int) units.Bytes {
-	const fields = 25 // density/energy/pressure/velocities ×2 steps + work arrays
-	return units.Bytes(float64(edge) * float64(edge) * fields * 8)
 }

@@ -8,12 +8,13 @@
 // behaviour. The figure of merit (cells per second) on the simulated
 // systems comes from the bandwidth model with the per-cell traffic
 // measured from this solver's own sweep structure.
+//
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: hydro (State)
 package cloverleaf
 
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Gamma is the ideal-gas adiabatic index CloverLeaf uses.
@@ -287,76 +288,4 @@ func Sod(nx, ny int) (*State, error) {
 		}
 	}
 	return s, nil
-}
-
-// StepParallel advances the state like Step but splits each directional
-// sweep's row loop across workers goroutines. Cells only read neighbour
-// state from the pre-sweep arrays (the sweep writes into a scratch
-// buffer), so the parallel result is bit-identical to the serial one.
-func (s *State) StepParallel(dt float64, workers int) float64 {
-	if dt <= 0 {
-		dt = s.Dt()
-	}
-	s.sweepParallel(0, dt, workers)
-	if s.Ny > 1 {
-		s.sweepParallel(1, dt, workers)
-	}
-	return dt
-}
-
-// sweepParallel is sweep with the row loop partitioned across goroutines.
-func (s *State) sweepParallel(dir int, dt float64, workers int) {
-	nx, ny := s.Nx, s.Ny
-	if workers <= 1 || ny == 1 {
-		s.sweep(dir, dt)
-		return
-	}
-	if workers > ny {
-		workers = ny
-	}
-	var h float64
-	if dir == 0 {
-		h = s.Dx
-	} else {
-		h = s.Dy
-	}
-	out := make([]flux4, nx*ny)
-	var wg sync.WaitGroup
-	rowsPer := (ny + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		j0 := w * rowsPer
-		j1 := j0 + rowsPer
-		if j1 > ny {
-			j1 = ny
-		}
-		if j0 >= j1 {
-			continue
-		}
-		wg.Add(1)
-		go func(j0, j1 int) {
-			defer wg.Done()
-			for j := j0; j < j1; j++ {
-				for i := 0; i < nx; i++ {
-					k := j*nx + i
-					var lo, hi flux4
-					if dir == 0 {
-						lo = hll(s.neighbor(i-1, j, dir), s.cell(k), dir)
-						hi = hll(s.cell(k), s.neighbor(i+1, j, dir), dir)
-					} else {
-						lo = hll(s.neighbor(i, j-1, dir), s.cell(k), dir)
-						hi = hll(s.cell(k), s.neighbor(i, j+1, dir), dir)
-					}
-					q := s.cell(k)
-					for c := 0; c < 4; c++ {
-						q[c] -= dt / h * (hi[c] - lo[c])
-					}
-					out[k] = q
-				}
-			}
-		}(j0, j1)
-	}
-	wg.Wait()
-	for k, q := range out {
-		s.setCell(k, q)
-	}
 }

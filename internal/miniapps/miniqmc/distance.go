@@ -1,9 +1,13 @@
+//pvclint:ignore testonly DESIGN §3 X13 QMC distance tables: miniqmc.DistanceTable
 package miniqmc
 
 import (
 	"fmt"
 	"math"
 )
+
+// Electron is one particle position in the unit cube.
+type Electron struct{ X, Y, Z float64 }
 
 // DistanceTable is the electron-electron distance structure miniQMC
 // maintains alongside the spline evaluations: an Ne×Ne table of minimum-

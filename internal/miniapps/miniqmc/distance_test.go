@@ -137,55 +137,3 @@ func TestPeriodicTranslationInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestJastrowEnsembleValidation(t *testing.T) {
-	sp := ConstantSpline(6, 0.2)
-	e, _ := NewEnsemble(3, 4, sp, 1)
-	if _, err := NewJastrowEnsemble(nil, 1, 1); err == nil {
-		t.Error("nil ensemble should fail")
-	}
-	if _, err := NewJastrowEnsemble(e, -1, 1); err == nil {
-		t.Error("negative A should fail")
-	}
-	if _, err := NewJastrowEnsemble(e, 1, 0); err == nil {
-		t.Error("zero B should fail")
-	}
-}
-
-// The correlated sampler keeps its distance tables consistent and, with a
-// repulsive Jastrow, keeps electrons farther apart on average than the
-// uncorrelated sampler.
-func TestJastrowPushesElectronsApart(t *testing.T) {
-	const walkers, elecs, steps = 12, 6, 60
-	sp := ConstantSpline(6, 0.0) // flat orbital isolates the Jastrow effect
-	base, _ := NewEnsemble(walkers, elecs, sp, 7)
-	plain, _ := NewJastrowEnsemble(base, 0, 1) // A=0: no correlation
-	for s := 0; s < steps; s++ {
-		plain.Step()
-	}
-	dPlain := plain.MeanMinDistance()
-
-	base2, _ := NewEnsemble(walkers, elecs, sp, 7)
-	corr, _ := NewJastrowEnsemble(base2, 2.0, 2.0)
-	for s := 0; s < steps; s++ {
-		r := corr.Step()
-		if r <= 0 || r > 1 {
-			t.Fatalf("acceptance %v out of range", r)
-		}
-	}
-	dCorr := corr.MeanMinDistance()
-	if !(dCorr > dPlain) {
-		t.Errorf("repulsive Jastrow min-distance %v should exceed uncorrelated %v", dCorr, dPlain)
-	}
-	// Tables still agree with a fresh rebuild.
-	for w := range corr.Walkers {
-		fresh, _ := NewDistanceTable(corr.Walkers[w].Electrons)
-		for i := 0; i < elecs; i++ {
-			for jj := 0; jj < elecs; jj++ {
-				if math.Abs(corr.tables[w].Dist(i, jj)-fresh.Dist(i, jj)) > 1e-12 {
-					t.Fatalf("walker %d table inconsistent at (%d,%d)", w, i, jj)
-				}
-			}
-		}
-	}
-}

@@ -7,186 +7,6 @@ import (
 	"pvcsim/internal/topology"
 )
 
-func TestSplineValidation(t *testing.T) {
-	if _, err := NewSpline3D(3, 4, 4, make([]float64, 48)); err == nil {
-		t.Error("grid < 4 should fail")
-	}
-	if _, err := NewSpline3D(4, 4, 4, make([]float64, 10)); err == nil {
-		t.Error("wrong coefficient count should fail")
-	}
-}
-
-// Partition of unity: with all coefficients equal, the spline is exactly
-// that constant everywhere.
-func TestSplineReproducesConstant(t *testing.T) {
-	sp := ConstantSpline(8, 2.5)
-	for _, pt := range [][3]float64{{0, 0, 0}, {0.37, 0.91, 0.12}, {0.999, 0.5, 0.001}, {-0.25, 1.75, 3.5}} {
-		got := sp.Eval(pt[0], pt[1], pt[2])
-		if math.Abs(got-2.5) > 1e-12 {
-			t.Errorf("Eval(%v) = %v, want 2.5", pt, got)
-		}
-	}
-}
-
-// Linear precision: cubic B-splines with coefficients sampled from a
-// linear function reproduce it exactly away from the periodic seam.
-func TestSplineLinearPrecision(t *testing.T) {
-	const n = 16
-	coef := make([]float64, n*n*n)
-	// Coefficient (i,j,k) corresponds to grid node (i/n, j/n, k/n); for a
-	// cardinal cubic B-spline the spline through coefficients f(node)
-	// reproduces linear f exactly (the basis has linear precision).
-	f := func(x, y, z float64) float64 { return 3*x - 2*y + 0.5*z }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				coef[(i*n+j)*n+k] = f(float64(i)/n, float64(j)/n, float64(k)/n)
-			}
-		}
-	}
-	sp, err := NewSpline3D(n, n, n, coef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample well inside the domain (periodic wrap breaks linearity at
-	// the seam).
-	for _, pt := range [][3]float64{{0.30, 0.40, 0.50}, {0.25, 0.60, 0.35}, {0.45, 0.30, 0.55}} {
-		// The spline of sampled coefficients evaluates the B-spline
-		// *approximation*; for linear functions it is exact, but the
-		// basis offset means the value corresponds to f at the point.
-		got := sp.Eval(pt[0], pt[1], pt[2])
-		want := f(pt[0], pt[1], pt[2])
-		if math.Abs(got-want) > 1e-10 {
-			t.Errorf("Eval(%v) = %v, want %v", pt, got, want)
-		}
-	}
-}
-
-// A smooth function is approximated with O(h²)... O(h⁴) error; check the
-// error shrinks with refinement.
-func TestSplineConvergence(t *testing.T) {
-	f := func(x, y, z float64) float64 {
-		return math.Sin(2*math.Pi*x) * math.Cos(2*math.Pi*y) * math.Sin(2*math.Pi*z)
-	}
-	errAt := func(n int) float64 {
-		coef := make([]float64, n*n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				for k := 0; k < n; k++ {
-					coef[(i*n+j)*n+k] = f(float64(i)/float64(n), float64(j)/float64(n), float64(k)/float64(n))
-				}
-			}
-		}
-		sp, _ := NewSpline3D(n, n, n, coef)
-		worst := 0.0
-		for _, pt := range [][3]float64{{0.11, 0.23, 0.37}, {0.61, 0.47, 0.83}} {
-			if d := math.Abs(sp.Eval(pt[0], pt[1], pt[2]) - f(pt[0], pt[1], pt[2])); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	coarse, fine := errAt(8), errAt(32)
-	if !(fine < coarse/4) {
-		t.Errorf("no convergence: err(8)=%v err(32)=%v", coarse, fine)
-	}
-}
-
-func TestBsplineWeightsSumToOne(t *testing.T) {
-	for _, tt := range []float64{0, 0.25, 0.5, 0.75, 0.999} {
-		w := bsplineWeights(tt)
-		sum := w[0] + w[1] + w[2] + w[3]
-		if math.Abs(sum-1) > 1e-14 {
-			t.Errorf("weights at t=%v sum to %v", tt, sum)
-		}
-		for _, wi := range w {
-			if wi < 0 {
-				t.Errorf("negative weight at t=%v", tt)
-			}
-		}
-	}
-}
-
-func TestEnsembleValidation(t *testing.T) {
-	sp := ConstantSpline(4, 0)
-	if _, err := NewEnsemble(0, 4, sp, 1); err == nil {
-		t.Error("0 walkers should fail")
-	}
-	if _, err := NewEnsemble(4, 0, sp, 1); err == nil {
-		t.Error("0 electrons should fail")
-	}
-	if _, err := NewEnsemble(4, 4, nil, 1); err == nil {
-		t.Error("nil orbital should fail")
-	}
-}
-
-func TestDiffusionStep(t *testing.T) {
-	sp := ConstantSpline(8, 0.5)
-	e, err := NewEnsemble(10, 8, sp, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 5; step++ {
-		ratio := e.Step()
-		if ratio < 0 || ratio > 1 {
-			t.Fatalf("acceptance ratio %v out of range", ratio)
-		}
-	}
-	// Walkers and electrons preserved.
-	if len(e.Walkers) != 10 || len(e.Walkers[0].Electrons) != 8 {
-		t.Error("ensemble shape changed")
-	}
-	// Constant orbital → Δlogψ = 0 → every move accepted.
-	if e.AcceptanceRatio() != 1.0 {
-		t.Errorf("constant-orbital acceptance = %v, want 1", e.AcceptanceRatio())
-	}
-	if e.SpawnKernelEvals() != 10*8*8 {
-		t.Errorf("kernel evals = %d", e.SpawnKernelEvals())
-	}
-}
-
-func TestDiffusionDeterministic(t *testing.T) {
-	sp := ConstantSpline(8, 0.3)
-	run := func() float64 {
-		e, _ := NewEnsemble(5, 4, sp, 7)
-		for i := 0; i < 3; i++ {
-			e.Step()
-		}
-		return e.Walkers[2].Electrons[1].X
-	}
-	if run() != run() {
-		t.Error("same seed should give identical trajectories")
-	}
-}
-
-func TestAcceptanceRatioEmpty(t *testing.T) {
-	sp := ConstantSpline(4, 0)
-	e, _ := NewEnsemble(1, 1, sp, 1)
-	if e.AcceptanceRatio() != 0 {
-		t.Error("no steps yet should report 0")
-	}
-}
-
-// Non-trivial orbitals reject some moves: acceptance strictly between 0
-// and 1.
-func TestVaryingOrbitalRejectsSomeMoves(t *testing.T) {
-	const n = 8
-	coef := make([]float64, n*n*n)
-	for i := range coef {
-		coef[i] = float64(i%7) - 3 // rough landscape
-	}
-	sp, _ := NewSpline3D(n, n, n, coef)
-	e, _ := NewEnsemble(20, 8, sp, 11)
-	e.StepSize = 0.3
-	for i := 0; i < 10; i++ {
-		e.Step()
-	}
-	r := e.AcceptanceRatio()
-	if r <= 0.1 || r >= 0.999 {
-		t.Errorf("acceptance = %v, want in (0.1, 0.999)", r)
-	}
-}
-
 // Table VI reproduction: every published miniQMC cell within 10%.
 func TestFOMTableVI(t *testing.T) {
 	cases := []struct {
@@ -231,8 +51,8 @@ func TestAuroraNodeBelowDawnNode(t *testing.T) {
 		t.Errorf("Aurora node (%v) should score below Dawn node (%v)", aurora, dawn)
 	}
 	// And the slowdown factor is indeed worse on Aurora's busier sockets.
-	sa, _ := Slowdown(topology.Aurora, 12)
-	sd, _ := Slowdown(topology.Dawn, 8)
+	sa, _ := slowdown(topology.Aurora, topology.NewAurora(), 12)
+	sd, _ := slowdown(topology.Dawn, topology.NewDawn(), 8)
 	if !(sa > sd) {
 		t.Errorf("Aurora slowdown %v should exceed Dawn %v", sa, sd)
 	}

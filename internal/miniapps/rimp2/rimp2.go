@@ -8,6 +8,8 @@
 // DGEMM-rate model with the paper's strong-scaling behaviour; the MI250
 // row is unavailable exactly as in the paper ("it failed to build with
 // the AMD Fortran compiler").
+//
+//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: RI-MP2 (rimp2.Energy)
 package rimp2
 
 import (

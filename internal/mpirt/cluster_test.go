@@ -30,10 +30,10 @@ func TestClusterCommSetup(t *testing.T) {
 	if c.Size() != 24 {
 		t.Errorf("size = %d", c.Size())
 	}
-	if c.Machine() != nil {
+	if c.m != nil {
 		t.Error("cluster comm must not expose a single machine")
 	}
-	if c.Cluster() == nil {
+	if c.cl == nil {
 		t.Error("cluster accessor")
 	}
 	cl, err := gpusim.NewCluster(topology.NewCluster(topology.Aurora, 2))

@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X6 collectives: Bcast/Reduce/Gather/Allgather/ReduceScatter/Alltoall, and the Barrier of DESIGN §2's mpirt row
 package mpirt
 
 import (
@@ -12,6 +13,16 @@ import (
 // simulated fabric (local MDFI vs remote Xe-Link paths, duplex limits).
 // Tags are namespaced per collective invocation via the caller-supplied
 // base tag; algorithms follow the classic MPICH choices.
+
+// Barrier synchronizes all ranks of the communicator: each blocks until
+// every rank has arrived, and all leave at the same virtual time.
+func (r *Rank) Barrier(p *sim.Proc) {
+	c := r.comm
+	if c.barrier == nil {
+		c.barrier = sim.NewBarrier(c.eng, len(c.ranks))
+	}
+	c.barrier.Arrive(p)
+}
 
 // Bcast distributes size bytes from root to every rank over a binomial
 // tree: log2(n) rounds, each rank forwarding to the peer with the next

@@ -3,7 +3,6 @@ package mpirt
 import (
 	"testing"
 
-	"pvcsim/internal/gpusim"
 	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/units"
@@ -127,7 +126,7 @@ func TestAlltoall(t *testing.T) {
 func TestRingBeatsRecursiveDoublingForLargeMessages(t *testing.T) {
 	size := units.Bytes(200 * units.MB)
 	timeOf := func(ring bool) units.Seconds {
-		m := gpusim.MustNew(topology.NewAurora())
+		m := newMachine(t, topology.NewAurora())
 		c, err := NewComm(m, 12)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +173,7 @@ func TestNextPow2(t *testing.T) {
 func TestCollectivesOnAllSystems(t *testing.T) {
 	for _, sys := range topology.AllSystems() {
 		node := topology.NewNode(sys)
-		m := gpusim.MustNew(node)
+		m := newMachine(t, node)
 		c, err := NewComm(m, node.TotalStacks())
 		if err != nil {
 			t.Fatal(err)

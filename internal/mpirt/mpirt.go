@@ -26,7 +26,7 @@ type Comm struct {
 	eng     *sim.Engine
 	run     func() error
 	ranks   []*Rank
-	barrier *sim.Barrier
+	barrier *sim.Barrier // built by the first Barrier call
 }
 
 // message is an in-flight eager-protocol message.
@@ -54,7 +54,7 @@ func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Comm{m: m, eng: m.Eng, run: m.Run, barrier: sim.NewBarrier(m.Eng, nranks)}
+	c := &Comm{m: m, eng: m.Eng, run: m.Run}
 	for r := 0; r < nranks; r++ {
 		st, err := m.Stack(bindings[r].Stack)
 		if err != nil {
@@ -80,7 +80,7 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 	if err != nil {
 		return nil, err
 	}
-	c := &Comm{cl: cl, eng: cl.Eng, run: cl.Run, barrier: sim.NewBarrier(cl.Eng, nranks)}
+	c := &Comm{cl: cl, eng: cl.Eng, run: cl.Run}
 	for r := 0; r < nranks; r++ {
 		st, err := cl.Node(bindings[r].Node).Stack(bindings[r].Local.Stack)
 		if err != nil {
@@ -110,14 +110,6 @@ func (c *Comm) startTransfer(src, dst *Rank, size units.Bytes) (*fabric.Flow, er
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return len(c.ranks) }
-
-// Machine returns the underlying simulated node (nil for cluster
-// communicators).
-func (c *Comm) Machine() *gpusim.Machine { return c.m }
-
-// Cluster returns the underlying cluster (nil for single-node
-// communicators).
-func (c *Comm) Cluster() *gpusim.Cluster { return c.cl }
 
 // Spawn starts one simulation process per rank running body, then runs
 // the simulation to completion.
@@ -257,11 +249,6 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, src, tag int, size units.Bytes) error 
 	}
 	WaitAll(p, sreq, rreq)
 	return nil
-}
-
-// Barrier synchronizes all ranks of the communicator.
-func (r *Rank) Barrier(p *sim.Proc) {
-	r.comm.barrier.Arrive(p)
 }
 
 // Allreduce models a recursive-doubling allreduce of size bytes per rank:

@@ -18,10 +18,19 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
+// newMachine builds a machine for a node the test knows is valid.
+func newMachine(t *testing.T, node *topology.NodeSpec) *gpusim.Machine {
+	t.Helper()
+	m, err := gpusim.New(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func auroraComm(t *testing.T, nranks int) *Comm {
 	t.Helper()
-	m := gpusim.MustNew(topology.NewAurora())
-	c, err := NewComm(m, nranks)
+	c, err := NewComm(newMachine(t, topology.NewAurora()), nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +42,10 @@ func TestCommSetup(t *testing.T) {
 	if c.Size() != 12 {
 		t.Errorf("size = %d", c.Size())
 	}
-	if c.Machine() == nil {
+	if c.m == nil {
 		t.Error("machine accessor")
 	}
-	m := gpusim.MustNew(topology.NewAurora())
+	m := newMachine(t, topology.NewAurora())
 	if _, err := NewComm(m, 13); err == nil {
 		t.Error("13 ranks on Aurora should fail")
 	}

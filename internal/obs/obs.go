@@ -131,9 +131,6 @@ func (t *Trace) Counters() []Counter {
 	return out
 }
 
-// Counter returns one counter's value (0 when never incremented).
-func (t *Trace) Counter(name string) float64 { return t.counters[name] }
-
 // SimEnd returns the latest span end time — the simulated makespan of
 // everything the trace observed.
 func (t *Trace) SimEnd() units.Seconds {

@@ -50,7 +50,7 @@ func TestTraceCountersAndSimEnd(t *testing.T) {
 	if !reflect.DeepEqual(cs, want) {
 		t.Fatalf("counters = %v, want %v", cs, want)
 	}
-	if v := tr.Counter("z.bytes"); v != 15 {
+	if v := tr.counters["z.bytes"]; v != 15 {
 		t.Fatalf("Counter(z.bytes) = %v, want 15", v)
 	}
 	tr.Span(Span{Start: 1, End: 4})

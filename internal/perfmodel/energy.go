@@ -46,18 +46,3 @@ func (m *Model) EnergyToSolution(kind Kind, prec hw.Precision, ops float64, n in
 		OpsPerWatt: ops / e,
 	}, nil
 }
-
-// EnergyComparison runs the same work across systems and returns
-// ops-per-watt keyed by the node name — the cross-architecture
-// efficiency table a procurement study would want.
-func EnergyComparison(nodes []*Model, kind Kind, prec hw.Precision, ops float64) (map[string]EnergyReport, error) {
-	out := map[string]EnergyReport{}
-	for _, m := range nodes {
-		rep, err := m.EnergyToSolution(kind, prec, ops, m.Node.TotalStacks())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Node.Name, err)
-		}
-		out[m.Node.Name] = rep
-	}
-	return out, nil
-}

@@ -68,21 +68,17 @@ func TestEnergyValidation(t *testing.T) {
 	}
 }
 
+// TestEnergyComparison runs the X21 comparison's fixed DGEMM work on
+// every system's full node, as the energy cell does.
 func TestEnergyComparison(t *testing.T) {
-	var models []*Model
 	for _, sys := range topology.AllSystems() {
-		models = append(models, New(topology.NewNode(sys)))
-	}
-	out, err := EnergyComparison(models, KindGEMM, hw.FP64, 1e16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("systems = %d", len(out))
-	}
-	for name, rep := range out {
+		m := New(topology.NewNode(sys))
+		rep, err := m.EnergyToSolution(KindGEMM, hw.FP64, 1e16, m.Node.TotalStacks())
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
 		if rep.OpsPerWatt <= 0 {
-			t.Errorf("%s: bad efficiency %v", name, rep.OpsPerWatt)
+			t.Errorf("%s: bad efficiency %v", sys, rep.OpsPerWatt)
 		}
 	}
 }

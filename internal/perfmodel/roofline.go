@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X9 roofline tooling: perfmodel.Roofline
 package perfmodel
 
 import (

@@ -65,15 +65,3 @@ func BoundCompute(p hw.Precision) string {
 func BoundCache(levelName string) string {
 	return "cache." + strings.ToLower(levelName)
 }
-
-// KnownBound reports whether tag is a well-formed attribution tag. The
-// profiler accepts unknown tags (they aggregate like any other), but
-// tests use this to catch typos in model code.
-func KnownBound(tag string) bool {
-	switch tag {
-	case BoundHBM, BoundPCIe, BoundFabricLocal, BoundFabricRemote,
-		BoundFabricXPlane, BoundFabricNode, BoundPower, BoundLaunch:
-		return true
-	}
-	return strings.HasPrefix(tag, "compute.") || strings.HasPrefix(tag, "cache.")
-}

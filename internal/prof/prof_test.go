@@ -20,20 +20,6 @@ func TestBoundTags(t *testing.T) {
 	if got := BoundCache("L2"); got != "cache.l2" {
 		t.Fatalf("BoundCache(L2) = %q", got)
 	}
-	for _, tag := range []string{
-		BoundHBM, BoundPCIe, BoundFabricLocal, BoundFabricRemote,
-		BoundFabricXPlane, BoundFabricNode, BoundPower, BoundLaunch,
-		BoundCompute(hw.BF16), BoundCache("LLC"),
-	} {
-		if !KnownBound(tag) {
-			t.Errorf("KnownBound(%q) = false", tag)
-		}
-	}
-	for _, tag := range []string{"", "hbm2", "compute", "fabric"} {
-		if KnownBound(tag) {
-			t.Errorf("KnownBound(%q) = true", tag)
-		}
-	}
 }
 
 // report builds an obs.RunReport from recorded spans, the way the

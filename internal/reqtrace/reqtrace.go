@@ -204,17 +204,6 @@ func (tr *Trace) Finish(outcome string) time.Duration {
 	return d
 }
 
-// Duration returns the elapsed time (to now while live).
-func (tr *Trace) Duration() time.Duration {
-	tr.mu.Lock()
-	end := tr.end
-	tr.mu.Unlock()
-	if end == 0 {
-		end = tr.clock()
-	}
-	return time.Duration(end - tr.start)
-}
-
 // Outcome label values shared by the HTTP middleware, the latency
 // histograms, and the loadtest report. The set is closed on purpose:
 // outcome is a metric label and must stay low-cardinality.

@@ -48,12 +48,12 @@ func TestFinishPinsOutcomeAndDuration(t *testing.T) {
 	// A later generic Finish must not overwrite a pinned outcome.
 	a.SetOutcome(reqtrace.OutcomeCacheHit)
 	c.advance(1_000_000)
-	a.Finish(reqtrace.OutcomeError)
+	d := a.Finish(reqtrace.OutcomeError)
 	if a.Outcome() != reqtrace.OutcomeCacheHit {
 		t.Fatalf("outcome = %q, want pinned cache-hit", a.Outcome())
 	}
-	if a.Duration() != 5*time.Millisecond {
-		t.Fatalf("duration changed after second Finish: %v", a.Duration())
+	if d != 5*time.Millisecond {
+		t.Fatalf("duration changed after second Finish: %v", d)
 	}
 }
 

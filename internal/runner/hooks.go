@@ -78,11 +78,11 @@ func (r *Runner) hookPanic(sys, name string, err error) {
 // cell set (the memo computes each distinct key exactly once however
 // many workers race for it).
 type Stats struct {
-	queued, started, finished, cacheHits, panics atomic.Int64
+	started, finished, cacheHits, panics atomic.Int64
 }
 
-// CellQueued implements Hooks.
-func (s *Stats) CellQueued(system, workload string) { s.queued.Add(1) }
+// CellQueued implements Hooks; Stats counts cells from their start.
+func (s *Stats) CellQueued(system, workload string) {}
 
 // CellStart implements Hooks.
 func (s *Stats) CellStart(system, workload string) { s.started.Add(1) }
@@ -97,9 +97,6 @@ func (s *Stats) CellFinish(system, workload string, wall time.Duration, cached b
 
 // CellPanic implements Hooks.
 func (s *Stats) CellPanic(system, workload string, err error) { s.panics.Add(1) }
-
-// Queued returns the number of cells accepted by Run.
-func (s *Stats) Queued() int64 { return s.queued.Load() }
 
 // Started returns the number of cells workers began handling.
 func (s *Stats) Started() int64 { return s.started.Load() }

@@ -86,9 +86,9 @@ func TestHooksLifecycle(t *testing.T) {
 	if got := rec.count("finish-cached"); got != 2 {
 		t.Errorf("finish-cached events = %d, want 2 (one compute, two memo hits)", got)
 	}
-	if stats.Queued() != 3 || stats.Started() != 3 || stats.Finished() != 3 {
-		t.Errorf("stats queued/started/finished = %d/%d/%d, want 3/3/3",
-			stats.Queued(), stats.Started(), stats.Finished())
+	if stats.Started() != 3 || stats.Finished() != 3 {
+		t.Errorf("stats started/finished = %d/%d, want 3/3",
+			stats.Started(), stats.Finished())
 	}
 	if stats.CacheHits() != 2 || stats.Computed() != 1 {
 		t.Errorf("stats cacheHits/computed = %d/%d, want 2/1", stats.CacheHits(), stats.Computed())

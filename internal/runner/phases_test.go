@@ -44,7 +44,7 @@ func TestWallPhasesFollowWhatCellsBuild(t *testing.T) {
 	r.Observe(col)
 	r.ProfileWall(wall)
 	r.AddHooks(marks)
-	cells := Cells(sweep.DefaultRegistry())
+	cells := Cells(sweep.DefaultRegistry().Workloads())
 	for _, res := range r.Run(context.Background(), cells) {
 		if res.Err != nil {
 			t.Fatalf("%s on %s: %v", res.Name, res.System, res.Err)

@@ -96,16 +96,10 @@ func New(jobs int) *Runner {
 	return &Runner{jobs: jobs, memo: map[key]*entry{}}
 }
 
-// Jobs returns the worker count.
-func (r *Runner) Jobs() int { return r.jobs }
-
 // Observe attaches a collector: every computed cell records its spans
 // and counters into collector.Cell(key), and memo hits/misses are
 // tallied. Pass nil to detach.
 func (r *Runner) Observe(c *obs.Collector) { r.col = c }
-
-// Collector returns the attached collector (nil when disabled).
-func (r *Runner) Collector() *obs.Collector { return r.col }
 
 // ProfileWall attaches a wall-clock self-profiling collector: every
 // computed cell gets build / simulate phase timings (build covers each
@@ -311,19 +305,14 @@ send:
 	return results
 }
 
-// Cells expands a registry into every (workload × supported system) cell
-// in registration order.
-func Cells(reg *workload.Registry) []Cell {
+// Cells expands workloads into every (workload × supported system)
+// cell, in workload order.
+func Cells(ws []*workload.Workload) []Cell {
 	var out []Cell
-	for _, w := range reg.Workloads() {
+	for _, w := range ws {
 		for _, sys := range w.Systems() {
 			out = append(out, Cell{System: sys, Workload: w})
 		}
 	}
 	return out
-}
-
-// RunAll executes every cell of the registry.
-func (r *Runner) RunAll(ctx context.Context, reg *workload.Registry) []CellResult {
-	return r.Run(ctx, Cells(reg))
 }

@@ -83,8 +83,8 @@ func TestRunCachedFlag(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	reg := sweep.DefaultRegistry()
-	serial := New(1).RunAll(context.Background(), reg)
-	parallel := New(runtime.NumCPU()).RunAll(context.Background(), reg)
+	serial := New(1).Run(context.Background(), Cells(reg.Workloads()))
+	parallel := New(runtime.NumCPU()).Run(context.Background(), Cells(reg.Workloads()))
 	if len(serial) != len(parallel) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -122,7 +122,7 @@ func TestContextCancellation(t *testing.T) {
 	r := New(2)
 	col := obs.NewCollector()
 	r.Observe(col)
-	for _, res := range r.Run(ctx, Cells(sweep.DefaultRegistry())) {
+	for _, res := range r.Run(ctx, Cells(sweep.DefaultRegistry().Workloads())) {
 		if res.Err == nil {
 			t.Fatalf("cell %s/%s succeeded under a cancelled context", res.Name, res.System)
 		}
@@ -163,7 +163,7 @@ func TestRunError(t *testing.T) {
 
 func TestCellsOrder(t *testing.T) {
 	reg := sweep.DefaultRegistry()
-	cells := Cells(reg)
+	cells := Cells(reg.Workloads())
 	var want int
 	for _, w := range reg.Workloads() {
 		want += len(w.Systems())
@@ -182,11 +182,11 @@ func TestCellsOrder(t *testing.T) {
 }
 
 func TestJobsDefault(t *testing.T) {
-	if got := New(0).Jobs(); got != runtime.NumCPU() {
-		t.Errorf("New(0).Jobs() = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := New(0).jobs; got != runtime.NumCPU() {
+		t.Errorf("New(0) jobs = %d, want NumCPU %d", got, runtime.NumCPU())
 	}
-	if got := New(3).Jobs(); got != 3 {
-		t.Errorf("New(3).Jobs() = %d, want 3", got)
+	if got := New(3).jobs; got != 3 {
+		t.Errorf("New(3) jobs = %d, want 3", got)
 	}
 }
 

@@ -11,6 +11,8 @@
 // (registers, SLM, work-group size), dispatches work-groups over cores in
 // waves, and derates effective throughput for latency-bound kernels —
 // the mechanism behind miniBUDE's poses-per-work-item tuning sweep.
+//
+//pvclint:ignore testonly DESIGN §3 X7 occupancy model (sched): wave tails, latency hiding
 package sched
 
 import (

@@ -122,15 +122,14 @@ func (e *Engine) pop() *event {
 	return ev
 }
 
-// drain runs events in order while the queue is non-empty and, when
-// bounded, the next event is no later than deadline.
-func (e *Engine) drain(deadline units.Seconds, bounded bool) {
+// drain runs events in order until the queue is empty.
+func (e *Engine) drain() {
 	p := e.probe
 	if p != nil {
 		p.RunStart()
 	}
 	n := 0
-	for e.queue.Len() > 0 && (!bounded || e.queue[0].t <= deadline) {
+	for e.queue.Len() > 0 {
 		ev := e.pop()
 		e.now = ev.t
 		ev.fn()
@@ -150,23 +149,7 @@ func (e *Engine) drain(deadline units.Seconds, bounded bool) {
 // deadlock), which would otherwise manifest as silently missing results;
 // the error names the signals and resources holding the waiters.
 func (e *Engine) Run() error {
-	e.drain(0, false)
-	return e.deadlockErr()
-}
-
-// RunUntil processes events with timestamps <= deadline, then stops with
-// the clock advanced to at least deadline (idling up to the deadline when
-// the queue empties early). Remaining events stay queued; Run or RunUntil
-// may be called again. Like Run it returns a deadlock error when live
-// processes remain blocked with no event to wake them.
-func (e *Engine) RunUntil(deadline units.Seconds) error {
-	e.drain(deadline, true)
-	if e.now < deadline {
-		e.now = deadline
-	}
-	if e.Pending() > 0 {
-		return nil // future events may still wake the blocked
-	}
+	e.drain()
 	return e.deadlockErr()
 }
 
@@ -202,9 +185,6 @@ func (e *Engine) deadlockErr() error {
 	return fmt.Errorf("%s", msg)
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
 // blocker is what a waiting process is blocked on: a Signal or a
 // Resource, named for deadlock diagnostics.
 type blocker interface {
@@ -225,9 +205,6 @@ type Proc struct {
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Seconds { return p.eng.now }
@@ -295,9 +272,6 @@ type Signal struct {
 	waiters []*Proc
 }
 
-// NewSignal creates an unnamed signal.
-func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
-
 // NewNamedSignal creates a signal whose name identifies it in deadlock
 // diagnostics ("blocked: 2 on signal halo-ready").
 func NewNamedSignal(e *Engine, name string) *Signal {
@@ -340,9 +314,6 @@ func (s *Signal) Fire() {
 	}
 	s.waiters = s.waiters[:0]
 }
-
-// Waiting reports the number of processes currently blocked on the signal.
-func (s *Signal) Waiting() int { return len(s.waiters) }
 
 // Resource is a counting resource (capacity >= 1) with FIFO queueing:
 // Acquire blocks until a unit is free, Release frees one and wakes the

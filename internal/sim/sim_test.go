@@ -96,7 +96,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 
 func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
+	s := NewNamedSignal(e, "s")
 	woken := map[string]units.Seconds{}
 	for _, n := range []string{"w1", "w2"} {
 		name := n
@@ -107,8 +107,8 @@ func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 	}
 	e.Go("firer", func(p *Proc) {
 		p.Hold(3)
-		if s.Waiting() != 2 {
-			t.Errorf("Waiting = %d, want 2", s.Waiting())
+		if len(s.waiters) != 2 {
+			t.Errorf("Waiting = %d, want 2", len(s.waiters))
 		}
 		s.Fire()
 	})
@@ -122,7 +122,7 @@ func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
+	s := NewNamedSignal(e, "s")
 	e.Go("stuck", func(p *Proc) { s.Wait(p) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock error")
@@ -195,6 +195,7 @@ func TestReleaseIdlePanics(t *testing.T) {
 	r.Release()
 }
 
+// Determinism: the same model must produce the same event sequence twice.
 func TestBarrier(t *testing.T) {
 	e := NewEngine()
 	b := NewBarrier(e, 3)
@@ -239,32 +240,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []units.Seconds
-	for _, d := range []units.Seconds{1, 2, 3, 4} {
-		dd := d
-		e.Schedule(dd, func() { fired = append(fired, dd) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want 2 events", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Errorf("now = %v, want 2.5", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 4 || e.Now() != 4 {
-		t.Errorf("after Run: fired=%v now=%v", fired, e.Now())
-	}
-}
-
-// Determinism: the same model must produce the same event sequence twice.
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
@@ -412,27 +387,5 @@ func TestEventFreeListReuse(t *testing.T) {
 	// Schedule would make this ≥ 2.
 	if allocs > 1.5 {
 		t.Errorf("%.1f allocs per schedule+run cycle, want ≤ 1 (free-list reuse)", allocs)
-	}
-}
-
-// RunUntil surfaces deadlock like Run: a blocked process with no
-// pending event anywhere is an error, while pending future events are
-// not.
-func TestRunUntilReportsDeadlock(t *testing.T) {
-	e := NewEngine()
-	sig := NewNamedSignal(e, "stuck")
-	e.Go("w", func(p *Proc) { sig.Wait(p) })
-	if err := e.RunUntil(10); err == nil {
-		t.Fatal("expected deadlock error from RunUntil")
-	}
-	e2 := NewEngine()
-	sig2 := NewSignal(e2)
-	e2.Go("w", func(p *Proc) { sig2.Wait(p) })
-	e2.Go("firer", func(p *Proc) { p.Hold(20); sig2.Fire() })
-	if err := e2.RunUntil(10); err != nil {
-		t.Fatalf("deadline before the wake-up is not a deadlock: %v", err)
-	}
-	if err := e2.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,8 +16,8 @@ package sim
 // are counts; the implementation supplies its own clock. Callbacks run
 // on whichever goroutine is driving the engine, one at a time.
 type WallProbe interface {
-	// RunStart begins a Run/RunUntil. It may be called multiple times
-	// per engine (RunUntil loops); implementations accumulate.
+	// RunStart begins a Run. It may be called multiple times
+	// per engine; implementations accumulate.
 	RunStart()
 	// RunEnd closes the span opened by the last RunStart; events is the
 	// number of events the run processed.

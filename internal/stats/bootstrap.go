@@ -1,3 +1,4 @@
+//pvclint:ignore testonly DESIGN §3 X16 MC statistics: stats.BootstrapCI, autocorrelation, batch-means stderr
 package stats
 
 import (

@@ -2,15 +2,13 @@
 // microbenchmark evaluation framework (§IV-A): each benchmark is executed
 // multiple times and the best performance number is reported, which avoids
 // run-to-run variation and intermittent artifacts. It also provides the
-// summary statistics (mean, geometric mean, relative error) used by the
-// experiment harness to compare reproduced numbers against the published
-// ones.
+// Monte Carlo statistics (bootstrap intervals, autocorrelation,
+// batch-means error) of the OpenMC eigenvalue series.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty samples.
@@ -24,16 +22,6 @@ type Sample struct {
 // Add records one measurement.
 func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
 
-// Len reports how many measurements were recorded.
-func (s *Sample) Len() int { return len(s.values) }
-
-// Values returns a copy of the recorded measurements.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
 // Best returns the best (maximum) measurement, the paper's reporting rule
 // for throughput-like metrics.
 func (s *Sample) Best() (float64, error) {
@@ -43,21 +31,6 @@ func (s *Sample) Best() (float64, error) {
 	best := s.values[0]
 	for _, v := range s.values[1:] {
 		if v > best {
-			best = v
-		}
-	}
-	return best, nil
-}
-
-// BestLatency returns the minimum measurement, the reporting rule for
-// latency-like metrics where smaller is better.
-func (s *Sample) BestLatency() (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	best := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < best {
 			best = v
 		}
 	}
@@ -94,21 +67,6 @@ func (s *Sample) Stddev() (float64, error) {
 	return math.Sqrt(ss / float64(len(s.values)-1)), nil
 }
 
-// Median returns the middle value (average of the two middle values for
-// even-length samples).
-func (s *Sample) Median() (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2], nil
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2, nil
-}
-
 // BestOf runs fn repeats times and returns the maximum result, implementing
 // the paper's best-of-N throughput policy in one call.
 func BestOf(repeats int, fn func() float64) float64 {
@@ -121,61 +79,4 @@ func BestOf(repeats int, fn func() float64) float64 {
 	}
 	best, _ := s.Best()
 	return best
-}
-
-// MinOf runs fn repeats times and returns the minimum result, the
-// latency-metric analogue of BestOf.
-func MinOf(repeats int, fn func() float64) float64 {
-	if repeats < 1 {
-		repeats = 1
-	}
-	var s Sample
-	for i := 0; i < repeats; i++ {
-		s.Add(fn())
-	}
-	best, _ := s.BestLatency()
-	return best
-}
-
-// GeoMean returns the geometric mean of vs, the conventional aggregate for
-// cross-benchmark speedup ratios. All inputs must be positive.
-func GeoMean(vs []float64) (float64, error) {
-	if len(vs) == 0 {
-		return 0, ErrEmpty
-	}
-	sumLog := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			return 0, errors.New("stats: geomean of non-positive value")
-		}
-		sumLog += math.Log(v)
-	}
-	return math.Exp(sumLog / float64(len(vs))), nil
-}
-
-// RelErr returns |got-want|/|want|: the relative error used by the
-// experiment fidelity tests. A zero want with nonzero got returns +Inf.
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
-// WithinTol reports whether got is within the fractional tolerance tol of
-// want (e.g. tol = 0.10 for ±10%).
-func WithinTol(got, want, tol float64) bool {
-	return RelErr(got, want) <= tol
-}
-
-// Efficiency returns achieved/ideal as a fraction in [0, +inf); the paper
-// expresses scaling efficiency this way (e.g. 97% = 33/(17×2)).
-func Efficiency(achieved, ideal float64) float64 {
-	if ideal == 0 {
-		return 0
-	}
-	return achieved / ideal
 }

@@ -11,14 +11,8 @@ func TestSampleEmpty(t *testing.T) {
 	if _, err := s.Best(); err != ErrEmpty {
 		t.Error("Best on empty should return ErrEmpty")
 	}
-	if _, err := s.BestLatency(); err != ErrEmpty {
-		t.Error("BestLatency on empty should return ErrEmpty")
-	}
 	if _, err := s.Mean(); err != ErrEmpty {
 		t.Error("Mean on empty should return ErrEmpty")
-	}
-	if _, err := s.Median(); err != ErrEmpty {
-		t.Error("Median on empty should return ErrEmpty")
 	}
 	if _, err := s.Stddev(); err != ErrEmpty {
 		t.Error("Stddev on empty should return ErrEmpty")
@@ -30,30 +24,14 @@ func TestSampleBasics(t *testing.T) {
 	for _, v := range []float64{3, 1, 4, 1, 5} {
 		s.Add(v)
 	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.values) != 5 {
+		t.Fatalf("len = %d", len(s.values))
 	}
 	if best, _ := s.Best(); best != 5 {
 		t.Errorf("Best = %v", best)
 	}
-	if worst, _ := s.BestLatency(); worst != 1 {
-		t.Errorf("BestLatency = %v", worst)
-	}
 	if m, _ := s.Mean(); math.Abs(m-2.8) > 1e-12 {
 		t.Errorf("Mean = %v", m)
-	}
-	if med, _ := s.Median(); med != 3 {
-		t.Errorf("Median = %v", med)
-	}
-}
-
-func TestMedianEven(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{1, 2, 3, 10} {
-		s.Add(v)
-	}
-	if med, _ := s.Median(); med != 2.5 {
-		t.Errorf("Median = %v, want 2.5", med)
 	}
 }
 
@@ -67,16 +45,6 @@ func TestStddev(t *testing.T) {
 	// sample stddev of {2,4} = sqrt(2)
 	if sd, _ := s.Stddev(); math.Abs(sd-math.Sqrt2) > 1e-12 {
 		t.Errorf("Stddev = %v", sd)
-	}
-}
-
-func TestValuesIsCopy(t *testing.T) {
-	var s Sample
-	s.Add(1)
-	v := s.Values()
-	v[0] = 99
-	if got, _ := s.Best(); got != 1 {
-		t.Error("Values must return a copy")
 	}
 }
 
@@ -100,66 +68,7 @@ func TestBestOf(t *testing.T) {
 	}
 }
 
-func TestMinOf(t *testing.T) {
-	vals := []float64{5, 3, 8}
-	i := 0
-	got := MinOf(3, func() float64 { v := vals[i]; i++; return v })
-	if got != 3 {
-		t.Errorf("MinOf = %v, want 3", got)
-	}
-	calls := 0
-	MinOf(-1, func() float64 { calls++; return 1 })
-	if calls != 1 {
-		t.Errorf("MinOf(-1) calls = %d, want 1", calls)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, %v", g, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("GeoMean(nil) should fail")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("GeoMean with negative should fail")
-	}
-	if _, err := GeoMean([]float64{0}); err == nil {
-		t.Error("GeoMean with zero should fail")
-	}
-}
-
-func TestRelErrAndWithinTol(t *testing.T) {
-	if RelErr(11, 10) != 0.1 {
-		t.Errorf("RelErr = %v", RelErr(11, 10))
-	}
-	if RelErr(0, 0) != 0 {
-		t.Error("RelErr(0,0) should be 0")
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Error("RelErr(1,0) should be +Inf")
-	}
-	if !WithinTol(10.5, 10, 0.05) {
-		t.Error("10.5 should be within 5% of 10")
-	}
-	if WithinTol(11, 10, 0.05) {
-		t.Error("11 should not be within 5% of 10")
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	// The paper's example: 97% = 33/(17*2)
-	e := Efficiency(33, 17*2)
-	if math.Abs(e-0.9706) > 0.001 {
-		t.Errorf("Efficiency = %v", e)
-	}
-	if Efficiency(1, 0) != 0 {
-		t.Error("Efficiency with zero ideal should be 0")
-	}
-}
-
-// Property: Best is >= every recorded value; BestLatency is <= every value.
+// Property: Best is >= every recorded value and is one of them.
 func TestBestBounds(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -173,37 +82,14 @@ func TestBestBounds(t *testing.T) {
 			s.Add(v)
 		}
 		hi, _ := s.Best()
-		lo, _ := s.BestLatency()
-		for _, v := range s.Values() {
-			if v > hi || v < lo {
+		found := false
+		for _, v := range s.values {
+			if v > hi {
 				return false
 			}
+			found = found || v == hi
 		}
-		return lo <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: GeoMean lies between min and max of positive inputs.
-func TestGeoMeanBounds(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vs := make([]float64, len(raw))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, r := range raw {
-			vs[i] = float64(r%1000) + 1
-			lo = math.Min(lo, vs[i])
-			hi = math.Max(hi, vs[i])
-		}
-		g, err := GeoMean(vs)
-		if err != nil {
-			return false
-		}
-		return g >= lo-1e-9 && g <= hi+1e-9
+		return found
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

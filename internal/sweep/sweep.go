@@ -258,12 +258,3 @@ func (f *Family) Expand(where Where) ([]*workload.Workload, error) {
 		}
 	}
 }
-
-// Size returns the family's unrestricted cell count.
-func (f *Family) Size() int {
-	n := 1
-	for _, a := range f.Axes {
-		n *= len(a.Values)
-	}
-	return n
-}

@@ -212,20 +212,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.count
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.sum
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket
 // counts, interpolating linearly inside the matched bucket the way
 // PromQL's histogram_quantile does. The estimate's resolution is the

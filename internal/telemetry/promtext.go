@@ -16,31 +16,21 @@ import (
 // well-formed Prometheus text — not merely grep-matchable.
 
 // Sample is one parsed time series sample. LabelNames preserves the
-// label order as written — WritePrometheus emits labels in declaration
-// order with "le" last, and WriteText re-renders in the same order so
-// a page round-trips byte-identically. ValueText likewise preserves
-// the value spelling as written: WritePrometheus renders histogram
-// _bucket/_count values as integers (%d), which strconv's 'g' format
-// would re-spell as "1e+06" once counts pass a million, breaking the
-// byte-identity.
+// label order as written.
 type Sample struct {
 	Name       string
 	Labels     map[string]string
 	LabelNames []string
 	Value      float64
-	ValueText  string
 }
 
 // Family is one parsed metric family: its declared TYPE, HELP, and
 // every sample that belongs to it (including _bucket/_sum/_count for
-// histograms). HasHelp records whether a # HELP line was present, so
-// WriteText can reproduce it (an empty Help string alone cannot
-// distinguish "no HELP line" from "HELP with empty text").
+// histograms).
 type Family struct {
 	Name    string
 	Type    string
 	Help    string
-	HasHelp bool
 	Samples []Sample
 }
 
@@ -169,7 +159,6 @@ func parseComment(fams Families, line string) error {
 			fam = &Family{Name: name}
 			fams[name] = fam
 		}
-		fam.HasHelp = true
 		if len(fields) == 4 {
 			fam.Help = fields[3]
 		}
@@ -229,7 +218,6 @@ func parseSample(line string) (Sample, error) {
 		return s, fmt.Errorf("sample %s: bad value %q", s.Name, fields[0])
 	}
 	s.Value = v
-	s.ValueText = fields[0]
 	return s, nil
 }
 
@@ -378,50 +366,6 @@ func checkHistogram(fam *Family) error {
 		}
 		if last != g.count {
 			return fmt.Errorf("histogram %s{%s}: +Inf bucket %g != count %g", fam.Name, key, last, g.count)
-		}
-	}
-	return nil
-}
-
-// WriteText re-renders a parsed page in the registry's canonical form:
-// families sorted by name, # HELP (when present as parsed) then
-// # TYPE, then samples in parsed order with labels — and value
-// spellings — in parsed order. A
-// page produced by WritePrometheus round-trips byte-identically
-// (emit → ParseMetrics → WriteText — the round-trip property test);
-// any accepted page re-renders to an equivalent page that reparses to
-// the same families (the fuzz harness checks this on every input).
-func (fs Families) WriteText(w io.Writer) error {
-	names := make([]string, 0, len(fs))
-	for name := range fs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fam := fs[name]
-		if fam.HasHelp {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.Name, fam.Help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam.Name, fam.Type); err != nil {
-			return err
-		}
-		for _, s := range fam.Samples {
-			values := make([]string, len(s.LabelNames))
-			for i, ln := range s.LabelNames {
-				values[i] = s.Labels[ln]
-			}
-			// Prefer the spelling as parsed (see Sample.ValueText); a
-			// hand-built Sample without one falls back to canonical form.
-			vt := s.ValueText
-			if vt == "" {
-				vt = formatValue(s.Value)
-			}
-			if _, err := fmt.Fprintf(w, "%s%s %s\n",
-				s.Name, labelPairs(s.LabelNames, values, "", ""), vt); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -6,76 +6,9 @@ import (
 	"testing"
 )
 
-// populatedRegistry builds a registry exercising every family kind and
-// label shape the daemon emits: plain counters, gauges, labelled
-// counters, and labelled histograms with fractional and integral
-// bucket values.
-func populatedRegistry() *Registry {
-	reg := NewRegistry()
-	c := reg.Counter("rt_runs_total", "runs; with \"quotes\" and a \\ backslash")
-	c.Add(3)
-	g := reg.Gauge("rt_inflight", "in-flight runs")
-	g.Set(2.5)
-	cv := reg.CounterVec("rt_http_requests_total", "requests by route", "route")
-	cv.With("runs_submit").Add(7)
-	cv.With("metrics").Inc()
-	hv := reg.HistogramVec("rt_request_seconds", "latency by route and outcome",
-		WallBuckets, "route", "outcome")
-	for _, v := range []float64{0.0004, 0.002, 0.002, 0.04, 0.9, 12, 300} {
-		hv.With("runs_submit", "ok").Observe(v)
-	}
-	hv.With("runs_submit", "cache-hit").Observe(0.001)
-	h := reg.Histogram("rt_lane_util", "unlabelled histogram",
-		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
-	h.Observe(0.5)
-	// A long-lived daemon's counts pass a million: %d-rendered
-	// _bucket/_count values must survive the round trip without being
-	// re-spelled as "1.234567e+06".
-	big := reg.Histogram("rt_big_count", "histogram with count >= 1e6", []float64{1})
-	for i := 0; i < 1_234_567; i++ {
-		big.Observe(0.5)
-	}
-	return reg
-}
-
-// TestEmitParseReemitIsByteIdentical is the round-trip property: a page
-// rendered by WritePrometheus, parsed by the strict parser, and
-// re-rendered by WriteText reproduces the original bytes exactly. This
-// pins the canonical form end to end — family order, label order, le
-// placement, help escaping, and value formatting all survive a parse.
-func TestEmitParseReemitIsByteIdentical(t *testing.T) {
-	reg := populatedRegistry()
-	var first bytes.Buffer
-	if err := reg.WritePrometheus(&first); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseMetrics(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatalf("own output does not strict-parse: %v", err)
-	}
-	var second bytes.Buffer
-	if err := fams.WriteText(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		i := firstDiff(first.Bytes(), second.Bytes())
-		lo, hi := i-40, i+40
-		if lo < 0 {
-			lo = 0
-		}
-		clamp := func(b []byte) string {
-			if hi > len(b) {
-				return string(b[lo:])
-			}
-			return string(b[lo:hi])
-		}
-		t.Fatalf("round trip diverges at byte %d:\n emit: …%q…\n re-emit: …%q…",
-			i, clamp(first.Bytes()), clamp(second.Bytes()))
-	}
-}
-
-// TestFullTelemetryPageRoundTrips runs the same property over the
-// daemon's real metric catalog, not a synthetic registry.
+// TestFullTelemetryPageRoundTrips runs the daemon's real metric catalog
+// through the strict parser: the page parses, and every value the
+// process recorded reads back unchanged, unobserved series as zero.
 func TestFullTelemetryPageRoundTrips(t *testing.T) {
 	tele := New()
 	tele.RunsStarted.Inc()
@@ -87,43 +20,43 @@ func TestFullTelemetryPageRoundTrips(t *testing.T) {
 	tele.SSEResumes.Inc()
 	tele.PhaseWall.With("cache-wait").Observe(0.0001)
 
-	var first bytes.Buffer
-	if err := tele.WritePrometheus(&first); err != nil {
+	var page bytes.Buffer
+	if err := tele.WritePrometheus(&page); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseMetrics(bytes.NewReader(first.Bytes()))
+	fams, err := ParseMetrics(bytes.NewReader(page.Bytes()))
 	if err != nil {
 		t.Fatalf("telemetry page does not strict-parse: %v", err)
 	}
-	var second bytes.Buffer
-	if err := fams.WriteText(&second); err != nil {
-		t.Fatal(err)
+	submitOK := map[string]string{"route": "runs_submit", "outcome": "ok"}
+	cases := []struct {
+		name   string
+		labels map[string]string
+		want   float64
+	}{
+		{"pvcd_runs_started_total", nil, 1},
+		{"pvcd_runs_completed_total", nil, 0},
+		{"pvcd_run_cache_hits_total", nil, 1},
+		{"pvcd_sse_keepalives_total", nil, 3},
+		{"pvcd_sse_resumes_total", nil, 1},
+		{"pvcsim_http_request_duration_seconds_count", submitOK, 1},
+		{"pvcsim_http_request_duration_seconds_sum", submitOK, 0.042},
+		{"pvcsim_http_request_duration_seconds_sum",
+			map[string]string{"route": "runs_submit", "outcome": "cache-hit"}, 0.0007},
+		{"pvcsim_http_request_duration_seconds_count",
+			map[string]string{"route": "history", "outcome": "ok"}, 1},
+		{"pvcsim_runner_phase_seconds_count", map[string]string{"phase": "cache-wait"}, 1},
+		{"pvcsim_runner_phase_seconds_sum", map[string]string{"phase": "cache-wait"}, 0.0001},
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("telemetry page diverges at byte %d", firstDiff(first.Bytes(), second.Bytes()))
-	}
-}
-
-// TestParseWriteTextPreservesValueSpelling pins the fix directly: a
-// page whose histogram _bucket/_count values are written as integers
-// (the WritePrometheus %d form) re-renders byte-identically even when
-// strconv's 'g' format would switch those values to exponent notation.
-func TestParseWriteTextPreservesValueSpelling(t *testing.T) {
-	page := "# TYPE pvc_big_seconds histogram\n" +
-		"pvc_big_seconds_bucket{le=\"1\"} 1000000\n" +
-		"pvc_big_seconds_bucket{le=\"+Inf\"} 2500000\n" +
-		"pvc_big_seconds_sum 1.5e+06\n" +
-		"pvc_big_seconds_count 2500000\n"
-	fams, err := ParseMetrics(bytes.NewReader([]byte(page)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := fams.WriteText(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != page {
-		t.Fatalf("value spellings not preserved:\n in: %q\nout: %q", page, out.String())
+	for _, c := range cases {
+		got, ok := fams.Value(c.name, c.labels)
+		if !ok {
+			t.Errorf("%s%v missing from the parsed page", c.name, c.labels)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("%s%v = %v, want %v", c.name, c.labels, got, c.want)
+		}
 	}
 }
 
@@ -168,7 +101,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// Sum is tracked alongside.
-	if got := h2.Sum(); math.Abs(got-100) > 1e-9 {
+	if got := h2.s.sum; math.Abs(got-100) > 1e-9 {
 		t.Errorf("sum = %g, want 100", got)
 	}
 }

@@ -50,7 +50,7 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 	if got := tele.CellsInflight.Value(); got != 0 {
 		t.Errorf("inflight after drain = %g, want 0", got)
 	}
-	if got := tele.CellWall.With("tw").Count(); got != 2 {
+	if got := tele.CellWall.With("tw").s.count; got != 2 {
 		t.Errorf("tw wall observations = %d, want 2 (two computes)", got)
 	}
 

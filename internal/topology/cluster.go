@@ -113,25 +113,6 @@ func (c *ClusterSpec) Validate() error {
 // TotalStacks returns the cluster-wide subdevice count.
 func (c *ClusterSpec) TotalStacks() int { return c.NodeCount * c.Node.TotalStacks() }
 
-// GlobalStack addresses one subdevice cluster-wide.
-type GlobalStack struct {
-	Node  int
-	Stack StackID
-}
-
-// String renders "node:GPU.STACK".
-func (g GlobalStack) String() string { return fmt.Sprintf("n%d:%s", g.Node, g.Stack) }
-
-// Route classifies the path between two subdevices anywhere in the
-// cluster: node-local paths keep their single-node kind, and any pair on
-// different nodes crosses the inter-node network.
-func (c *ClusterSpec) Route(a, b GlobalStack) PathKind {
-	if a.Node != b.Node {
-		return RemoteNode
-	}
-	return c.Node.Route(a.Stack, b.Stack)
-}
-
 // Placement is a rank-placement policy across the cluster's nodes.
 type Placement int
 

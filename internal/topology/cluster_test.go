@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -37,30 +38,8 @@ func TestBindRanksEdgeCases(t *testing.T) {
 	}
 }
 
-// TestParseAffinityMaskEdgeCases adds the malformed and degenerate
-// inputs around the existing mask tests: whitespace-only masks behave
-// like the empty mask, and entry syntax errors are rejected with the
-// offending entry quoted.
-func TestParseAffinityMaskEdgeCases(t *testing.T) {
-	n := NewAurora()
-	all, err := n.ParseAffinityMask("   ")
-	if err != nil || len(all) != n.TotalStacks() {
-		t.Fatalf("whitespace mask: %v, %v (want all %d stacks)", all, err, n.TotalStacks())
-	}
-	for _, bad := range []string{",", "0,", ",0", "0..0", "0.", ".", ".1", "0 1", "1e1", "0.0,9.9"} {
-		stacks, err := n.ParseAffinityMask(bad)
-		if err == nil {
-			t.Errorf("mask %q accepted: %v", bad, stacks)
-			continue
-		}
-		if !strings.Contains(err.Error(), "bad affinity entry") {
-			t.Errorf("mask %q: error %v does not name the entry", bad, err)
-		}
-	}
-}
-
 // TestNodeConfigRoundTripProperty is a seeded property test: random
-// configurations survive SaveNodeConfig → LoadNodeConfig with the built
+// configurations survive JSON encoding → LoadNodeConfig with the built
 // node identical to building the config directly.
 func TestNodeConfigRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -93,20 +72,20 @@ func TestNodeConfigRoundTripProperty(t *testing.T) {
 			c.AutoPlanes = rng.Intn(2) == 0
 		}
 		direct, directErr := c.Build()
-		var buf bytes.Buffer
-		if err := SaveNodeConfig(&buf, c); err != nil {
-			t.Fatalf("config %d: save: %v", i, err)
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("config %d: encode: %v", i, err)
 		}
-		loaded, loadedErr := LoadNodeConfig(bytes.NewReader(buf.Bytes()))
+		loaded, loadedErr := LoadNodeConfig(bytes.NewReader(data))
 		if (directErr == nil) != (loadedErr == nil) {
-			t.Fatalf("config %d: direct err %v vs loaded err %v\n%s", i, directErr, loadedErr, buf.String())
+			t.Fatalf("config %d: direct err %v vs loaded err %v\n%s", i, directErr, loadedErr, data)
 		}
 		if directErr != nil {
 			continue
 		}
 		if !reflect.DeepEqual(direct, loaded) {
 			t.Fatalf("config %d: round-trip changed the node\nconfig: %s\ndirect: %+v\nloaded: %+v",
-				i, buf.String(), direct, loaded)
+				i, data, direct, loaded)
 		}
 	}
 }
@@ -141,24 +120,15 @@ func TestNetworkSpecValidate(t *testing.T) {
 	}
 }
 
-// TestClusterRoute checks path classification: intra-node pairs keep
-// their single-node kind, inter-node pairs are RemoteNode.
+// TestClusterRoute checks a cluster's addressing: intra-node pairs keep
+// their single-node path kind, and the stack count spans every node.
 func TestClusterRoute(t *testing.T) {
 	c := NewCluster(Aurora, 2)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := GlobalStack{Node: 0, Stack: StackID{GPU: 0, Stack: 0}}
-	b := GlobalStack{Node: 0, Stack: StackID{GPU: 0, Stack: 1}}
-	if got := c.Route(a, b); got != LocalStack {
+	if got := c.Node.Route(StackID{GPU: 0, Stack: 0}, StackID{GPU: 0, Stack: 1}); got != LocalStack {
 		t.Errorf("intra-card route = %v, want %v", got, LocalStack)
-	}
-	r := GlobalStack{Node: 1, Stack: StackID{GPU: 0, Stack: 0}}
-	if got := c.Route(a, r); got != RemoteNode {
-		t.Errorf("inter-node route = %v, want %v", got, RemoteNode)
-	}
-	if s := r.String(); s != "n1:0.0" {
-		t.Errorf("GlobalStack string = %q", s)
 	}
 	if got, want := c.TotalStacks(), 2*NewAurora().TotalStacks(); got != want {
 		t.Errorf("TotalStacks = %d, want %d", got, want)
@@ -246,55 +216,6 @@ func TestParsePlacement(t *testing.T) {
 	}
 	if PlacePacked.String() != "packed" || PlaceSpread.String() != "spread" {
 		t.Error("placement names changed")
-	}
-}
-
-// TestClusterConfigRoundTrip checks the JSON schema: defaults fall back
-// to Slingshot, overrides apply, and Save → Load reproduces Build.
-func TestClusterConfigRoundTrip(t *testing.T) {
-	c := &ClusterConfig{
-		Name:  "testbed",
-		Nodes: 4,
-		Node:  NodeConfig{BaseSystem: "aurora", GPUCount: 4},
-		Network: NetworkConfigFields{
-			Name:          "fat-tree",
-			InjectionGBs:  50,
-			GlobalGBs:     200,
-			LinkLatencyUs: 0.5,
-			Hops:          2,
-		},
-	}
-	direct, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Network.Name != "fat-tree" || direct.Network.InjectionBW != 50*units.GBps ||
-		direct.Network.GlobalBW != 200*units.GBps || direct.Network.Hops != 2 {
-		t.Errorf("overrides not applied: %+v", direct.Network)
-	}
-	if direct.Network.DuplexFactor != 2 || direct.Network.SwitchLatency != 350*units.Nanosecond {
-		t.Errorf("unset fields should keep Slingshot defaults: %+v", direct.Network)
-	}
-	if direct.Node.GPUCount != 4 {
-		t.Errorf("node override lost: %d GPUs", direct.Node.GPUCount)
-	}
-	var buf bytes.Buffer
-	if err := SaveClusterConfig(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadClusterConfig(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("load: %v\n%s", err, buf.String())
-	}
-	if !reflect.DeepEqual(direct, loaded) {
-		t.Errorf("round-trip changed the cluster\ndirect: %+v\nloaded: %+v", direct, loaded)
-	}
-	// Unknown fields and missing node counts are rejected.
-	if _, err := LoadClusterConfig(strings.NewReader(`{"nodes":2,"node":{"base_system":"aurora"},"typo":1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-	if _, err := LoadClusterConfig(strings.NewReader(`{"node":{"base_system":"aurora"}}`)); err == nil {
-		t.Error("missing nodes accepted")
 	}
 }
 

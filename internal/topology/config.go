@@ -126,10 +126,3 @@ func LoadNodeConfig(r io.Reader) (*NodeSpec, error) {
 	}
 	return c.Build()
 }
-
-// SaveNodeConfig writes the configuration as indented JSON.
-func SaveNodeConfig(w io.Writer, c *NodeConfig) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}

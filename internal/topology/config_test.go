@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -82,11 +84,11 @@ func TestNodeConfigErrors(t *testing.T) {
 
 func TestLoadSaveNodeConfig(t *testing.T) {
 	cfg := &NodeConfig{Name: "TestBox", BaseSystem: "dawn", GPUCount: 2}
-	var buf strings.Builder
-	if err := SaveNodeConfig(&buf, cfg); err != nil {
+	data, err := json.Marshal(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := LoadNodeConfig(strings.NewReader(buf.String()))
+	node, err := LoadNodeConfig(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,8 @@
 // Section III — Aurora (6× PVC), Dawn (4× PVC), JLSE-H100 (4× H100) and
 // JLSE-MI250 (4× MI250) — including CPUs, host memory, host-side transfer
 // pools, the Xe-Link plane tables that govern remote stack routing, and
-// the ZE_AFFINITY_MASK-style subdevice visibility and rank binding used by
-// the microbenchmark framework ("binding the MPI ranks to the CPU closest
-// to the GPU").
+// the rank binding used by the microbenchmark framework ("binding the MPI
+// ranks to the CPU closest to the GPU").
 package topology
 
 import (
@@ -279,37 +278,6 @@ func (n *NodeSpec) BindRanks(nranks int) ([]RankBinding, error) {
 			Socket: sock,
 			Core:   sock*n.CPU.CoresPerSocket + nextCore[sock],
 		}
-	}
-	return out, nil
-}
-
-// ParseAffinityMask interprets a ZE_AFFINITY_MASK-style string — a comma
-// list of "GPU" (whole card) or "GPU.STACK" entries — and returns the
-// visible subdevices in mask order.
-func (n *NodeSpec) ParseAffinityMask(mask string) ([]StackID, error) {
-	mask = strings.TrimSpace(mask)
-	if mask == "" {
-		return n.Subdevices(), nil
-	}
-	var out []StackID
-	for _, part := range strings.Split(mask, ",") {
-		part = strings.TrimSpace(part)
-		gpuStr, stackStr, hasStack := strings.Cut(part, ".")
-		gpu, err := strconv.Atoi(gpuStr)
-		if err != nil || gpu < 0 || gpu >= n.GPUCount {
-			return nil, fmt.Errorf("topology: bad affinity entry %q for %s", part, n.Name)
-		}
-		if !hasStack {
-			for s := 0; s < n.GPU.SubCount; s++ {
-				out = append(out, StackID{GPU: gpu, Stack: s})
-			}
-			continue
-		}
-		stack, err := strconv.Atoi(stackStr)
-		if err != nil || stack < 0 || stack >= n.GPU.SubCount {
-			return nil, fmt.Errorf("topology: bad affinity entry %q for %s", part, n.Name)
-		}
-		out = append(out, StackID{GPU: gpu, Stack: stack})
 	}
 	return out, nil
 }

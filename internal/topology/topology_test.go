@@ -153,35 +153,6 @@ func TestBindRanks(t *testing.T) {
 	}
 }
 
-func TestParseAffinityMask(t *testing.T) {
-	n := NewAurora()
-	// Empty mask: everything visible.
-	all, err := n.ParseAffinityMask("")
-	if err != nil || len(all) != 12 {
-		t.Fatalf("empty mask: %v, %v", all, err)
-	}
-	// Single stack.
-	one, err := n.ParseAffinityMask("3.1")
-	if err != nil || len(one) != 1 || one[0] != (StackID{3, 1}) {
-		t.Fatalf("3.1 mask: %v, %v", one, err)
-	}
-	// Whole card expands to both stacks.
-	card, err := n.ParseAffinityMask("2")
-	if err != nil || len(card) != 2 || card[0] != (StackID{2, 0}) || card[1] != (StackID{2, 1}) {
-		t.Fatalf("card mask: %v, %v", card, err)
-	}
-	// Mixed list with spaces.
-	mix, err := n.ParseAffinityMask("0.0, 5.1")
-	if err != nil || len(mix) != 2 || mix[1] != (StackID{5, 1}) {
-		t.Fatalf("mixed mask: %v, %v", mix, err)
-	}
-	for _, bad := range []string{"9.0", "0.7", "x", "0..1", "-1"} {
-		if _, err := n.ParseAffinityMask(bad); err == nil {
-			t.Errorf("mask %q should fail", bad)
-		}
-	}
-}
-
 func TestValidateCatchesBadPlanes(t *testing.T) {
 	n := NewAurora()
 	n.Planes = [][]StackID{{{0, 0}}, {{0, 0}}}

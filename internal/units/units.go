@@ -162,34 +162,17 @@ func (b Bytes) IEC() string {
 func (r ByteRate) String() string { return formatSI(float64(r), "B/s", 3) }
 
 // String renders an operation rate ("17 TFlop/s" style, but unit-neutral:
-// "17 Top/s"). Use Flops or Iops for the paper's spellings.
+// "17 Top/s"). Use Flops for the paper's Flop/s spelling.
 func (r Rate) String() string { return formatSI(float64(r), "op/s", 3) }
 
 // Flops renders the rate as a floating point throughput ("17 TFlop/s").
 func (r Rate) Flops() string { return formatSI(float64(r), "Flop/s", 3) }
-
-// Iops renders the rate as an integer throughput ("448 TIop/s").
-func (r Rate) Iops() string { return formatSI(float64(r), "Iop/s", 3) }
 
 // String renders a frequency ("1.6 GHz").
 func (f Frequency) String() string { return formatSI(float64(f), "Hz", 3) }
 
 // String renders a duration with an appropriate sub-second prefix.
 func (s Seconds) String() string { return formatSI(float64(s), "s", 3) }
-
-// Cycles converts the duration to clock cycles at frequency f, rounding to
-// the nearest whole cycle.
-func (s Seconds) Cycles(f Frequency) float64 {
-	return float64(s) * float64(f)
-}
-
-// PerCycle returns the duration of one clock cycle at f.
-func PerCycle(f Frequency) Seconds {
-	if f <= 0 {
-		return 0
-	}
-	return Seconds(1 / float64(f))
-}
 
 // TimeToMove returns the time to move n bytes at rate r.
 func TimeToMove(n Bytes, r ByteRate) Seconds {
@@ -236,38 +219,6 @@ func ParseBytes(s string) (Bytes, error) {
 	return Bytes(v * float64(mult)), nil
 }
 
-// ParseRate parses strings like "17 TFlop/s", "448 TIop/s", "3.1 Gop/s".
-func ParseRate(s string) (Rate, error) {
-	v, unit, err := splitNumberUnit(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse rate %q: %w", s, err)
-	}
-	unit = strings.TrimSuffix(unit, "/s")
-	for _, suffix := range []string{"Flop", "FLOP", "Iop", "IOP", "op", "OP", "Op"} {
-		if strings.HasSuffix(unit, suffix) {
-			prefix := strings.TrimSuffix(unit, suffix)
-			if mult, ok := siMultipliers[prefix]; ok {
-				return Rate(v * mult), nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("units: parse rate %q: unknown unit", s)
-}
-
-// ParseByteRate parses strings like "197 GB/s", "3.35 TB/s".
-func ParseByteRate(s string) (ByteRate, error) {
-	v, unit, err := splitNumberUnit(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse byte rate %q: %w", s, err)
-	}
-	unit = strings.TrimSuffix(unit, "/s")
-	mult, ok := byteUnits[unit]
-	if !ok {
-		return 0, fmt.Errorf("units: parse byte rate %q: unknown unit %q", s, unit)
-	}
-	return ByteRate(v * float64(mult)), nil
-}
-
 var byteUnits = map[string]Bytes{
 	"B": 1, "": 1,
 	"kB": KB, "KB": KB, "MB": MB, "GB": GB, "TB": TB,
@@ -308,13 +259,4 @@ func splitNumberUnit(s string) (float64, string, error) {
 		return 0, "", err
 	}
 	return v, strings.TrimSpace(s[i:]), nil
-}
-
-// Ratio returns a/b, or 0 when b is 0; convenient for the relative-FOM
-// figures where missing entries are rendered as absent bars.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

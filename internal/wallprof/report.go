@@ -195,7 +195,7 @@ func (r *Report) WriteFlame(w io.Writer) error {
 // WriteChromeTrace writes the wall-time timelines as Chrome trace-event
 // JSON — the second track next to the simulated-time trace (load both
 // files in the same Perfetto session). One "process" per cell, with an
-// engine track (one span per Run/RunUntil) and a runner-phase track.
+// engine track (one span per Run) and a runner-phase track.
 // Requires EnableTimeline; without it only the phase aggregates appear.
 // Unlike every simulated export this one is wall time and is expected
 // to differ between runs.
