@@ -110,9 +110,10 @@ bench-record: build
 # Regression gate: run the bench set now and diff it against the
 # committed baseline. Simulated FOM drift hard-fails (exact tolerance),
 # whatever -jobs is. The simulator's speed is perfbench's to measure
-# (bash perfbench/run.sh), not this gate's. The zero-alloc test pins the disabled wall-probe path first: every
-# simulation pays the nil-probe hook sites, so they must stay a single
-# pointer compare — no allocations (DESIGN.md §13).
+# (bash perfbench/run.sh), not this gate's. The zero-alloc test runs
+# first: every simulation pays the nil-probe hook sites and the event
+# queue, so a warm engine must schedule and drain a burst without
+# allocating (DESIGN.md §12-§13).
 bench-check: build
 	$(GO) test -run TestWallprobeNilPathZeroAlloc ./internal/sim/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json

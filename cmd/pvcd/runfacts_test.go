@@ -75,20 +75,20 @@ func TestRunWallFactsReachEverySink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]float64{"pvcsim_memo_hits_total": 1, "pvcsim_memo_misses_total": 1} {
-		if v, ok := fams.Value(name, nil); !ok || v != want {
+		if v, ok := sampleValue(fams, name, nil); !ok || v != want {
 			t.Errorf("%s = %v (present=%v), want %g", name, v, ok, want)
 		}
 	}
 	phaseSumMS := map[string]float64{}
 	for _, phase := range []string{"build", "simulate", "cache-wait", "export"} {
 		lbl := map[string]string{"phase": phase}
-		if v, ok := fams.Value("pvcsim_runner_phase_seconds_count", lbl); !ok || v != 1 {
+		if v, ok := sampleValue(fams, "pvcsim_runner_phase_seconds_count", lbl); !ok || v != 1 {
 			t.Errorf("runner_phase_seconds_count{%s} = %v (present=%v), want 1", phase, v, ok)
 		}
-		sum, _ := fams.Value("pvcsim_runner_phase_seconds_sum", lbl)
+		sum, _ := sampleValue(fams, "pvcsim_runner_phase_seconds_sum", lbl)
 		phaseSumMS[phase] = sum * 1e3
 	}
-	if v, ok := fams.Value("pvcsim_engine_lane_busy_seconds_total", nil); !ok || v <= 0 {
+	if v, ok := sampleValue(fams, "pvcsim_engine_lane_busy_seconds_total", nil); !ok || v <= 0 {
 		t.Errorf("pvcsim_engine_lane_busy_seconds_total = %v (present=%v), want > 0", v, ok)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -256,7 +257,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pvcsim_obs_orphan_finishes":    0,
 	}
 	for name, want := range expect {
-		got, ok := fams.Value(name, nil)
+		got, ok := sampleValue(fams, name, nil)
 		if !ok {
 			t.Errorf("%s missing from /metrics", name)
 			continue
@@ -265,21 +266,21 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %g, want %g", name, got, want)
 		}
 	}
-	if v, ok := fams.Value("pvcsim_cell_wall_seconds_count", map[string]string{"workload": "p2p"}); !ok || v != 1 {
+	if v, ok := sampleValue(fams, "pvcsim_cell_wall_seconds_count", map[string]string{"workload": "p2p"}); !ok || v != 1 {
 		t.Errorf("cell_wall_seconds_count{p2p} = %v (present=%v), want 1", v, ok)
 	}
-	if v, ok := fams.Value("pvcd_http_requests_total", map[string]string{"route": "runs_submit"}); !ok || v != 1 {
+	if v, ok := sampleValue(fams, "pvcd_http_requests_total", map[string]string{"route": "runs_submit"}); !ok || v != 1 {
 		t.Errorf("http_requests_total{runs_submit} = %v (present=%v), want 1", v, ok)
 	}
 	// Engine health: every run self-profiles, so the engine busy-time
 	// counter must be present (its value is wall-clock and
 	// run-dependent) and the phase histogram must have one build and one
 	// simulate sample for the single computed cell.
-	if v, ok := fams.Value("pvcsim_engine_lane_busy_seconds_total", nil); !ok || v < 0 {
+	if v, ok := sampleValue(fams, "pvcsim_engine_lane_busy_seconds_total", nil); !ok || v < 0 {
 		t.Errorf("pvcsim_engine_lane_busy_seconds_total = %v (present=%v), want present and >= 0", v, ok)
 	}
 	for _, phase := range []string{"build", "simulate"} {
-		if v, ok := fams.Value("pvcsim_runner_phase_seconds_count", map[string]string{"phase": phase}); !ok || v != 1 {
+		if v, ok := sampleValue(fams, "pvcsim_runner_phase_seconds_count", map[string]string{"phase": phase}); !ok || v != 1 {
 			t.Errorf("runner_phase_seconds_count{%s} = %v (present=%v), want 1", phase, v, ok)
 		}
 	}
@@ -480,4 +481,17 @@ func TestWorkloadsListing(t *testing.T) {
 	if len(cs.Systems) != 1 || cs.Systems[0] != "Frontier" {
 		t.Errorf("clover-strong frontier cell lists systems %v, want [Frontier]", cs.Systems)
 	}
+}
+
+// sampleValue returns the value of the parsed sample with exactly this
+// name and label set.
+func sampleValue(fams telemetry.Families, name string, labels map[string]string) (float64, bool) {
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == name && maps.Equal(s.Labels, labels) {
+				return s.Value, true
+			}
+		}
+	}
+	return 0, false
 }

@@ -25,8 +25,8 @@
 // measured by perfbench (bash perfbench/run.sh), not diffed here.
 //
 // wall inspects the simulator's wall-clock self-profile (a -wallprof
-// export): where host time went — engine run time, event-struct churn,
-// and runner phases.
+// export): where host time went — engine run time, event count, and
+// runner phases.
 //
 // bench runs the six Table V/VI figure-of-merit workloads through the
 // parallel runner, records their simulated FOMs, and appends the

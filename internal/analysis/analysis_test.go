@@ -221,8 +221,10 @@ func TestModuleIsClean(t *testing.T) {
 
 // TestTestOnlyModule runs the whole-program testonly check over a
 // fixture module: a function reached only from a _test.go file (or
-// only from itself) is flagged; one reached from cmd/, from the nested
-// bench module, or through an interface method is not; a file-scope
+// only from itself) is flagged, and so is a method that only shares its
+// name with an interface's (Meter.Value beside context.Context's) while
+// its type implements none; one reached from cmd/, from the nested bench
+// module, or through an interface its type implements is not; a file-scope
 // testonly directive keeps its file, and one naming walltime is a
 // directive finding that suppresses nothing.
 func TestTestOnlyModule(t *testing.T) {
@@ -235,6 +237,7 @@ func TestTestOnlyModule(t *testing.T) {
 		{"internal/badscope/bad.go", "directive", `file-scope pvclint:ignore names "walltime"`},
 		{"internal/lib/lib.go", "testonly", `^OnlyTests is referenced by no non-test code$`},
 		{"internal/lib/lib.go", "testonly", `^Countdown is referenced by no non-test code$`},
+		{"internal/lib/lib.go", "testonly", `^Meter.Value is referenced by no non-test code$`},
 	}
 	if len(diags) != len(expected) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(expected), renderAll(diags))

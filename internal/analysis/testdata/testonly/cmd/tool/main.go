@@ -2,6 +2,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"fixmod/internal/badscope"
@@ -9,5 +10,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.UsedByCmd(), badscope.Used(), lib.Pick().Describe())
+	fmt.Println(lib.UsedByCmd(), badscope.Used(), lib.Pick().Describe(), lib.Scoped(context.Background()) != nil)
 }

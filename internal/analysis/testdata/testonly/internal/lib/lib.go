@@ -2,6 +2,8 @@
 // function is reached from a different kind of caller.
 package lib
 
+import "context"
+
 // OnlyTests is called from lib_test.go alone.
 func OnlyTests() int { return 1 }
 
@@ -13,6 +15,17 @@ func Countdown(n int) int {
 	}
 	return Countdown(n - 1)
 }
+
+// Meter satisfies no interface: its Value method shares only a name
+// with context.Context's, which does not make it reachable.
+type Meter struct{ n int }
+
+// Value is called from lib_test.go alone.
+func (m *Meter) Value() int { return m.n }
+
+// Scoped is called from the cmd/tool package; it puts context.Context
+// in the loaded universe.
+func Scoped(ctx context.Context) context.Context { return ctx }
 
 // UsedByCmd is called from the cmd/tool package.
 func UsedByCmd() int { return 2 }

@@ -6,21 +6,23 @@ import (
 )
 
 // callers is what testonly needs to know about the whole program:
-// every function some non-test file references, and every method name
-// some interface declares.
+// every function some non-test file references, and, by method name,
+// every interface that declares a method of that name.
 type callers struct {
-	used         map[*types.Func]bool
-	ifaceMethods map[string]bool
+	used   map[*types.Func]bool
+	ifaces map[string][]*types.Interface
+	seen   map[*types.Interface]bool
 }
 
 // collectCallers builds the caller view from the Uses of every loaded
 // package. Generic instances count as uses of their origin, and a
 // function's references to itself (recursion) count as no caller.
-// Interface method names come from every interface type in the loaded
-// packages and in the packages they import, the standard library
-// included.
+// Interfaces come from every interface type in the loaded packages and
+// in the packages they import, the standard library and the universe's
+// error included.
 func collectCallers(pkgs []*Package) *callers {
-	c := &callers{used: map[*types.Func]bool{}, ifaceMethods: map[string]bool{"Error": true}}
+	c := &callers{used: map[*types.Func]bool{}, ifaces: map[string][]*types.Interface{}, seen: map[*types.Interface]bool{}}
+	c.addInterface(types.Universe.Lookup("error").Type())
 	seen := map[*types.Package]bool{}
 	var addScope func(*types.Package)
 	addScope = func(p *types.Package) {
@@ -60,12 +62,30 @@ func (c *callers) addInterface(t types.Type) {
 		return
 	}
 	it, ok := t.Underlying().(*types.Interface)
-	if !ok {
+	if !ok || c.seen[it] {
 		return
 	}
+	c.seen[it] = true
 	for i := 0; i < it.NumMethods(); i++ {
-		c.ifaceMethods[it.Method(i).Name()] = true
+		name := it.Method(i).Name()
+		c.ifaces[name] = append(c.ifaces[name], it)
 	}
+}
+
+// viaInterface reports whether method fn may be reached through an
+// interface: its receiver type T, or *T, implements an interface that
+// declares a method of fn's name.
+func (c *callers) viaInterface(fn *types.Func) bool {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	for _, it := range c.ifaces[fn.Name()] {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOnly flags exported functions and methods under internal/ that no
@@ -73,9 +93,10 @@ func (c *callers) addInterface(t types.Type) {
 // an unread format that the commands never run. Every module package,
 // cmd/ and examples/ included, counts as a caller, and so does the
 // root package of each nested module (perfbench), which is loaded for
-// its references only. A method whose name an interface declares is
-// exempt, since it may be reached through that interface. The check
-// needs the whole program, so a Pass without that view skips it.
+// its references only. A method is exempt when its receiver type, or a
+// pointer to it, implements an interface that declares it, since it may
+// be reached through that interface. The check needs the whole program,
+// so a Pass without that view skips it.
 var TestOnly = &Analyzer{
 	Name: "testonly",
 	Doc:  "flag exported functions and methods under internal/ that only tests reference",
@@ -95,7 +116,7 @@ var TestOnly = &Analyzer{
 				}
 				name := fn.Name()
 				if fd.Recv != nil {
-					if p.callers.ifaceMethods[name] {
+					if p.callers.viaInterface(fn) {
 						continue
 					}
 					name = recvTypeName(fn) + "." + name

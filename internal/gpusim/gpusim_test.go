@@ -55,7 +55,7 @@ func TestD2DRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // build the route, warm the event free-list
+	run() // build the route, grow the event heap
 	if perTrip := testing.AllocsPerRun(5, run) / rounds; perTrip > 6.1 {
 		t.Errorf("%.2f allocs per StartD2D+Flow.Wait round trip, want at most 6", perTrip)
 	}

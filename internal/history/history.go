@@ -16,7 +16,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
 )
@@ -140,34 +142,16 @@ func (j *Journal) Close() error {
 // (same convention as prof.ReadRecords); a malformed line is an error
 // naming the line.
 func Read(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+	var recs []Record
+	err := scan(path, func(_ []byte, r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	defer f.Close()
-
-	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		dec := json.NewDecoder(bytes.NewReader(line))
-		if err := dec.Decode(&r); err != nil {
-			return nil, fmt.Errorf("history: %s:%d: %w", path, lineNo, err)
-		}
-		recs = append(recs, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("history: %s: %w", path, err)
+		return nil, err
 	}
 	return recs, nil
 }
@@ -179,13 +163,32 @@ func Read(path string) ([]Record, error) {
 // records carrying fields this build doesn't know. Returns the record
 // count.
 func Validate(path string) (int, error) {
+	n := 0
+	err := scan(path, func(line []byte, r Record) error {
+		out, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("re-marshal: %w", err)
+		}
+		if !bytes.Equal(out, line) {
+			return fmt.Errorf("record does not round-trip (schema_version %d vs this build's %d?)", r.Schema, SchemaVersion)
+		}
+		n++
+		return nil
+	})
+	return n, err
+}
+
+// scan parses each non-blank line of the journal at path as one record,
+// with json.Unmarshal, so trailing data after a record is an error, and
+// hands fn the trimmed line and its record. An error from the parse or
+// from fn names the line.
+func scan(path string, fn func(line []byte, r Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("history: %w", err)
+		return fmt.Errorf("history: %w", err)
 	}
 	defer f.Close()
 
-	n := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -196,20 +199,16 @@ func Validate(path string) (int, error) {
 			continue
 		}
 		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return n, fmt.Errorf("history: %s:%d: %w", path, lineNo, err)
+		err := json.Unmarshal(line, &r)
+		if err == nil {
+			err = fn(line, r)
 		}
-		out, err := json.Marshal(r)
 		if err != nil {
-			return n, fmt.Errorf("history: %s:%d: re-marshal: %w", path, lineNo, err)
+			return fmt.Errorf("history: %s:%d: %w", path, lineNo, err)
 		}
-		if !bytes.Equal(out, line) {
-			return n, fmt.Errorf("history: %s:%d: record does not round-trip (schema_version %d vs this build's %d?)", path, lineNo, r.Schema, SchemaVersion)
-		}
-		n++
 	}
 	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("history: %s: %w", path, err)
+		return fmt.Errorf("history: %s: %w", path, err)
 	}
-	return n, nil
+	return nil
 }

@@ -107,6 +107,25 @@ func TestReadNamesCorruptLine(t *testing.T) {
 	}
 }
 
+// A line holding a record followed by more data is corrupt: Open must
+// refuse it, as Validate does, rather than keep the first record and
+// silently drop the rest.
+func TestOpenRejectsTrailingData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	good := `{"schema_version":1,"id":"r0001","start":"2026-08-08T12:00:00Z","workload":"all","status":"done","cells":1,"wall":{"run_ms":1}}`
+	if err := os.WriteFile(path, []byte(good+"\n"+good+` {"id":"r0002"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() error{
+		"Open":     func() error { _, err := Open(path); return err },
+		"Validate": func() error { _, err := Validate(path); return err },
+	} {
+		if err := load(); err == nil || !strings.Contains(err.Error(), ":2:") {
+			t.Errorf("%s: err = %v, want an error naming line 2", name, err)
+		}
+	}
+}
+
 func TestValidateRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	j, err := Open(path)

@@ -144,9 +144,6 @@ type Trace struct {
 // ID returns the trace ID.
 func (tr *Trace) ID() string { return tr.id }
 
-// Name returns the trace's origin name.
-func (tr *Trace) Name() string { return tr.name }
-
 // Now reads the tracer's clock; pair it with AddSpan.
 func (tr *Trace) Now() int64 { return tr.clock() }
 

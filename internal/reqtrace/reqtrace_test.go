@@ -33,8 +33,12 @@ func TestTraceIDsAreSequentialAndInstanceTagged(t *testing.T) {
 	if a.ID() != "t-test-0001" || b.ID() != "t-test-0002" {
 		t.Fatalf("ids = %q, %q; want t-test-0001, t-test-0002", a.ID(), b.ID())
 	}
-	if a.Name() != "one" {
-		t.Fatalf("name = %q", a.Name())
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"t-test-0001 one"`) {
+		t.Fatalf("trace track does not carry the ID and origin name:\n%s", buf.String())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pvcsim/internal/gpusim"
+	"pvcsim/internal/sim"
 	"pvcsim/internal/topology"
 	"pvcsim/internal/workload"
 )
@@ -56,6 +57,30 @@ func TestPanicRecovered(t *testing.T) {
 	// A panic is a deterministic failure: it memoizes like any error.
 	if runs.Load() != 1 {
 		t.Fatalf("panicking workload ran %d times, want 1", runs.Load())
+	}
+}
+
+// TestProcessPanicRecovered extends the panic bugfix into the event
+// engine: a panic inside a simulation process, which runs on its own
+// goroutine, must still reach the runner's recovery as a *PanicError
+// instead of killing the process that hosts the runner.
+func TestProcessPanicRecovered(t *testing.T) {
+	w := workload.New("proc-panic", "", "", topology.AllSystems(),
+		func(ctx context.Context, tg *gpusim.Target) (workload.Result, error) {
+			e := sim.NewEngine()
+			e.Go("rank0", func(p *sim.Proc) {
+				p.Hold(1e-6)
+				panic("kaboom in a process")
+			})
+			return workload.Result{}, e.Run()
+		})
+	_, err := New(1).RunOne(context.Background(), topology.Aurora, w)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *PanicError", err, err)
+	}
+	if !strings.Contains(pe.Error(), "kaboom in a process") || !strings.Contains(pe.Error(), "rank0") {
+		t.Fatalf("panic error does not name the process and its panic value:\n%v", pe)
 	}
 }
 

@@ -11,33 +11,24 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 
 	"pvcsim/internal/units"
 )
 
-// maxFreeEvents bounds the event free-list so an engine that once burst
-// to millions of events does not pin them forever.
-const maxFreeEvents = 256
-
-// shrinkMinCap is the heap capacity below which shrinking is never
-// attempted; tiny heaps are not worth reallocating.
-const shrinkMinCap = 64
-
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; call NewEngine.
 type Engine struct {
-	now    units.Seconds
-	queue  eventHeap
-	seq    uint64
-	parked chan struct{} // a running process hands control back here
-	procs  []*Proc       // processes started and not yet finished, any order
-
-	free      []*event // recycled event structs (allocation churn)
-	highWater int      // peak heap length, for shrink decisions
+	now      units.Seconds
+	queue    []event // binary min-heap on (t, seq)
+	seq      uint64
+	parked   chan struct{} // a running process hands control back here
+	procs    []*Proc       // processes started and not yet finished, any order
+	fault    *ProcPanic    // a process body's panic, re-raised by Run
+	stopping bool          // set while Run unwinds the live processes
 
 	probe WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
@@ -57,86 +48,80 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// before orders events by time, then by scheduling order.
+func (a *event) before(b *event) bool {
 	//pvclint:ignore floateq comparator tie-break must be exact: bit-equal timestamps fall through to seq, and a tolerance would destroy the strict weak ordering the heap requires
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Schedule queues fn to run after delay. A negative delay is clamped to
-// zero. Events at equal times run in scheduling order. Event structs are
-// recycled from the engine's free-list.
+// zero. Events at equal times run in scheduling order.
 func (e *Engine) Schedule(delay units.Seconds, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	var ev *event
-	reused := false
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		reused = true
-	} else {
-		ev = &event{}
-	}
-	if p := e.probe; p != nil {
-		p.EventAlloc(reused)
-	}
-	ev.t, ev.seq, ev.fn = e.now+delay, e.seq, fn
-	heap.Push(&e.queue, ev)
-	if len(e.queue) > e.highWater {
-		e.highWater = len(e.queue)
-	}
-}
-
-// pop removes the earliest event, shrinking the heap's backing array once
-// it has drained well below its high-water mark.
-func (e *Engine) pop() *event {
-	ev := heap.Pop(&e.queue).(*event)
-	if cap(e.queue) >= shrinkMinCap && len(e.queue) <= cap(e.queue)/4 {
-		shrunk := make(eventHeap, len(e.queue), cap(e.queue)/2)
-		copy(shrunk, e.queue)
-		e.queue = shrunk
-		e.highWater = len(e.queue)
-		if p := e.probe; p != nil {
-			p.HeapShrink()
+	ev := event{t: e.now + delay, seq: e.seq, fn: fn}
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&q[up]) {
+			break
 		}
+		q[i] = q[up]
+		i = up
 	}
-	return ev
+	q[i] = ev
+	e.queue = q
 }
 
-// drain runs events in order until the queue is empty.
+// pop removes and returns the earliest event. The vacated slot is
+// zeroed, so a drained heap holds no closure.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
+}
+
+// drain runs events in order until the queue is empty or a process
+// body panics.
 func (e *Engine) drain() {
 	p := e.probe
 	if p != nil {
 		p.RunStart()
 	}
 	n := 0
-	for e.queue.Len() > 0 {
+	for len(e.queue) > 0 && e.fault == nil {
 		ev := e.pop()
 		e.now = ev.t
 		ev.fn()
-		ev.fn = nil
-		if len(e.free) < maxFreeEvents {
-			e.free = append(e.free, ev)
-		}
 		n++
 	}
 	if p != nil {
@@ -147,10 +132,52 @@ func (e *Engine) drain() {
 // Run processes events until the queue drains. It returns an error if
 // processes remain blocked with no pending event to wake them (a model
 // deadlock), which would otherwise manifest as silently missing results;
-// the error names the signals and resources holding the waiters.
+// the error names the signals and resources holding the waiters. A panic
+// in a process body stops the run and is re-raised here, on the caller's
+// goroutine, as a *ProcPanic. Either way the processes still alive are
+// unwound before Run returns, so none outlives the run.
 func (e *Engine) Run() error {
+	defer e.stop()
 	e.drain()
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
+	}
 	return e.deadlockErr()
+}
+
+// stop unwinds every live process: each is resumed with the stopping
+// flag set, so its yield panics stopProc, which the process root
+// recovers. Events left queued are dropped, since the processes they
+// would resume are gone.
+func (e *Engine) stop() {
+	if len(e.procs) == 0 && len(e.queue) == 0 {
+		return
+	}
+	e.stopping = true
+	for len(e.procs) > 0 {
+		e.procs[len(e.procs)-1].wake()
+	}
+	e.stopping = false
+	clear(e.queue)
+	e.queue = e.queue[:0]
+}
+
+// stopProc is the panic value that unwinds a stopped process.
+type stopProc struct{}
+
+// ProcPanic is the value Run re-raises when a process body panics: the
+// process's name, the original panic value and the stack where it was
+// raised.
+type ProcPanic struct {
+	Proc  string
+	Value any
+	Stack []byte
+}
+
+// Error names the process, the panic value and the stack.
+func (p *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n%s", p.Proc, p.Value, p.Stack)
 }
 
 // deadlockErr builds the Run error when live processes remain: the total
@@ -197,14 +224,10 @@ type Proc struct {
 	eng       *Engine
 	name      string
 	resume    chan struct{}
-	done      chan struct{}
 	wakeFn    func()  // p.wake, bound once so scheduling a wake-up does not allocate
 	idx       int     // position in eng.procs while live
 	blockedOn blocker // set while queued on a signal or resource
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Seconds { return p.eng.now }
@@ -213,19 +236,33 @@ func (p *Proc) Now() units.Seconds { return p.eng.now }
 // runs cooperatively: it executes until it blocks in Hold, Wait, or
 // Acquire, at which point control returns to the engine.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), done: make(chan struct{}), idx: len(e.procs)}
+	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
 	p.wakeFn = p.wake
-	e.procs = append(e.procs, p)
 	e.Schedule(0, func() {
-		go func() {
-			body(p)
-			e.retire(p)
-			close(p.done)
-			e.parked <- struct{}{}
-		}()
+		p.idx = len(e.procs)
+		e.procs = append(e.procs, p)
+		go p.run(body)
 		<-e.parked
 	})
 	return p
+}
+
+// run is the process goroutine's root. However the body ends — it
+// returns, it panics, or Run stops it — the process leaves the live set
+// and hands control back to the engine. A panic is kept for Run to
+// re-raise on its caller's goroutine; one raised while Run stops the
+// process (stopProc, or a deferred call failing on the way out) is
+// dropped with the run.
+func (p *Proc) run(body func(*Proc)) {
+	e := p.eng
+	defer func() {
+		if v := recover(); v != nil && !e.stopping {
+			e.fault = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
+		}
+		e.retire(p)
+		e.parked <- struct{}{}
+	}()
+	body(p)
 }
 
 // retire drops a finished process from the live set (swap-remove), so
@@ -240,10 +277,14 @@ func (e *Engine) retire(p *Proc) {
 }
 
 // yield transfers control from the process back to the engine and blocks
-// until the engine resumes this process.
+// until the engine resumes this process. A process resumed to be
+// stopped unwinds from here.
 func (p *Proc) yield() {
 	p.eng.parked <- struct{}{}
 	<-p.resume
+	if p.eng.stopping {
+		panic(stopProc{})
+	}
 }
 
 // wake resumes p from an event callback and waits for it to park again.
@@ -257,11 +298,6 @@ func (p *Proc) Hold(d units.Seconds) {
 	p.eng.Schedule(d, p.wakeFn)
 	p.yield()
 }
-
-// Done returns a channel closed when the process body has returned. It is
-// intended for host-side code inspecting a finished simulation, not for
-// use inside processes.
-func (p *Proc) Done() <-chan struct{} { return p.done }
 
 // Signal is a broadcast condition: processes Wait on it, and Fire wakes
 // every current waiter at the time Fire is called. Later waiters need a

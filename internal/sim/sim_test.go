@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pvcsim/internal/units"
 )
@@ -345,32 +347,78 @@ func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 	}
 }
 
-// The event heap sheds capacity once it drains far below its
-// high-water mark instead of pinning the peak forever.
-func TestEventHeapShrinks(t *testing.T) {
+// A panic in a process body is re-raised by Run on the caller's
+// goroutine as a *ProcPanic naming the process, and the run's other live
+// processes are unwound rather than left blocked.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
 	e := NewEngine()
-	stop := false
-	for i := 0; i < 4096; i++ {
-		e.Schedule(units.Seconds(i), func() {})
+	sig := NewNamedSignal(e, "never")
+	e.Go("waiter", func(p *Proc) { sig.Wait(p) })
+	e.Go("holder", func(p *Proc) { p.Hold(5) })
+	e.Go("bad", func(p *Proc) {
+		p.Hold(1)
+		panic("model bug")
+	})
+	defer func() {
+		pp, ok := recover().(*ProcPanic)
+		if !ok {
+			t.Fatalf("Run did not re-raise a *ProcPanic")
+		}
+		if pp.Proc != "bad" || pp.Value != "model bug" {
+			t.Errorf("panic = process %q value %v, want process bad value model bug", pp.Proc, pp.Value)
+		}
+		if !strings.Contains(string(pp.Stack), "TestProcessPanicReachesRunCaller") {
+			t.Errorf("panic stack does not reach the process body:\n%s", pp.Stack)
+		}
+		if len(e.procs) != 0 || len(e.queue) != 0 {
+			t.Errorf("after the panic the engine keeps %d processes and %d events, want none", len(e.procs), len(e.queue))
+		}
+	}()
+	_ = e.Run()
+	t.Fatal("Run returned instead of re-raising the process panic")
+}
+
+// settledGoroutines waits briefly for exiting goroutines to finish and
+// reports the count once it is at most want.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	peak := cap(e.queue)
-	e.Schedule(5000, func() { stop = true })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	return n
+}
+
+// A deadlocked run unwinds its blocked processes: their goroutines exit,
+// and the deadlock report still counts and names them.
+func TestDeadlockLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	sig := NewNamedSignal(e, "stuck")
+	unwound := 0
+	for i := 0; i < 8; i++ {
+		e.Go("w", func(p *Proc) {
+			defer func() { unwound++ }()
+			sig.Wait(p)
+		})
 	}
-	if !stop {
-		t.Fatal("final event did not run")
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "8 process(es) blocked with empty event queue; blocked: 8 on signal stuck") {
+		t.Fatalf("err = %v, want the census of 8 waiters on signal stuck", err)
 	}
-	if cap(e.queue) >= peak/4 {
-		t.Errorf("heap capacity %d after drain, want < peak/4 (%d)", cap(e.queue), peak/4)
+	if unwound != 8 {
+		t.Errorf("%d of 8 blocked processes ran their deferred calls", unwound)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Errorf("goroutines: %d before the run, %d after the deadlock", before, after)
 	}
 }
 
-// Steady-state scheduling reuses event structs from the
-// free-list instead of allocating one per Schedule.
+// Steady-state scheduling reuses the heap slice's storage: events are
+// values, so a warm engine allocates no event per Schedule.
 func TestEventFreeListReuse(t *testing.T) {
 	e := NewEngine()
-	// Prime the free-list.
+	// Warm the heap's backing array.
 	for i := 0; i < 64; i++ {
 		e.Schedule(0, func() {})
 	}
@@ -383,9 +431,9 @@ func TestEventFreeListReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One closure value per iteration is expected; a fresh *event per
-	// Schedule would make this ≥ 2.
+	// One closure value per iteration is allowed; a fresh event
+	// allocation per Schedule would make this ≥ 2.
 	if allocs > 1.5 {
-		t.Errorf("%.1f allocs per schedule+run cycle, want ≤ 1 (free-list reuse)", allocs)
+		t.Errorf("%.1f allocs per schedule+run cycle, want ≤ 1 (heap storage reuse)", allocs)
 	}
 }

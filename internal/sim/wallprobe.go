@@ -2,10 +2,10 @@
 // the wall clock — the walltime analyzer bans time.* in simulation
 // packages, and for good reason: a wall-clock read that leaked into an
 // event decision would destroy determinism. But knowing where the
-// engine's *own* wall time goes (busy time, event-struct churn, heap
-// shrinks) is exactly what profile-guided optimization of the kernel
-// needs. The resolution is inversion: the engine emits timing-free
-// callbacks through the WallProbe interface, and the implementation
+// engine's *own* wall time goes (busy time per run, events per run) is
+// exactly what profile-guided optimization of the kernel needs. The
+// resolution is inversion: the engine emits timing-free callbacks
+// through the WallProbe interface, and the implementation
 // (internal/wallprof, a wall-clock-allowed package) reads the clock on
 // its own side. No time.* selector ever appears in this package, and a
 // nil probe costs one pointer compare per hook site — nothing allocates
@@ -22,14 +22,6 @@ type WallProbe interface {
 	// RunEnd closes the span opened by the last RunStart; events is the
 	// number of events the run processed.
 	RunEnd(events int)
-
-	// EventAlloc records one event-struct acquisition: reused from the
-	// free-list or freshly allocated. It also fires while the engine is
-	// not running (build-time scheduling).
-	EventAlloc(reused bool)
-
-	// HeapShrink records a heap backing-array shrink.
-	HeapShrink()
 }
 
 // SetWallProbe installs the engine's wall-clock self-profiling probe

@@ -183,13 +183,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 // Dec subtracts 1.
 func (g *Gauge) Dec() { g.Add(-1) }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.value
-}
-
 // Gauge registers a label-less gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.register(name, help, kindGauge, nil)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		{"test_wall_seconds_count", map[string]string{"workload": "fft"}, 1},
 	}
 	for _, tc := range checks {
-		got, ok := fams.Value(tc.name, tc.labels)
+		got, ok := sampleValue(fams, tc.name, tc.labels)
 		if !ok {
 			t.Errorf("%s%v: sample missing", tc.name, tc.labels)
 			continue
@@ -107,7 +108,7 @@ func TestLabelEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, buf.String())
 	}
-	if v, ok := fams.Value("esc_total", map[string]string{"v": tricky}); !ok || v != 1 {
+	if v, ok := sampleValue(fams, "esc_total", map[string]string{"v": tricky}); !ok || v != 1 {
 		t.Errorf("escaped label did not round-trip: %q\n%s", tricky, buf.String())
 	}
 }
@@ -139,7 +140,27 @@ func TestParseAcceptsSpecials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := fams.Value("weird", nil); !ok || !math.IsInf(v, +1) {
+	if v, ok := sampleValue(fams, "weird", nil); !ok || !math.IsInf(v, +1) {
 		t.Errorf("weird = %v, want +Inf", v)
 	}
+}
+
+// gaugeValue reads a gauge's current value.
+func gaugeValue(g *Gauge) float64 {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
+	return g.s.value
+}
+
+// sampleValue returns the value of the parsed sample with exactly this
+// name and label set.
+func sampleValue(fams Families, name string, labels map[string]string) (float64, bool) {
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == name && maps.Equal(s.Labels, labels) {
+				return s.Value, true
+			}
+		}
+	}
+	return 0, false
 }

@@ -37,31 +37,6 @@ type Family struct {
 // Families is a parsed metrics page keyed by family name.
 type Families map[string]*Family
 
-// Value returns the sample value for the exact name and label set
-// ("name" may carry a _bucket/_sum/_count suffix).
-func (fs Families) Value(name string, labels map[string]string) (float64, bool) {
-	fam := fs[baseFamily(fs, name)]
-	if fam == nil {
-		return 0, false
-	}
-	for _, s := range fam.Samples {
-		if s.Name != name || len(s.Labels) != len(labels) {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return s.Value, true
-		}
-	}
-	return 0, false
-}
-
 // baseFamily maps a sample name to the family that declared it,
 // stripping histogram suffixes when needed.
 func baseFamily(fs Families, name string) string {

@@ -49,7 +49,7 @@ func TestFullTelemetryPageRoundTrips(t *testing.T) {
 		{"pvcsim_runner_phase_seconds_sum", map[string]string{"phase": "cache-wait"}, 0.0001},
 	}
 	for _, c := range cases {
-		got, ok := fams.Value(c.name, c.labels)
+		got, ok := sampleValue(fams, c.name, c.labels)
 		if !ok {
 			t.Errorf("%s%v missing from the parsed page", c.name, c.labels)
 			continue

@@ -44,10 +44,10 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 	if got := tele.PanicRecovered.Value(); got != 1 {
 		t.Errorf("panic recoveries = %g, want 1", got)
 	}
-	if got := tele.QueueDepth.Value(); got != 0 {
+	if got := gaugeValue(tele.QueueDepth); got != 0 {
 		t.Errorf("queue depth after drain = %g, want 0", got)
 	}
-	if got := tele.CellsInflight.Value(); got != 0 {
+	if got := gaugeValue(tele.CellsInflight); got != 0 {
 		t.Errorf("inflight after drain = %g, want 0", got)
 	}
 	if got := tele.CellWall.With("tw").s.count; got != 2 {
@@ -62,13 +62,13 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("telemetry page does not parse: %v\n%s", err, buf.String())
 	}
-	if v, ok := fams.Value("pvcsim_cells_completed_total", map[string]string{"status": "ok"}); !ok || v != 3 {
+	if v, ok := sampleValue(fams, "pvcsim_cells_completed_total", map[string]string{"status": "ok"}); !ok || v != 3 {
 		t.Errorf("cells_completed{ok} = %v (present=%v), want 3", v, ok)
 	}
-	if v, ok := fams.Value("pvcsim_cells_completed_total", map[string]string{"status": "error"}); !ok || v != 1 {
+	if v, ok := sampleValue(fams, "pvcsim_cells_completed_total", map[string]string{"status": "error"}); !ok || v != 1 {
 		t.Errorf("cells_completed{error} = %v (present=%v), want 1", v, ok)
 	}
-	if v, ok := fams.Value("pvcsim_panic_recoveries_total", nil); !ok || v != 1 {
+	if v, ok := sampleValue(fams, "pvcsim_panic_recoveries_total", nil); !ok || v != 1 {
 		t.Errorf("panic_recoveries_total = %v (present=%v), want 1", v, ok)
 	}
 }
@@ -77,12 +77,12 @@ func TestRunnerHooksFeedMetrics(t *testing.T) {
 func TestOrphanGauge(t *testing.T) {
 	tele := New()
 	tele.AddOrphanFinishes(0)
-	if got := tele.OrphanFinishes.Value(); got != 0 {
+	if got := gaugeValue(tele.OrphanFinishes); got != 0 {
 		t.Errorf("orphans after 0-fold = %g, want 0", got)
 	}
 	tele.AddOrphanFinishes(2)
 	tele.AddOrphanFinishes(1)
-	if got := tele.OrphanFinishes.Value(); got != 3 {
+	if got := gaugeValue(tele.OrphanFinishes); got != 3 {
 		t.Errorf("orphans = %g, want 3", got)
 	}
 }

@@ -25,9 +25,6 @@ type LaneReport struct {
 	BusyMS      float64 `json:"busy_ms"`
 	Utilization float64 `json:"utilization"`
 	Events      int64   `json:"events"`
-	AllocFresh  int64   `json:"event_alloc_fresh"`
-	AllocReused int64   `json:"event_alloc_reused"`
-	HeapShrinks int64   `json:"heap_shrinks"`
 }
 
 // CellReport is one cell's wall-clock profile: runner phases plus the
@@ -100,13 +97,7 @@ func (cp *CellProf) report() CellReport {
 	}
 	out.EngineRuns = p.runs
 	out.EngineRunMS = float64(p.runNS) * msPerNS
-	lr := LaneReport{
-		BusyMS:      out.EngineRunMS,
-		Events:      p.events,
-		AllocFresh:  p.allocFresh,
-		AllocReused: p.allocReused,
-		HeapShrinks: p.shrinks,
-	}
+	lr := LaneReport{BusyMS: out.EngineRunMS, Events: p.events}
 	if p.runs > 0 {
 		lr.Utilization = 1
 	}
@@ -139,11 +130,9 @@ func (r *Report) WriteReport(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "  engine: %d run(s), %.3g ms wall\n", c.EngineRuns, c.EngineRunMS)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  LANE\tBUSY_MS\tUTIL\tEVENTS\tALLOC_NEW\tALLOC_REUSE\tSHRINKS")
+		fmt.Fprintln(tw, "  LANE\tBUSY_MS\tUTIL\tEVENTS")
 		for _, l := range c.Lanes {
-			fmt.Fprintf(tw, "  %d\t%.3g\t%.1f%%\t%d\t%d\t%d\t%d\n",
-				l.Lane, l.BusyMS, l.Utilization*100,
-				l.Events, l.AllocFresh, l.AllocReused, l.HeapShrinks)
+			fmt.Fprintf(tw, "  %d\t%.3g\t%.1f%%\t%d\n", l.Lane, l.BusyMS, l.Utilization*100, l.Events)
 		}
 		if err := tw.Flush(); err != nil {
 			return err

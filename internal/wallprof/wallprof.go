@@ -173,14 +173,11 @@ type EngineProbe struct {
 	clock    Clock
 	timeline bool
 
-	runs        int64
-	runT0       int64
-	runNS       int64
-	events      int64
-	allocFresh  int64
-	allocReused int64
-	shrinks     int64
-	spans       []span // timeline only
+	runs   int64
+	runT0  int64
+	runNS  int64
+	events int64
+	spans  []span // timeline only
 }
 
 // span is one timeline interval.
@@ -202,18 +199,6 @@ func (p *EngineProbe) RunEnd(events int) {
 		p.spans = append(p.spans, span{start: p.runT0, end: now, events: events})
 	}
 }
-
-// EventAlloc implements sim.WallProbe.
-func (p *EngineProbe) EventAlloc(reused bool) {
-	if reused {
-		p.allocReused++
-	} else {
-		p.allocFresh++
-	}
-}
-
-// HeapShrink implements sim.WallProbe.
-func (p *EngineProbe) HeapShrink() { p.shrinks++ }
 
 // sortedCells snapshots the cell map in deterministic (workload,
 // system, params) order — map iteration must never pick report order.
