@@ -110,12 +110,14 @@ bench-record: build
 # Regression gate: run the bench set now and diff it against the
 # committed baseline. Simulated FOM drift hard-fails (exact tolerance),
 # whatever -jobs is. The simulator's speed is perfbench's to measure
-# (bash perfbench/run.sh), not this gate's. The zero-alloc test runs
+# (bash perfbench/run.sh), not this gate's. The allocation pins run
 # first: every simulation pays the nil-probe hook sites and the event
 # queue, so a warm engine must schedule and drain a burst without
-# allocating (DESIGN.md §12-§13).
+# allocating, and a warm flow transfer, device-to-device copy or MPI
+# message must allocate only its Flow and Requests (DESIGN.md §12-§13).
 bench-check: build
-	$(GO) test -run TestWallprobeNilPathZeroAlloc ./internal/sim/
+	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestD2DRoundTripAllocs|TestMessageAllocs' \
+		./internal/sim/ ./internal/fabric/ ./internal/gpusim/ ./internal/mpirt/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json
 

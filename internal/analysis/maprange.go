@@ -18,13 +18,13 @@ var outputMethods = map[string]bool{
 }
 
 // scheduleMethods are simulation scheduling sinks: Engine.Schedule
-// enqueues a future event, Signal.Fire wakes waiters, and Go admits a
-// new process. Each stamps an admission sequence number the event heap
+// enqueues a future event, Timer.Arm re-arms one, Signal.Fire wakes
+// waiters, and Go admits a new process. Each stamps an admission sequence number the event heap
 // uses to break time ties, so calling one from a map-range body bakes
 // iteration order into the event schedule itself — unlike a slice, that
 // order can never be repaired by a later sort.
 var scheduleMethods = map[string]bool{
-	"Schedule": true, "Fire": true, "Go": true,
+	"Schedule": true, "Arm": true, "Fire": true, "Go": true,
 }
 
 // writerName matches local helpers whose name says they produce output
@@ -50,7 +50,7 @@ var sortFuncs = map[string]bool{
 //   - an append to a slice declared outside the loop with no sort of
 //     that slice later in the same block — the standard collect-keys
 //     idiom is fine precisely because of its trailing sort.Strings;
-//   - a scheduling call (Schedule/Fire/Go) inside the body — the order
+//   - a scheduling call (Schedule/Arm/Fire/Go) inside the body — the order
 //     escaped into the event admission sequence, which the event heap
 //     treats as a tiebreaker, so the simulated results themselves
 //     become run-to-run nondeterministic.

@@ -80,6 +80,7 @@ type engine struct{}
 func (engine) Schedule(after float64, fn func()) {}
 func (engine) Go(name string, body func())       {}
 func (engine) Fire()                             {}
+func (engine) Arm(after float64)                 {}
 
 type flow struct {
 	seq  int
@@ -95,6 +96,12 @@ func badScheduleFromMap(e engine, delays map[string]float64) {
 func badFireFromMap(flows map[*flow]bool) {
 	for f := range flows {
 		f.done.Fire() // want `Fire inside a range over a map admits simulation events`
+	}
+}
+
+func badArmFromMap(timers map[string]engine, delays []float64) {
+	for _, t := range timers {
+		t.Arm(delays[0]) // want `Arm inside a range over a map admits simulation events`
 	}
 }
 

@@ -29,12 +29,13 @@ type Constraint struct {
 
 // Flow is one in-flight transfer.
 type Flow struct {
+	net       *Network
 	name      func() string // formats the flow's label; called only when it is read
 	bound     string        // binding-resource tag carried onto the recorded span
 	remaining float64
 	rate      float64
 	cs        []*Constraint
-	done      *sim.Signal
+	done      sim.Signal // fires when the flow completes; labelled by the flow
 	finished  bool
 	size      float64       // total bytes, for the recorded span
 	start     units.Seconds // when the flow entered the network
@@ -50,9 +51,11 @@ type Network struct {
 	// flows holds the active flows in admission order: simultaneous
 	// completions finish in this order, so their signals fire, their
 	// waiters wake and their spans record identically run to run.
-	flows   []*Flow
-	lastT   units.Seconds
-	gen     uint64 // invalidates stale completion events
+	flows []*Flow
+	lastT units.Seconds
+	// next is the soonest pending flow completion, re-armed by every
+	// admission and departure.
+	next    *sim.Timer
 	epsilon float64
 	obs     obs.Recorder
 }
@@ -75,7 +78,16 @@ func (n *Network) admit(f *Flow) {
 
 // NewNetwork creates a flow network bound to the engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng, epsilon: 1e-6}
+	n := &Network{eng: eng, epsilon: 1e-6}
+	n.next = sim.NewTimer(eng, n.complete)
+	return n
+}
+
+// complete runs when the soonest completion is due: it drains the
+// finished flows and re-arms for the next one.
+func (n *Network) complete() {
+	n.advance()
+	n.reschedule()
 }
 
 // NewConstraint registers a capacity. Non-positive capacities are
@@ -131,24 +143,29 @@ func (n *Network) StartBound(name func() string, bound string, size units.Bytes,
 	}
 	if latency > 0 {
 		f := n.newFlow(name, bound, size, cs)
-		n.eng.Schedule(latency, func() {
-			if f.remaining <= 0 {
-				n.completePending(f)
-				return
-			}
-			n.advance()
-			n.admit(f)
-			n.reschedule()
-		})
+		n.eng.Schedule(latency, (*arrival)(f))
 		return f
 	}
 	return n.start(name, bound, size, cs)
 }
 
-// completePending finishes a latency-only flow.
-func (n *Network) completePending(f *Flow) {
-	f.finished = true
-	f.done.Fire()
+// arrival is a flow whose latency has elapsed: it enters the network,
+// or, carrying no bytes, completes. It is the flow itself queued as an
+// event handler, so a delayed start builds no closure.
+type arrival Flow
+
+// Handle admits the flow, or completes a latency-only one.
+func (a *arrival) Handle() {
+	f := (*Flow)(a)
+	n := f.net
+	if f.remaining <= 0 {
+		f.finished = true
+		f.done.Fire()
+		return
+	}
+	n.advance()
+	n.admit(f)
+	n.reschedule()
 }
 
 // Wait blocks the process until the flow completes.
@@ -164,8 +181,8 @@ func (f *Flow) Wait(p *sim.Proc) {
 // "blocked: 1 on signal flow h2d:0.0" without the name being formatted
 // on runs that never deadlock.
 func (n *Network) newFlow(name func() string, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
-	f.done = sim.NewLabeledSignal(n.eng, f)
+	f := &Flow{net: n, name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
+	f.done.Label = f
 	return f
 }
 
@@ -201,11 +218,12 @@ func (n *Network) advance() {
 }
 
 // reschedule recomputes fair-share rates, completes any drained flows,
-// and schedules the next completion event. Completions whose remaining
-// time is below the virtual clock's floating-point resolution (which
-// happens when microsecond transfers follow hour-long kernels) are
-// drained immediately — otherwise the scheduled event could not advance
-// the clock and the network would spin forever.
+// and re-arms the completion timer for the soonest finish; the arming it
+// replaces, still queued, runs nothing. Completions whose remaining time
+// is below the virtual clock's floating-point resolution (which happens
+// when microsecond transfers follow hour-long kernels) are drained
+// immediately — otherwise the timer could not advance the clock and the
+// network would spin forever.
 func (n *Network) reschedule() {
 	for {
 		// Complete drained flows first (may cascade: their departure
@@ -249,15 +267,7 @@ func (n *Network) reschedule() {
 		now := float64(n.eng.Now())
 		resolution := math.Nextafter(now, math.Inf(1)) - now
 		if soonest >= resolution {
-			n.gen++
-			gen := n.gen
-			n.eng.Schedule(units.Seconds(soonest), func() {
-				if gen != n.gen {
-					return // a newer event supersedes this one
-				}
-				n.advance()
-				n.reschedule()
-			})
+			n.next.Arm(units.Seconds(soonest))
 			return
 		}
 		// Sub-resolution completions: drain them in place and loop.

@@ -386,3 +386,67 @@ func TestSimultaneousCompletionsFinishInAdmissionOrder(t *testing.T) {
 		}
 	}
 }
+
+// eventCount is a sim.WallProbe that keeps the engine's event count.
+type eventCount struct{ events int }
+
+func (c *eventCount) RunStart()         {}
+func (c *eventCount) RunEnd(events int) { c.events += events }
+
+// A completion re-armed before it fires is superseded: it runs nothing
+// and is not counted as an engine event. Flow a (10 B on a 1 B/s pipe)
+// arms its completion for t=10; b joins at t=1, halving a's rate, and
+// re-arms for its own finish at t=3; a then re-arms for t=11. The t=10
+// arming is the superseded one: seven events run (two process starts,
+// b's hold wake, two completions, two waiter wakes), not eight.
+func TestSupersededCompletionNotCounted(t *testing.T) {
+	e := sim.NewEngine()
+	probe := &eventCount{}
+	e.SetWallProbe(probe)
+	n := NewNetwork(e)
+	c := n.MustConstraint("pipe", 1)
+	var doneA, doneB units.Seconds
+	e.Go("a", func(p *sim.Proc) {
+		n.Transfer(p, named("a"), 10, 0, c)
+		doneA = p.Now()
+	})
+	e.Go("b", func(p *sim.Proc) {
+		p.Hold(1)
+		n.Transfer(p, named("b"), 1, 0, c)
+		doneB = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	approx(t, "b finish", float64(doneB), 3, 1e-12)
+	approx(t, "a finish", float64(doneA), 11, 1e-12)
+	if probe.events != 7 {
+		t.Errorf("engine counted %d events, want 7 (the superseded completion not among them)", probe.events)
+	}
+}
+
+// A warm blocking transfer with one waiter allocates only its Flow: the
+// latency hold and the waiter's wake are queued as data, the completion
+// signal and its first waiter live inside the flow, and the network
+// re-arms one completion timer instead of scheduling a closure.
+func TestFlowTransferAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	n := NewNetwork(e)
+	cs := []*Constraint{n.MustConstraint("pipe", 1e9)} // a route callers keep, as gpusim's are
+	name := named("t")
+	const rounds = 200 // amortizes the process that drives them
+	run := func() {
+		e.Go("xfer", func(p *sim.Proc) {
+			for i := 0; i < rounds; i++ {
+				n.Transfer(p, name, units.MB, 1e-6, cs...)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the event heap
+	if perTransfer := testing.AllocsPerRun(5, run) / rounds; perTransfer > 1.05 {
+		t.Errorf("%.2f allocs per transfer, want at most 1 (the Flow)", perTransfer)
+	}
+}

@@ -78,10 +78,12 @@ type card struct {
 }
 
 // route is the device-to-device path between two stacks: the constraint
-// set its flows cross and the latency they pay up front.
+// set its flows cross, the latency they pay up front, and the flows'
+// label, bound once so a transfer builds no closure.
 type route struct {
 	cs      []*fabric.Constraint
 	latency units.Seconds
+	name    func() string
 }
 
 // New builds a machine for the node on its own engine and network.
@@ -275,25 +277,24 @@ func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, 
 	if err := s.m.checkStack(dst); err != nil {
 		return nil, err
 	}
-	src := s.ID
-	kind := s.m.Node.Route(src, dst)
-	if kind == topology.SameStack {
-		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
-		return s.m.Net.StartBound(func() string { return "d2d:" + src.String() }, routeBound(kind), 0, t), nil
-	}
-	r, err := s.m.route(src, dst, kind)
+	kind := s.m.Node.Route(s.ID, dst)
+	r, err := s.m.route(s.ID, dst, kind)
 	if err != nil {
 		return nil, err
 	}
+	if kind == topology.SameStack {
+		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
+		return s.m.Net.StartBound(r.name, routeBound(kind), 0, t), nil
+	}
 	s.m.countHops(kind)
-	return s.m.Net.StartBound(func() string { return "d2d:" + src.String() + "->" + dst.String() },
-		routeBound(kind), size, r.latency, r.cs...), nil
+	return s.m.Net.StartBound(r.name, routeBound(kind), size, r.latency, r.cs...), nil
 }
 
 // route returns the path from stack a to stack b, built on first use and
-// kept for every later transfer between them. Sibling stacks cross the
-// card's internal link; remote stacks cross their peer link, plus the
-// source card's internal link when the driver adds the cross-plane hop.
+// kept for every later transfer between them. A same-stack copy crosses
+// no link; sibling stacks cross the card's internal link; remote stacks
+// cross their peer link, plus the source card's internal link when the
+// driver adds the cross-plane hop.
 func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, error) {
 	i := m.stackIndex(a)*len(m.queues) + m.stackIndex(b)
 	if r := m.routes[i]; r != nil {
@@ -302,6 +303,8 @@ func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, 
 	c := m.cards[a.GPU]
 	var r *route
 	switch kind {
+	case topology.SameStack:
+		r = &route{name: func() string { return "d2d:" + a.String() }}
 	case topology.LocalStack:
 		if c.internal == nil {
 			return nil, fmt.Errorf("gpusim: %s has no internal link", m.Node.Name)
@@ -317,6 +320,9 @@ func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, 
 		}
 	default:
 		return nil, fmt.Errorf("gpusim: unroutable path %v -> %v", a, b)
+	}
+	if r.name == nil {
+		r.name = func() string { return "d2d:" + a.String() + "->" + b.String() }
 	}
 	m.routes[i] = r
 	return r, nil

@@ -27,11 +27,11 @@ func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error 
 }
 
 // A warm cross-plane device-to-device round trip with no recorder pays
-// six heap allocations: the flow, its completion signal and first waiter
-// slot, its deferred label, and the latency and completion events'
-// closures. The route, its constraint set and the flow's name are not
-// built per transfer. Before routes were cached and labels deferred, the
-// same round trip made 18.
+// one heap allocation: the flow. Its completion signal and waiter live
+// inside it, its latency and completion events are queued as data, and
+// the route, its constraint set and the flow's label are built once per
+// stack pair. Before routes were cached and labels deferred, the same
+// round trip made 18; before events became data, 6.
 func TestD2DRoundTripAllocs(t *testing.T) {
 	m := newMachine(t, topology.NewAurora())
 	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
@@ -56,8 +56,8 @@ func TestD2DRoundTripAllocs(t *testing.T) {
 		}
 	}
 	run() // build the route, grow the event heap
-	if perTrip := testing.AllocsPerRun(5, run) / rounds; perTrip > 6.1 {
-		t.Errorf("%.2f allocs per StartD2D+Flow.Wait round trip, want at most 6", perTrip)
+	if perTrip := testing.AllocsPerRun(5, run) / rounds; perTrip > 1.05 {
+		t.Errorf("%.2f allocs per StartD2D+Flow.Wait round trip, want at most 1", perTrip)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func (r *Rank) Barrier(p *sim.Proc) {
 	c := r.comm
 	if c.barrier == nil {
-		c.barrier = sim.NewBarrier(c.eng, len(c.ranks))
+		c.barrier = sim.NewBarrier(len(c.ranks))
 	}
 	c.barrier.Arrive(p)
 }

@@ -65,7 +65,7 @@ func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
 			rank:    r,
 			Stack:   st,
 			Binding: bindings[r],
-			newMsg:  sim.NewNamedSignal(m.Eng, fmt.Sprintf("rank%d inbox", r)),
+			newMsg:  sim.NewNamedSignal(fmt.Sprintf("rank%d inbox", r)),
 		})
 	}
 	return c, nil
@@ -92,7 +92,7 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 			Node:    bindings[r].Node,
 			Stack:   st,
 			Binding: bindings[r].Local,
-			newMsg:  sim.NewNamedSignal(cl.Eng, fmt.Sprintf("rank%d inbox", r)),
+			newMsg:  sim.NewNamedSignal(fmt.Sprintf("rank%d inbox", r)),
 		})
 	}
 	return c, nil
@@ -133,8 +133,8 @@ func (r *Rank) Size() int { return len(r.comm.ranks) }
 type Request struct {
 	kind    byte // 's' or 'r'
 	rank    *Rank
-	flow    *fabric.Flow // send side
-	src     int          // recv side matching
+	sent    message // send side: the message the peer's inbox points at
+	src     int     // recv side matching
 	tag     int
 	matched *message
 }
@@ -151,10 +151,10 @@ func (r *Rank) Isend(dst, tag int, size units.Bytes) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	msg := &message{src: r.rank, dst: dst, tag: tag, size: size, flow: flow}
-	peer.inbox = append(peer.inbox, msg)
+	req := &Request{kind: 's', rank: r, tag: tag, sent: message{src: r.rank, dst: dst, tag: tag, size: size, flow: flow}}
+	peer.inbox = append(peer.inbox, &req.sent)
 	peer.newMsg.Fire()
-	return &Request{kind: 's', rank: r, flow: flow, tag: tag}, nil
+	return req, nil
 }
 
 // Irecv posts a non-blocking receive matching (src, tag). src may be
@@ -196,7 +196,7 @@ func (req *Request) findMatch() *message {
 // drained.
 func (req *Request) Wait(p *sim.Proc) {
 	if req.kind == 's' {
-		req.flow.Wait(p)
+		req.sent.flow.Wait(p)
 		return
 	}
 	for req.matched == nil {

@@ -414,3 +414,31 @@ func TestUnmatchedRecvDeadlockNamesInbox(t *testing.T) {
 		t.Errorf("deadlock diagnostic %q does not contain %q", err, want)
 	}
 }
+
+// A warm message allocates its two Requests and its Flow, nothing more:
+// the send Request carries the message the peer's inbox points at, the
+// flow's completion signal holds both the sender and the receiver
+// inline, and the route's label and the flow's start are bound once.
+func TestMessageAllocs(t *testing.T) {
+	c := auroraComm(t, 4) // ranks 0 and 2 sit on different cards
+	const rounds = 1000   // amortizes spawning the ranks
+	run := func() {
+		err := c.Spawn(func(p *sim.Proc, r *Rank) {
+			if r.Rank()%2 == 1 {
+				return
+			}
+			for i := 0; i < rounds; i++ {
+				if err := r.Sendrecv(p, 2-r.Rank(), 2-r.Rank(), 0, units.MB); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // build the routes, grow the event heap and the inboxes
+	if perMsg := testing.AllocsPerRun(5, run) / (2 * rounds); perMsg > 3.05 {
+		t.Errorf("%.2f allocs per message, want at most 3 (two Requests and the Flow)", perMsg)
+	}
+}

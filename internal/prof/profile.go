@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"text/tabwriter"
 
 	"pvcsim/internal/jsonw"
@@ -58,13 +59,32 @@ type Profile struct {
 	Cells         []CellProfile `json:"cells"`
 }
 
-// track names a span's flamegraph root frame: the subdevice it ran on,
-// or "fabric" for flows not tied to a device.
-func track(s obs.Span) string {
-	if s.GPU < 0 {
-		return "fabric"
+// frameKey is a folded stack before it is formatted: the span's track
+// (the subdevice it ran on, or GPU -1 for flows not tied to a device),
+// category, operation and bound. Build sums by key and formats each
+// distinct stack once.
+type frameKey struct {
+	gpu, stack       int
+	cat, name, bound string
+}
+
+// frameOf keys an attributed span's frame.
+func frameOf(s obs.Span) frameKey {
+	k := frameKey{gpu: s.GPU, stack: s.Stack, cat: s.Cat, name: s.Name, bound: s.Bound}
+	if k.gpu < 0 {
+		k.gpu, k.stack = -1, -1
 	}
-	return fmt.Sprintf("gpu%d.%d", s.GPU, s.Stack)
+	return k
+}
+
+// String is the folded stack "track;category;operation;bound", whose
+// root frame is "gpuG.S" or "fabric".
+func (k frameKey) String() string {
+	track := "fabric"
+	if k.gpu >= 0 {
+		track = "gpu" + strconv.Itoa(k.gpu) + "." + strconv.Itoa(k.stack)
+	}
+	return track + ";" + k.cat + ";" + k.name + ";" + k.bound
 }
 
 // Build aggregates a run report into its profile. Only spans carrying a
@@ -75,14 +95,14 @@ func Build(rep *obs.RunReport) *Profile {
 	p := &Profile{SchemaVersion: SchemaVersion}
 	for _, c := range rep.Cells {
 		byBound := map[string]float64{}
-		byStack := map[string]float64{}
+		byStack := map[frameKey]float64{}
 		for _, s := range c.Spans() {
 			if s.Bound == "" {
 				continue
 			}
 			d := float64(s.Duration())
 			byBound[s.Bound] += d
-			byStack[track(s)+";"+s.Cat+";"+s.Name+";"+s.Bound] += d
+			byStack[frameOf(s)] += d
 		}
 		if len(byBound) == 0 {
 			continue
@@ -95,8 +115,9 @@ func Build(rep *obs.RunReport) *Profile {
 			cp.AttributedS += sh.Seconds
 			cp.Residency = append(cp.Residency, sh)
 		}
-		for stack := range byStack {
-			cp.Frames = append(cp.Frames, Frame{Stack: stack, Seconds: byStack[stack]})
+		cp.Frames = make([]Frame, 0, len(byStack))
+		for k, sec := range byStack {
+			cp.Frames = append(cp.Frames, Frame{Stack: k.String(), Seconds: sec})
 		}
 		sort.Slice(cp.Frames, func(i, j int) bool { return cp.Frames[i].Stack < cp.Frames[j].Stack })
 		p.Cells = append(p.Cells, cp)

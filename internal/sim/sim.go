@@ -2,12 +2,21 @@
 // underlying pvcsim. It supplies a virtual clock, an event queue with
 // stable FIFO tie-breaking, lightweight cooperative processes implemented
 // on goroutines (only one process ever runs at a time, so models need no
-// locking), condition signals, and counting resources with FIFO queueing.
+// locking), condition signals, counting resources with FIFO queueing, and
+// re-armable timers.
 //
 // The kernel is deliberately small and serial: one event heap drained in
-// (time, scheduling order) by Run. Bandwidth-sharing pipes, devices, and
-// interconnects are built on top of it in the fabric and gpusim packages;
-// parallelism lives one level up, across independent cells (runner -jobs).
+// (time, scheduling order). An event either starts or resumes a process,
+// or runs a callback. Control passes between goroutines by one rule: a
+// process that blocks pops the next event itself, and if that event wakes
+// or starts a process, hands control straight to it (one goroutine
+// switch), or simply carries on when the event wakes the blocking process
+// itself. Callbacks always run on Run's goroutine, so a process that
+// meets a callback, an empty queue or a fault, and a process that
+// finishes, hands control back there. Bandwidth-sharing pipes, devices,
+// and interconnects are built on top of it in the fabric and gpusim
+// packages; parallelism lives one level up, across independent cells
+// (runner -jobs).
 package sim
 
 import (
@@ -25,10 +34,11 @@ type Engine struct {
 	now      units.Seconds
 	queue    []event // binary min-heap on (t, seq)
 	seq      uint64
-	parked   chan struct{} // a running process hands control back here
+	parked   chan struct{} // a process hands control back to Run's goroutine here
 	procs    []*Proc       // processes started and not yet finished, any order
 	fault    *ProcPanic    // a process body's panic, re-raised by Run
 	stopping bool          // set while Run unwinds the live processes
+	events   int           // events dispatched by the current Run, on any goroutine
 
 	probe WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
@@ -41,12 +51,27 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
 
-// event is a scheduled callback.
+// event is one scheduled action, kept as data: starting or resuming a
+// process (p), or running a callback (h).
 type event struct {
 	t   units.Seconds
 	seq uint64
-	fn  func()
+	p   *Proc
+	h   Handler
 }
+
+// Handler is an event callback. A closure passes as a Func; an owner
+// that queues the same kind of callback per operation implements Handle
+// on a pointer it already holds, so queueing it allocates nothing.
+type Handler interface {
+	Handle()
+}
+
+// Func adapts a plain function to a Handler.
+type Func func()
+
+// Handle calls f.
+func (f Func) Handle() { f() }
 
 // before orders events by time, then by scheduling order.
 func (a *event) before(b *event) bool {
@@ -57,14 +82,20 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// Schedule queues fn to run after delay. A negative delay is clamped to
+// Schedule queues h to run after delay. A negative delay is clamped to
 // zero. Events at equal times run in scheduling order.
-func (e *Engine) Schedule(delay units.Seconds, fn func()) {
+func (e *Engine) Schedule(delay units.Seconds, h Handler) {
+	e.push(delay, event{h: h})
+}
+
+// push queues ev after delay (clamped to zero) under the next sequence
+// number, which it returns.
+func (e *Engine) push(delay units.Seconds, ev event) uint64 {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	ev := event{t: e.now + delay, seq: e.seq, fn: fn}
+	ev.t, ev.seq = e.now+delay, e.seq
 	q := append(e.queue, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -77,10 +108,11 @@ func (e *Engine) Schedule(delay units.Seconds, fn func()) {
 	}
 	q[i] = ev
 	e.queue = q
+	return ev.seq
 }
 
 // pop removes and returns the earliest event. The vacated slot is
-// zeroed, so a drained heap holds no closure.
+// zeroed, so a drained heap holds no handler or process.
 func (e *Engine) pop() event {
 	q := e.queue
 	top := q[0]
@@ -110,22 +142,41 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// drain runs events in order until the queue is empty or a process
-// body panics.
-func (e *Engine) drain() {
-	p := e.probe
-	if p != nil {
-		p.RunStart()
+// peek drops superseded timer armings from the head of the queue and
+// returns the next live event, or nil when the queue is empty. The clock
+// still passes a dropped arming's time, but it runs nothing and is not
+// counted as an event.
+func (e *Engine) peek() *event {
+	for len(e.queue) > 0 {
+		top := &e.queue[0]
+		if a, ok := top.h.(arming); !ok || a.seq == top.seq {
+			return top
+		}
+		e.now = e.pop().t
 	}
-	n := 0
-	for len(e.queue) > 0 && e.fault == nil {
-		ev := e.pop()
-		e.now = ev.t
-		ev.fn()
-		n++
-	}
-	if p != nil {
-		p.RunEnd(n)
+	return nil
+}
+
+// next pops the event peek returned, advancing the clock to it.
+func (e *Engine) next() event {
+	ev := e.pop()
+	e.now = ev.t
+	e.events++
+	return ev
+}
+
+// dispatch runs events in order until the queue is empty or a process
+// body panics. Callbacks run here; a process event hands control to the
+// process, and the loop waits until some process hands it back.
+func (e *Engine) dispatch() {
+	for e.fault == nil && e.peek() != nil {
+		ev := e.next()
+		if ev.p == nil {
+			ev.h.Handle()
+			continue
+		}
+		e.resume(ev.p)
+		<-e.parked
 	}
 }
 
@@ -134,11 +185,21 @@ func (e *Engine) drain() {
 // deadlock), which would otherwise manifest as silently missing results;
 // the error names the signals and resources holding the waiters. A panic
 // in a process body stops the run and is re-raised here, on the caller's
-// goroutine, as a *ProcPanic. Either way the processes still alive are
-// unwound before Run returns, so none outlives the run.
+// goroutine, as a *ProcPanic; a panic in a callback, which runs on the
+// caller's goroutine, propagates with its own value. Either way the
+// processes still alive are unwound before Run returns, so none outlives
+// the run.
 func (e *Engine) Run() error {
 	defer e.stop()
-	e.drain()
+	p := e.probe
+	if p != nil {
+		p.RunStart()
+	}
+	e.events = 0
+	e.dispatch()
+	if p != nil {
+		p.RunEnd(e.events)
+	}
 	if f := e.fault; f != nil {
 		e.fault = nil
 		panic(f)
@@ -156,7 +217,8 @@ func (e *Engine) stop() {
 	}
 	e.stopping = true
 	for len(e.procs) > 0 {
-		e.procs[len(e.procs)-1].wake()
+		e.procs[len(e.procs)-1].resume <- struct{}{}
+		<-e.parked
 	}
 	e.stopping = false
 	clear(e.queue)
@@ -224,9 +286,9 @@ type Proc struct {
 	eng       *Engine
 	name      string
 	resume    chan struct{}
-	wakeFn    func()  // p.wake, bound once so scheduling a wake-up does not allocate
-	idx       int     // position in eng.procs while live
-	blockedOn blocker // set while queued on a signal or resource
+	body      func(*Proc) // set until the start event launches the goroutine
+	idx       int         // position in eng.procs while live
+	blockedOn blocker     // set while queued on a signal or resource
 }
 
 // Now returns the current virtual time.
@@ -234,22 +296,35 @@ func (p *Proc) Now() units.Seconds { return p.eng.now }
 
 // Go starts body as a new process at the current virtual time. The body
 // runs cooperatively: it executes until it blocks in Hold, Wait, or
-// Acquire, at which point control returns to the engine.
+// Acquire, at which point control passes to the next event.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	p.wakeFn = p.wake
-	e.Schedule(0, func() {
-		p.idx = len(e.procs)
-		e.procs = append(e.procs, p)
-		go p.run(body)
-		<-e.parked
-	})
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), body: body}
+	e.wake(p, 0)
 	return p
+}
+
+// wake queues an event that resumes p (or starts it, if it has not run
+// yet) after delay.
+func (e *Engine) wake(p *Proc, delay units.Seconds) { e.push(delay, event{p: p}) }
+
+// resume gives control to p: the first time it launches the process's
+// goroutine, later it unblocks the process's yield. The caller must
+// block right after, until control comes back to it.
+func (e *Engine) resume(p *Proc) {
+	body := p.body
+	if body == nil {
+		p.resume <- struct{}{}
+		return
+	}
+	p.body = nil
+	p.idx = len(e.procs)
+	e.procs = append(e.procs, p)
+	go p.run(body)
 }
 
 // run is the process goroutine's root. However the body ends — it
 // returns, it panics, or Run stops it — the process leaves the live set
-// and hands control back to the engine. A panic is kept for Run to
+// and hands control back to Run's goroutine. A panic is kept for Run to
 // re-raise on its caller's goroutine; one raised while Run stops the
 // process (stopProc, or a deferred call failing on the way out) is
 // dropped with the run.
@@ -276,48 +351,58 @@ func (e *Engine) retire(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// yield transfers control from the process back to the engine and blocks
-// until the engine resumes this process. A process resumed to be
-// stopped unwinds from here.
+// yield blocks the process until an event resumes it. It dispatches that
+// event itself when it can: a wake of p returns at once, with no switch;
+// a wake or start of another process hands control straight to it.
+// Anything else — a callback, an empty queue — goes back to Run's
+// goroutine. A process resumed to be stopped unwinds from here, and so
+// does one that blocks again while being stopped (from a deferred call).
 func (p *Proc) yield() {
-	p.eng.parked <- struct{}{}
+	e := p.eng
+	if e.stopping {
+		panic(stopProc{})
+	}
+	if ev := e.peek(); ev != nil && ev.p != nil {
+		next := e.next().p
+		if next == p {
+			return
+		}
+		e.resume(next)
+	} else {
+		e.parked <- struct{}{}
+	}
 	<-p.resume
-	if p.eng.stopping {
+	if e.stopping {
 		panic(stopProc{})
 	}
 }
 
-// wake resumes p from an event callback and waits for it to park again.
-func (p *Proc) wake() {
-	p.resume <- struct{}{}
-	<-p.eng.parked
-}
-
 // Hold suspends the process for d of virtual time.
 func (p *Proc) Hold(d units.Seconds) {
-	p.eng.Schedule(d, p.wakeFn)
+	p.eng.wake(p, d)
 	p.yield()
 }
 
 // Signal is a broadcast condition: processes Wait on it, and Fire wakes
 // every current waiter at the time Fire is called. Later waiters need a
 // later Fire. Fire may be called from process bodies or event callbacks.
+// The zero value is an unnamed signal ready to use, so an owner can hold
+// one by value.
 type Signal struct {
-	eng     *Engine
-	name    fmt.Stringer // nil for an unnamed signal
-	waiters []*Proc
+	// Label names the signal in deadlock diagnostics ("blocked: 2 on
+	// signal halo-ready"). Its String is called only when a deadlock is
+	// reported, so a hot-path owner can pass itself instead of
+	// formatting a name no one may read. Nil reports "signal (unnamed)".
+	Label  fmt.Stringer
+	inline [2]*Proc // the first two current waiters, in Wait order
+	more   []*Proc  // the later ones
 }
 
 // NewNamedSignal creates a signal whose name identifies it in deadlock
-// diagnostics ("blocked: 2 on signal halo-ready").
-func NewNamedSignal(e *Engine, name string) *Signal {
-	return &Signal{eng: e, name: fixedName(name)}
+// diagnostics.
+func NewNamedSignal(name string) *Signal {
+	return &Signal{Label: fixedName(name)}
 }
-
-// NewLabeledSignal creates a signal named by name.String(), which is
-// called only when a deadlock diagnostic reports the signal: a hot-path
-// owner passes itself instead of formatting a name no one may read.
-func NewLabeledSignal(e *Engine, name fmt.Stringer) *Signal { return &Signal{eng: e, name: name} }
 
 // fixedName is a signal name known at construction.
 type fixedName string
@@ -326,30 +411,75 @@ func (n fixedName) String() string { return string(n) }
 
 // blockerLabel names the signal in deadlock diagnostics.
 func (s *Signal) blockerLabel() string {
-	if s.name == nil {
+	if s.Label == nil {
 		return "signal (unnamed)"
 	}
-	return "signal " + s.name.String()
+	return "signal " + s.Label.String()
 }
 
-// Wait blocks the calling process until the next Fire.
+// Wait blocks the calling process until the next Fire. The first two
+// waiters — a flow's sender and receiver — are stored inline, so they
+// cost no allocation.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	switch {
+	case s.inline[0] == nil:
+		s.inline[0] = p
+	case s.inline[1] == nil:
+		s.inline[1] = p
+	default:
+		s.more = append(s.more, p)
+	}
 	p.blockedOn = s
 	p.yield()
 }
 
 // Fire schedules a wake-up, at the current time, for every process
-// currently waiting. The waiter list keeps its backing array for the
-// next round of waiters.
+// currently waiting, in Wait order. The overflow list keeps its backing
+// array for the next round of waiters.
 func (s *Signal) Fire() {
-	for i, p := range s.waiters {
-		p.blockedOn = nil
-		s.eng.Schedule(0, p.wakeFn)
-		s.waiters[i] = nil
+	for i, p := range s.inline {
+		if p != nil {
+			s.inline[i] = nil
+			p.blockedOn = nil
+			p.eng.wake(p, 0)
+		}
 	}
-	s.waiters = s.waiters[:0]
+	for i, p := range s.more {
+		p.blockedOn = nil
+		p.eng.wake(p, 0)
+		s.more[i] = nil
+	}
+	s.more = s.more[:0]
 }
+
+// Timer is a re-armable callback for an owner that keeps at most one
+// pending deadline, such as a network's next flow completion. Arm
+// supersedes the pending arming: the superseded event stays queued but,
+// when its time comes, runs nothing and is not counted as an event.
+// Each arming takes the sequence number a fresh Schedule would, so live
+// events run in the same order as if every arming were a new Schedule
+// whose predecessors did nothing.
+type Timer struct {
+	eng *Engine
+	fn  func()
+	seq uint64 // sequence number of the latest arming
+}
+
+// NewTimer returns an unarmed timer that runs fn when it fires.
+func NewTimer(e *Engine, fn func()) *Timer { return &Timer{eng: e, fn: fn} }
+
+// Arm schedules the timer to fire after delay (clamped to zero),
+// superseding any arming still pending.
+func (t *Timer) Arm(delay units.Seconds) {
+	t.seq = t.eng.push(delay, event{h: arming{t}})
+}
+
+// arming is one queued firing of a timer; it is live while it is the
+// timer's latest.
+type arming struct{ *Timer }
+
+// Handle runs the timer's callback.
+func (a arming) Handle() { a.fn() }
 
 // Resource is a counting resource (capacity >= 1) with FIFO queueing:
 // Acquire blocks until a unit is free, Release frees one and wakes the
@@ -398,7 +528,7 @@ func (r *Resource) Release() {
 		r.queue[0] = nil
 		r.queue = r.queue[1:]
 		head.blockedOn = nil
-		r.eng.Schedule(0, head.wakeFn)
+		r.eng.wake(head, 0)
 		return // unit transferred, inUse unchanged
 	}
 	r.inUse--
@@ -411,15 +541,15 @@ func (r *Resource) Release() {
 type Barrier struct {
 	n       int
 	arrived int
-	sig     *Signal
+	sig     Signal
 }
 
 // NewBarrier creates a barrier for n participants (min 1).
-func NewBarrier(e *Engine, n int) *Barrier {
+func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		n = 1
 	}
-	return &Barrier{n: n, sig: NewNamedSignal(e, "barrier")}
+	return &Barrier{n: n, sig: Signal{Label: fixedName("barrier")}}
 }
 
 // Arrive blocks until all participants of the current generation arrive.

@@ -13,10 +13,10 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	e.Schedule(2, func() { got = append(got, "c") })
-	e.Schedule(1, func() { got = append(got, "b") })
-	e.Schedule(1, func() { got = append(got, "b2") }) // FIFO at same time
-	e.Schedule(0, func() { got = append(got, "a") })
+	e.Schedule(2, Func(func() { got = append(got, "c") }))
+	e.Schedule(1, Func(func() { got = append(got, "b") }))
+	e.Schedule(1, Func(func() { got = append(got, "b2") })) // FIFO at same time
+	e.Schedule(0, Func(func() { got = append(got, "a") }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestScheduleOrdering(t *testing.T) {
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(-5, func() { ran = true })
+	e.Schedule(-5, Func(func() { ran = true }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 
 func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 	e := NewEngine()
-	s := NewNamedSignal(e, "s")
+	s := NewNamedSignal("s")
 	woken := map[string]units.Seconds{}
 	for _, n := range []string{"w1", "w2"} {
 		name := n
@@ -109,8 +109,8 @@ func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 	}
 	e.Go("firer", func(p *Proc) {
 		p.Hold(3)
-		if len(s.waiters) != 2 {
-			t.Errorf("Waiting = %d, want 2", len(s.waiters))
+		if s.inline[0] == nil || s.inline[1] == nil || len(s.more) != 0 {
+			t.Errorf("waiters = %v inline + %d more, want the 2 inline", s.inline, len(s.more))
 		}
 		s.Fire()
 	})
@@ -124,7 +124,7 @@ func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	s := NewNamedSignal(e, "s")
+	s := NewNamedSignal("s")
 	e.Go("stuck", func(p *Proc) { s.Wait(p) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock error")
@@ -200,7 +200,7 @@ func TestReleaseIdlePanics(t *testing.T) {
 // Determinism: the same model must produce the same event sequence twice.
 func TestBarrier(t *testing.T) {
 	e := NewEngine()
-	b := NewBarrier(e, 3)
+	b := NewBarrier(3)
 	var release []units.Seconds
 	for i, d := range []units.Seconds{1, 5, 3} {
 		_ = i
@@ -223,7 +223,7 @@ func TestBarrier(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	e := NewEngine()
-	b := NewBarrier(e, 2)
+	b := NewBarrier(2)
 	count := 0
 	for i := 0; i < 2; i++ {
 		e.Go("r", func(p *Proc) {
@@ -273,7 +273,7 @@ func TestDeterminism(t *testing.T) {
 // sorted by blocker label.
 func TestDeadlockDiagnosticsNameBlockers(t *testing.T) {
 	e := NewEngine()
-	sig := NewNamedSignal(e, "halo-ready")
+	sig := NewNamedSignal("halo-ready")
 	dma := NewResource(e, "pcie-dma", 1)
 	e.Go("holder", func(p *Proc) {
 		dma.Acquire(p)
@@ -306,7 +306,7 @@ func (c *countingName) String() string { c.calls++; return c.name }
 func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 	e := NewEngine()
 	late := &countingName{name: "late"}
-	sig := NewLabeledSignal(e, late)
+	sig := &Signal{Label: late}
 	dma := NewResource(e, "dma", 1)
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Proc) {
@@ -329,7 +329,7 @@ func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 
 	e2 := NewEngine()
 	stuck := &countingName{name: "stuck"}
-	sig2 := NewLabeledSignal(e2, stuck)
+	sig2 := &Signal{Label: stuck}
 	for i := 0; i < 2; i++ {
 		e2.Go("w", func(p *Proc) { sig2.Wait(p) })
 	}
@@ -352,7 +352,7 @@ func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 // processes are unwound rather than left blocked.
 func TestProcessPanicReachesRunCaller(t *testing.T) {
 	e := NewEngine()
-	sig := NewNamedSignal(e, "never")
+	sig := NewNamedSignal("never")
 	e.Go("waiter", func(p *Proc) { sig.Wait(p) })
 	e.Go("holder", func(p *Proc) { p.Hold(5) })
 	e.Go("bad", func(p *Proc) {
@@ -394,7 +394,7 @@ func settledGoroutines(want int) int {
 func TestDeadlockLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	sig := NewNamedSignal(e, "stuck")
+	sig := NewNamedSignal("stuck")
 	unwound := 0
 	for i := 0; i < 8; i++ {
 		e.Go("w", func(p *Proc) {
@@ -420,13 +420,13 @@ func TestEventFreeListReuse(t *testing.T) {
 	e := NewEngine()
 	// Warm the heap's backing array.
 	for i := 0; i < 64; i++ {
-		e.Schedule(0, func() {})
+		e.Schedule(0, Func(func() {}))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(0, func() {})
+		e.Schedule(0, Func(func() {}))
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -436,4 +436,85 @@ func TestEventFreeListReuse(t *testing.T) {
 	if allocs > 1.5 {
 		t.Errorf("%.1f allocs per schedule+run cycle, want ≤ 1 (heap storage reuse)", allocs)
 	}
+}
+
+// A panic in an event callback reaches Run's caller with its own value,
+// not wrapped: callbacks run on Run's goroutine, never on a process's.
+// The run's live processes are unwound, so no goroutine outlives it —
+// whether the callback comes right after a process finished (the event
+// a finishing process would meet next) or while others are blocked.
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model func(e *Engine, unwound *int)
+	}{
+		{"after a process finished", func(e *Engine, _ *int) {
+			e.Go("done", func(p *Proc) { p.Hold(1) })
+			e.Schedule(1, Func(func() { panic("callback bug") }))
+		}},
+		{"while processes are blocked", func(e *Engine, unwound *int) {
+			sig := NewNamedSignal("never")
+			e.Go("waiter", func(p *Proc) {
+				defer func() { *unwound++ }()
+				sig.Wait(p)
+			})
+			e.Go("holder", func(p *Proc) {
+				defer func() { *unwound++ }()
+				p.Hold(5)
+			})
+			e.Schedule(1, Func(func() { panic("callback bug") }))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			unwound := 0
+			tc.model(e, &unwound)
+			func() {
+				defer func() {
+					if v := recover(); v != "callback bug" {
+						t.Errorf("recovered %#v, want the callback's own value", v)
+					}
+				}()
+				_ = e.Run()
+				t.Error("Run returned instead of re-raising the callback panic")
+			}()
+			if tc.name == "while processes are blocked" && unwound != 2 {
+				t.Errorf("%d of 2 blocked processes ran their deferred calls", unwound)
+			}
+			if len(e.procs) != 0 || len(e.queue) != 0 {
+				t.Errorf("after the panic the engine keeps %d processes and %d events, want none", len(e.procs), len(e.queue))
+			}
+			if after := settledGoroutines(before); after > before {
+				t.Errorf("goroutines: %d before the run, %d after the callback panic", before, after)
+			}
+		})
+	}
+}
+
+// BenchmarkEngine_ProcessPingPong measures the cost of one process wake:
+// two processes take turns through a pair of signals, so every wake is a
+// handoff from one process goroutine to the other. pong starts first so
+// it is waiting when ping fires.
+func BenchmarkEngine_ProcessPingPong(b *testing.B) {
+	e := NewEngine()
+	ping, pong := NewNamedSignal("ping"), NewNamedSignal("pong")
+	e.Go("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Wait(p)
+			pong.Fire()
+		}
+	})
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Fire()
+			pong.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/wake")
 }

@@ -20,11 +20,11 @@ func TestWallprobeNilPathZeroAlloc(t *testing.T) {
 	if e.probe != nil {
 		t.Fatal("fresh engine has a wall probe installed")
 	}
-	fn := func() {} // captures nothing: a static func value, no per-call alloc
+	h := Func(func() {}) // captures nothing: a static func value, no per-call alloc
 	const events = 512
 	run := func() {
 		for i := 0; i < events; i++ {
-			e.Schedule(units.Seconds(float64(events-i)*1e-9), fn)
+			e.Schedule(units.Seconds(float64(events-i)*1e-9), h)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

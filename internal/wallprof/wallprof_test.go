@@ -81,7 +81,7 @@ func TestSerialEngineIsOneBurst(t *testing.T) {
 	e := sim.NewEngine()
 	e.SetWallProbe(cp.Probe())
 	for i := 0; i < 5; i++ {
-		e.Schedule(units.Seconds(float64(i)*1e-6), func() {})
+		e.Schedule(units.Seconds(float64(i)*1e-6), sim.Func(func() {}))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
