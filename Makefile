@@ -113,10 +113,12 @@ bench-record: build
 # (bash perfbench/run.sh), not this gate's. The allocation pins run
 # first: every simulation pays the nil-probe hook sites and the event
 # queue, so a warm engine must schedule and drain a burst without
-# allocating, and a warm flow transfer, device-to-device copy or MPI
-# message must allocate only its Flow and Requests (DESIGN.md §12-§13).
+# allocating, a warm flow transfer, device-to-device copy or MPI
+# message must allocate only its Flow and Requests, and a burst of flows
+# arriving at one instant must cost the network one rate pass and one
+# completion arming (DESIGN.md §12-§13).
 bench-check: build
-	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestD2DRoundTripAllocs|TestMessageAllocs' \
+	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestSettleOncePerInstant|TestD2DRoundTripAllocs|TestMessageAllocs' \
 		./internal/sim/ ./internal/fabric/ ./internal/gpusim/ ./internal/mpirt/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json

@@ -81,6 +81,9 @@ func (engine) Schedule(after float64, fn func()) {}
 func (engine) Go(name string, body func())       {}
 func (engine) Fire()                             {}
 func (engine) Arm(after float64)                 {}
+func (engine) Reserve()                          {}
+func (engine) ArmReserved(after float64)         {}
+func (engine) AtInstantEnd(fn func())            {}
 
 type flow struct {
 	seq  int
@@ -102,6 +105,19 @@ func badFireFromMap(flows map[*flow]bool) {
 func badArmFromMap(timers map[string]engine, delays []float64) {
 	for _, t := range timers {
 		t.Arm(delays[0]) // want `Arm inside a range over a map admits simulation events`
+	}
+}
+
+func badReserveFromMap(timers map[string]engine, delays []float64) {
+	for _, t := range timers {
+		t.Reserve()              // want `Reserve inside a range over a map admits simulation events`
+		t.ArmReserved(delays[0]) // want `ArmReserved inside a range over a map admits simulation events`
+	}
+}
+
+func badSettleFromMap(e engine, settles map[string]func()) {
+	for _, fn := range settles {
+		e.AtInstantEnd(fn) // want `AtInstantEnd inside a range over a map admits simulation events`
 	}
 }
 

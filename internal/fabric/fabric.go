@@ -22,7 +22,6 @@ import (
 
 // Constraint is one bandwidth capacity shared by the flows crossing it.
 type Constraint struct {
-	Name     string
 	capacity float64 // bytes per second
 	active   int     // flows currently crossing
 }
@@ -54,10 +53,16 @@ type Network struct {
 	flows []*Flow
 	lastT units.Seconds
 	// next is the soonest pending flow completion, re-armed by every
-	// admission and departure.
-	next    *sim.Timer
-	epsilon float64
-	obs     obs.Recorder
+	// rate pass.
+	next *sim.Timer
+	// settling is set while admissions made at the current instant
+	// await its end-of-instant rate pass; an eager pass clears it.
+	settling bool
+	// passes and armings count the rate passes and completion armings
+	// made so far; tests pin what a burst of admissions costs by them.
+	passes, armings int
+	epsilon         float64
+	obs             obs.Recorder
 }
 
 // Observe attaches a recorder; every completed flow is emitted as a
@@ -87,22 +92,22 @@ func NewNetwork(eng *sim.Engine) *Network {
 // finished flows and re-arms for the next one.
 func (n *Network) complete() {
 	n.advance()
-	n.reschedule()
+	n.reschedule(false)
 }
 
 // NewConstraint registers a capacity. Non-positive capacities are
 // rejected.
-func (n *Network) NewConstraint(name string, cap units.ByteRate) (*Constraint, error) {
+func (n *Network) NewConstraint(cap units.ByteRate) (*Constraint, error) {
 	if cap <= 0 {
-		return nil, fmt.Errorf("fabric: constraint %q needs positive capacity", name)
+		return nil, fmt.Errorf("fabric: constraint needs positive capacity, got %v", cap)
 	}
-	return &Constraint{Name: name, capacity: float64(cap)}, nil
+	return &Constraint{capacity: float64(cap)}, nil
 }
 
 // MustConstraint is NewConstraint for static topologies where a failure is
 // a programming error.
-func (n *Network) MustConstraint(name string, cap units.ByteRate) *Constraint {
-	c, err := n.NewConstraint(name, cap)
+func (n *Network) MustConstraint(cap units.ByteRate) *Constraint {
+	c, err := n.NewConstraint(cap)
 	if err != nil {
 		panic(err)
 	}
@@ -157,15 +162,12 @@ type arrival Flow
 // Handle admits the flow, or completes a latency-only one.
 func (a *arrival) Handle() {
 	f := (*Flow)(a)
-	n := f.net
 	if f.remaining <= 0 {
 		f.finished = true
 		f.done.Fire()
 		return
 	}
-	n.advance()
-	n.admit(f)
-	n.reschedule()
+	f.net.enter(f)
 }
 
 // Wait blocks the process until the flow completes.
@@ -193,38 +195,107 @@ func (n *Network) start(name func() string, bound string, size units.Bytes, cs [
 		return &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), finished: true}
 	}
 	f := n.newFlow(name, bound, size, cs)
-	n.advance()
-	n.admit(f)
-	n.reschedule()
+	n.enter(f)
 	return f
 }
 
+// enter admits f at the current instant. While no flow can drain at
+// this instant, the rate pass waits for the instant's end: f is only
+// counted onto its constraints, and reserves the sequence number its
+// completion arming would take now, so one pass settles every admission
+// of the instant and arms exactly where the last one's pass would have.
+// That is exact: no time passes within the instant, and an admission
+// only lowers the other flows' shares, so none of them can drain before
+// the pass. A flow that would drain at once, or an admission that finds
+// a drained flow, takes the eager pass, which settles everything.
+func (n *Network) enter(f *Flow) {
+	lasting := n.advance()
+	n.admit(f)
+	if !lasting || !n.outlasts(f, f.share(), n.resolution()) {
+		n.reschedule(false)
+		return
+	}
+	n.next.Reserve()
+	if !n.settling {
+		n.settling = true
+		n.eng.AtInstantEnd((*settle)(n))
+	}
+}
+
+// settle is the network as its end-of-instant callback.
+type settle Network
+
+// Handle runs the instant's deferred rate pass, unless an eager pass
+// has settled the instant since.
+func (s *settle) Handle() {
+	if n := (*Network)(s); n.settling {
+		n.reschedule(true)
+	}
+}
+
+// share is the flow's equal-share rate: the least, over its
+// constraints, of capacity divided by the flows crossing.
+func (f *Flow) share() float64 {
+	rate := math.Inf(1)
+	for _, c := range f.cs {
+		if s := c.capacity / float64(c.active); s < rate {
+			rate = s
+		}
+	}
+	return rate
+}
+
+// outlasts reports whether f, moving at rate, neither drains now nor
+// finishes within one step of the virtual clock: more than epsilon bytes
+// remain, and they take at least the clock's resolution.
+func (n *Network) outlasts(f *Flow, rate, resolution float64) bool {
+	return f.remaining > n.epsilon && f.remaining/rate >= resolution
+}
+
+// resolution is the step of the virtual clock's floating-point grid at
+// the current time. A completion sooner than that could not advance the
+// clock.
+func (n *Network) resolution() float64 {
+	//pvclint:ignore timeunit math.Nextafter probes the raw float grid of the clock; units.Seconds has no epsilon
+	now := float64(n.eng.Now())
+	return math.Nextafter(now, math.Inf(1)) - now
+}
+
 // advance progresses all active flows to the current time at their
-// previously computed rates.
-func (n *Network) advance() {
+// previously computed rates. It reports whether every flow outlasts the
+// current instant; at an instant already reached, the pass or the
+// admission that reached it made sure of that.
+func (n *Network) advance() bool {
 	now := n.eng.Now()
 	//pvclint:ignore timeunit the fluid integrator multiplies seconds by bytes/second; the product leaves the time domain
 	dt := float64(now - n.lastT)
 	n.lastT = now
 	if dt <= 0 {
-		return
+		return true
 	}
+	lasting, resolution := true, n.resolution()
 	for _, f := range n.flows {
-		f.remaining -= f.rate * dt
+		f.remaining -= float64(f.rate * dt)
 		if f.remaining < 0 {
 			f.remaining = 0
 		}
+		if lasting && !n.outlasts(f, f.rate, resolution) {
+			lasting = false
+		}
 	}
+	return lasting
 }
 
 // reschedule recomputes fair-share rates, completes any drained flows,
-// and re-arms the completion timer for the soonest finish; the arming it
-// replaces, still queued, runs nothing. Completions whose remaining time
-// is below the virtual clock's floating-point resolution (which happens
-// when microsecond transfers follow hour-long kernels) are drained
-// immediately — otherwise the timer could not advance the clock and the
-// network would spin forever.
-func (n *Network) reschedule() {
+// and re-arms the completion timer for the soonest finish, under the
+// number the instant's admissions reserved when reserved is set; the
+// arming it replaces, still queued, runs nothing. Completions whose
+// remaining time is below the virtual clock's floating-point resolution
+// (which happens when microsecond transfers follow hour-long kernels)
+// are drained immediately — otherwise the timer could not advance the
+// clock and the network would spin forever.
+func (n *Network) reschedule(reserved bool) {
+	n.settling = false
 	for {
 		// Complete drained flows first (may cascade: their departure
 		// frees bandwidth for the rest, handled by the rate recompute).
@@ -244,15 +315,10 @@ func (n *Network) reschedule() {
 		}
 		// Equal-share rates: share of each constraint divided by its
 		// current flow count; a flow runs at its minimum share.
+		n.passes++
 		soonest := math.Inf(1)
 		for _, f := range n.flows {
-			rate := math.Inf(1)
-			for _, c := range f.cs {
-				share := c.capacity / float64(c.active)
-				if share < rate {
-					rate = share
-				}
-			}
+			rate := f.share()
 			f.rate = rate
 			if rate > 0 {
 				if t := f.remaining / rate; t < soonest {
@@ -263,11 +329,14 @@ func (n *Network) reschedule() {
 		if math.IsInf(soonest, 1) {
 			return
 		}
-		//pvclint:ignore timeunit math.Nextafter probes the raw float grid of the clock; units.Seconds has no epsilon
-		now := float64(n.eng.Now())
-		resolution := math.Nextafter(now, math.Inf(1)) - now
+		resolution := n.resolution()
 		if soonest >= resolution {
-			n.next.Arm(units.Seconds(soonest))
+			n.armings++
+			if reserved {
+				n.next.ArmReserved(units.Seconds(soonest))
+			} else {
+				n.next.Arm(units.Seconds(soonest))
+			}
 			return
 		}
 		// Sub-resolution completions: drain them in place and loop.
@@ -302,7 +371,6 @@ func (n *Network) finish(f *Flow) {
 // opposite-direction transfers are additionally limited by the duplex
 // constraint (DuplexFactor × sustained).
 type Link struct {
-	Name    string
 	Fwd     *Constraint // e.g. host-to-device
 	Rev     *Constraint // e.g. device-to-host
 	Duplex  *Constraint
@@ -312,15 +380,14 @@ type Link struct {
 }
 
 // NewLink constructs the pipes for one port.
-func NewLink(n *Network, name string, sustained units.ByteRate, duplexFactor float64, latency units.Seconds) *Link {
+func NewLink(n *Network, sustained units.ByteRate, duplexFactor float64, latency units.Seconds) *Link {
 	if duplexFactor <= 0 {
 		duplexFactor = 2
 	}
 	l := &Link{
-		Name:    name,
-		Fwd:     n.MustConstraint(name+"/fwd", sustained),
-		Rev:     n.MustConstraint(name+"/rev", sustained),
-		Duplex:  n.MustConstraint(name+"/duplex", units.ByteRate(float64(sustained)*duplexFactor)),
+		Fwd:     n.MustConstraint(sustained),
+		Rev:     n.MustConstraint(sustained),
+		Duplex:  n.MustConstraint(units.ByteRate(float64(sustained) * duplexFactor)),
 		Latency: latency,
 	}
 	l.fwd = []*Constraint{l.Fwd, l.Duplex}

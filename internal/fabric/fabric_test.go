@@ -30,7 +30,7 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 func TestSingleFlowTime(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100) // 100 B/s
+	c := n.MustConstraint(100) // 100 B/s
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
 		n.Transfer(p, named("t"), 500, 0, c)
@@ -45,7 +45,7 @@ func TestSingleFlowTime(t *testing.T) {
 func TestLatencyChargedUpFront(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
 		n.Transfer(p, named("t"), 100, 2, c)
@@ -60,7 +60,7 @@ func TestLatencyChargedUpFront(t *testing.T) {
 func TestZeroByteTransferInstant(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	var done units.Seconds
 	e.Go("xfer", func(p *sim.Proc) {
 		n.Transfer(p, named("t"), 0, 0, c)
@@ -94,7 +94,7 @@ func TestNoConstraintTransferInstant(t *testing.T) {
 func TestEqualSharing(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	var t1, t2 units.Seconds
 	e.Go("a", func(p *sim.Proc) { n.Transfer(p, named("a"), 500, 0, c); t1 = p.Now() })
 	e.Go("b", func(p *sim.Proc) { n.Transfer(p, named("b"), 500, 0, c); t2 = p.Now() })
@@ -111,7 +111,7 @@ func TestEqualSharing(t *testing.T) {
 func TestDepartureSpeedsUpRemainder(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	var tShort, tLong units.Seconds
 	e.Go("short", func(p *sim.Proc) { n.Transfer(p, named("s"), 100, 0, c); tShort = p.Now() })
 	e.Go("long", func(p *sim.Proc) { n.Transfer(p, named("l"), 900, 0, c); tLong = p.Now() })
@@ -126,7 +126,7 @@ func TestDepartureSpeedsUpRemainder(t *testing.T) {
 func TestLateJoiner(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	var tA units.Seconds
 	e.Go("a", func(p *sim.Proc) { n.Transfer(p, named("a"), 1000, 0, c); tA = p.Now() })
 	e.Go("b", func(p *sim.Proc) {
@@ -148,7 +148,7 @@ func TestLinkDuplexBehaviour(t *testing.T) {
 	spec := hw.NewAuroraPVC().HostLink
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	l := NewLink(n, "pcie0", spec.Sustained(), spec.DuplexFactor, 0)
+	l := NewLink(n, spec.Sustained(), spec.DuplexFactor, 0)
 
 	size := units.Bytes(500 * units.MB)
 	var tH2D units.Seconds
@@ -162,7 +162,7 @@ func TestLinkDuplexBehaviour(t *testing.T) {
 	// Bidirectional: 500 MB each way simultaneously.
 	e2 := sim.NewEngine()
 	n2 := NewNetwork(e2)
-	l2 := NewLink(n2, "pcie0", spec.Sustained(), spec.DuplexFactor, 0)
+	l2 := NewLink(n2, spec.Sustained(), spec.DuplexFactor, 0)
 	var tEnd units.Seconds
 	for _, rev := range []bool{false, true} {
 		r := rev
@@ -186,11 +186,11 @@ func TestLinkDuplexBehaviour(t *testing.T) {
 func TestHostPoolContention(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	pool := n.MustConstraint("host-d2h-pool", 264*units.GBps)
+	pool := n.MustConstraint(264 * units.GBps)
 	size := units.Bytes(500 * units.MB)
 	var finish units.Seconds
 	for card := 0; card < 6; card++ {
-		link := NewLink(n, "pcie", 54*units.GBps, 1.41, 0)
+		link := NewLink(n, 54*units.GBps, 1.41, 0)
 		// Two stacks per card share the card's PCIe link.
 		for s := 0; s < 2; s++ {
 			e.Go("d2h", func(p *sim.Proc) {
@@ -212,7 +212,7 @@ func TestHostPoolContention(t *testing.T) {
 func TestConstraintValidation(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	if _, err := n.NewConstraint("bad", 0); err == nil {
+	if _, err := n.NewConstraint(0); err == nil {
 		t.Error("zero capacity should fail")
 	}
 	defer func() {
@@ -220,7 +220,7 @@ func TestConstraintValidation(t *testing.T) {
 			t.Error("MustConstraint should panic on invalid capacity")
 		}
 	}()
-	n.MustConstraint("bad", -1)
+	n.MustConstraint(-1)
 }
 
 // Regression: a fast transfer issued after a very long virtual time must
@@ -229,7 +229,7 @@ func TestConstraintValidation(t *testing.T) {
 func TestTinyTransferAfterLongHold(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 200*units.GBps)
+	c := n.MustConstraint(200 * units.GBps)
 	var done bool
 	e.Go("late", func(p *sim.Proc) {
 		p.Hold(1e9)                           // ~31 virtual years: ulp(1e9 s) ≈ 1.2e-7 s
@@ -251,7 +251,7 @@ func TestWorkConservation(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7} {
 		e := sim.NewEngine()
 		n := NewNetwork(e)
-		c := n.MustConstraint("pipe", 1000)
+		c := n.MustConstraint(1000)
 		var finish units.Seconds
 		for i := 0; i < k; i++ {
 			e.Go("f", func(p *sim.Proc) {
@@ -272,7 +272,7 @@ func TestWorkConservation(t *testing.T) {
 func TestStartNonBlocking(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	// Zero-size, zero-latency start completes immediately.
 	f0 := n.StartBound(named("instant"), "", 0, 0, c)
 	if !f0.finished {
@@ -294,7 +294,7 @@ func TestStartNonBlocking(t *testing.T) {
 	// Waiting on an already finished flow returns immediately.
 	e2 := sim.NewEngine()
 	n2 := NewNetwork(e2)
-	c2 := n2.MustConstraint("pipe", 100)
+	c2 := n2.MustConstraint(100)
 	f2 := n2.StartBound(named("quick"), "", 100, 0, c2)
 	e2.Go("late", func(p *sim.Proc) {
 		p.Hold(10) // flow done at t=1
@@ -311,7 +311,7 @@ func TestStartNonBlocking(t *testing.T) {
 func TestStartWithLatencyAndBytes(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 100)
+	c := n.MustConstraint(100)
 	f := n.StartBound(named("both"), "", 300, 2, c)
 	var done units.Seconds
 	e.Go("w", func(p *sim.Proc) {
@@ -328,7 +328,7 @@ func TestStartWithLatencyAndBytes(t *testing.T) {
 func TestLinkDefaultDuplex(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	l := NewLink(n, "x", 100, 0, 0) // non-positive duplex defaults to 2
+	l := NewLink(n, 100, 0, 0) // non-positive duplex defaults to 2
 	if l.Duplex.capacity != 200 {
 		t.Errorf("default duplex capacity = %v, want 200", l.Duplex.capacity)
 	}
@@ -357,7 +357,7 @@ func TestSimultaneousCompletionsFinishInAdmissionOrder(t *testing.T) {
 		n := NewNetwork(e)
 		log := &spanLog{}
 		n.Observe(log)
-		c := n.MustConstraint("pipe", 1000)
+		c := n.MustConstraint(1000)
 		flows := make([]*Flow, len(labels))
 		for i, l := range labels {
 			flows[i] = n.StartBound(named(l), "", 500, 0, c)
@@ -404,7 +404,7 @@ func TestSupersededCompletionNotCounted(t *testing.T) {
 	probe := &eventCount{}
 	e.SetWallProbe(probe)
 	n := NewNetwork(e)
-	c := n.MustConstraint("pipe", 1)
+	c := n.MustConstraint(1)
 	var doneA, doneB units.Seconds
 	e.Go("a", func(p *sim.Proc) {
 		n.Transfer(p, named("a"), 10, 0, c)
@@ -432,7 +432,7 @@ func TestSupersededCompletionNotCounted(t *testing.T) {
 func TestFlowTransferAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
-	cs := []*Constraint{n.MustConstraint("pipe", 1e9)} // a route callers keep, as gpusim's are
+	cs := []*Constraint{n.MustConstraint(1e9)} // a route callers keep, as gpusim's are
 	name := named("t")
 	const rounds = 200 // amortizes the process that drives them
 	run := func() {

@@ -26,8 +26,16 @@ type Cluster struct {
 	nodes  []*Machine
 	nics   []*fabric.Link
 	global *fabric.Constraint
-	routes []fabric.Path // inter-node routes by ordered node pair, built on first use
+	routes []remoteRoute // inter-node routes by ordered node pair, built on first use
 	sink   obs.Recorder
+}
+
+// remoteRoute is the path between two nodes and its flows' labels, one
+// per ordered pair of source and destination stacks, each bound on first
+// use so that a message builds no closure.
+type remoteRoute struct {
+	path  fabric.Path
+	names []func() string
 }
 
 // NewCluster builds a cluster for the spec.
@@ -45,11 +53,10 @@ func NewCluster(spec *topology.ClusterSpec) (*Cluster, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, m)
-		c.nics = append(c.nics, fabric.NewLink(net, fmt.Sprintf("node%d/nic", i),
-			spec.Network.InjectionBW, spec.Network.DuplexFactor, 0))
+		c.nics = append(c.nics, fabric.NewLink(net, spec.Network.InjectionBW, spec.Network.DuplexFactor, 0))
 	}
-	c.global = net.MustConstraint("net/global", spec.Network.GlobalBW)
-	c.routes = make([]fabric.Path, spec.NodeCount*spec.NodeCount)
+	c.global = net.MustConstraint(spec.Network.GlobalBW)
+	c.routes = make([]remoteRoute, spec.NodeCount*spec.NodeCount)
 	return c, nil
 }
 
@@ -67,19 +74,21 @@ func (c *Cluster) Observe(r obs.Recorder) {
 	}
 }
 
-// remotePath returns the inter-node route between two nodes, composed on
+// route returns the inter-node route between two nodes, composed on
 // first use: source NIC injection, the shared switch-fabric pool,
 // destination NIC ejection, plus the network's end-to-end message
 // latency.
-func (c *Cluster) remotePath(src, dst int) fabric.Path {
-	p := &c.routes[src*len(c.nodes)+dst]
-	if p.Constraints == nil {
+func (c *Cluster) route(src, dst int) *remoteRoute {
+	r := &c.routes[src*len(c.nodes)+dst]
+	if r.names == nil {
 		in, out := c.nics[src].Dir(false), c.nics[dst].Dir(true)
 		cs := make([]*fabric.Constraint, 0, len(in)+1+len(out))
 		cs = append(append(append(cs, in...), c.global), out...)
-		*p = fabric.Path{Latency: c.Spec.Network.RemoteLatency(), Constraints: cs}
+		r.path = fabric.Path{Latency: c.Spec.Network.RemoteLatency(), Constraints: cs}
+		stacks := len(c.nodes[src].queues)
+		r.names = make([]func() string, stacks*stacks)
 	}
-	return *p
+	return r
 }
 
 // StartRemote begins a non-blocking inter-node transfer from a stack on
@@ -92,12 +101,23 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 	if src == dst {
 		return nil, fmt.Errorf("gpusim: nodes %d and %d are the same; use StartD2D", src, dst)
 	}
+	m := c.nodes[src]
+	if err := m.checkStack(from); err != nil {
+		return nil, err
+	}
+	if err := m.checkStack(to); err != nil {
+		return nil, err
+	}
 	// NIC-to-NIC hops: every switch traversal plus the two ends.
 	obs.Count(c.sink, "fabric.hops", float64(c.Spec.Network.Hops+2))
-	name := func() string {
-		return "n2n:n" + strconv.Itoa(src) + "/" + from.String() + "->n" + strconv.Itoa(dst) + "/" + to.String()
+	r := c.route(src, dst)
+	name := &r.names[m.stackIndex(from)*len(m.queues)+m.stackIndex(to)]
+	if *name == nil {
+		*name = func() string {
+			return "n2n:n" + strconv.Itoa(src) + "/" + from.String() + "->n" + strconv.Itoa(dst) + "/" + to.String()
+		}
 	}
-	return c.Net.StartPath(name, prof.BoundFabricNode, size, c.remotePath(src, dst)), nil
+	return c.Net.StartPath(*name, prof.BoundFabricNode, size, r.path), nil
 }
 
 // Run drives the simulation to completion.

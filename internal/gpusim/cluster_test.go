@@ -131,11 +131,18 @@ func TestStartRemoteErrors(t *testing.T) {
 	if _, err := c.StartRemote(0, s0, 2, s0, units.MB); err == nil {
 		t.Error("out-of-range destination node accepted")
 	}
+	bad := topology.StackID{GPU: 6, Stack: 0} // Aurora nodes have GPUs 0-5
+	if _, err := c.StartRemote(0, bad, 1, s0, units.MB); err == nil {
+		t.Error("unknown source stack accepted")
+	}
+	if _, err := c.StartRemote(0, s0, 1, topology.StackID{GPU: 0, Stack: 2}, units.MB); err == nil {
+		t.Error("unknown destination stack accepted")
+	}
 }
 
 // TestSingleNodePrefixesUnchanged guards the refactor invariant that a
-// standalone machine keeps its historical constraint names — the
-// cluster namespacing must never leak into single-node artifacts.
+// standalone machine keeps its historical flow labels — the cluster
+// namespacing must never leak into single-node artifacts.
 func TestSingleNodePrefixesUnchanged(t *testing.T) {
 	m := newMachine(t, topology.NewAurora())
 	tr := obs.NewTrace()

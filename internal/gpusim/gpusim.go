@@ -34,7 +34,7 @@ type Machine struct {
 	queues    []*sim.Resource // in-order compute queues by stack index
 	sink      obs.Recorder    // the recorder handed to Observe
 
-	// prefix namespaces constraint/queue names and gpuBase offsets the
+	// prefix namespaces queue labels and gpuBase offsets the
 	// recorded GPU index when the machine is one node of a cluster;
 	// both are zero for a standalone node, keeping its output
 	// byte-identical to the pre-cluster model. shared marks a machine
@@ -110,21 +110,22 @@ func newOn(eng *sim.Engine, net *fabric.Network, node *topology.NodeSpec, prefix
 	}
 	subs := node.Subdevices()
 	m.routes = make([]*route, len(subs)*len(subs))
-	for _, st := range subs {
-		m.queues = append(m.queues, sim.NewResource(eng, prefix+"queue:"+st.String(), 1))
+	labels := make([]queueLabel, len(subs))
+	m.queues = make([]*sim.Resource, len(subs))
+	for i, st := range subs {
+		labels[i] = queueLabel{prefix: prefix, st: st}
+		m.queues[i] = sim.NewResource(eng, &labels[i], 1)
 	}
-	m.poolH2D = net.MustConstraint(prefix+"host/h2d-pool", node.HostH2DPool)
-	m.poolD2H = net.MustConstraint(prefix+"host/d2h-pool", node.HostD2HPool)
-	m.poolBidir = net.MustConstraint(prefix+"host/bidir-pool", node.HostBidirPool)
+	m.poolH2D = net.MustConstraint(node.HostH2DPool)
+	m.poolD2H = net.MustConstraint(node.HostD2HPool)
+	m.poolBidir = net.MustConstraint(node.HostBidirPool)
 	gpu := node.GPU
 	for i := 0; i < node.GPUCount; i++ {
 		c := &card{
-			pcie: fabric.NewLink(net, fmt.Sprintf("%scard%d/pcie", prefix, i),
-				gpu.HostLink.Sustained(), gpu.HostLink.DuplexFactor, gpu.HostLink.Latency),
+			pcie: fabric.NewLink(net, gpu.HostLink.Sustained(), gpu.HostLink.DuplexFactor, gpu.HostLink.Latency),
 		}
 		if gpu.SubCount > 1 {
-			c.internal = fabric.NewLink(net, fmt.Sprintf("%scard%d/internal", prefix, i),
-				gpu.InternalLink.Sustained(), gpu.InternalLink.DuplexFactor, gpu.InternalLink.Latency)
+			c.internal = fabric.NewLink(net, gpu.InternalLink.Sustained(), gpu.InternalLink.DuplexFactor, gpu.InternalLink.Latency)
 		}
 		c.h2d = []*fabric.Constraint{c.pcie.Fwd, c.pcie.Duplex, m.poolH2D, m.poolBidir}
 		c.d2h = []*fabric.Constraint{c.pcie.Rev, c.pcie.Duplex, m.poolD2H, m.poolBidir}
@@ -144,12 +145,21 @@ func (m *Machine) peerLink(a, b topology.StackID) *fabric.Link {
 	link, ok := m.peerLinks[key]
 	if !ok {
 		spec := m.Node.GPU.PeerLink
-		link = fabric.NewLink(m.Net, fmt.Sprintf("%speer%v-%v", m.prefix, key.a, key.b),
-			spec.Sustained(), spec.DuplexFactor, spec.Latency)
+		link = fabric.NewLink(m.Net, spec.Sustained(), spec.DuplexFactor, spec.Latency)
 		m.peerLinks[key] = link
 	}
 	return link
 }
+
+// queueLabel names a stack's compute queue in deadlock diagnostics
+// ("resource node1/queue:0.1"). It is formatted only when a deadlock is
+// reported.
+type queueLabel struct {
+	prefix string
+	st     topology.StackID
+}
+
+func (l *queueLabel) String() string { return l.prefix + "queue:" + l.st.String() }
 
 // Stack is a handle to one subdevice of a machine.
 type Stack struct {

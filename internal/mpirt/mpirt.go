@@ -7,6 +7,7 @@ package mpirt
 
 import (
 	"fmt"
+	"strconv"
 
 	"pvcsim/internal/fabric"
 	"pvcsim/internal/gpusim"
@@ -45,8 +46,22 @@ type Rank struct {
 	Stack   *gpusim.Stack
 	Binding topology.RankBinding
 	inbox   []*message // unclaimed messages in arrival order
-	newMsg  *sim.Signal
+	newMsg  sim.Signal // fires on each message's arrival; labelled by its inboxLabel
 }
+
+// addRank appends the next rank, bound to stack st on the given node.
+func (c *Comm) addRank(node int, st *gpusim.Stack, binding topology.RankBinding) {
+	r := &Rank{comm: c, rank: len(c.ranks), Node: node, Stack: st, Binding: binding}
+	r.newMsg.Label = (*inboxLabel)(r)
+	c.ranks = append(c.ranks, r)
+}
+
+// inboxLabel names a rank's message signal in deadlock diagnostics
+// ("signal rank3 inbox"). It is formatted only when a deadlock is
+// reported.
+type inboxLabel Rank
+
+func (l *inboxLabel) String() string { return "rank" + strconv.Itoa(l.rank) + " inbox" }
 
 // NewComm creates a communicator of nranks ranks on the machine.
 func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
@@ -60,13 +75,7 @@ func NewComm(m *gpusim.Machine, nranks int) (*Comm, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.ranks = append(c.ranks, &Rank{
-			comm:    c,
-			rank:    r,
-			Stack:   st,
-			Binding: bindings[r],
-			newMsg:  sim.NewNamedSignal(fmt.Sprintf("rank%d inbox", r)),
-		})
+		c.addRank(0, st, bindings[r])
 	}
 	return c, nil
 }
@@ -86,14 +95,7 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 		if err != nil {
 			return nil, err
 		}
-		c.ranks = append(c.ranks, &Rank{
-			comm:    c,
-			rank:    r,
-			Node:    bindings[r].Node,
-			Stack:   st,
-			Binding: bindings[r].Local,
-			newMsg:  sim.NewNamedSignal(fmt.Sprintf("rank%d inbox", r)),
-		})
+		c.addRank(bindings[r].Node, st, bindings[r].Local)
 	}
 	return c, nil
 }

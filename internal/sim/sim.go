@@ -5,18 +5,21 @@
 // locking), condition signals, counting resources with FIFO queueing, and
 // re-armable timers.
 //
-// The kernel is deliberately small and serial: one event heap drained in
-// (time, scheduling order). An event either starts or resumes a process,
-// or runs a callback. Control passes between goroutines by one rule: a
-// process that blocks pops the next event itself, and if that event wakes
-// or starts a process, hands control straight to it (one goroutine
-// switch), or simply carries on when the event wakes the blocking process
-// itself. Callbacks always run on Run's goroutine, so a process that
-// meets a callback, an empty queue or a fault, and a process that
-// finishes, hands control back there. Bandwidth-sharing pipes, devices,
-// and interconnects are built on top of it in the fabric and gpusim
-// packages; parallelism lives one level up, across independent cells
-// (runner -jobs).
+// The kernel is deliberately small and serial: events drain in (time,
+// scheduling order) from a heap of delayed events and a FIFO of
+// zero-delay ones, which need no sift because each carries the newest
+// sequence number at the current instant. An event either starts or
+// resumes a process, or runs a callback. Whichever goroutine holds
+// control runs the events it meets: a process that blocks or finishes
+// runs the callbacks ahead of it, then hands control straight to the
+// process the next event wakes or starts (one goroutine switch), or
+// carries on when that event wakes the blocking process itself. Only an
+// empty queue or a fault sends control back to Run's goroutine. An owner
+// can also defer work to the end of the current instant (AtInstantEnd),
+// which the fabric uses to recompute its rates once per instant.
+// Bandwidth-sharing pipes, devices, and interconnects are built on top
+// of it in the fabric and gpusim packages; parallelism lives one level
+// up, across independent cells (runner -jobs).
 package sim
 
 import (
@@ -31,12 +34,18 @@ import (
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; call NewEngine.
 type Engine struct {
-	now      units.Seconds
-	queue    []event // binary min-heap on (t, seq)
+	now   units.Seconds
+	queue []event // delayed events: a binary min-heap on (t, seq)
+	// fifo holds the zero-delay events from fhead on. Each was queued at
+	// the current instant under the newest sequence number, so they are
+	// already in (t, seq) order, and the clock cannot pass them.
+	fifo     []event
+	fhead    int
+	atEnd    []Handler // run when the current instant's events are done
 	seq      uint64
-	parked   chan struct{} // a process hands control back to Run's goroutine here
+	parked   chan struct{} // control goes back to Run's goroutine here
 	procs    []*Proc       // processes started and not yet finished, any order
-	fault    *ProcPanic    // a process body's panic, re-raised by Run
+	fault    any           // re-raised by Run: a *ProcPanic, or a callback's panic value
 	stopping bool          // set while Run unwinds the live processes
 	events   int           // events dispatched by the current Run, on any goroutine
 
@@ -89,13 +98,28 @@ func (e *Engine) Schedule(delay units.Seconds, h Handler) {
 }
 
 // push queues ev after delay (clamped to zero) under the next sequence
-// number, which it returns.
+// number, which it returns. A zero-delay event joins the FIFO: no queued
+// event has a later key, so it goes last without a sift.
 func (e *Engine) push(delay units.Seconds, ev event) uint64 {
-	if delay < 0 {
-		delay = 0
-	}
 	e.seq++
-	ev.t, ev.seq = e.now+delay, e.seq
+	ev.seq = e.seq
+	if delay <= 0 {
+		ev.t = e.now
+		if e.fhead > 0 && len(e.fifo) == cap(e.fifo) {
+			n := copy(e.fifo, e.fifo[e.fhead:])
+			clear(e.fifo[n:])
+			e.fifo, e.fhead = e.fifo[:n], 0
+		}
+		e.fifo = append(e.fifo, ev)
+		return ev.seq
+	}
+	ev.t = e.now + delay
+	e.heapPush(ev)
+	return ev.seq
+}
+
+// heapPush adds ev to the delayed-event heap under the key it carries.
+func (e *Engine) heapPush(ev event) {
 	q := append(e.queue, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -108,12 +132,40 @@ func (e *Engine) push(delay units.Seconds, ev event) uint64 {
 	}
 	q[i] = ev
 	e.queue = q
-	return ev.seq
+}
+
+// fifoFirst reports whether the earliest queued event heads the FIFO.
+func (e *Engine) fifoFirst() bool {
+	return e.fhead < len(e.fifo) && (len(e.queue) == 0 || e.fifo[e.fhead].before(&e.queue[0]))
+}
+
+// head returns the earliest queued event, or nil.
+func (e *Engine) head() *event {
+	switch {
+	case e.fifoFirst():
+		return &e.fifo[e.fhead]
+	case len(e.queue) > 0:
+		return &e.queue[0]
+	}
+	return nil
 }
 
 // pop removes and returns the earliest event. The vacated slot is
-// zeroed, so a drained heap holds no handler or process.
+// zeroed, so a drained queue holds no handler or process.
 func (e *Engine) pop() event {
+	if e.fifoFirst() {
+		ev := e.fifo[e.fhead]
+		e.fifo[e.fhead] = event{}
+		if e.fhead++; e.fhead == len(e.fifo) {
+			e.fifo, e.fhead = e.fifo[:0], 0
+		}
+		return ev
+	}
+	return e.heapPop()
+}
+
+// heapPop removes and returns the heap's earliest event.
+func (e *Engine) heapPop() event {
 	q := e.queue
 	top := q[0]
 	n := len(q) - 1
@@ -142,19 +194,44 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// peek drops superseded timer armings from the head of the queue and
-// returns the next live event, or nil when the queue is empty. The clock
-// still passes a dropped arming's time, but it runs nothing and is not
-// counted as an event.
+// peek returns the next live event, or nil when the queue is empty.
+// When the current instant has no event left, it first runs the
+// end-of-instant callbacks, which may queue more. It drops superseded
+// timer armings from the head of the queue: the clock still passes a
+// dropped arming's time, but it runs nothing and is not counted as an
+// event.
 func (e *Engine) peek() *event {
-	for len(e.queue) > 0 {
-		top := &e.queue[0]
+	for {
+		top := e.head()
+		if len(e.atEnd) > 0 && (top == nil || top.t > e.now) {
+			e.endInstant()
+			continue
+		}
+		if top == nil {
+			return nil
+		}
 		if a, ok := top.h.(arming); !ok || a.seq == top.seq {
 			return top
 		}
 		e.now = e.pop().t
 	}
-	return nil
+}
+
+// AtInstantEnd runs h once every event queued for the current instant
+// has run, before the clock advances. It takes no sequence number and is
+// not counted as an event; callbacks registered for one instant run in
+// registration order, on whichever goroutine holds control, and may
+// queue events of their own.
+func (e *Engine) AtInstantEnd(h Handler) { e.atEnd = append(e.atEnd, h) }
+
+// endInstant runs the end-of-instant callbacks, including any they
+// register.
+func (e *Engine) endInstant() {
+	for i := 0; i < len(e.atEnd); i++ {
+		e.atEnd[i].Handle()
+	}
+	clear(e.atEnd)
+	e.atEnd = e.atEnd[:0]
 }
 
 // next pops the event peek returned, advancing the clock to it.
@@ -165,17 +242,50 @@ func (e *Engine) next() event {
 	return ev
 }
 
-// dispatch runs events in order until the queue is empty or a process
-// body panics. Callbacks run here; a process event hands control to the
-// process, and the loop waits until some process hands it back.
-func (e *Engine) dispatch() {
+// nextProc runs callbacks in order until the next event starts or wakes
+// a process, and pops that process. It returns nil when the queue is
+// empty or a fault awaits Run.
+func (e *Engine) nextProc() *Proc {
 	for e.fault == nil && e.peek() != nil {
 		ev := e.next()
-		if ev.p == nil {
-			ev.h.Handle()
-			continue
+		if ev.p != nil {
+			return ev.p
 		}
-		e.resume(ev.p)
+		ev.h.Handle()
+	}
+	return nil
+}
+
+// handoff is nextProc on a process goroutine. A callback that panics
+// there is recovered and kept, so Run re-raises it with its own value
+// instead of the process unwinding with it.
+func (e *Engine) handoff() (next *Proc) {
+	defer func() {
+		if next == nil {
+			if v := recover(); v != nil {
+				e.fault = v
+			}
+		}
+	}()
+	return e.nextProc()
+}
+
+// switchTo gives control to next, or back to Run's goroutine when there
+// is no next process.
+func (e *Engine) switchTo(next *Proc) {
+	if next == nil {
+		e.parked <- struct{}{}
+		return
+	}
+	e.resume(next)
+}
+
+// dispatch runs events in order until the queue is empty or a process
+// body or callback panics. A process event hands control to the process,
+// and the loop waits until control comes back.
+func (e *Engine) dispatch() {
+	for p := e.nextProc(); p != nil; p = e.nextProc() {
+		e.resume(p)
 		<-e.parked
 	}
 }
@@ -185,8 +295,8 @@ func (e *Engine) dispatch() {
 // deadlock), which would otherwise manifest as silently missing results;
 // the error names the signals and resources holding the waiters. A panic
 // in a process body stops the run and is re-raised here, on the caller's
-// goroutine, as a *ProcPanic; a panic in a callback, which runs on the
-// caller's goroutine, propagates with its own value. Either way the
+// goroutine, as a *ProcPanic; a panic in a callback propagates with its
+// own value, whichever goroutine ran the callback. Either way the
 // processes still alive are unwound before Run returns, so none outlives
 // the run.
 func (e *Engine) Run() error {
@@ -212,7 +322,7 @@ func (e *Engine) Run() error {
 // recovers. Events left queued are dropped, since the processes they
 // would resume are gone.
 func (e *Engine) stop() {
-	if len(e.procs) == 0 && len(e.queue) == 0 {
+	if len(e.procs) == 0 && len(e.queue) == 0 && len(e.fifo) == 0 && len(e.atEnd) == 0 {
 		return
 	}
 	e.stopping = true
@@ -223,6 +333,10 @@ func (e *Engine) stop() {
 	e.stopping = false
 	clear(e.queue)
 	e.queue = e.queue[:0]
+	clear(e.fifo)
+	e.fifo, e.fhead = e.fifo[:0], 0
+	clear(e.atEnd)
+	e.atEnd = e.atEnd[:0]
 }
 
 // stopProc is the panic value that unwinds a stopped process.
@@ -323,11 +437,12 @@ func (e *Engine) resume(p *Proc) {
 }
 
 // run is the process goroutine's root. However the body ends — it
-// returns, it panics, or Run stops it — the process leaves the live set
-// and hands control back to Run's goroutine. A panic is kept for Run to
-// re-raise on its caller's goroutine; one raised while Run stops the
-// process (stopProc, or a deferred call failing on the way out) is
-// dropped with the run.
+// returns, it panics, or Run stops it — the process leaves the live set.
+// A finished process passes control on as a blocking one does; after a
+// panic, or while Run stops the processes, it hands control back to
+// Run's goroutine. A panic is kept for Run to re-raise on its caller's
+// goroutine; one raised while Run stops the process (stopProc, or a
+// deferred call failing on the way out) is dropped with the run.
 func (p *Proc) run(body func(*Proc)) {
 	e := p.eng
 	defer func() {
@@ -335,7 +450,11 @@ func (p *Proc) run(body func(*Proc)) {
 			e.fault = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
 		}
 		e.retire(p)
-		e.parked <- struct{}{}
+		if e.stopping {
+			e.parked <- struct{}{}
+			return
+		}
+		e.switchTo(e.handoff())
 	}()
 	body(p)
 }
@@ -351,10 +470,10 @@ func (e *Engine) retire(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// yield blocks the process until an event resumes it. It dispatches that
-// event itself when it can: a wake of p returns at once, with no switch;
-// a wake or start of another process hands control straight to it.
-// Anything else — a callback, an empty queue — goes back to Run's
+// yield blocks the process until an event resumes it. It runs the
+// events ahead itself: callbacks in place, then a wake of p returns at
+// once, with no switch, and a wake or start of another process hands
+// control straight to it. An empty queue or a fault goes back to Run's
 // goroutine. A process resumed to be stopped unwinds from here, and so
 // does one that blocks again while being stopped (from a deferred call).
 func (p *Proc) yield() {
@@ -362,15 +481,11 @@ func (p *Proc) yield() {
 	if e.stopping {
 		panic(stopProc{})
 	}
-	if ev := e.peek(); ev != nil && ev.p != nil {
-		next := e.next().p
-		if next == p {
-			return
-		}
-		e.resume(next)
-	} else {
-		e.parked <- struct{}{}
+	next := e.handoff()
+	if next == p {
+		return
 	}
+	e.switchTo(next)
 	<-p.resume
 	if e.stopping {
 		panic(stopProc{})
@@ -387,7 +502,7 @@ func (p *Proc) Hold(d units.Seconds) {
 // every current waiter at the time Fire is called. Later waiters need a
 // later Fire. Fire may be called from process bodies or event callbacks.
 // The zero value is an unnamed signal ready to use, so an owner can hold
-// one by value.
+// one by value and label it with itself.
 type Signal struct {
 	// Label names the signal in deadlock diagnostics ("blocked: 2 on
 	// signal halo-ready"). Its String is called only when a deadlock is
@@ -398,13 +513,7 @@ type Signal struct {
 	more   []*Proc  // the later ones
 }
 
-// NewNamedSignal creates a signal whose name identifies it in deadlock
-// diagnostics.
-func NewNamedSignal(name string) *Signal {
-	return &Signal{Label: fixedName(name)}
-}
-
-// fixedName is a signal name known at construction.
+// fixedName is a label known at construction.
 type fixedName string
 
 func (n fixedName) String() string { return string(n) }
@@ -458,7 +567,9 @@ func (s *Signal) Fire() {
 // when its time comes, runs nothing and is not counted as an event.
 // Each arming takes the sequence number a fresh Schedule would, so live
 // events run in the same order as if every arming were a new Schedule
-// whose predecessors did nothing.
+// whose predecessors did nothing. An owner that settles its deadline
+// later in the instant Reserves that number where it would have armed,
+// and arms under it with ArmReserved once the deadline is known.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -472,6 +583,22 @@ func NewTimer(e *Engine, fn func()) *Timer { return &Timer{eng: e, fn: fn} }
 // superseding any arming still pending.
 func (t *Timer) Arm(delay units.Seconds) {
 	t.seq = t.eng.push(delay, event{h: arming{t}})
+}
+
+// Reserve supersedes any pending arming, as Arm does, and takes the
+// sequence number an Arm would take now, for ArmReserved to use.
+func (t *Timer) Reserve() {
+	t.eng.seq++
+	t.seq = t.eng.seq
+}
+
+// ArmReserved schedules the timer to fire after delay under the number
+// the latest Reserve took, so it runs exactly where an Arm made at the
+// Reserve would have. delay must be positive: the arming joins the
+// delayed-event heap, which orders any key.
+func (t *Timer) ArmReserved(delay units.Seconds) {
+	e := t.eng
+	e.heapPush(event{t: e.now + delay, seq: t.seq, h: arming{t}})
 }
 
 // arming is one queued firing of a timer; it is live while it is the
@@ -490,19 +617,21 @@ type Resource struct {
 	cap   int
 	inUse int
 	queue []*Proc
-	name  string
+	label fmt.Stringer
 }
 
-// NewResource creates a resource with the given capacity (min 1).
-func NewResource(e *Engine, name string, capacity int) *Resource {
+// NewResource creates a resource with the given capacity (min 1). label
+// names it in deadlock diagnostics ("blocked: 3 on resource pcie-dma")
+// and is formatted only when one is reported, or on a misuse panic.
+func NewResource(e *Engine, label fmt.Stringer, capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{eng: e, cap: capacity, name: name}
+	return &Resource{eng: e, cap: capacity, label: label}
 }
 
 // blockerLabel names the resource in deadlock diagnostics.
-func (r *Resource) blockerLabel() string { return "resource " + r.name }
+func (r *Resource) blockerLabel() string { return "resource " + r.label.String() }
 
 // Acquire obtains one unit, blocking the process in FIFO order if none is
 // free.
@@ -521,7 +650,7 @@ func (r *Resource) Acquire(p *Proc) {
 // directly to the queue head, preserving FIFO fairness.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
-		panic("sim: Release of idle resource " + r.name)
+		panic("sim: Release of idle resource " + r.label.String())
 	}
 	if len(r.queue) > 0 {
 		head := r.queue[0]

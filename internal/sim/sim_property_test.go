@@ -40,7 +40,7 @@ func TestResourceCapacityProperty(t *testing.T) {
 		k := int(kRaw%20) + 1
 		c := int(cRaw%5) + 1
 		e := NewEngine()
-		r := NewResource(e, "res", c)
+		r := NewResource(e, fixedName("res"), c)
 		inUse := 0
 		maxInUse := 0
 		for i := 0; i < k; i++ {
@@ -161,26 +161,39 @@ func (m *orderModel) log(k orderKey) {
 
 func (m *orderModel) delay() units.Seconds { return units.Seconds(m.rng.Intn(3)) / 2 }
 
-// schedule queues a callback that may fire the signal, arm the timer or
-// schedule another callback.
-func (m *orderModel) schedule() {
+// schedule queues a callback after a random delay.
+func (m *orderModel) schedule() { m.scheduleAfter(m.delay()) }
+
+// scheduleAfter queues a callback that may fire the signal, arm the
+// timer, schedule another callback or queue a burst.
+func (m *orderModel) scheduleAfter(d units.Seconds) {
 	if m.budget <= 0 {
 		return
 	}
 	m.budget--
-	d := m.delay()
 	k := m.next(d)
 	m.e.Schedule(d, Func(func() {
 		m.log(k)
-		switch m.rng.Intn(3) {
+		switch m.rng.Intn(4) {
 		case 0:
 			m.fire()
 		case 1:
 			m.arm()
 		case 2:
 			m.schedule()
+		case 3:
+			m.burst()
 		}
 	}))
+}
+
+// burst queues one to four zero-delay callbacks back to back: they run
+// at the current instant, after every event already due at it, delayed
+// or not.
+func (m *orderModel) burst() {
+	for n := 1 + m.rng.Intn(4); n > 0; n-- {
+		m.scheduleAfter(0)
+	}
 }
 
 func (m *orderModel) arm() {
@@ -221,7 +234,7 @@ func (m *orderModel) body(p *Proc, pr *orderProc, steps int) {
 		holding = false
 	}
 	for i := 0; i < steps; i++ {
-		switch m.rng.Intn(6) {
+		switch m.rng.Intn(7) {
 		case 0:
 			d := m.delay()
 			pr.key = m.next(d)
@@ -251,6 +264,8 @@ func (m *orderModel) body(p *Proc, pr *orderProc, steps int) {
 			m.schedule()
 		case 5:
 			m.arm()
+		case 6:
+			m.burst()
 		}
 	}
 	if holding {
@@ -259,16 +274,18 @@ func (m *orderModel) body(p *Proc, pr *orderProc, steps int) {
 }
 
 // Property: however processes (Hold, Signal, Resource) and callbacks
-// (Schedule, Timer) interleave, and whichever goroutine dispatches the
-// next event, every action runs at its scheduled time and the executed
-// sequence is the (time, scheduling order) sequence; every queued action
-// runs except superseded timer armings and the wakes of processes still
-// blocked when the queue drains.
+// (Schedule, Timer, zero-delay bursts) interleave, and whichever
+// goroutine dispatches the next event, every action runs at its
+// scheduled time and the executed sequence is the (time, scheduling
+// order) sequence: a zero-delay event, queued apart from the delayed
+// ones, still runs after every event already due at its instant. Every
+// queued action runs except superseded timer armings and the wakes of
+// processes still blocked when the queue drains.
 func TestInterleavedEventOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		e := NewEngine()
-		m := &orderModel{e: e, rng: rand.New(rand.NewSource(seed)), atTime: true, budget: 12,
-			sig: NewNamedSignal("s"), res: NewResource(e, "r", 2), resFree: 2}
+		m := &orderModel{e: e, rng: rand.New(rand.NewSource(seed)), atTime: true, budget: 16,
+			sig: namedSignal("s"), res: NewResource(e, fixedName("r"), 2), resFree: 2}
 		m.tm = NewTimer(e, func() { m.tmPending = false; m.log(m.tmKey) })
 		for n := 1 + m.rng.Intn(5); n > 0; n-- {
 			pr := &orderProc{key: m.next(0)}

@@ -10,6 +10,9 @@ import (
 	"pvcsim/internal/units"
 )
 
+// namedSignal is a signal labelled for deadlock diagnostics.
+func namedSignal(name string) *Signal { return &Signal{Label: fixedName(name)} }
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []string
@@ -98,7 +101,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 
 func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 	e := NewEngine()
-	s := NewNamedSignal("s")
+	s := namedSignal("s")
 	woken := map[string]units.Seconds{}
 	for _, n := range []string{"w1", "w2"} {
 		name := n
@@ -124,7 +127,7 @@ func TestSignalWakesAllCurrentWaiters(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	s := NewNamedSignal("s")
+	s := namedSignal("s")
 	e.Go("stuck", func(p *Proc) { s.Wait(p) })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock error")
@@ -133,7 +136,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "dma", 1)
+	r := NewResource(e, fixedName("dma"), 1)
 	var order []string
 	worker := func(name string, startDelay units.Seconds) {
 		e.Go(name, func(p *Proc) {
@@ -164,7 +167,7 @@ func TestResourceFIFO(t *testing.T) {
 
 func TestResourceCapacityTwo(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "engines", 2)
+	r := NewResource(e, fixedName("engines"), 2)
 	var finish []units.Seconds
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(p *Proc) {
@@ -193,7 +196,7 @@ func TestReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	r := NewResource(e, "x", 1)
+	r := NewResource(e, fixedName("x"), 1)
 	r.Release()
 }
 
@@ -245,7 +248,7 @@ func TestBarrierReusable(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
-		r := NewResource(e, "res", 1)
+		r := NewResource(e, fixedName("res"), 1)
 		var order []string
 		for i := 0; i < 5; i++ {
 			name := string(rune('a' + i))
@@ -273,8 +276,8 @@ func TestDeterminism(t *testing.T) {
 // sorted by blocker label.
 func TestDeadlockDiagnosticsNameBlockers(t *testing.T) {
 	e := NewEngine()
-	sig := NewNamedSignal("halo-ready")
-	dma := NewResource(e, "pcie-dma", 1)
+	sig := namedSignal("halo-ready")
+	dma := NewResource(e, fixedName("pcie-dma"), 1)
 	e.Go("holder", func(p *Proc) {
 		dma.Acquire(p)
 		sig.Wait(p) // holds the unit forever
@@ -307,7 +310,7 @@ func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 	e := NewEngine()
 	late := &countingName{name: "late"}
 	sig := &Signal{Label: late}
-	dma := NewResource(e, "dma", 1)
+	dma := NewResource(e, fixedName("dma"), 1)
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Proc) {
 			sig.Wait(p)
@@ -352,7 +355,7 @@ func TestBlockerLabelsFormatOnlyOnDeadlock(t *testing.T) {
 // processes are unwound rather than left blocked.
 func TestProcessPanicReachesRunCaller(t *testing.T) {
 	e := NewEngine()
-	sig := NewNamedSignal("never")
+	sig := namedSignal("never")
 	e.Go("waiter", func(p *Proc) { sig.Wait(p) })
 	e.Go("holder", func(p *Proc) { p.Hold(5) })
 	e.Go("bad", func(p *Proc) {
@@ -370,8 +373,8 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 		if !strings.Contains(string(pp.Stack), "TestProcessPanicReachesRunCaller") {
 			t.Errorf("panic stack does not reach the process body:\n%s", pp.Stack)
 		}
-		if len(e.procs) != 0 || len(e.queue) != 0 {
-			t.Errorf("after the panic the engine keeps %d processes and %d events, want none", len(e.procs), len(e.queue))
+		if len(e.procs) != 0 || queued(e) != 0 {
+			t.Errorf("after the panic the engine keeps %d processes and %d events, want none", len(e.procs), queued(e))
 		}
 	}()
 	_ = e.Run()
@@ -394,7 +397,7 @@ func settledGoroutines(want int) int {
 func TestDeadlockLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	sig := NewNamedSignal("stuck")
+	sig := namedSignal("stuck")
 	unwound := 0
 	for i := 0; i < 8; i++ {
 		e.Go("w", func(p *Proc) {
@@ -438,11 +441,15 @@ func TestEventFreeListReuse(t *testing.T) {
 	}
 }
 
+// queued counts the events an engine holds, in its heap and its FIFO.
+func queued(e *Engine) int { return len(e.queue) + len(e.fifo) - e.fhead }
+
 // A panic in an event callback reaches Run's caller with its own value,
-// not wrapped: callbacks run on Run's goroutine, never on a process's.
-// The run's live processes are unwound, so no goroutine outlives it —
-// whether the callback comes right after a process finished (the event
-// a finishing process would meet next) or while others are blocked.
+// not wrapped as a process's panic, on whichever goroutine the callback
+// ran: Run's, a blocking process's, or a finishing process's (whose last
+// act queued it). The run's live processes are unwound, so no goroutine
+// outlives it, and an end-of-instant callback that panics is no
+// different.
 func TestCallbackPanicReachesRunCaller(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -452,8 +459,31 @@ func TestCallbackPanicReachesRunCaller(t *testing.T) {
 			e.Go("done", func(p *Proc) { p.Hold(1) })
 			e.Schedule(1, Func(func() { panic("callback bug") }))
 		}},
+		{"on the finish path", func(e *Engine, unwound *int) {
+			sig := namedSignal("never")
+			e.Go("waiter", func(p *Proc) {
+				defer func() { *unwound++ }()
+				sig.Wait(p)
+			})
+			e.Go("last", func(p *Proc) {
+				p.Hold(1)
+				e.Schedule(0, Func(func() { panic("callback bug") }))
+			})
+		}},
+		{"at the end of an instant", func(e *Engine, unwound *int) {
+			e.Go("waiter", func(p *Proc) {
+				defer func() { *unwound++ }()
+				namedSignal("never").Wait(p)
+			})
+			e.Go("settler", func(p *Proc) {
+				p.Hold(1)
+				e.AtInstantEnd(Func(func() { panic("callback bug") }))
+				e.Schedule(0, Func(func() {}))
+				p.Hold(1)
+			})
+		}},
 		{"while processes are blocked", func(e *Engine, unwound *int) {
-			sig := NewNamedSignal("never")
+			sig := namedSignal("never")
 			e.Go("waiter", func(p *Proc) {
 				defer func() { *unwound++ }()
 				sig.Wait(p)
@@ -479,11 +509,13 @@ func TestCallbackPanicReachesRunCaller(t *testing.T) {
 				_ = e.Run()
 				t.Error("Run returned instead of re-raising the callback panic")
 			}()
-			if tc.name == "while processes are blocked" && unwound != 2 {
-				t.Errorf("%d of 2 blocked processes ran their deferred calls", unwound)
+			want := map[string]int{"while processes are blocked": 2, "on the finish path": 1, "at the end of an instant": 1}[tc.name]
+			if unwound != want {
+				t.Errorf("%d of %d blocked processes ran their deferred calls", unwound, want)
 			}
-			if len(e.procs) != 0 || len(e.queue) != 0 {
-				t.Errorf("after the panic the engine keeps %d processes and %d events, want none", len(e.procs), len(e.queue))
+			if len(e.procs) != 0 || queued(e) != 0 || len(e.atEnd) != 0 {
+				t.Errorf("after the panic the engine keeps %d processes, %d events and %d end-of-instant callbacks, want none",
+					len(e.procs), queued(e), len(e.atEnd))
 			}
 			if after := settledGoroutines(before); after > before {
 				t.Errorf("goroutines: %d before the run, %d after the callback panic", before, after)
@@ -498,7 +530,7 @@ func TestCallbackPanicReachesRunCaller(t *testing.T) {
 // it is waiting when ping fires.
 func BenchmarkEngine_ProcessPingPong(b *testing.B) {
 	e := NewEngine()
-	ping, pong := NewNamedSignal("ping"), NewNamedSignal("pong")
+	ping, pong := namedSignal("ping"), namedSignal("pong")
 	e.Go("pong", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			ping.Wait(p)
