@@ -1,16 +1,17 @@
 # Development targets. `make check` is the gate CI and contributors run
 # before merging: the gofmt gate, vet, full build, a run of every
 # example from a temp dir, pvclint (the
-# determinism/simulated-time invariant analyzers), the race-enabled test
+# determinism/simulated-time invariant analyzers), the arm64
+# fused-multiply-add count of the simulation packages, the race-enabled test
 # suite (the parallel runner makes -race meaningful), and vet + tests of
 # the nested perfbench module, which the root `./...` patterns never
 # reach.
 
 GO ?= go
 
-.PHONY: check fmt vet build examples lint test race perfbench-check bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
+.PHONY: check fmt vet build examples lint fma-check test race perfbench-check bench artifacts trace-demo profile-demo sweep-demo wallprof-demo bench-record bench-check serve-demo smoke loadtest-demo clean
 
-check: fmt vet build examples lint race perfbench-check
+check: fmt vet build examples lint fma-check race perfbench-check
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -27,6 +28,15 @@ vet:
 # type-checked in dependency waves. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/pvclint
+
+# Cross-build cmd/pvcbench for arm64 and count fused multiply-add
+# instructions per function with `go tool objdump`: any in
+# internal/{sim,fabric,mpirt,gpusim,topology} fails, since a fused
+# product rounds once and makes simulated outputs differ by
+# architecture; the other packages' counts print as information. Needs
+# only the local toolchain.
+fma-check:
+	GO=$(GO) ./scripts/fma-check.sh
 
 build:
 	$(GO) build ./...
@@ -113,12 +123,13 @@ bench-record: build
 # (bash perfbench/run.sh), not this gate's. The allocation pins run
 # first: every simulation pays the nil-probe hook sites and the event
 # queue, so a warm engine must schedule and drain a burst without
-# allocating, a warm flow transfer, device-to-device copy or MPI
-# message must allocate only its Flow and Requests, and a burst of flows
+# allocating, a warm flow transfer or device-to-device copy must
+# allocate only its Flow, an MPI message only itself (its Flow inside),
+# a link must be one block, and a burst of flows
 # arriving at one instant must cost the network one rate pass and one
 # completion arming (DESIGN.md §12-§13).
 bench-check: build
-	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestSettleOncePerInstant|TestD2DRoundTripAllocs|TestMessageAllocs' \
+	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestNewLinkAllocs|TestSettleOncePerInstant|TestD2DRoundTripAllocs|TestMessageAllocs' \
 		./internal/sim/ ./internal/fabric/ ./internal/gpusim/ ./internal/mpirt/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json

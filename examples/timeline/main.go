@@ -50,7 +50,10 @@ func main() {
 		r.Stack.MemcpyH2D(p, 2*units.GB)
 		for step := 0; step < steps; step++ {
 			r.Stack.LaunchKernel(p, compute)
-			// Ring halo exchange.
+			// Ring halo exchange. Isend and Irecv return Request
+			// values: the send points at its message, and the receive
+			// records the message it matches in the variable it is
+			// waited through.
 			right := (r.Rank() + 1) % r.Size()
 			left := (r.Rank() - 1 + r.Size()) % r.Size()
 			sreq, err := r.Isend(right, step, 64*units.MB)
@@ -61,7 +64,8 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			mpirt.WaitAll(p, sreq, rreq)
+			sreq.Wait(p)
+			rreq.Wait(p)
 		}
 		// Result readback.
 		r.Stack.MemcpyD2H(p, 512*units.MB)

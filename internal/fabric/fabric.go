@@ -98,10 +98,20 @@ func (n *Network) complete() {
 // NewConstraint registers a capacity. Non-positive capacities are
 // rejected.
 func (n *Network) NewConstraint(cap units.ByteRate) (*Constraint, error) {
-	if cap <= 0 {
-		return nil, fmt.Errorf("fabric: constraint needs positive capacity, got %v", cap)
+	c, err := constraint(cap)
+	if err != nil {
+		return nil, err
 	}
-	return &Constraint{capacity: float64(cap)}, nil
+	return &c, nil
+}
+
+// constraint is a capacity's constraint value, or the error for a
+// non-positive capacity.
+func constraint(cap units.ByteRate) (Constraint, error) {
+	if cap <= 0 {
+		return Constraint{}, fmt.Errorf("fabric: constraint needs positive capacity, got %v", cap)
+	}
+	return Constraint{capacity: float64(cap)}, nil
 }
 
 // MustConstraint is NewConstraint for static topologies where a failure is
@@ -128,30 +138,31 @@ func (n *Network) Transfer(p *sim.Proc, name func() string, size units.Bytes, la
 	if size <= 0 {
 		return
 	}
-	f := n.start(name, "", size, cs)
-	if f.finished {
-		return
-	}
-	f.done.Wait(p)
+	f := new(Flow)
+	n.start(f, name, "", size, cs)
+	f.Wait(p)
 }
 
 // StartBound begins a non-blocking transfer after an optional latency
-// delay and returns its Flow; callers wait on it with Flow.Wait. It is the
-// primitive under MPI_Isend-style overlapped communication in the mpirt
-// package. The flow's recorded span carries bound, attributing the
-// transfer when no enclosing span covers it (the overlapped-communication
-// path, where the flow span is the only record of the transfer). name and
-// cs are as for Transfer.
-func (n *Network) StartBound(name func() string, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) *Flow {
+// delay, filling in f, which the caller holds and waits on with
+// Flow.Wait; f must not be a flow still in flight. It is the primitive
+// under MPI_Isend-style overlapped communication in the mpirt package,
+// whose messages hold their flows, so a message is one allocation. The
+// flow's recorded span carries bound, attributing the transfer when no
+// enclosing span covers it (the overlapped-communication path, where the
+// flow span is the only record of the transfer). name and cs are as for
+// Transfer.
+func (n *Network) StartBound(f *Flow, name func() string, bound string, size units.Bytes, latency units.Seconds, cs ...*Constraint) {
 	if size <= 0 && latency <= 0 {
-		return &Flow{name: name, bound: bound, finished: true}
+		*f = Flow{name: name, bound: bound, finished: true}
+		return
 	}
 	if latency > 0 {
-		f := n.newFlow(name, bound, size, cs)
+		n.initFlow(f, name, bound, size, cs)
 		n.eng.Schedule(latency, (*arrival)(f))
-		return f
+		return
 	}
-	return n.start(name, bound, size, cs)
+	n.start(f, name, bound, size, cs)
 }
 
 // arrival is a flow whose latency has elapsed: it enters the network,
@@ -178,25 +189,24 @@ func (f *Flow) Wait(p *sim.Proc) {
 	f.done.Wait(p)
 }
 
-// newFlow builds a flow that has yet to complete. Its completion signal
-// is labelled by the flow itself, so deadlock diagnostics can report
-// "blocked: 1 on signal flow h2d:0.0" without the name being formatted
-// on runs that never deadlock.
-func (n *Network) newFlow(name func() string, bound string, size units.Bytes, cs []*Constraint) *Flow {
-	f := &Flow{net: n, name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
+// initFlow fills in a flow that has yet to complete. Its completion
+// signal is labelled by the flow itself, so deadlock diagnostics can
+// report "blocked: 1 on signal flow h2d:0.0" without the name being
+// formatted on runs that never deadlock.
+func (n *Network) initFlow(f *Flow, name func() string, bound string, size units.Bytes, cs []*Constraint) {
+	*f = Flow{net: n, name: name, bound: bound, remaining: float64(size), size: float64(size), cs: cs}
 	f.done.Label = f
-	return f
 }
 
-// start registers a flow and returns it; flows with no constraints
-// complete instantly.
-func (n *Network) start(name func() string, bound string, size units.Bytes, cs []*Constraint) *Flow {
+// start fills in f and admits it; flows with no constraints complete
+// instantly.
+func (n *Network) start(f *Flow, name func() string, bound string, size units.Bytes, cs []*Constraint) {
 	if len(cs) == 0 {
-		return &Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), finished: true}
+		*f = Flow{name: name, bound: bound, remaining: float64(size), size: float64(size), finished: true}
+		return
 	}
-	f := n.newFlow(name, bound, size, cs)
+	n.initFlow(f, name, bound, size, cs)
 	n.enter(f)
-	return f
 }
 
 // enter admits f at the current instant. While no flow can drain at
@@ -376,22 +386,28 @@ type Link struct {
 	Duplex  *Constraint
 	Latency units.Seconds
 
-	fwd, rev []*Constraint // Dir's two constraint sets, built once
+	cs       [3]Constraint  // what Fwd, Rev and Duplex point at
+	fwd, rev [2]*Constraint // Dir's two constraint sets
 }
 
-// NewLink constructs the pipes for one port.
+// NewLink constructs the pipes for one port as one block: the link
+// holds its three constraints and both direction sets. A non-positive
+// capacity panics with NewConstraint's error, as for MustConstraint.
 func NewLink(n *Network, sustained units.ByteRate, duplexFactor float64, latency units.Seconds) *Link {
 	if duplexFactor <= 0 {
 		duplexFactor = 2
 	}
-	l := &Link{
-		Fwd:     n.MustConstraint(sustained),
-		Rev:     n.MustConstraint(sustained),
-		Duplex:  n.MustConstraint(units.ByteRate(float64(sustained) * duplexFactor)),
-		Latency: latency,
+	l := &Link{Latency: latency}
+	for i, cap := range [3]units.ByteRate{sustained, sustained, units.ByteRate(float64(sustained) * duplexFactor)} {
+		c, err := constraint(cap)
+		if err != nil {
+			panic(err)
+		}
+		l.cs[i] = c
 	}
-	l.fwd = []*Constraint{l.Fwd, l.Duplex}
-	l.rev = []*Constraint{l.Rev, l.Duplex}
+	l.Fwd, l.Rev, l.Duplex = &l.cs[0], &l.cs[1], &l.cs[2]
+	l.fwd = [2]*Constraint{l.Fwd, l.Duplex}
+	l.rev = [2]*Constraint{l.Rev, l.Duplex}
 	return l
 }
 
@@ -401,7 +417,7 @@ func NewLink(n *Network, sustained units.ByteRate, duplexFactor float64, latency
 // it first (appending to it already copies, as its capacity is full).
 func (l *Link) Dir(reverse bool) []*Constraint {
 	if reverse {
-		return l.rev
+		return l.rev[:]
 	}
-	return l.fwd
+	return l.fwd[:]
 }

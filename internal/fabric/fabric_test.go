@@ -274,12 +274,14 @@ func TestStartNonBlocking(t *testing.T) {
 	n := NewNetwork(e)
 	c := n.MustConstraint(100)
 	// Zero-size, zero-latency start completes immediately.
-	f0 := n.StartBound(named("instant"), "", 0, 0, c)
+	f0 := new(Flow)
+	n.StartBound(f0, named("instant"), "", 0, 0, c)
 	if !f0.finished {
 		t.Error("zero flow should be finished")
 	}
 	// Latency-only flow (no bytes) completes after the delay.
-	fl := n.StartBound(named("latency-only"), "", 0, 2, c)
+	fl := new(Flow)
+	n.StartBound(fl, named("latency-only"), "", 0, 2, c)
 	var done units.Seconds
 	e.Go("waiter", func(p *sim.Proc) {
 		fl.Wait(p)
@@ -295,7 +297,8 @@ func TestStartNonBlocking(t *testing.T) {
 	e2 := sim.NewEngine()
 	n2 := NewNetwork(e2)
 	c2 := n2.MustConstraint(100)
-	f2 := n2.StartBound(named("quick"), "", 100, 0, c2)
+	f2 := new(Flow)
+	n2.StartBound(f2, named("quick"), "", 100, 0, c2)
 	e2.Go("late", func(p *sim.Proc) {
 		p.Hold(10) // flow done at t=1
 		f2.Wait(p)
@@ -312,7 +315,8 @@ func TestStartWithLatencyAndBytes(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	c := n.MustConstraint(100)
-	f := n.StartBound(named("both"), "", 300, 2, c)
+	f := new(Flow)
+	n.StartBound(f, named("both"), "", 300, 2, c)
 	var done units.Seconds
 	e.Go("w", func(p *sim.Proc) {
 		f.Wait(p)
@@ -331,6 +335,44 @@ func TestLinkDefaultDuplex(t *testing.T) {
 	l := NewLink(n, 100, 0, 0) // non-positive duplex defaults to 2
 	if l.Duplex.capacity != 200 {
 		t.Errorf("default duplex capacity = %v, want 200", l.Duplex.capacity)
+	}
+}
+
+// A link is one block: the Link holds its three constraints and both
+// direction sets, so building it allocates once, and Fwd, Rev and Duplex
+// point into it.
+func TestNewLinkAllocs(t *testing.T) {
+	n := NewNetwork(sim.NewEngine())
+	var l *Link
+	if allocs := testing.AllocsPerRun(100, func() { l = NewLink(n, 100, 1.5, 0) }); allocs > 1 {
+		t.Errorf("NewLink made %v allocations, want 1", allocs)
+	}
+	if fwd := l.Dir(false); len(fwd) != 2 || fwd[0] != l.Fwd || fwd[1] != l.Duplex {
+		t.Errorf("forward set = %v, want [Fwd Duplex]", fwd)
+	}
+	if rev := l.Dir(true); len(rev) != 2 || rev[0] != l.Rev || rev[1] != l.Duplex {
+		t.Errorf("reverse set = %v, want [Rev Duplex]", rev)
+	}
+	if l.Fwd == l.Rev || l.Fwd.capacity != 100 || l.Rev.capacity != 100 || l.Duplex.capacity != 150 {
+		t.Errorf("capacities fwd %v rev %v duplex %v, want 100, 100, 150 on distinct constraints",
+			l.Fwd.capacity, l.Rev.capacity, l.Duplex.capacity)
+	}
+}
+
+// A link of non-positive sustained capacity is a programming error in a
+// static topology: NewLink panics with the constraint error.
+func TestNewLinkRejectsNonPositiveCapacity(t *testing.T) {
+	n := NewNetwork(sim.NewEngine())
+	for _, sustained := range []units.ByteRate{0, -5} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "fabric: constraint needs positive capacity") {
+					t.Errorf("NewLink(%v) panicked with %v, want the constraint error", sustained, err)
+				}
+			}()
+			NewLink(n, sustained, 2, 0)
+		}()
 	}
 }
 
@@ -358,9 +400,9 @@ func TestSimultaneousCompletionsFinishInAdmissionOrder(t *testing.T) {
 		log := &spanLog{}
 		n.Observe(log)
 		c := n.MustConstraint(1000)
-		flows := make([]*Flow, len(labels))
+		flows := make([]Flow, len(labels))
 		for i, l := range labels {
-			flows[i] = n.StartBound(named(l), "", 500, 0, c)
+			n.StartBound(&flows[i], named(l), "", 500, 0, c)
 		}
 		var woke []string
 		for i := len(flows) - 1; i >= 0; i-- { // waiters start in reverse

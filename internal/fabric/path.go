@@ -14,8 +14,8 @@ type Path struct {
 }
 
 // StartPath begins a non-blocking transfer along a composed route,
-// tagged with its binding resource; callers wait with Flow.Wait. name is
-// as for Transfer.
-func (n *Network) StartPath(name func() string, bound string, size units.Bytes, p Path) *Flow {
-	return n.StartBound(name, bound, size, p.Latency, p.Constraints...)
+// tagged with its binding resource, filling in f as StartBound does;
+// callers wait with Flow.Wait. name is as for Transfer.
+func (n *Network) StartPath(f *Flow, name func() string, bound string, size units.Bytes, p Path) {
+	n.StartBound(f, name, bound, size, p.Latency, p.Constraints...)
 }

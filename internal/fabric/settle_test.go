@@ -17,14 +17,13 @@ import (
 // rate pass at once, armed under a fresh sequence number, as every
 // admission did before a rate pass could wait for the end of its
 // instant.
-func (n *Network) startEager(name func() string, size units.Bytes, latency units.Seconds, cs []*Constraint) *Flow {
-	f := n.newFlow(name, "", size, cs)
+func (n *Network) startEager(f *Flow, name func() string, size units.Bytes, latency units.Seconds, cs []*Constraint) {
+	n.initFlow(f, name, "", size, cs)
 	if latency > 0 {
 		n.eng.Schedule(latency, (*eagerArrival)(f))
-		return f
+		return
 	}
 	f.enterEager()
-	return f
 }
 
 // eagerArrival is a latency-delayed flow entering under the oracle.
@@ -86,11 +85,11 @@ func runBursts(t *testing.T, seed int64, eager bool) []string {
 		size := sizes[rng.Intn(len(sizes))]
 		label := "f" + strconv.Itoa(id)
 		name := func() string { return label }
-		var f *Flow
+		f := new(Flow)
 		if eager {
-			f = n.startEager(name, size, latency, cs)
+			n.startEager(f, name, size, latency, cs)
 		} else {
-			f = n.StartBound(name, "", size, latency, cs...)
+			n.StartBound(f, name, "", size, latency, cs...)
 		}
 		e.Go("wait-"+label, func(p *sim.Proc) {
 			f.Wait(p)
@@ -186,7 +185,7 @@ func TestSettleOncePerInstant(t *testing.T) {
 				n.Transfer(p, named("late"), 4000, 0, shared, own)
 			})
 		} else {
-			n.StartBound(named("late"), "", 4000, 1, shared, own)
+			n.StartBound(new(Flow), named("late"), "", 4000, 1, shared, own)
 		}
 	}
 	if err := e.Run(); err != nil {

@@ -92,21 +92,22 @@ func (c *Cluster) route(src, dst int) *remoteRoute {
 }
 
 // StartRemote begins a non-blocking inter-node transfer from a stack on
-// node src to a stack on node dst and returns its flow; callers wait
-// with Flow.Wait. Same-node pairs must use Stack.StartD2D instead.
-func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topology.StackID, size units.Bytes) (*fabric.Flow, error) {
+// node src to a stack on node dst in f, which the caller holds and waits
+// on with Flow.Wait (see fabric.Network.StartBound). Same-node pairs
+// must use Stack.StartD2D instead. On an error f is left as it was.
+func (c *Cluster) StartRemote(f *fabric.Flow, src int, from topology.StackID, dst int, to topology.StackID, size units.Bytes) error {
 	if src < 0 || src >= len(c.nodes) || dst < 0 || dst >= len(c.nodes) {
-		return nil, fmt.Errorf("gpusim: inter-node transfer between invalid nodes %d and %d", src, dst)
+		return fmt.Errorf("gpusim: inter-node transfer between invalid nodes %d and %d", src, dst)
 	}
 	if src == dst {
-		return nil, fmt.Errorf("gpusim: nodes %d and %d are the same; use StartD2D", src, dst)
+		return fmt.Errorf("gpusim: nodes %d and %d are the same; use StartD2D", src, dst)
 	}
 	m := c.nodes[src]
 	if err := m.checkStack(from); err != nil {
-		return nil, err
+		return err
 	}
 	if err := m.checkStack(to); err != nil {
-		return nil, err
+		return err
 	}
 	// NIC-to-NIC hops: every switch traversal plus the two ends.
 	obs.Count(c.sink, "fabric.hops", float64(c.Spec.Network.Hops+2))
@@ -117,7 +118,8 @@ func (c *Cluster) StartRemote(src int, from topology.StackID, dst int, to topolo
 			return "n2n:n" + strconv.Itoa(src) + "/" + from.String() + "->n" + strconv.Itoa(dst) + "/" + to.String()
 		}
 	}
-	return c.Net.StartPath(*name, prof.BoundFabricNode, size, r.path), nil
+	c.Net.StartPath(f, *name, prof.BoundFabricNode, size, r.path)
+	return nil
 }
 
 // Run drives the simulation to completion.

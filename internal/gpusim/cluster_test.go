@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pvcsim/internal/fabric"
 	"pvcsim/internal/obs"
 	"pvcsim/internal/prof"
 	"pvcsim/internal/sim"
@@ -48,8 +49,8 @@ func TestStartRemoteBoundTag(t *testing.T) {
 	s0 := topology.StackID{GPU: 0, Stack: 0}
 	var xferErr error
 	c.Eng.Go("xfer", func(p *sim.Proc) {
-		f, err := c.StartRemote(0, s0, 1, s0, 100*units.MB)
-		if err != nil {
+		var f fabric.Flow
+		if err := c.StartRemote(&f, 0, s0, 1, s0, 100*units.MB); err != nil {
 			xferErr = err
 			return
 		}
@@ -99,8 +100,8 @@ func TestStartRemoteBandwidth(t *testing.T) {
 	var done units.Seconds
 	var xferErr error
 	c.Eng.Go("xfer", func(p *sim.Proc) {
-		f, err := c.StartRemote(0, s0, 2, s0, size)
-		if err != nil {
+		var f fabric.Flow
+		if err := c.StartRemote(&f, 0, s0, 2, s0, size); err != nil {
 			xferErr = err
 			return
 		}
@@ -122,20 +123,21 @@ func TestStartRemoteBandwidth(t *testing.T) {
 func TestStartRemoteErrors(t *testing.T) {
 	c := auroraCluster(t, 2)
 	s0 := topology.StackID{GPU: 0, Stack: 0}
-	if _, err := c.StartRemote(0, s0, 0, s0, units.MB); err == nil {
+	var f fabric.Flow
+	if err := c.StartRemote(&f, 0, s0, 0, s0, units.MB); err == nil {
 		t.Error("same-node transfer accepted")
 	}
-	if _, err := c.StartRemote(-1, s0, 1, s0, units.MB); err == nil {
+	if err := c.StartRemote(&f, -1, s0, 1, s0, units.MB); err == nil {
 		t.Error("negative source node accepted")
 	}
-	if _, err := c.StartRemote(0, s0, 2, s0, units.MB); err == nil {
+	if err := c.StartRemote(&f, 0, s0, 2, s0, units.MB); err == nil {
 		t.Error("out-of-range destination node accepted")
 	}
 	bad := topology.StackID{GPU: 6, Stack: 0} // Aurora nodes have GPUs 0-5
-	if _, err := c.StartRemote(0, bad, 1, s0, units.MB); err == nil {
+	if err := c.StartRemote(&f, 0, bad, 1, s0, units.MB); err == nil {
 		t.Error("unknown source stack accepted")
 	}
-	if _, err := c.StartRemote(0, s0, 1, topology.StackID{GPU: 0, Stack: 2}, units.MB); err == nil {
+	if err := c.StartRemote(&f, 0, s0, 1, topology.StackID{GPU: 0, Stack: 2}, units.MB); err == nil {
 		t.Error("unknown destination stack accepted")
 	}
 }

@@ -280,24 +280,27 @@ func (m *Machine) countHops(kind topology.PathKind) {
 	obs.Count(m.sink, "fabric.hops", hops)
 }
 
-// StartD2D begins a non-blocking device-to-device transfer and returns its
-// flow; the caller waits with Flow.Wait. It underlies MPI_Isend/Irecv of
-// device buffers in the mpirt package.
-func (s *Stack) StartD2D(dst topology.StackID, size units.Bytes) (*fabric.Flow, error) {
+// StartD2D begins a non-blocking device-to-device transfer in f, which
+// the caller holds and waits on with Flow.Wait (see
+// fabric.Network.StartBound). It underlies MPI_Isend/Irecv of device
+// buffers in the mpirt package. On an error f is left as it was.
+func (s *Stack) StartD2D(f *fabric.Flow, dst topology.StackID, size units.Bytes) error {
 	if err := s.m.checkStack(dst); err != nil {
-		return nil, err
+		return err
 	}
 	kind := s.m.Node.Route(s.ID, dst)
 	r, err := s.m.route(s.ID, dst, kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if kind == topology.SameStack {
 		t := units.TimeToMove(2*size, units.ByteRate(float64(s.m.Node.GPU.Sub.MemBWSustained)))
-		return s.m.Net.StartBound(r.name, routeBound(kind), 0, t), nil
+		s.m.Net.StartBound(f, r.name, routeBound(kind), 0, t)
+		return nil
 	}
 	s.m.countHops(kind)
-	return s.m.Net.StartBound(r.name, routeBound(kind), size, r.latency, r.cs...), nil
+	s.m.Net.StartBound(f, r.name, routeBound(kind), size, r.latency, r.cs...)
+	return nil
 }
 
 // route returns the path from stack a to stack b, built on first use and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pvcsim/internal/fabric"
 	"pvcsim/internal/hw"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/sim"
@@ -16,10 +17,10 @@ func bwOf(size units.Bytes, t units.Seconds) float64 {
 }
 
 // d2d copies size bytes from src to dst on the path programs run:
-// StartD2D, then Flow.Wait.
+// StartD2D into a flow the caller holds, then Flow.Wait.
 func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error {
-	f, err := src.StartD2D(dst, size)
-	if err != nil {
+	f := new(fabric.Flow)
+	if err := src.StartD2D(f, dst, size); err != nil {
 		return err
 	}
 	f.Wait(p)
@@ -27,7 +28,7 @@ func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error 
 }
 
 // A warm cross-plane device-to-device round trip with no recorder pays
-// one heap allocation: the flow. Its completion signal and waiter live
+// one heap allocation: the flow the caller holds. Its completion signal and waiter live
 // inside it, its latency and completion events are queued as data, and
 // the route, its constraint set and the flow's label are built once per
 // stack pair. Before routes were cached and labels deferred, the same
@@ -93,7 +94,7 @@ func TestStartD2DRejectsUnknownStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dst := range []topology.StackID{{GPU: 6, Stack: 0}, {GPU: 0, Stack: 2}, {GPU: -1, Stack: 0}} {
-		if _, err := src.StartD2D(dst, units.MB); err == nil {
+		if err := src.StartD2D(new(fabric.Flow), dst, units.MB); err == nil {
 			t.Errorf("StartD2D to %v succeeded on a 6-card, 2-stack node", dst)
 		}
 	}

@@ -106,7 +106,7 @@ func (r *Rank) Gather(p *sim.Proc, root, tag int, size units.Bytes) error {
 	if r.rank != root {
 		return r.Send(p, root, tag, size)
 	}
-	reqs := make([]*Request, 0, n-1)
+	reqs := make([]Request, 0, n-1)
 	for src := 0; src < n; src++ {
 		if src == root {
 			continue
@@ -133,15 +133,9 @@ func (r *Rank) Allgather(p *sim.Proc, tag int, size units.Bytes) error {
 	right := (r.rank + 1) % n
 	left := (r.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
-		sreq, err := r.Isend(right, tag+step, size)
-		if err != nil {
+		if err := r.Sendrecv(p, right, left, tag+step, size); err != nil {
 			return err
 		}
-		rreq, err := r.Irecv(left, tag+step)
-		if err != nil {
-			return err
-		}
-		WaitAll(p, sreq, rreq)
 	}
 	return nil
 }
@@ -157,15 +151,9 @@ func (r *Rank) ReduceScatter(p *sim.Proc, tag int, blockSize units.Bytes) error 
 	for step := 1; step < n; step++ {
 		dst := (r.rank + step) % n
 		src := (r.rank - step + n) % n
-		sreq, err := r.Isend(dst, tag+step, blockSize)
-		if err != nil {
+		if err := r.Sendrecv(p, dst, src, tag+step, blockSize); err != nil {
 			return err
 		}
-		rreq, err := r.Irecv(src, tag+step)
-		if err != nil {
-			return err
-		}
-		WaitAll(p, sreq, rreq)
 	}
 	return nil
 }
@@ -187,16 +175,9 @@ func (r *Rank) AllreduceRing(p *sim.Proc, tag int, size units.Bytes) error {
 	left := (r.rank - 1 + n) % n
 	for phase := 0; phase < 2; phase++ { // reduce-scatter, then allgather
 		for step := 0; step < n-1; step++ {
-			t := tag + phase*(n+1) + step
-			sreq, err := r.Isend(right, t, block)
-			if err != nil {
+			if err := r.Sendrecv(p, right, left, tag+phase*(n+1)+step, block); err != nil {
 				return err
 			}
-			rreq, err := r.Irecv(left, t)
-			if err != nil {
-				return err
-			}
-			WaitAll(p, sreq, rreq)
 		}
 	}
 	return nil
@@ -209,7 +190,7 @@ func (r *Rank) Alltoall(p *sim.Proc, tag int, size units.Bytes) error {
 	if n == 1 {
 		return nil
 	}
-	var reqs []*Request
+	reqs := make([]Request, 0, 2*(n-1))
 	for step := 1; step < n; step++ {
 		dst := (r.rank + step) % n
 		src := (r.rank - step + n) % n

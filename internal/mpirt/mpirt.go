@@ -30,12 +30,12 @@ type Comm struct {
 	barrier *sim.Barrier // built by the first Barrier call
 }
 
-// message is an in-flight eager-protocol message.
+// message is an in-flight eager-protocol message: its wire transfer
+// and the envelope a receive matches on. It is the one allocation a
+// message makes.
 type message struct {
-	src, dst int
-	tag      int
-	size     units.Bytes
-	flow     *fabric.Flow
+	flow     fabric.Flow
+	src, tag int
 }
 
 // Rank is one MPI process.
@@ -100,14 +100,14 @@ func NewClusterComm(cl *gpusim.Cluster, nranks int, place topology.Placement) (*
 	return c, nil
 }
 
-// startTransfer routes one eager send over the right fabric: the
+// startTransfer routes one eager send over the right fabric, in f: the
 // node-local D2D path when both ranks share a node, the cluster network
 // otherwise.
-func (c *Comm) startTransfer(src, dst *Rank, size units.Bytes) (*fabric.Flow, error) {
+func (c *Comm) startTransfer(f *fabric.Flow, src, dst *Rank, size units.Bytes) error {
 	if c.cl != nil && src.Node != dst.Node {
-		return c.cl.StartRemote(src.Node, src.Stack.ID, dst.Node, dst.Stack.ID, size)
+		return c.cl.StartRemote(f, src.Node, src.Stack.ID, dst.Node, dst.Stack.ID, size)
 	}
-	return src.Stack.StartD2D(dst.Stack.ID, size)
+	return src.Stack.StartD2D(f, dst.Stack.ID, size)
 }
 
 // Size returns the communicator size.
@@ -131,41 +131,46 @@ func (r *Rank) Rank() int { return r.rank }
 // Size of the communicator.
 func (r *Rank) Size() int { return len(r.comm.ranks) }
 
-// Request is a handle for a non-blocking operation.
+// Request is a handle for a non-blocking operation: a small value that
+// points at its message, for a send the message it sent and for a
+// receive the message it matched. A receive records its match in the
+// Request it is waited through, so wait through one variable, and do not
+// copy a receive Request while a Wait on it is in progress or wait on
+// two copies of it: each would claim a message of its own. A blocking
+// call keeps its Requests on its stack.
 type Request struct {
-	kind    byte // 's' or 'r'
-	rank    *Rank
-	sent    message // send side: the message the peer's inbox points at
-	src     int     // recv side matching
-	tag     int
-	matched *message
+	msg      *message // nil until a receive matches
+	rank     *Rank    // the receiving rank; nil for a send
+	src, tag int      // what a receive matches
 }
 
 // Isend starts a non-blocking send of size device bytes to rank dst with
 // the given tag, modeling MPICH's eager GPU path: the wire transfer starts
-// immediately and the matching receive completes when it drains.
-func (r *Rank) Isend(dst, tag int, size units.Bytes) (*Request, error) {
+// immediately and the matching receive completes when it drains. The
+// message, with its wire transfer, is the one allocation it makes; the
+// returned Request points at it.
+func (r *Rank) Isend(dst, tag int, size units.Bytes) (Request, error) {
 	if dst < 0 || dst >= len(r.comm.ranks) {
-		return nil, fmt.Errorf("mpirt: Isend to invalid rank %d", dst)
+		return Request{}, fmt.Errorf("mpirt: Isend to invalid rank %d", dst)
 	}
 	peer := r.comm.ranks[dst]
-	flow, err := r.comm.startTransfer(r, peer, size)
-	if err != nil {
-		return nil, err
+	m := &message{src: r.rank, tag: tag}
+	if err := r.comm.startTransfer(&m.flow, r, peer, size); err != nil {
+		return Request{}, err
 	}
-	req := &Request{kind: 's', rank: r, tag: tag, sent: message{src: r.rank, dst: dst, tag: tag, size: size, flow: flow}}
-	peer.inbox = append(peer.inbox, &req.sent)
+	peer.inbox = append(peer.inbox, m)
 	peer.newMsg.Fire()
-	return req, nil
+	return Request{msg: m}, nil
 }
 
 // Irecv posts a non-blocking receive matching (src, tag). src may be
-// AnySource.
-func (r *Rank) Irecv(src, tag int) (*Request, error) {
+// AnySource. It allocates nothing: the Request it returns matches a
+// message when it is waited on.
+func (r *Rank) Irecv(src, tag int) (Request, error) {
 	if src != AnySource && (src < 0 || src >= len(r.comm.ranks)) {
-		return nil, fmt.Errorf("mpirt: Irecv from invalid rank %d", src)
+		return Request{}, fmt.Errorf("mpirt: Irecv from invalid rank %d", src)
 	}
-	return &Request{kind: 'r', rank: r, src: src, tag: tag}, nil
+	return Request{rank: r, src: src, tag: tag}, nil
 }
 
 // AnySource matches a message from any sender.
@@ -175,7 +180,7 @@ const AnySource = -1
 const AnyTag = -1
 
 // findMatch claims the earliest-arrived inbox message matching the
-// request, removing it from the inbox so the rest keep their order.
+// receive, removing it from the inbox so the rest keep their order.
 func (req *Request) findMatch() *message {
 	inbox := req.rank.inbox
 	for i, m := range inbox {
@@ -197,24 +202,21 @@ func (req *Request) findMatch() *message {
 // this is when a matching message exists and its wire transfer has
 // drained.
 func (req *Request) Wait(p *sim.Proc) {
-	if req.kind == 's' {
-		req.sent.flow.Wait(p)
-		return
-	}
-	for req.matched == nil {
-		if m := req.findMatch(); m != nil {
-			req.matched = m
-			break
+	for req.msg == nil {
+		if req.msg = req.findMatch(); req.msg == nil {
+			req.rank.newMsg.Wait(p)
 		}
-		req.rank.newMsg.Wait(p)
 	}
-	req.matched.flow.Wait(p)
+	req.msg.flow.Wait(p)
 }
 
-// WaitAll waits on every request in order.
-func WaitAll(p *sim.Proc, reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait(p)
+// WaitAll waits on every request in order. It waits on the elements of
+// reqs itself, so a caller that lists its Request variables
+// (WaitAll(p, sreq, rreq)) waits on copies and leaves those variables
+// as they were.
+func WaitAll(p *sim.Proc, reqs ...Request) {
+	for i := range reqs {
+		reqs[i].Wait(p)
 	}
 }
 
@@ -249,7 +251,8 @@ func (r *Rank) Sendrecv(p *sim.Proc, dst, src, tag int, size units.Bytes) error 
 	if err != nil {
 		return err
 	}
-	WaitAll(p, sreq, rreq)
+	sreq.Wait(p)
+	rreq.Wait(p)
 	return nil
 }
 

@@ -238,7 +238,7 @@ func TestInboxDrainsAsMessagesMatch(t *testing.T) {
 		if r.Rank() > 0 {
 			// Rank 1 sends the even tags, rank 2 the odd ones; tag k
 			// arrives at (k+1) µs.
-			var reqs []*Request
+			var reqs []Request
 			for tag := r.Rank() - 1; tag < n; tag += 2 {
 				p.Hold(units.Seconds(float64(tag+1)*1e-6) - p.Now())
 				req, err := r.Isend(0, tag, 1000)
@@ -265,7 +265,7 @@ func TestInboxDrainsAsMessagesMatch(t *testing.T) {
 				return
 			}
 			req.Wait(p)
-			order = append(order, req.matched.tag)
+			order = append(order, req.msg.tag)
 		}
 	})
 	if err != nil {
@@ -415,30 +415,60 @@ func TestUnmatchedRecvDeadlockNamesInbox(t *testing.T) {
 	}
 }
 
-// A warm message allocates its two Requests and its Flow, nothing more:
-// the send Request carries the message the peer's inbox points at, the
-// flow's completion signal holds both the sender and the receiver
-// inline, and the route's label and the flow's start are bound once.
+// A warm message is one allocation: the message, which holds its Flow,
+// the envelope its receive matches on and, in the flow's completion
+// signal, its sender and receiver inline. Requests are values that the
+// blocking calls keep on their stacks, and the route's label and the
+// flow's start are bound once. Each case counts the messages one round
+// sends over all ranks: an intra-node exchange on the cross-plane path,
+// an inter-node exchange over the cluster network (StartRemote), and a
+// ring allreduce, whose two phases send n-1 messages per rank each.
 func TestMessageAllocs(t *testing.T) {
-	c := auroraComm(t, 4) // ranks 0 and 2 sit on different cards
-	const rounds = 1000   // amortizes spawning the ranks
-	run := func() {
-		err := c.Spawn(func(p *sim.Proc, r *Rank) {
-			if r.Rank()%2 == 1 {
-				return
+	const rounds = 1000 // amortizes spawning the ranks
+	// exchange has ranks a and b swap one message each per round.
+	exchange := func(a, b int) func(p *sim.Proc, r *Rank) error {
+		return func(p *sim.Proc, r *Rank) error {
+			switch r.Rank() {
+			case a:
+				return r.Sendrecv(p, b, b, 0, units.MB)
+			case b:
+				return r.Sendrecv(p, a, a, 0, units.MB)
 			}
-			for i := 0; i < rounds; i++ {
-				if err := r.Sendrecv(p, 2-r.Rank(), 2-r.Rank(), 0, units.MB); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
+			return nil
 		}
 	}
-	run() // build the routes, grow the event heap and the inboxes
-	if perMsg := testing.AllocsPerRun(5, run) / (2 * rounds); perMsg > 3.05 {
-		t.Errorf("%.2f allocs per message, want at most 3 (two Requests and the Flow)", perMsg)
+	for _, tc := range []struct {
+		name string
+		comm *Comm
+		msgs int // messages per round
+		body func(p *sim.Proc, r *Rank) error
+	}{
+		{"intra-node", auroraComm(t, 4), 2, exchange(0, 2)}, // on different cards
+		{"inter-node", auroraClusterComm(t, 2, 2, topology.PlaceSpread), 2, exchange(0, 1)},
+		{"ring", auroraComm(t, 4), 2 * 3 * 4, func(p *sim.Proc, r *Rank) error {
+			return r.AllreduceRing(p, 0, units.MB)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				err := tc.comm.Spawn(func(p *sim.Proc, r *Rank) {
+					for i := 0; i < rounds; i++ {
+						if err := tc.body(p, r); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // build the routes, grow the event heap and the inboxes
+			perMsg := testing.AllocsPerRun(5, run) / float64(tc.msgs*rounds)
+			t.Logf("%.3f allocs per message", perMsg)
+			if perMsg > 1.05 {
+				t.Errorf("%.2f allocs per message, want at most 1 (the message)", perMsg)
+			}
+		})
 	}
 }

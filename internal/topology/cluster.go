@@ -51,9 +51,11 @@ func (n *NetworkSpec) Validate() error {
 }
 
 // RemoteLatency is the end-to-end latency of one inter-node message:
-// Hops switch traversals plus Hops+1 link traversals.
+// Hops switch traversals plus Hops+1 link traversals. Each product is
+// converted on its own, so no architecture fuses the sum into a
+// multiply-add with a single rounding.
 func (n *NetworkSpec) RemoteLatency() units.Seconds {
-	return n.LinkLatency*units.Seconds(n.Hops+1) + n.SwitchLatency*units.Seconds(n.Hops)
+	return units.Seconds(n.LinkLatency*units.Seconds(n.Hops+1)) + units.Seconds(n.SwitchLatency*units.Seconds(n.Hops))
 }
 
 // NewSlingshot builds the default Slingshot-11-like network for a
