@@ -1,7 +1,8 @@
 // Package pvcsim's root benchmark harness: one testing.B benchmark per
 // paper table and figure (regenerating its rows each iteration), plus
-// real host-kernel throughput benches and the ablation benches called out
-// in DESIGN.md. Run with:
+// throughput benches of the host kernels the self-check runs (triad, FMA
+// chain, GEMM, FFT) and of the slab-transport kernel, and the ablation
+// benches called out in DESIGN.md. Run with:
 //
 //	go test -bench=. -benchmem
 package pvcsim
@@ -11,7 +12,6 @@ import (
 	"io"
 	"testing"
 
-	"pvcsim/internal/apps/hacc"
 	"pvcsim/internal/apps/openmc"
 	"pvcsim/internal/core"
 	"pvcsim/internal/expected"
@@ -19,7 +19,6 @@ import (
 	"pvcsim/internal/kernels"
 	"pvcsim/internal/mem"
 	"pvcsim/internal/microbench"
-	"pvcsim/internal/miniapps/cloverleaf"
 	"pvcsim/internal/miniapps/miniqmc"
 	"pvcsim/internal/obs"
 	"pvcsim/internal/paper"
@@ -282,7 +281,7 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// --- Real host kernels: actual throughput of the benchmark codes. ---
+// --- Host kernels the self-check runs: their actual throughput. ---
 
 func BenchmarkKernel_Triad(b *testing.B) {
 	n := 1 << 20
@@ -295,7 +294,7 @@ func BenchmarkKernel_Triad(b *testing.B) {
 	b.SetBytes(int64(n) * kernels.TriadBytesPerElem)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := kernels.Triad(x, y, z, 3.0); err != nil {
+		if err := kernels.TriadParallel(x, y, z, 3.0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,32 +342,8 @@ func BenchmarkKernel_FFT4096(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(kernels.FFTFlops(4096, false)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-}
-
-func BenchmarkKernel_PointerChase(b *testing.B) {
-	r, err := mem.NewRing(1<<15, 64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	sink := int32(0)
-	for i := 0; i < b.N; i++ {
-		sink ^= r.Walk(1 << 15)
-	}
-	_ = sink
-}
-
-func BenchmarkKernel_CloverLeafStep(b *testing.B) {
-	s, err := cloverleaf.Sod(256, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(0)
-	}
-	b.ReportMetric(float64(256*64*b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	// The paper's convention for a complex transform: 5·N·log2(N) flops.
+	b.ReportMetric(5*4096*12*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
 func BenchmarkKernel_Transport(b *testing.B) {
@@ -552,45 +527,6 @@ func BenchmarkPower_GovernedClocks(b *testing.B) {
 var _ = hw.FP64 // keep hw imported for documentation parity
 
 // --- Extension kernels ---
-
-func BenchmarkKernel_BarnesHut(b *testing.B) {
-	s, err := hacc.NewRandomSystem(400, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.AccelerationsBH(0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernel_DirectNBody(b *testing.B) {
-	s, err := hacc.NewRandomSystem(400, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Accelerations()
-	}
-}
-
-func BenchmarkKernel_SPHStep(b *testing.B) {
-	sys, err := hacc.NewRandomSystem(216, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gas, err := hacc.NewGas(sys.Particles, 0.2, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gas.Step(1e-5)
-	}
-}
 
 func BenchmarkKernel_Eigenvalue(b *testing.B) {
 	mat := openmc.TwoGroupFuel()

@@ -299,6 +299,22 @@ func TestBenchAppendsAndDiffsClean(t *testing.T) {
 	}
 }
 
+// TestBenchMatchesBaseline is `make bench-check`'s FOM gate: the bench set
+// run now diffs clean against the committed BENCH_baseline.json at the
+// exact tolerance the target uses, so any simulated FOM drift fails.
+func TestBenchMatchesBaseline(t *testing.T) {
+	cur := filepath.Join(t.TempDir(), "bench-current.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"bench", "-jobs", "0", "-out", cur}, &out, &errb); code != 0 {
+		t.Fatalf("bench: exit %d, stderr:\n%s", code, errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"diff", filepath.Join("..", "..", "BENCH_baseline.json"), cur}, &out, &errb); code != 0 {
+		t.Fatalf("bench set drifted from BENCH_baseline.json: exit %d\n%s%s", code, out.String(), errb.String())
+	}
+}
+
 // TestWallReportRendersLaneEraProfile keeps old wall reports readable:
 // one written by the former event-lane engine carries round, barrier,
 // stall and mailbox fields, which load and are ignored.

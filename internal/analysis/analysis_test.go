@@ -221,12 +221,13 @@ func TestModuleIsClean(t *testing.T) {
 
 // TestTestOnlyModule runs the whole-program testonly check over a
 // fixture module: a function reached only from a _test.go file (or
-// only from itself) is flagged, and so is a method that only shares its
-// name with an interface's (Meter.Value beside context.Context's) while
-// its type implements none; one reached from cmd/, from the nested bench
-// module, or through an interface its type implements is not; a file-scope
-// testonly directive keeps its file, and one naming walltime is a
-// directive finding that suppresses nothing.
+// only from itself) is flagged, exported or not, and so is a method
+// that only shares its name with an interface's (Meter.Value beside
+// context.Context's) while its type implements none; one reached from
+// cmd/, from the nested bench module, from live code, or through an
+// interface its type implements is not, nor is an init function; a
+// file-scope testonly directive keeps its file, and one naming walltime
+// is a directive finding that suppresses nothing.
 func TestTestOnlyModule(t *testing.T) {
 	root := filepath.Join("testdata", "testonly")
 	diags, err := RunModule(root, All())
@@ -238,6 +239,7 @@ func TestTestOnlyModule(t *testing.T) {
 		{"internal/lib/lib.go", "testonly", `^OnlyTests is referenced by no non-test code$`},
 		{"internal/lib/lib.go", "testonly", `^Countdown is referenced by no non-test code$`},
 		{"internal/lib/lib.go", "testonly", `^Meter.Value is referenced by no non-test code$`},
+		{"internal/lib/lib.go", "testonly", `^helper is referenced by no non-test code$`},
 	}
 	if len(diags) != len(expected) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(expected), renderAll(diags))
@@ -347,10 +349,15 @@ func renderAll(diags []Diagnostic) string {
 // invariant, so adding one must be a deliberate, reviewed act: update
 // the count here and say why in the directive's reason text. Test
 // files and fixtures are excluded — they exist to exercise the
-// directives. 21 of them are file-scope testonly exceptions, one per
-// file of DESIGN-named kernels and extensions that only tests run.
+// directives. Five are line-scope: two timeunit exceptions in the
+// fabric integrator, floateq on the FMA chain's exact a == 1 case,
+// timeunit on the energy product in perfmodel, and floateq on the event
+// queue's exact comparator in sim. Five are file-scope testonly
+// exceptions, one per file of DESIGN-named code that only tests run:
+// openmc's slab transport and heterogeneous geometry, the miniBUDE
+// docking energies, miniQMC's distance table and perfmodel's roofline.
 func TestExceptionCountIsPinned(t *testing.T) {
-	const wantCount = 26
+	const wantCount = 10
 	var got int
 	var where []string
 	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {

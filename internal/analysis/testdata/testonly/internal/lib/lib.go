@@ -1,5 +1,5 @@
-// Package lib is the testonly fixture's library: each exported
-// function is reached from a different kind of caller.
+// Package lib is the testonly fixture's library: each function is
+// reached from a different kind of caller.
 package lib
 
 import "context"
@@ -28,7 +28,10 @@ func (m *Meter) Value() int { return m.n }
 func Scoped(ctx context.Context) context.Context { return ctx }
 
 // UsedByCmd is called from the cmd/tool package.
-func UsedByCmd() int { return 2 }
+func UsedByCmd() int { return twice(1) }
+
+// twice is unexported and reached from UsedByCmd, so it is live.
+func twice(n int) int { return 2 * n }
 
 // UsedByBench is called from the nested bench module only.
 func UsedByBench() int { return 3 }
@@ -44,3 +47,10 @@ func (T) Describe() string { return "t" }
 
 // Pick returns a Describer; the tool calls it.
 func Pick() Describer { return T{} }
+
+// init is run, not referenced, and is no finding.
+func init() {}
+
+// helper is unexported and called from lib_test.go alone: the check
+// covers unexported functions too.
+func helper() int { return 6 }

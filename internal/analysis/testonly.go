@@ -88,10 +88,12 @@ func (c *callers) viaInterface(fn *types.Func) bool {
 	return false
 }
 
-// TestOnly flags exported functions and methods under internal/ that no
-// non-test file references: code only tests reach is a second path or
-// an unread format that the commands never run. Every module package,
-// cmd/ and examples/ included, counts as a caller, and so does the
+// TestOnly flags functions and methods under internal/, exported or
+// not, that no non-test file references: code only tests reach is a
+// second path or an unread format that the commands never run, and an
+// unexported helper is left dead when the code that called it goes.
+// init functions are run, not referenced, and are exempt. Every module
+// package, cmd/ and examples/ included, counts as a caller, and so does the
 // root package of each nested module (perfbench), which is loaded for
 // its references only. A method is exempt when its receiver type, or a
 // pointer to it, implements an interface that declares it, since it may
@@ -99,7 +101,7 @@ func (c *callers) viaInterface(fn *types.Func) bool {
 // so a Pass without that view skips it.
 var TestOnly = &Analyzer{
 	Name: "testonly",
-	Doc:  "flag exported functions and methods under internal/ that only tests reference",
+	Doc:  "flag functions and methods under internal/, exported or not, that only tests reference",
 	Run: func(p *Pass) {
 		if p.callers == nil || !pathHasSegment(p.Path, "internal") {
 			return
@@ -107,7 +109,7 @@ var TestOnly = &Analyzer{
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Recv == nil && fd.Name.Name == "init" {
 					continue
 				}
 				fn, ok := p.Info.Defs[fd.Name].(*types.Func)

@@ -1,3 +1,9 @@
+// Package hacc reproduces the CRK-HACC application study (§VI-A2): an
+// N-body cosmology code with conservative-reproducing-kernel SPH gas
+// dynamics. The figure of merit (particle-steps per second, in the
+// paper's normalized units) combines the GPU FP32 term with the
+// host-side CPU memory-bandwidth term, "CPU memory BW bound, GPU FP32
+// flop-rate bound" (Table V).
 package hacc
 
 import (

@@ -7,178 +7,6 @@ import (
 	"pvcsim/internal/topology"
 )
 
-func TestNewRandomSystemValidation(t *testing.T) {
-	if _, err := NewRandomSystem(1, 1); err == nil {
-		t.Error("1 particle should fail")
-	}
-	s, err := NewRandomSystem(10, 1)
-	if err != nil || len(s.Particles) != 10 {
-		t.Fatalf("system: %v, %v", s, err)
-	}
-	s2, _ := NewRandomSystem(10, 1)
-	if s.Particles[5] != s2.Particles[5] {
-		t.Error("same seed must give same system")
-	}
-}
-
-// Leapfrog conserves total momentum exactly (pairwise antisymmetric
-// forces).
-func TestMomentumConservation(t *testing.T) {
-	s, _ := NewRandomSystem(30, 2)
-	m0 := s.Momentum()
-	for i := 0; i < 20; i++ {
-		s.Step(1e-3)
-	}
-	m1 := s.Momentum()
-	for k := 0; k < 3; k++ {
-		if math.Abs(m1[k]-m0[k]) > 1e-12 {
-			t.Errorf("momentum[%d] drifted: %v -> %v", k, m0[k], m1[k])
-		}
-	}
-}
-
-// Leapfrog is symplectic: energy oscillates but does not drift for small
-// steps.
-func TestEnergyConservation(t *testing.T) {
-	s, _ := NewRandomSystem(20, 3)
-	e0 := s.Energy()
-	for i := 0; i < 100; i++ {
-		s.Step(5e-4)
-	}
-	e1 := s.Energy()
-	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.02 {
-		t.Errorf("energy drift %.3f%%", rel*100)
-	}
-}
-
-// A circular two-body orbit returns to its starting configuration after
-// one period T = 2π·sqrt(d³/(G·M_total)) (relative-motion Kepler).
-func TestTwoBodyOrbitPeriod(t *testing.T) {
-	const m, d = 1.0, 1.0
-	s := TwoBody(m, d)
-	period := 2 * math.Pi * math.Sqrt(d*d*d/(1*(2*m)))
-	steps := 20000
-	dt := period / float64(steps)
-	x0 := s.Particles[0].X
-	for i := 0; i < steps; i++ {
-		s.Step(dt)
-	}
-	if math.Abs(s.Particles[0].X-x0) > 0.01*d {
-		t.Errorf("after one period particle at %v, started %v", s.Particles[0].X, x0)
-	}
-	// Separation stays ~d throughout a circular orbit.
-	dx := s.Particles[1].X - s.Particles[0].X
-	dy := s.Particles[1].Y - s.Particles[0].Y
-	sep := math.Sqrt(dx*dx + dy*dy)
-	if math.Abs(sep-d) > 0.01*d {
-		t.Errorf("separation drifted to %v", sep)
-	}
-}
-
-// Newton's third law in the direct-sum kernel: accelerations weighted by
-// mass sum to zero.
-func TestAccelerationsSumToZero(t *testing.T) {
-	s, _ := NewRandomSystem(15, 4)
-	acc := s.Accelerations()
-	var f [3]float64
-	for i, a := range acc {
-		m := s.Particles[i].Mass
-		f[0] += m * a[0]
-		f[1] += m * a[1]
-		f[2] += m * a[2]
-	}
-	for k := 0; k < 3; k++ {
-		if math.Abs(f[k]) > 1e-12 {
-			t.Errorf("net force[%d] = %v", k, f[k])
-		}
-	}
-}
-
-func TestCubicSplineKernelProperties(t *testing.T) {
-	const h = 0.3
-	if CubicSplineKernel(0, h) <= 0 {
-		t.Error("kernel must be positive at r=0")
-	}
-	if CubicSplineKernel(2*h, h) != 0 || CubicSplineKernel(3*h, h) != 0 {
-		t.Error("kernel must vanish beyond 2h")
-	}
-	if CubicSplineKernel(1, 0) != 0 {
-		t.Error("zero smoothing length should yield 0")
-	}
-	// Monotone decreasing in r.
-	prev := math.Inf(1)
-	for r := 0.0; r < 2*h; r += 0.01 {
-		w := CubicSplineKernel(r, h)
-		if w > prev+1e-15 {
-			t.Fatalf("kernel not monotone at r=%v", r)
-		}
-		prev = w
-	}
-	// Normalization: ∫ W 4πr² dr = 1 (numerically).
-	integral := 0.0
-	dr := 1e-4
-	for r := dr / 2; r < 2*h; r += dr {
-		integral += CubicSplineKernel(r, h) * 4 * math.Pi * r * r * dr
-	}
-	if math.Abs(integral-1) > 1e-3 {
-		t.Errorf("kernel normalization = %v, want 1", integral)
-	}
-}
-
-// SPH density of a uniform lattice is approximately the analytic density
-// in the interior.
-func TestSPHDensityUniformLattice(t *testing.T) {
-	const n = 8 // 8³ lattice in unit box
-	var parts []Particle
-	mass := 1.0 / float64(n*n*n) // total mass 1 in unit box → ρ = 1
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				parts = append(parts, Particle{
-					X: (float64(i) + 0.5) / n, Y: (float64(j) + 0.5) / n, Z: (float64(k) + 0.5) / n,
-					Mass: mass,
-				})
-			}
-		}
-	}
-	h := 2.0 / n
-	rho := SPHDensity(parts, h)
-	// Check an interior particle.
-	center := ((n/2)*n+(n/2))*n + n/2
-	if math.Abs(rho[center]-1) > 0.1 {
-		t.Errorf("interior density = %v, want ~1", rho[center])
-	}
-}
-
-// The CRK correction makes constant-field interpolation exact — the
-// defining property of the conservative reproducing kernel.
-func TestCRKReproducesConstants(t *testing.T) {
-	s, _ := NewRandomSystem(60, 5)
-	h := 0.35
-	rho := SPHDensity(s.Particles, h)
-	a := CRKCorrection(s.Particles, rho, h)
-	field := make([]float64, len(s.Particles))
-	for i := range field {
-		field[i] = 7.25
-	}
-	for _, i := range []int{0, 17, 59} {
-		got := CRKInterpolate(s.Particles, rho, a, field, h, i)
-		if math.Abs(got-7.25) > 1e-10 {
-			t.Errorf("CRK interpolation at %d = %v, want 7.25", i, got)
-		}
-	}
-	// Without the correction (A=1) the raw SPH sum does NOT reproduce
-	// constants on a disordered set.
-	ones := make([]float64, len(s.Particles))
-	for i := range ones {
-		ones[i] = 1
-	}
-	raw := CRKInterpolate(s.Particles, rho, ones, field, h, 17)
-	if math.Abs(raw-7.25) < 1e-6 {
-		t.Error("uncorrected interpolation should show error on disordered particles")
-	}
-}
-
 // Table VI: HACC full-node FOMs within 10%.
 func TestFOMTableVI(t *testing.T) {
 	cases := []struct {

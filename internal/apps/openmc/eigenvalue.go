@@ -1,12 +1,9 @@
-//pvclint:ignore testonly DESIGN §3 X16 MC statistics: bootstrap CI of the eigenvalue series (EigenvalueResult.ConfidenceInterval)
 package openmc
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"pvcsim/internal/stats"
 )
 
 // Eigenvalue solves for k-effective with the standard Monte Carlo power
@@ -31,22 +28,6 @@ type EigenvalueOptions struct {
 	Inactive  int
 	Active    int
 	Seed      int64
-}
-
-// ConfidenceInterval returns a bootstrap percentile CI for k-effective
-// from the active-batch series, plus the lag-1 batch autocorrelation — a
-// convergence diagnostic (large positive values mean the inactive phase
-// was too short and the quoted uncertainty optimistic).
-func (r *EigenvalueResult) ConfidenceInterval(confidence float64, seed int64) (lo, hi, lag1 float64, err error) {
-	lo, hi, err = stats.BootstrapCI(r.BatchK, confidence, 2000, seed)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	lag1, err = stats.Autocorrelation(r.BatchK, 1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return lo, hi, lag1, nil
 }
 
 // site is a fission bank entry.

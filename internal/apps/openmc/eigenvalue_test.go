@@ -113,33 +113,3 @@ func TestEigenvalueDeterministic(t *testing.T) {
 		t.Error("same seed must give identical k")
 	}
 }
-
-func TestEigenvalueConfidenceInterval(t *testing.T) {
-	m := TwoGroupFuel()
-	res, err := SolveEigenvalue(EigenvalueOptions{
-		Material: m, Thickness: 2000, Particles: 1500, Inactive: 5, Active: 20, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, lag1, err := res.ConfidenceInterval(0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(lo < res.K && res.K < hi) {
-		t.Errorf("CI [%v, %v] should contain the mean %v", lo, hi, res.K)
-	}
-	want, _ := KInfinity(m)
-	// The CI should be in the right neighbourhood.
-	if hi < want-0.1 || lo > want+0.1 {
-		t.Errorf("CI [%v, %v] far from analytic %v", lo, hi, want)
-	}
-	if math.Abs(lag1) > 0.9 {
-		t.Errorf("implausible lag-1 autocorrelation %v", lag1)
-	}
-	// A single-batch result cannot be bootstrapped.
-	short := &EigenvalueResult{BatchK: []float64{1.0}}
-	if _, _, _, err := short.ConfidenceInterval(0.95, 1); err == nil {
-		t.Error("single batch should fail")
-	}
-}

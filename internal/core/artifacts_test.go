@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,5 +115,40 @@ func TestWriteAllArtifactsCleanupKeepsForeignFiles(t *testing.T) {
 	b, err := os.ReadFile(foreign)
 	if err != nil || string(b) != "keep me" {
 		t.Fatalf("foreign file disturbed: %q, %v", b, err)
+	}
+}
+
+// failAfter accepts n bytes and fails every write past them, as a full
+// disk does.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestExperimentsMarkdownReportsWriteErrors checks that a write that
+// stops part way through the fidelity report is the error returned, so
+// WriteAllArtifacts cannot report success over a truncated EXPERIMENTS.md.
+func TestExperimentsMarkdownReportsWriteErrors(t *testing.T) {
+	s := NewStudy()
+	var full bytes.Buffer
+	if err := s.WriteExperimentsMarkdown(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 100, full.Len() / 2, full.Len() - 1} {
+		if err := s.WriteExperimentsMarkdown(&failAfter{n: n}); !errors.Is(err, errDiskFull) {
+			t.Errorf("write failing after %d of %d bytes: err = %v, want %v", n, full.Len(), err, errDiskFull)
+		}
+	}
+	if err := s.WriteExperimentsMarkdown(&failAfter{n: full.Len()}); err != nil {
+		t.Errorf("write with room for all %d bytes: %v", full.Len(), err)
 	}
 }

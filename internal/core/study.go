@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -544,35 +545,39 @@ func (s *Study) Experiments() ([]Experiment, error) {
 	return out, nil
 }
 
-// WriteExperimentsMarkdown writes the EXPERIMENTS.md fidelity report.
+// WriteExperimentsMarkdown writes the EXPERIMENTS.md fidelity report. The
+// report is rendered in memory and handed to w in one Write, so a failed
+// or short write is the error returned.
 func (s *Study) WriteExperimentsMarkdown(w io.Writer) error {
 	exps, err := s.Experiments()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "# EXPERIMENTS — paper vs. reproduced")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Every published number of the paper regenerated by the simulator.")
-	fmt.Fprintln(w, "IDs: T2/T3/T6 = Tables II/III/VI, F1 = Figure 1 latency ratios.")
-	fmt.Fprintln(w, "Figures 2-4 derive from the T6 rows (ratios) plus the expectation")
-	fmt.Fprintln(w, "bars validated in internal/expected.")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The 25 paper cells behind these rows are no longer hand-enumerated:")
-	fmt.Fprintln(w, "they are expanded from the declarative sweep families of internal/sweep")
-	fmt.Fprintln(w, "(see DESIGN.md \"Cluster model & sweep engine\"), and the expansion is")
-	fmt.Fprintln(w, "regression-tested to reproduce the original registry cell for cell.")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| ID | Experiment | Paper | Reproduced | Rel. err |")
-	fmt.Fprintln(w, "|----|------------|-------|------------|----------|")
+	var b bytes.Buffer
+	fmt.Fprintln(&b, "# EXPERIMENTS — paper vs. reproduced")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "Every published number of the paper regenerated by the simulator.")
+	fmt.Fprintln(&b, "IDs: T2/T3/T6 = Tables II/III/VI, F1 = Figure 1 latency ratios.")
+	fmt.Fprintln(&b, "Figures 2-4 derive from the T6 rows (ratios) plus the expectation")
+	fmt.Fprintln(&b, "bars validated in internal/expected.")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "The 25 paper cells behind these rows are no longer hand-enumerated:")
+	fmt.Fprintln(&b, "they are expanded from the declarative sweep families of internal/sweep")
+	fmt.Fprintln(&b, "(see DESIGN.md \"Cluster model & sweep engine\"), and the expansion is")
+	fmt.Fprintln(&b, "regression-tested to reproduce the original registry cell for cell.")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "| ID | Experiment | Paper | Reproduced | Rel. err |")
+	fmt.Fprintln(&b, "|----|------------|-------|------------|----------|")
 	worst := 0.0
 	for _, e := range exps {
 		if e.RelErr() > worst {
 			worst = e.RelErr()
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %.1f%% |\n",
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %.1f%% |\n",
 			e.ID, e.Name, report.Num(e.Paper), report.Num(e.Measured), e.RelErr()*100)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "Comparisons: %d. Worst relative error: %.1f%%.\n", len(exps), worst*100)
-	return nil
+	fmt.Fprintln(&b)
+	fmt.Fprintf(&b, "Comparisons: %d. Worst relative error: %.1f%%.\n", len(exps), worst*100)
+	_, err = w.Write(b.Bytes())
+	return err
 }

@@ -1,4 +1,3 @@
-//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: mixed-radix FFT, checked against its DFTNaive reference
 package kernels
 
 import (
@@ -6,20 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 )
-
-// FFTFlops returns the paper's operation count convention for a complex
-// transform: "the standard Cooley-Tukey FFT of 5·N·log2(N) number of flops
-// for complex transform and 2.5·N·log2(N) for real".
-func FFTFlops(n int, real bool) float64 {
-	if n <= 1 {
-		return 0
-	}
-	f := 5 * float64(n) * math.Log2(float64(n))
-	if real {
-		return f / 2
-	}
-	return f
-}
 
 // FFTPlan precomputes twiddle factors for transforms of one size. Sizes
 // with only factors 2, 3 and 5 (all sizes the paper uses: 4096 = 2¹²,
@@ -257,71 +242,4 @@ func IFFT(x []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// FFT2D transforms a rows×cols row-major array in place: length-cols
-// transforms over every row, then length-rows transforms over every
-// column, matching the paper's 2-D C2C benchmark.
-func FFT2D(rows, cols int, data []complex128, inverse bool) error {
-	if len(data) < rows*cols {
-		return fmt.Errorf("kernels: FFT2D buffer too small: %d < %d", len(data), rows*cols)
-	}
-	rowPlan, err := NewFFTPlan(cols)
-	if err != nil {
-		return err
-	}
-	colPlan, err := NewFFTPlan(rows)
-	if err != nil {
-		return err
-	}
-	apply := func(p *FFTPlan, dst, src []complex128) error {
-		if inverse {
-			return p.Inverse(dst, src)
-		}
-		return p.Forward(dst, src)
-	}
-	buf := make([]complex128, cols)
-	for r := 0; r < rows; r++ {
-		row := data[r*cols : (r+1)*cols]
-		if err := apply(rowPlan, buf, row); err != nil {
-			return err
-		}
-		copy(row, buf)
-	}
-	col := make([]complex128, rows)
-	out := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = data[r*cols+c]
-		}
-		if err := apply(colPlan, out, col); err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			data[r*cols+c] = out[r]
-		}
-	}
-	return nil
-}
-
-// DFTNaive is the O(n²) reference transform used only in tests.
-func DFTNaive(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			ang := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += x[j] * cmplx.Exp(complex(0, ang))
-		}
-		if inverse {
-			sum /= complex(float64(n), 0)
-		}
-		out[k] = sum
-	}
-	return out
 }

@@ -27,17 +27,26 @@ func maxCDiff(a, b []complex128) float64 {
 	return m
 }
 
-func TestFFTFlops(t *testing.T) {
-	// 5·N·log2(N), half for real.
-	if got := FFTFlops(4096, false); math.Abs(got-5*4096*12) > 1e-6 {
-		t.Errorf("complex flops = %v", got)
+// DFTNaive is the O(n²) reference transform the FFT tests compare against.
+func DFTNaive(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
 	}
-	if got := FFTFlops(4096, true); math.Abs(got-2.5*4096*12) > 1e-6 {
-		t.Errorf("real flops = %v", got)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for j := 0; j < n; j++ {
+			ang := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
+			sum += x[j] * cmplx.Exp(complex(0, ang))
+		}
+		if inverse {
+			sum /= complex(float64(n), 0)
+		}
+		out[k] = sum
 	}
-	if FFTFlops(1, false) != 0 || FFTFlops(0, false) != 0 {
-		t.Error("degenerate sizes should be 0")
-	}
+	return out
 }
 
 func TestSmoothnessDetection(t *testing.T) {
@@ -193,35 +202,6 @@ func TestFFTLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFFT2DRoundTripAndDC(t *testing.T) {
-	rows, cols := 20, 12
-	data := randComplex(rows*cols, 5)
-	orig := append([]complex128(nil), data...)
-	if err := FFT2D(rows, cols, data, false); err != nil {
-		t.Fatal(err)
-	}
-	// DC bin equals the sum of all samples.
-	var sum complex128
-	for _, v := range orig {
-		sum += v
-	}
-	if cmplx.Abs(data[0]-sum) > 1e-9 {
-		t.Errorf("DC bin = %v, want %v", data[0], sum)
-	}
-	if err := FFT2D(rows, cols, data, true); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxCDiff(data, orig); d > 1e-9 {
-		t.Errorf("2D roundtrip error %v", d)
-	}
-}
-
-func TestFFT2DErrors(t *testing.T) {
-	if FFT2D(4, 4, make([]complex128, 3), false) == nil {
-		t.Error("short buffer should fail")
 	}
 }
 

@@ -1,4 +1,3 @@
-//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: FMA chains
 package kernels
 
 // The paper's peak-flops microbenchmark: "a chain of Fused Multiply Add
@@ -17,21 +16,6 @@ const FMAFlopsPerIter = 2
 // FMAChain64 runs a depth-long FMA chain x = x*a + b on each lane of xs in
 // double precision and returns the total flop count.
 func FMAChain64(xs []float64, a, b float64, depth int) int64 {
-	if depth <= 0 {
-		depth = FMAChainDepth
-	}
-	for i := range xs {
-		x := xs[i]
-		for j := 0; j < depth; j++ {
-			x = x*a + b
-		}
-		xs[i] = x
-	}
-	return int64(len(xs)) * int64(depth) * FMAFlopsPerIter
-}
-
-// FMAChain32 is the single-precision variant.
-func FMAChain32(xs []float32, a, b float32, depth int) int64 {
 	if depth <= 0 {
 		depth = FMAChainDepth
 	}

@@ -57,19 +57,6 @@ func MatMulNaive[T Float](m, n, k int, a, b, c []T) error {
 // per operand, comfortably inside typical L1/L2 host caches.
 const gemmBlock = 64
 
-// MatMul computes C = A·B with i-k-j loop order and cache blocking, the
-// standard serial optimization ladder for a from-scratch GEMM.
-func MatMul[T Float](m, n, k int, a, b, c []T) error {
-	if err := checkGEMMDims(m, n, k, a, b, c); err != nil {
-		return err
-	}
-	for i := range c[:m*n] {
-		c[i] = 0
-	}
-	matMulRows(0, m, n, k, a, b, c)
-	return nil
-}
-
 // matMulRows updates C rows [i0, i1) with blocked i-k-j order.
 func matMulRows[T Float](i0, i1, n, k int, a, b, c []T) {
 	for ii := i0; ii < i1; ii += gemmBlock {
@@ -146,19 +133,6 @@ func MatMulI8(m, n, k int, a, b []int8, c []int32) error {
 			for j := range brow {
 				crow[j] += av * int32(brow[j])
 			}
-		}
-	}
-	return nil
-}
-
-// Transpose writes the transpose of row-major src(m×n) into dst(n×m).
-func Transpose[T any](m, n int, src, dst []T) error {
-	if len(src) < m*n || len(dst) < m*n {
-		return fmt.Errorf("kernels: transpose buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst[j*m+i] = src[i*n+j]
 		}
 	}
 	return nil

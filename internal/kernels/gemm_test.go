@@ -38,7 +38,7 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 	copy(a, randMat64(n*n, 5))
 	c := make([]float64, n*n)
-	if err := MatMul(n, n, n, a, id, c); err != nil {
+	if err := MatMulParallel(n, n, n, a, id, c, 0); err != nil {
 		t.Fatal(err)
 	}
 	if maxAbsDiff(a, c) > 1e-14 {
@@ -56,7 +56,7 @@ func TestMatMulMatchesNaiveRectangular(t *testing.T) {
 		if err := MatMulNaive(m, n, k, a, b, c1); err != nil {
 			t.Fatal(err)
 		}
-		if err := MatMul(m, n, k, a, b, c2); err != nil {
+		if err := MatMulParallel(m, n, k, a, b, c2, 1); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(c1, c2); d > 1e-10 {
@@ -71,7 +71,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := randMat64(k*n, 12)
 	c1 := make([]float64, m*n)
 	c2 := make([]float64, m*n)
-	if err := MatMul(m, n, k, a, b, c1); err != nil {
+	if err := MatMulNaive(m, n, k, a, b, c1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 200} {
@@ -112,23 +112,23 @@ func TestMatMulFloat32(t *testing.T) {
 
 func TestGEMMDimChecks(t *testing.T) {
 	a := make([]float64, 4)
-	if MatMul(-1, 2, 2, a, a, a) == nil {
+	if MatMulNaive(-1, 2, 2, a, a, a) == nil {
 		t.Error("negative dim should fail")
 	}
-	if MatMul(2, 2, 2, a[:3], a, a) == nil {
+	if MatMulNaive(2, 2, 2, a[:3], a, a) == nil {
 		t.Error("short A should fail")
 	}
-	if MatMul(2, 2, 2, a, a[:3], a) == nil {
+	if MatMulNaive(2, 2, 2, a, a[:3], a) == nil {
 		t.Error("short B should fail")
 	}
-	if MatMul(2, 2, 2, a, a, a[:3]) == nil {
+	if MatMulNaive(2, 2, 2, a, a, a[:3]) == nil {
 		t.Error("short C should fail")
 	}
 	if MatMulParallel(2, 2, 2, a, a[:1], a, 2) == nil {
 		t.Error("parallel short B should fail")
 	}
-	if MatMulNaive(2, 2, 2, a[:1], a, a) == nil {
-		t.Error("naive short A should fail")
+	if MatMulParallel(2, 2, 2, a[:1], a, a, 2) == nil {
+		t.Error("parallel short A should fail")
 	}
 }
 
@@ -173,51 +173,26 @@ func TestMatMulI8NoOverflowAtFullRange(t *testing.T) {
 	}
 }
 
-// A matrix-vector product is a MatMul of one column.
+// A matrix-vector product is a GEMM of one column.
 func TestMatVec(t *testing.T) {
 	// [1 2; 3 4] · [5, 6] = [17, 39]
 	a := []float64{1, 2, 3, 4}
 	x := []float64{5, 6}
 	y := make([]float64, 2)
-	if err := MatMul(2, 1, 2, a, x, y); err != nil {
+	if err := MatMulParallel(2, 1, 2, a, x, y, 0); err != nil {
 		t.Fatal(err)
 	}
 	if y[0] != 17 || y[1] != 39 {
 		t.Errorf("y = %v", y)
 	}
-	if MatMul(2, 1, 2, a[:1], x, y) == nil {
+	if MatMulParallel(2, 1, 2, a[:1], x, y, 0) == nil {
 		t.Error("short buffer should fail")
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	src := []float64{1, 2, 3, 4, 5, 6} // 2x3
-	dst := make([]float64, 6)
-	if err := Transpose(2, 3, src, dst); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 4, 2, 5, 3, 6}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst = %v", dst)
-			break
-		}
-	}
-	if Transpose(2, 3, src[:2], dst) == nil {
-		t.Error("short buffer should fail")
-	}
-	// Transpose twice is identity.
-	back := make([]float64, 6)
-	if err := Transpose(3, 2, dst, back); err != nil {
-		t.Fatal(err)
-	}
-	if maxAbsDiff(src, back) != 0 {
-		t.Error("double transpose is not identity")
-	}
-}
-
-// Property: (A·B)·x == A·(B·x) for random small matrices, with each
-// matrix-vector product a MatMul of one column.
+// Property: (A·B)·x == A·(B·x) for random small matrices, the left side
+// from the blocked parallel kernel and the right from the naive
+// reference, each matrix-vector product a GEMM of one column.
 func TestGEMMAssociativityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 8
@@ -225,19 +200,19 @@ func TestGEMMAssociativityProperty(t *testing.T) {
 		b := randMat64(n*n, seed+1)
 		x := randMat64(n, seed+2)
 		ab := make([]float64, n*n)
-		if err := MatMul(n, n, n, a, b, ab); err != nil {
+		if err := MatMulParallel(n, n, n, a, b, ab, 2); err != nil {
 			return false
 		}
 		y1 := make([]float64, n)
-		if err := MatMul(n, 1, n, ab, x, y1); err != nil {
+		if err := MatMulParallel(n, 1, n, ab, x, y1, 2); err != nil {
 			return false
 		}
 		bx := make([]float64, n)
-		if err := MatMul(n, 1, n, b, x, bx); err != nil {
+		if err := MatMulNaive(n, 1, n, b, x, bx); err != nil {
 			return false
 		}
 		y2 := make([]float64, n)
-		if err := MatMul(n, 1, n, a, bx, y2); err != nil {
+		if err := MatMulNaive(n, 1, n, a, bx, y2); err != nil {
 			return false
 		}
 		return maxAbsDiff(y1, y2) < 1e-10

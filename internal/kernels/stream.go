@@ -1,14 +1,12 @@
 // Package kernels implements the numerical kernels behind the paper's
-// microbenchmarks and mini-apps as real, tested host code: STREAM triad,
-// FMA chains, blocked parallel GEMM in every benchmarked precision,
-// mixed-radix and Bluestein FFTs, and the
-// pointer-chase list (in the mem package).
+// microbenchmarks as real, tested host code that the host self-check
+// runs: STREAM triad, FMA chains, blocked parallel GEMM in the float
+// precisions plus I8, and mixed-radix and Bluestein FFTs. The
+// pointer-chase ring of Figure 1 lives in the mem package.
 //
 // These kernels compute real results — tests verify them against naive
 // references and mathematical identities — while their device execution
 // time on the modeled GPUs comes from the perfmodel package.
-//
-//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: triad
 package kernels
 
 import (
@@ -25,20 +23,9 @@ const (
 	TriadBytesPerElem = 24
 )
 
-// Triad computes a[i] = b[i] + s*c[i], the STREAM triad the paper uses for
-// its device memory bandwidth microbenchmark ("two loads, one store").
-func Triad(a, b, c []float64, s float64) error {
-	if len(a) != len(b) || len(a) != len(c) {
-		return fmt.Errorf("kernels: triad length mismatch: %d/%d/%d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		a[i] = b[i] + s*c[i]
-	}
-	return nil
-}
-
-// TriadParallel is Triad split across workers goroutines; workers <= 0
-// uses GOMAXPROCS.
+// TriadParallel computes a[i] = b[i] + s*c[i], the STREAM triad the paper
+// uses for its device memory bandwidth microbenchmark ("two loads, one
+// store"), split across workers goroutines; workers <= 0 uses GOMAXPROCS.
 func TriadParallel(a, b, c []float64, s float64, workers int) error {
 	if len(a) != len(b) || len(a) != len(c) {
 		return fmt.Errorf("kernels: triad length mismatch: %d/%d/%d", len(a), len(b), len(c))

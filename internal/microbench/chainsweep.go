@@ -1,4 +1,3 @@
-//pvclint:ignore testonly DESIGN §3 X18 kernel-size sweep: microbench.PeakFlopsSweep and its knee
 package microbench
 
 import (
@@ -69,27 +68,4 @@ func (s *Suite) PeakFlopsSweep(prec ChainPrecision, works []float64) ([]ChainSwe
 		})
 	}
 	return out, nil
-}
-
-// DefaultChainWorks spans launch-bound to saturated: 10⁶ to 10¹³ flops.
-func DefaultChainWorks() []float64 {
-	var out []float64
-	for w := 1e6; w <= 1e13; w *= 10 {
-		out = append(out, w)
-	}
-	return out
-}
-
-// KneeWork returns the smallest swept work reaching the given fraction of
-// peak — the "large enough kernel" threshold.
-func KneeWork(curve []ChainSweepPoint, fraction float64) (float64, error) {
-	if len(curve) == 0 {
-		return 0, fmt.Errorf("microbench: empty chain sweep")
-	}
-	for _, pt := range curve {
-		if pt.Fraction >= fraction {
-			return pt.Work, nil
-		}
-	}
-	return 0, fmt.Errorf("microbench: no swept size reaches %.0f%% of peak", fraction*100)
 }

@@ -59,3 +59,47 @@ func TestStrongScalingEdgeTooSmall(t *testing.T) {
 		t.Error("undersized grid accepted")
 	}
 }
+
+// The weak-scaling timing driver: at the paper's per-rank grid size the
+// MPI overhead (halos + dt allreduce) is a small fraction of the step
+// time — consistent with "this large problem size has been selected to
+// minimise the overhead incurred by MPI communication".
+func TestWeakScalingCommOverheadSmall(t *testing.T) {
+	total, comm, err := WeakScalingBreakdownOn(auroraMachine(t), 12, PaperGridEdge, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total <= 0 || comm < 0 {
+		t.Fatalf("degenerate times: total %v comm %v", total, comm)
+	}
+	frac := float64(comm) / float64(total)
+	if frac > 0.05 {
+		t.Errorf("comm fraction = %.1f%%, want < 5%% at the paper's grid size", frac*100)
+	}
+	// A tiny grid flips the balance: communication dominates.
+	totalSmall, commSmall, err := WeakScalingBreakdownOn(auroraMachine(t), 12, 256, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fracSmall := float64(commSmall) / float64(totalSmall)
+	if !(fracSmall > frac*3) {
+		t.Errorf("small-grid comm fraction %.2f%% should far exceed large-grid %.2f%%",
+			fracSmall*100, frac*100)
+	}
+}
+
+// auroraMachine builds one Aurora node.
+func auroraMachine(t *testing.T) *gpusim.Machine {
+	t.Helper()
+	m, err := gpusim.New(topology.NewAurora())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestWeakScalingValidation(t *testing.T) {
+	if _, _, err := WeakScalingBreakdownOn(auroraMachine(t), 99, 1024, 1); err == nil {
+		t.Error("too many ranks should fail")
+	}
+}

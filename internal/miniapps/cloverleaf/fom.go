@@ -1,3 +1,10 @@
+// Package cloverleaf reproduces the CloverLeaf mini-app (§V-A2): an
+// explicit compressible-Euler hydrodynamics benchmark that is memory-
+// bandwidth bound and weak-scaled with MPI. The figure of merit (cells
+// per second) on the simulated systems comes from the bandwidth model
+// with the per-cell traffic the paper's measured FOMs fix; the weak- and
+// strong-scaling drivers run each rank's hydro kernels, halo exchanges
+// and dt allreduce through the simulated node or cluster.
 package cloverleaf
 
 import (

@@ -1,15 +1,10 @@
 // Package rimp2 reproduces the GAMESS RI-MP2 mini-app (§V-A4): the
 // resolution-of-the-identity MP2 perturbative energy correction, whose
-// main portion "is a call to DGEMM and a reduction". The correction is
-// computed for real — B-tensor contractions via the blocked GEMM kernels
-// plus the energy reduction with orbital-energy denominators — and
-// verified against a direct O(N⁵) reference in the tests. The figure of
-// merit (1/walltime in hours) on the simulated systems follows the
-// DGEMM-rate model with the paper's strong-scaling behaviour; the MI250
-// row is unavailable exactly as in the paper ("it failed to build with
-// the AMD Fortran compiler").
-//
-//pvclint:ignore testonly DESIGN §1 real, tested numerical kernels: RI-MP2 (rimp2.Energy)
+// main portion "is a call to DGEMM and a reduction". The figure of merit
+// (1/walltime in hours) on the simulated systems follows the DGEMM-rate
+// model with the paper's strong-scaling behaviour; the MI250 row is
+// unavailable exactly as in the paper ("it failed to build with the AMD
+// Fortran compiler").
 package rimp2
 
 import (
@@ -18,124 +13,9 @@ import (
 	"math"
 
 	"pvcsim/internal/hw"
-	"pvcsim/internal/kernels"
 	"pvcsim/internal/perfmodel"
 	"pvcsim/internal/topology"
 )
-
-// Input is an RI-MP2 problem: the three-index B tensor B[P][i][a]
-// (auxiliary × occupied × virtual) and the orbital energies.
-type Input struct {
-	NAux, NOcc, NVirt int
-	B                 []float64 // [naux][nocc][nvirt], row-major
-	EOcc              []float64 // occupied orbital energies (negative)
-	EVirt             []float64 // virtual orbital energies (positive)
-}
-
-// NewSyntheticInput builds a W90-style artificial input: deterministic
-// pseudo-random B with physically ordered orbital energies, "an
-// artificial input with the same data structure of 90 water clusters"
-// scaled to the given dimensions.
-func NewSyntheticInput(naux, nocc, nvirt int, seed int64) (*Input, error) {
-	if naux < 1 || nocc < 1 || nvirt < 1 {
-		return nil, fmt.Errorf("rimp2: dimensions must be positive")
-	}
-	in := &Input{NAux: naux, NOcc: nocc, NVirt: nvirt}
-	in.B = make([]float64, naux*nocc*nvirt)
-	state := uint64(seed)*2862933555777941757 + 3037000493
-	next := func() float64 {
-		state = state*2862933555777941757 + 3037000493
-		return float64(state>>11)/float64(1<<53)*2 - 1
-	}
-	for i := range in.B {
-		in.B[i] = next() * 0.1
-	}
-	in.EOcc = make([]float64, nocc)
-	for i := range in.EOcc {
-		in.EOcc[i] = -2.0 + 1.5*float64(i)/float64(nocc) // up to -0.5
-	}
-	in.EVirt = make([]float64, nvirt)
-	for a := range in.EVirt {
-		in.EVirt[a] = 0.1 + 2.0*float64(a)/float64(nvirt)
-	}
-	return in, nil
-}
-
-// bSlice returns B_i as an naux×nvirt matrix for occupied orbital i.
-func (in *Input) bSlice(i int) []float64 {
-	out := make([]float64, in.NAux*in.NVirt)
-	for p := 0; p < in.NAux; p++ {
-		src := in.B[(p*in.NOcc+i)*in.NVirt : (p*in.NOcc+i+1)*in.NVirt]
-		copy(out[p*in.NVirt:(p+1)*in.NVirt], src)
-	}
-	return out
-}
-
-// Energy computes the RI-MP2 correlation energy: for each occupied pair
-// (i, j), the (ia|jb) integrals V = B_iᵀ·B_j via DGEMM, then the MP2
-// reduction E += Σ_ab V_ab (2V_ab − V_ba) / (e_i + e_j − e_a − e_b).
-func Energy(in *Input) (float64, error) {
-	if len(in.B) != in.NAux*in.NOcc*in.NVirt {
-		return 0, fmt.Errorf("rimp2: B tensor has %d elements, want %d", len(in.B), in.NAux*in.NOcc*in.NVirt)
-	}
-	nv := in.NVirt
-	v := make([]float64, nv*nv)
-	biT := make([]float64, nv*in.NAux)
-	var e float64
-	for i := 0; i < in.NOcc; i++ {
-		bi := in.bSlice(i)
-		if err := kernels.Transpose(in.NAux, nv, bi, biT); err != nil {
-			return 0, err
-		}
-		for j := 0; j <= i; j++ {
-			bj := in.bSlice(j)
-			// V(a,b) = Σ_P B[P][i][a] · B[P][j][b] = B_iᵀ(nv×naux) · B_j(naux×nv).
-			if err := kernels.MatMul(nv, nv, in.NAux, biT, bj, v); err != nil {
-				return 0, err
-			}
-			var pair float64
-			for a := 0; a < nv; a++ {
-				for b := 0; b < nv; b++ {
-					vab := v[a*nv+b]
-					vba := v[b*nv+a]
-					denom := in.EOcc[i] + in.EOcc[j] - in.EVirt[a] - in.EVirt[b]
-					pair += vab * (2*vab - vba) / denom
-				}
-			}
-			if j < i {
-				pair *= 2 // (i,j) and (j,i) contribute equally
-			}
-			e += pair
-		}
-	}
-	return e, nil
-}
-
-// EnergyReference is the direct O(N_occ²·N_virt²·N_aux) evaluation used
-// only to validate Energy in tests.
-func EnergyReference(in *Input) float64 {
-	var e float64
-	integral := func(i, a, j, b int) float64 {
-		var s float64
-		for p := 0; p < in.NAux; p++ {
-			s += in.B[(p*in.NOcc+i)*in.NVirt+a] * in.B[(p*in.NOcc+j)*in.NVirt+b]
-		}
-		return s
-	}
-	for i := 0; i < in.NOcc; i++ {
-		for j := 0; j < in.NOcc; j++ {
-			for a := 0; a < in.NVirt; a++ {
-				for b := 0; b < in.NVirt; b++ {
-					iajb := integral(i, a, j, b)
-					ibja := integral(i, b, j, a)
-					denom := in.EOcc[i] + in.EOcc[j] - in.EVirt[a] - in.EVirt[b]
-					e += iajb * (2*iajb - ibja) / denom
-				}
-			}
-		}
-	}
-	return e
-}
 
 // ErrUnsupported mirrors the paper's missing MI250 column: "The
 // mini-GAMESS MI250 FOM results are absent since it failed to build with

@@ -8,95 +8,6 @@ import (
 	"pvcsim/internal/topology"
 )
 
-func TestSyntheticInputValidation(t *testing.T) {
-	if _, err := NewSyntheticInput(0, 2, 2, 1); err == nil {
-		t.Error("zero dimension should fail")
-	}
-	in, err := NewSyntheticInput(6, 3, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in.B) != 6*3*4 {
-		t.Error("B tensor size")
-	}
-	// Energies physically ordered: occupied below virtual.
-	for _, eo := range in.EOcc {
-		if eo >= 0 {
-			t.Error("occupied energies must be negative")
-		}
-	}
-	for _, ev := range in.EVirt {
-		if ev <= 0 {
-			t.Error("virtual energies must be positive")
-		}
-	}
-	// Deterministic.
-	in2, _ := NewSyntheticInput(6, 3, 4, 1)
-	if in.B[10] != in2.B[10] {
-		t.Error("same seed must give same tensor")
-	}
-}
-
-// The DGEMM-based energy matches the direct O(N⁵) reference.
-func TestEnergyMatchesReference(t *testing.T) {
-	for _, dims := range [][3]int{{5, 2, 3}, {8, 3, 5}, {12, 4, 6}} {
-		in, err := NewSyntheticInput(dims[0], dims[1], dims[2], int64(dims[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Energy(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := EnergyReference(in)
-		if math.Abs(got-want) > 1e-10*math.Abs(want)+1e-14 {
-			t.Errorf("dims %v: Energy = %v, reference %v", dims, got, want)
-		}
-	}
-}
-
-// MP2 correlation energy is negative for a physical spectrum: the
-// denominator e_i+e_j−e_a−e_b is always negative and the 2V²−V·Vᵀ
-// quadratic form is positive on average.
-func TestEnergyIsNegative(t *testing.T) {
-	in, _ := NewSyntheticInput(16, 6, 10, 9)
-	e, err := Energy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e >= 0 {
-		t.Errorf("MP2 correction = %v, want negative", e)
-	}
-}
-
-func TestEnergyBadTensor(t *testing.T) {
-	in, _ := NewSyntheticInput(4, 2, 3, 1)
-	in.B = in.B[:5]
-	if _, err := Energy(in); err == nil {
-		t.Error("truncated tensor should fail")
-	}
-}
-
-// Scaling the B tensor by s scales the energy by s⁴ (V is quadratic in B,
-// E quadratic in V).
-func TestEnergyQuarticScaling(t *testing.T) {
-	in, _ := NewSyntheticInput(6, 3, 4, 5)
-	e1, err := Energy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in.B {
-		in.B[i] *= 2
-	}
-	e2, err := Energy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e2-16*e1) > 1e-9*math.Abs(e1) {
-		t.Errorf("scaling: e2 = %v, want 16·e1 = %v", e2, 16*e1)
-	}
-}
-
 // Table VI reproduction within 10%.
 func TestFOMTableVI(t *testing.T) {
 	cases := []struct {

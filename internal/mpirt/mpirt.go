@@ -2,7 +2,7 @@
 // the Level-Zero-aware MPICH the paper uses for its device-to-device
 // microbenchmark: one rank per stack ("explicit scaling"), non-blocking
 // Isend/Irecv of device buffers routed over the modeled fabric, Wait,
-// Sendrecv, Barrier, and Allreduce.
+// Sendrecv, and the recursive-doubling and ring Allreduce.
 package mpirt
 
 import (
@@ -22,12 +22,11 @@ import (
 // (NewClusterComm); in the latter case inter-node sends are routed over
 // the cluster network instead of the node-local fabric.
 type Comm struct {
-	m       *gpusim.Machine // nil for cluster communicators
-	cl      *gpusim.Cluster // nil for single-node communicators
-	eng     *sim.Engine
-	run     func() error
-	ranks   []*Rank
-	barrier *sim.Barrier // built by the first Barrier call
+	m     *gpusim.Machine // nil for cluster communicators
+	cl    *gpusim.Cluster // nil for single-node communicators
+	eng   *sim.Engine
+	run   func() error
+	ranks []*Rank
 }
 
 // message is an in-flight eager-protocol message: its wire transfer
@@ -210,16 +209,6 @@ func (req *Request) Wait(p *sim.Proc) {
 	req.msg.flow.Wait(p)
 }
 
-// WaitAll waits on every request in order. It waits on the elements of
-// reqs itself, so a caller that lists its Request variables
-// (WaitAll(p, sreq, rreq)) waits on copies and leaves those variables
-// as they were.
-func WaitAll(p *sim.Proc, reqs ...Request) {
-	for i := range reqs {
-		reqs[i].Wait(p)
-	}
-}
-
 // Send is a blocking send.
 func (r *Rank) Send(p *sim.Proc, dst, tag int, size units.Bytes) error {
 	req, err := r.Isend(dst, tag, size)
@@ -296,6 +285,31 @@ func (r *Rank) Allreduce(p *sim.Proc, size units.Bytes, tag int) error {
 	if me < rem {
 		if err := r.Send(p, me+pof2, tag+1, size); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// AllreduceRing is the bandwidth-optimal ring allreduce (reduce-scatter
+// followed by allgather over n−1 steps each), the algorithm large deep-
+// learning messages use; contrast with the latency-optimal recursive
+// doubling in Allreduce.
+func (r *Rank) AllreduceRing(p *sim.Proc, tag int, size units.Bytes) error {
+	n := len(r.comm.ranks)
+	if n == 1 {
+		return nil
+	}
+	block := units.Bytes(float64(size) / float64(n))
+	if block < 1 {
+		block = 1
+	}
+	right := (r.rank + 1) % n
+	left := (r.rank - 1 + n) % n
+	for phase := 0; phase < 2; phase++ { // reduce-scatter, then allgather
+		for step := 0; step < n-1; step++ {
+			if err := r.Sendrecv(p, right, left, tag+phase*(n+1)+step, block); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -248,7 +248,9 @@ func TestInboxDrainsAsMessagesMatch(t *testing.T) {
 				}
 				reqs = append(reqs, req)
 			}
-			WaitAll(p, reqs...)
+			for i := range reqs {
+				reqs[i].Wait(p)
+			}
 			return
 		}
 		// The newest message first, by source and tag.
@@ -282,24 +284,6 @@ func TestInboxDrainsAsMessagesMatch(t *testing.T) {
 	for _, r := range c.ranks {
 		if len(r.inbox) != 0 {
 			t.Errorf("rank %d inbox retains %d claimed messages", r.rank, len(r.inbox))
-		}
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	c := auroraComm(t, 4)
-	var after []units.Seconds
-	err := c.Spawn(func(p *sim.Proc, r *Rank) {
-		p.Hold(units.Seconds(float64(r.Rank()) * 0.25))
-		r.Barrier(p)
-		after = append(after, p.Now())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range after {
-		if a != 0.75 {
-			t.Fatalf("barrier exit times %v, want all 0.75", after)
 		}
 	}
 }

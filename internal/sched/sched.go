@@ -11,13 +11,10 @@
 // (registers, SLM, work-group size), dispatches work-groups over cores in
 // waves, and derates effective throughput for latency-bound kernels —
 // the mechanism behind miniBUDE's poses-per-work-item tuning sweep.
-//
-//pvclint:ignore testonly DESIGN §3 X7 occupancy model (sched): wave tails, latency hiding
 package sched
 
 import (
 	"fmt"
-	"math"
 
 	"pvcsim/internal/hw"
 	"pvcsim/internal/units"
@@ -171,21 +168,6 @@ func ComputeOccupancy(res CoreResources, k KernelShape) (Occupancy, error) {
 	}, nil
 }
 
-// Waves returns how many dispatch waves the launch needs on coreCount
-// cores: ceil(workGroups / (groupsPerCore × cores)). Partial final waves
-// are the classic occupancy "tail effect".
-func Waves(res CoreResources, k KernelShape, coreCount int) (int, error) {
-	occ, err := ComputeOccupancy(res, k)
-	if err != nil {
-		return 0, err
-	}
-	perWave := occ.GroupsPerCore * coreCount
-	if perWave < 1 {
-		perWave = coreCount
-	}
-	return (k.WorkGroups + perWave - 1) / perWave, nil
-}
-
 // TailEfficiency returns the utilization loss from the final partial
 // wave: fullWaves + fraction over total waves.
 func TailEfficiency(res CoreResources, k KernelShape, coreCount int) (float64, error) {
@@ -205,21 +187,4 @@ func TailEfficiency(res CoreResources, k KernelShape, coreCount int) (float64, e
 	waves := float64(full) + 1
 	useful := float64(full) + float64(rem)/float64(perWave)
 	return useful / waves, nil
-}
-
-// LatencyHidingEfficiency estimates how much of a memory-latency-bound
-// kernel's ideal throughput the occupancy sustains: with t resident
-// threads issuing a request every issueCycles and memLatency cycles to
-// serve it, throughput saturates once t ≥ memLatency/issueCycles
-// (Little's law); below that it scales linearly.
-func LatencyHidingEfficiency(occ Occupancy, memLatencyCycles, issueCycles float64) float64 {
-	if issueCycles <= 0 {
-		issueCycles = 4
-	}
-	needed := memLatencyCycles / issueCycles
-	if needed <= 0 {
-		return 1
-	}
-	eff := float64(occ.ThreadsPerCore) / needed
-	return math.Min(1, eff)
 }

@@ -662,32 +662,3 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// Barrier makes n processes rendezvous: each calls Arrive and blocks until
-// all n have arrived, at which point all are released at the same virtual
-// time. It is reusable across generations, matching MPI_Barrier semantics
-// in the mpirt package.
-type Barrier struct {
-	n       int
-	arrived int
-	sig     Signal
-}
-
-// NewBarrier creates a barrier for n participants (min 1).
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		n = 1
-	}
-	return &Barrier{n: n, sig: Signal{Label: fixedName("barrier")}}
-}
-
-// Arrive blocks until all participants of the current generation arrive.
-func (b *Barrier) Arrive(p *Proc) {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.sig.Fire()
-		return
-	}
-	b.sig.Wait(p)
-}

@@ -66,45 +66,6 @@ func TestResourceCapacityProperty(t *testing.T) {
 	}
 }
 
-func TestBarrierProperty(t *testing.T) {
-	f := func(offsetsRaw []uint8) bool {
-		if len(offsetsRaw) == 0 || len(offsetsRaw) > 16 {
-			return true
-		}
-		e := NewEngine()
-		b := NewBarrier(len(offsetsRaw))
-		latest := units.Seconds(0)
-		offsets := make([]units.Seconds, len(offsetsRaw))
-		for i, o := range offsetsRaw {
-			offsets[i] = units.Seconds(o) / 7
-			if offsets[i] > latest {
-				latest = offsets[i]
-			}
-		}
-		var releases []units.Seconds
-		for _, off := range offsets {
-			d := off
-			e.Go("r", func(p *Proc) {
-				p.Hold(d)
-				b.Arrive(p)
-				releases = append(releases, p.Now())
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		for _, r := range releases {
-			if r != latest {
-				return false
-			}
-		}
-		return len(releases) == len(offsets)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // orderKey is when an action was scheduled to run: its time and its
 // place in scheduling order.
 type orderKey struct {

@@ -201,50 +201,6 @@ func TestReleaseIdlePanics(t *testing.T) {
 }
 
 // Determinism: the same model must produce the same event sequence twice.
-func TestBarrier(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(3)
-	var release []units.Seconds
-	for i, d := range []units.Seconds{1, 5, 3} {
-		_ = i
-		delay := d
-		e.Go("r", func(p *Proc) {
-			p.Hold(delay)
-			b.Arrive(p)
-			release = append(release, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range release {
-		if r != 5 {
-			t.Fatalf("release times = %v, want all 5", release)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(2)
-	count := 0
-	for i := 0; i < 2; i++ {
-		e.Go("r", func(p *Proc) {
-			for step := 0; step < 3; step++ {
-				p.Hold(1)
-				b.Arrive(p)
-				count++
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 6 {
-		t.Errorf("count = %d, want 6", count)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()

@@ -11,12 +11,6 @@ func TestSampleEmpty(t *testing.T) {
 	if _, err := s.Best(); err != ErrEmpty {
 		t.Error("Best on empty should return ErrEmpty")
 	}
-	if _, err := s.Mean(); err != ErrEmpty {
-		t.Error("Mean on empty should return ErrEmpty")
-	}
-	if _, err := s.Stddev(); err != ErrEmpty {
-		t.Error("Stddev on empty should return ErrEmpty")
-	}
 }
 
 func TestSampleBasics(t *testing.T) {
@@ -29,22 +23,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if best, _ := s.Best(); best != 5 {
 		t.Errorf("Best = %v", best)
-	}
-	if m, _ := s.Mean(); math.Abs(m-2.8) > 1e-12 {
-		t.Errorf("Mean = %v", m)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	var s Sample
-	s.Add(2)
-	if sd, _ := s.Stddev(); sd != 0 {
-		t.Errorf("single-sample stddev = %v", sd)
-	}
-	s.Add(4)
-	// sample stddev of {2,4} = sqrt(2)
-	if sd, _ := s.Stddev(); math.Abs(sd-math.Sqrt2) > 1e-12 {
-		t.Errorf("Stddev = %v", sd)
 	}
 }
 
