@@ -123,14 +123,16 @@ bench-record: build
 # (bash perfbench/run.sh), not this gate's. The allocation pins run
 # first: every simulation pays the nil-probe hook sites and the event
 # queue, so a warm engine must schedule and drain a burst without
-# allocating, a warm flow transfer or device-to-device copy must
+# allocating, a process start must stay within its coroutine's
+# allocations, a warm flow transfer or device-to-device copy must
 # allocate only its Flow, an MPI message only itself (its Flow inside),
-# a link must be one block, and a burst of flows
+# a link must be one block, a burst of flows
 # arriving at one instant must cost the network one rate pass and one
-# completion arming (DESIGN.md §12-§13).
+# completion arming, and a deal of the 34 engine cells must stay within
+# its allocation bound (DESIGN.md §12-§13).
 bench-check: build
-	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestFlowTransferAllocs|TestNewLinkAllocs|TestSettleOncePerInstant|TestD2DRoundTripAllocs|TestMessageAllocs' \
-		./internal/sim/ ./internal/fabric/ ./internal/gpusim/ ./internal/mpirt/
+	$(GO) test -run 'TestWallprobeNilPathZeroAlloc|TestProcStartAllocs|TestFlowTransferAllocs|TestNewLinkAllocs|TestSettleOncePerInstant|TestD2DRoundTripAllocs|TestMessageAllocs|TestEngineCellsAllocs' \
+		. ./internal/sim/ ./internal/fabric/ ./internal/gpusim/ ./internal/mpirt/
 	$(GO) run ./cmd/pvcprof bench -jobs 0 -out bench-current.json
 	$(GO) run ./cmd/pvcprof diff BENCH_baseline.json bench-current.json
 

@@ -470,25 +470,30 @@ func TestSupersededCompletionNotCounted(t *testing.T) {
 // A warm blocking transfer with one waiter allocates only its Flow: the
 // latency hold and the waiter's wake are queued as data, the completion
 // signal and its first waiter live inside the flow, and the network
-// re-arms one completion timer instead of scheduling a closure.
+// re-arms one completion timer instead of scheduling a closure. The
+// process that drives the transfers costs the same in a run of 2×rounds
+// as in a run of rounds, so their difference is rounds transfers.
 func TestFlowTransferAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNetwork(e)
 	cs := []*Constraint{n.MustConstraint(1e9)} // a route callers keep, as gpusim's are
 	name := named("t")
-	const rounds = 200 // amortizes the process that drives them
-	run := func() {
-		e.Go("xfer", func(p *sim.Proc) {
-			for i := 0; i < rounds; i++ {
-				n.Transfer(p, name, units.MB, 1e-6, cs...)
+	run := func(rounds int) func() {
+		return func() {
+			e.Go("xfer", func(p *sim.Proc) {
+				for i := 0; i < rounds; i++ {
+					n.Transfer(p, name, units.MB, 1e-6, cs...)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
 		}
 	}
-	run() // grow the event heap
-	if perTransfer := testing.AllocsPerRun(5, run) / rounds; perTransfer > 1.05 {
+	const rounds = 200
+	run(2 * rounds)() // grow the event heap
+	perTransfer := (testing.AllocsPerRun(5, run(2*rounds)) - testing.AllocsPerRun(5, run(rounds))) / rounds
+	if perTransfer > 1.05 {
 		t.Errorf("%.2f allocs per transfer, want at most 1 (the Flow)", perTransfer)
 	}
 }

@@ -31,6 +31,7 @@ type Machine struct {
 	poolBidir *fabric.Constraint
 	peerLinks map[stackPair]*fabric.Link
 	routes    []*route        // device-to-device routes by ordered stack pair, built on first use
+	spare     []route         // the unused rest of the block the next route is built in
 	queues    []*sim.Resource // in-order compute queues by stack index
 	sink      obs.Recorder    // the recorder handed to Observe
 
@@ -75,6 +76,7 @@ type card struct {
 	pcie     *fabric.Link
 	internal *fabric.Link         // stack-to-stack, nil when SubCount == 1
 	h2d, d2h []*fabric.Constraint // memcpy routes: the PCIe direction plus the host pools
+	xplane   []*fabric.Constraint // the joined constraint sets of its cross-plane routes, one array
 }
 
 // route is the device-to-device path between two stacks: the constraint
@@ -307,28 +309,39 @@ func (s *Stack) StartD2D(f *fabric.Flow, dst topology.StackID, size units.Bytes)
 // kept for every later transfer between them. A same-stack copy crosses
 // no link; sibling stacks cross the card's internal link; remote stacks
 // cross their peer link, plus the source card's internal link when the
-// driver adds the cross-plane hop.
+// driver adds the cross-plane hop. Routes live by value in blocks that
+// hold as many routes as the machine has stacks, and a cross-plane
+// route's joined set is carved from its
+// source card's xplane array, capped at its own length so nothing
+// appends into it. A machine thus allocates a block per stack's worth of
+// routes, not a route and a joined set per pair, and its table holds
+// only a pointer for each pair it never drives.
 func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, error) {
 	i := m.stackIndex(a)*len(m.queues) + m.stackIndex(b)
 	if r := m.routes[i]; r != nil {
 		return r, nil
 	}
+	if len(m.spare) == 0 {
+		m.spare = make([]route, len(m.queues))
+	}
+	r := &m.spare[0]
 	c := m.cards[a.GPU]
-	var r *route
 	switch kind {
 	case topology.SameStack:
-		r = &route{name: func() string { return "d2d:" + a.String() }}
+		r.name = func() string { return "d2d:" + a.String() }
 	case topology.LocalStack:
 		if c.internal == nil {
 			return nil, fmt.Errorf("gpusim: %s has no internal link", m.Node.Name)
 		}
-		r = &route{cs: c.internal.Dir(a.Stack > b.Stack), latency: c.internal.Latency}
+		r.cs, r.latency = c.internal.Dir(a.Stack > b.Stack), c.internal.Latency
 	case topology.RemoteDirect, topology.RemoteExtraHop:
 		link := m.peerLink(a, b)
-		r = &route{cs: link.Dir(a.GPU > b.GPU), latency: link.Latency}
+		r.cs, r.latency = link.Dir(a.GPU > b.GPU), link.Latency
 		if kind == topology.RemoteExtraHop && c.internal != nil {
 			hop := c.internal.Dir(a.Stack > 0)
-			r.cs = append(append(make([]*fabric.Constraint, 0, len(r.cs)+len(hop)), r.cs...), hop...)
+			from := len(c.xplane)
+			c.xplane = append(append(c.xplane, r.cs...), hop...)
+			r.cs = c.xplane[from:len(c.xplane):len(c.xplane)]
 			r.latency += c.internal.Latency
 		}
 	default:
@@ -337,6 +350,7 @@ func (m *Machine) route(a, b topology.StackID, kind topology.PathKind) (*route, 
 	if r.name == nil {
 		r.name = func() string { return "d2d:" + a.String() + "->" + b.String() }
 	}
+	m.spare = m.spare[1:]
 	m.routes[i] = r
 	return r, nil
 }

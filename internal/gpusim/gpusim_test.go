@@ -32,7 +32,9 @@ func d2d(p *sim.Proc, src *Stack, dst topology.StackID, size units.Bytes) error 
 // inside it, its latency and completion events are queued as data, and
 // the route, its constraint set and the flow's label are built once per
 // stack pair. Before routes were cached and labels deferred, the same
-// round trip made 18; before events became data, 6.
+// round trip made 18; before events became data, 6. The process that
+// drives the round trips costs the same in a run of 2×rounds as in a run
+// of rounds, so their difference is rounds round trips.
 func TestD2DRoundTripAllocs(t *testing.T) {
 	m := newMachine(t, topology.NewAurora())
 	src, err := m.Stack(topology.StackID{GPU: 0, Stack: 0})
@@ -43,21 +45,24 @@ func TestD2DRoundTripAllocs(t *testing.T) {
 	if kind := m.Node.Route(src.ID, dst); kind != topology.RemoteExtraHop {
 		t.Fatalf("route %v -> %v is %v, want the cross-plane path", src.ID, dst, kind)
 	}
-	const rounds = 200 // amortizes the process that drives them
-	run := func() {
-		m.Go("rt", func(p *sim.Proc) {
-			for i := 0; i < rounds; i++ {
-				if err := d2d(p, src, dst, units.MB); err != nil {
-					t.Error(err)
+	run := func(rounds int) func() {
+		return func() {
+			m.Go("rt", func(p *sim.Proc) {
+				for i := 0; i < rounds; i++ {
+					if err := d2d(p, src, dst, units.MB); err != nil {
+						t.Error(err)
+					}
 				}
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
 		}
 	}
-	run() // build the route, grow the event heap
-	if perTrip := testing.AllocsPerRun(5, run) / rounds; perTrip > 1.05 {
+	const rounds = 200
+	run(2 * rounds)() // build the route, grow the event heap
+	perTrip := (testing.AllocsPerRun(5, run(2*rounds)) - testing.AllocsPerRun(5, run(rounds))) / rounds
+	if perTrip > 1.05 {
 		t.Errorf("%.2f allocs per StartD2D+Flow.Wait round trip, want at most 1", perTrip)
 	}
 }

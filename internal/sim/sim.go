@@ -1,22 +1,24 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // underlying pvcsim. It supplies a virtual clock, an event queue with
-// stable FIFO tie-breaking, lightweight cooperative processes implemented
-// on goroutines (only one process ever runs at a time, so models need no
-// locking), condition signals, counting resources with FIFO queueing, and
-// re-armable timers.
+// stable FIFO tie-breaking, lightweight cooperative processes (iter.Pull
+// coroutines that Run's goroutine drives, so only one process ever runs
+// at a time and models need no locking), condition signals, counting
+// resources with FIFO queueing, and re-armable timers.
 //
 // The kernel is deliberately small and serial: events drain in (time,
 // scheduling order) from a heap of delayed events and a FIFO of
 // zero-delay ones, which need no sift because each carries the newest
 // sequence number at the current instant. An event either starts or
-// resumes a process, or runs a callback. Whichever goroutine holds
-// control runs the events it meets: a process that blocks or finishes
-// runs the callbacks ahead of it, then hands control straight to the
-// process the next event wakes or starts (one goroutine switch), or
-// carries on when that event wakes the blocking process itself. Only an
-// empty queue or a fault sends control back to Run's goroutine. An owner
-// can also defer work to the end of the current instant (AtInstantEnd),
-// which the fabric uses to recompute its rates once per instant.
+// resumes a process, or runs a callback. Whoever holds control runs the
+// events it meets: a process that blocks or finishes runs the callbacks
+// ahead of it, then names the process the next event wakes or starts
+// and yields to Run's goroutine, which resumes that process (two
+// coroutine switches, none through the Go scheduler); a process whose
+// next event wakes itself carries on with no switch. An empty queue or a
+// fault ends the run. Run stops the processes still alive through each
+// coroutine's stop function, so none outlives it. An owner can also
+// defer work to the end of the current instant (AtInstantEnd), which
+// the fabric uses to recompute its rates once per instant.
 // Bandwidth-sharing pipes, devices, and interconnects are built on top
 // of it in the fabric and gpusim packages; parallelism lives one level
 // up, across independent cells (runner -jobs).
@@ -43,19 +45,17 @@ type Engine struct {
 	fhead    int
 	atEnd    []Handler // run when the current instant's events are done
 	seq      uint64
-	parked   chan struct{} // control goes back to Run's goroutine here
-	procs    []*Proc       // processes started and not yet finished, any order
-	fault    any           // re-raised by Run: a *ProcPanic, or a callback's panic value
-	stopping bool          // set while Run unwinds the live processes
-	events   int           // events dispatched by the current Run, on any goroutine
+	after    *Proc   // the process Run's goroutine resumes next, named by the one that yielded
+	procs    []*Proc // processes started and not yet finished, any order
+	fault    any     // re-raised by Run: a *ProcPanic, or a callback's panic value
+	stopping bool    // set while Run unwinds the live processes
+	events   int     // events dispatched by the current Run, by Run or any process
 
 	probe WallProbe // wall-clock self-profiling hooks; nil = disabled
 }
 
 // NewEngine returns a ready-to-use simulation engine with the clock at 0.
-func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
@@ -220,8 +220,8 @@ func (e *Engine) peek() *event {
 // AtInstantEnd runs h once every event queued for the current instant
 // has run, before the clock advances. It takes no sequence number and is
 // not counted as an event; callbacks registered for one instant run in
-// registration order, on whichever goroutine holds control, and may
-// queue events of their own.
+// registration order, by whichever process or Run holds control, and
+// may queue events of their own.
 func (e *Engine) AtInstantEnd(h Handler) { e.atEnd = append(e.atEnd, h) }
 
 // endInstant runs the end-of-instant callbacks, including any they
@@ -256,9 +256,9 @@ func (e *Engine) nextProc() *Proc {
 	return nil
 }
 
-// handoff is nextProc on a process goroutine. A callback that panics
-// there is recovered and kept, so Run re-raises it with its own value
-// instead of the process unwinding with it.
+// handoff is nextProc in a process. A callback that panics there is
+// recovered and kept, so Run re-raises it with its own value instead of
+// the process unwinding with it.
 func (e *Engine) handoff() (next *Proc) {
 	defer func() {
 		if next == nil {
@@ -270,23 +270,14 @@ func (e *Engine) handoff() (next *Proc) {
 	return e.nextProc()
 }
 
-// switchTo gives control to next, or back to Run's goroutine when there
-// is no next process.
-func (e *Engine) switchTo(next *Proc) {
-	if next == nil {
-		e.parked <- struct{}{}
-		return
-	}
-	e.resume(next)
-}
-
 // dispatch runs events in order until the queue is empty or a process
-// body or callback panics. A process event hands control to the process,
-// and the loop waits until control comes back.
+// body or callback panics. A process event resumes the process; when it
+// yields, it has run the events up to the next process event and named
+// that process, or none when the queue is empty or a fault awaits Run.
 func (e *Engine) dispatch() {
-	for p := e.nextProc(); p != nil; p = e.nextProc() {
+	for p := e.nextProc(); p != nil; {
 		e.resume(p)
-		<-e.parked
+		p, e.after = e.after, nil
 	}
 }
 
@@ -296,7 +287,7 @@ func (e *Engine) dispatch() {
 // the error names the signals and resources holding the waiters. A panic
 // in a process body stops the run and is re-raised here, on the caller's
 // goroutine, as a *ProcPanic; a panic in a callback propagates with its
-// own value, whichever goroutine ran the callback. Either way the
+// own value, whether Run or a process ran the callback. Either way the
 // processes still alive are unwound before Run returns, so none outlives
 // the run.
 func (e *Engine) Run() error {
@@ -317,18 +308,17 @@ func (e *Engine) Run() error {
 	return e.deadlockErr()
 }
 
-// stop unwinds every live process: each is resumed with the stopping
-// flag set, so its yield panics stopProc, which the process root
-// recovers. Events left queued are dropped, since the processes they
-// would resume are gone.
+// stop unwinds every live process through its coroutine's stop
+// function: the process's yield returns false, so it panics stopProc,
+// which the process root recovers. Events left queued are dropped, since
+// the processes they would resume are gone.
 func (e *Engine) stop() {
 	if len(e.procs) == 0 && len(e.queue) == 0 && len(e.fifo) == 0 && len(e.atEnd) == 0 {
 		return
 	}
 	e.stopping = true
 	for len(e.procs) > 0 {
-		e.procs[len(e.procs)-1].resume <- struct{}{}
-		<-e.parked
+		e.procs[len(e.procs)-1].stop()
 	}
 	e.stopping = false
 	clear(e.queue)
@@ -399,10 +389,12 @@ type blocker interface {
 type Proc struct {
 	eng       *Engine
 	name      string
-	resume    chan struct{}
-	body      func(*Proc) // set until the start event launches the goroutine
-	idx       int         // position in eng.procs while live
-	blockedOn blocker     // set while queued on a signal or resource
+	body      func(*Proc)
+	next      func() (struct{}, bool) // continues the coroutine; nil until the start event
+	stop      func()                  // unwinds the coroutine from its yield
+	suspend   func(struct{}) bool     // the coroutine's yield back to Run's goroutine
+	idx       int                     // position in eng.procs while live
+	blockedOn blocker                 // set while queued on a signal or resource
 }
 
 // Now returns the current virtual time.
@@ -412,7 +404,7 @@ func (p *Proc) Now() units.Seconds { return p.eng.now }
 // runs cooperatively: it executes until it blocks in Hold, Wait, or
 // Acquire, at which point control passes to the next event.
 func (e *Engine) Go(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), body: body}
+	p := &Proc{eng: e, name: name, body: body}
 	e.wake(p, 0)
 	return p
 }
@@ -421,42 +413,26 @@ func (e *Engine) Go(name string, body func(*Proc)) *Proc {
 // yet) after delay.
 func (e *Engine) wake(p *Proc, delay units.Seconds) { e.push(delay, event{p: p}) }
 
-// resume gives control to p: the first time it launches the process's
-// goroutine, later it unblocks the process's yield. The caller must
-// block right after, until control comes back to it.
-func (e *Engine) resume(p *Proc) {
-	body := p.body
-	if body == nil {
-		p.resume <- struct{}{}
-		return
-	}
-	p.body = nil
-	p.idx = len(e.procs)
-	e.procs = append(e.procs, p)
-	go p.run(body)
-}
-
-// run is the process goroutine's root. However the body ends — it
-// returns, it panics, or Run stops it — the process leaves the live set.
-// A finished process passes control on as a blocking one does; after a
-// panic, or while Run stops the processes, it hands control back to
-// Run's goroutine. A panic is kept for Run to re-raise on its caller's
-// goroutine; one raised while Run stops the process (stopProc, or a
-// deferred call failing on the way out) is dropped with the run.
-func (p *Proc) run(body func(*Proc)) {
+// run is the process coroutine's root; suspend is its yield. However
+// the body ends — it returns, it panics, or Run stops it — the process
+// leaves the live set. A finished process names the next process as a
+// blocking one does; after a panic it names none. A panic is kept for
+// Run to re-raise on its caller's goroutine; one raised while Run stops
+// the process (stopProc, or a deferred call failing on the way out) is
+// dropped with the run.
+func (p *Proc) run(suspend func(struct{}) bool) {
 	e := p.eng
+	p.suspend = suspend
 	defer func() {
 		if v := recover(); v != nil && !e.stopping {
 			e.fault = &ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()}
 		}
 		e.retire(p)
-		if e.stopping {
-			e.parked <- struct{}{}
-			return
+		if !e.stopping {
+			e.after = e.handoff()
 		}
-		e.switchTo(e.handoff())
 	}()
-	body(p)
+	p.body(p)
 }
 
 // retire drops a finished process from the live set (swap-remove), so
@@ -472,10 +448,11 @@ func (e *Engine) retire(p *Proc) {
 
 // yield blocks the process until an event resumes it. It runs the
 // events ahead itself: callbacks in place, then a wake of p returns at
-// once, with no switch, and a wake or start of another process hands
-// control straight to it. An empty queue or a fault goes back to Run's
-// goroutine. A process resumed to be stopped unwinds from here, and so
-// does one that blocks again while being stopped (from a deferred call).
+// once, with no switch. Otherwise it names the process the next event
+// wakes or starts (none when the queue is empty or a fault awaits Run)
+// and suspends to Run's goroutine, which resumes that process. A process
+// stopped from its suspension unwinds from here, and so does one that
+// blocks again while being stopped (from a deferred call).
 func (p *Proc) yield() {
 	e := p.eng
 	if e.stopping {
@@ -485,9 +462,8 @@ func (p *Proc) yield() {
 	if next == p {
 		return
 	}
-	e.switchTo(next)
-	<-p.resume
-	if e.stopping {
+	e.after = next
+	if !p.suspend(struct{}{}) {
 		panic(stopProc{})
 	}
 }
